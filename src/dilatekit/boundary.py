@@ -199,13 +199,21 @@ def contains_numerical_range(t, curve: BoundaryCurve, margin: float | None = Non
     return bool(np.all(report.support <= curve.support(report.thetas) - margin))
 
 
-def _resolvent(t: np.ndarray, zeta: complex, cond_cap: float = 1e12) -> np.ndarray:
-    m = zeta * np.eye(t.shape[0]) - t
+def _resolvents(t: np.ndarray, zetas, cond_cap: float = 1e12) -> np.ndarray:
+    """The stack of resolvents (zeta_j - T)^{-1}, one per node.
+
+    One batched SVD checks every condition number against ``cond_cap``
+    and one batched inverse forms the stack.
+    """
+    zetas = np.asarray(zetas, dtype=np.complex128)
+    m = zetas[:, None, None] * np.eye(t.shape[0]) - t
     sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] <= 0 or sv[0] / sv[-1] > cond_cap:
+    bad = (sv[:, -1] <= 0) | (sv[:, 0] > cond_cap * sv[:, -1])
+    if np.any(bad):
+        j = int(np.argmax(bad))
         raise ResolventSingularError(
-            f"resolvent at {zeta:.6g} is numerically singular "
-            f"(condition {sv[0] / max(sv[-1], 1e-300):.2e})"
+            f"resolvent at {complex(zetas[j]):.6g} is numerically singular "
+            f"(condition {sv[j, 0] / max(sv[j, -1], 1e-300):.2e})"
         )
     return np.linalg.inv(m)
 
@@ -220,7 +228,7 @@ def boundary_density(t, curve: BoundaryCurve, theta: float,
     t = asmatrix(t)
     zeta = complex(curve.point(theta))
     dzeta = complex(curve.derivative(theta))
-    res = _resolvent(t, zeta)
+    res = _resolvents(t, [zeta])[0]
     return herm_part(dzeta / (2j * np.pi) * res)
 
 
@@ -241,11 +249,9 @@ def quadrature_measure(t, curve: BoundaryCurve, nodes: int,
         )
     thetas, zetas, dzetas = curve.sample(nodes)
     w = 2.0 * np.pi / nodes
-    atoms = []
-    for zeta, dzeta in zip(zetas, dzetas):
-        res = _resolvent(t, complex(zeta))
-        dens = herm_part(complex(dzeta) / (2j * np.pi) * res)
-        atoms.append(PointAtom(point=[zeta], weight=psd_project(w * dens, tol)))
+    dens = herm_part((dzetas / (2j * np.pi))[:, None, None] * _resolvents(t, zetas))
+    atoms = [PointAtom(point=[zeta], weight=psd_project(w * dj, tol))
+             for zeta, dj in zip(zetas, dens)]
     mu = AtomicMeasure(dim=t.shape[0], atoms=atoms)
     defect = float(np.linalg.norm(mu.unit_matrix() - np.eye(t.shape[0])))
     mu = mu.normalized(tol)
@@ -271,9 +277,13 @@ def cauchy_transform(f_samples, curve: BoundaryCurve, at,
     dzeta at a scalar z or, entrywise in the functional calculus sense, at
     a matrix argument.  The evaluation point (or the spectrum) must lie
     strictly inside the curve.
+
+    ``f_samples`` holds one function's node samples, or a stack of shape
+    (functions, nodes); a stack gets one transform per function, all from
+    one set of resolvents.
     """
     f_samples = np.asarray(f_samples, dtype=np.complex128)
-    nodes = f_samples.size
+    nodes = f_samples.shape[-1]
     thetas, zetas, dzetas = curve.sample(nodes)
     w = 1.0 / nodes  # trapezoid weight 2 pi / nodes divided by 2 pi
     diam = curve.diameter()
@@ -285,14 +295,13 @@ def cauchy_transform(f_samples, curve: BoundaryCurve, at,
                 f"evaluation point {z:.6g} is not strictly inside the curve"
             )
         kern = dzetas / (zetas - z)
-        return complex(np.sum(np.conj(f_samples) * kern) * w / 1j)
+        out = np.sum(np.conj(f_samples) * kern, axis=-1) * w / 1j
+        return complex(out) if out.ndim == 0 else out
     t = asmatrix(at)
     for lam in np.linalg.eigvals(t):
         if not _winding_inside(complex(lam), zetas, diam):
             raise ResolventSingularError(
                 f"eigenvalue {lam:.6g} is not strictly inside the curve"
             )
-    acc = np.zeros_like(t)
-    for fj, zeta, dzeta in zip(f_samples, zetas, dzetas):
-        acc += np.conj(fj) * complex(dzeta) * _resolvent(t, complex(zeta))
+    acc = np.tensordot(np.conj(f_samples) * dzetas, _resolvents(t, zetas), axes=1)
     return acc * w / 1j

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -145,6 +146,42 @@ class LiftedPoint:
     gamma: np.ndarray
 
 
+def _lift_terms(c: MatrixConvexCombination):
+    """Batched lift of every nonzero term, in term order.
+
+    Terms are grouped by point level so that each group is one stacked
+    computation.  Returns the kept term indices, the weights t_j, the
+    coefficients gamma_j (a list, their heights differ), and the stacks
+    alpha (m, n, n) and value (m, nvars, n, n).
+    """
+    c.validate(1e-10)
+    n = c.n
+    nvars = c.terms[0][1].nvars if c.terms else 0
+    if any(point.nvars != nvars for _, point in c.terms):
+        raise DimensionMismatchError("every point needs the same number of coordinates")
+    m = len(c.terms)
+    t = np.empty(m)
+    gammas = [None] * m
+    alpha = np.empty((m, n, n), dtype=np.complex128)
+    value = np.empty((m, nvars, n, n), dtype=np.complex128)
+    groups: dict = {}
+    for j, (_, point) in enumerate(c.terms):
+        groups.setdefault(point.level, []).append(j)
+    for idx in groups.values():
+        beta = np.stack([c.terms[j][0] for j in idx])
+        x = np.stack([np.stack(c.terms[j][1].coords) for j in idx])
+        tg = np.einsum("jkn,jkn->j", beta.conj(), beta).real / n
+        gamma = beta / np.sqrt(np.where(tg > 0.0, tg, 1.0))[:, None, None]
+        gh = np.swapaxes(gamma.conj(), -1, -2)
+        t[idx] = tg
+        alpha[idx] = gh @ gamma
+        value[idx] = gh[:, None] @ x @ gamma[:, None]
+        for j, g in zip(idx, gamma):
+            gammas[j] = g
+    kept = np.flatnonzero(t > 0.0)
+    return kept, t[kept], [gammas[j] for j in kept], alpha[kept], value[kept]
+
+
 def lift_combination(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TOL):
     """Lift a combination to weighted trace-normalized terms.
 
@@ -157,19 +194,10 @@ def lift_combination(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TOL):
     -------
     (weights, lifted) : list of floats and list of LiftedPoint.
     """
-    c.validate(1e-10)
-    weights = []
-    lifted = []
-    for beta, point in c.terms:
-        t = ntrace(beta.conj().T @ beta)
-        if t <= 0.0:
-            continue
-        gamma = beta / np.sqrt(t)
-        alpha = gamma.conj().T @ gamma
-        value = [gamma.conj().T @ x @ gamma for x in point.coords]
-        weights.append(t)
-        lifted.append(LiftedPoint(alpha=alpha, value=value, weight=t, gamma=gamma))
-    return weights, lifted
+    _, t, gammas, alpha, value = _lift_terms(c)
+    lifted = [LiftedPoint(alpha=a, value=list(v), weight=w, gamma=g)
+              for w, g, a, v in zip(t.tolist(), gammas, alpha, value)]
+    return t.tolist(), lifted
 
 
 def unlift_point(weights, lifted, points, tol: Tolerances = DEFAULT_TOL
@@ -231,64 +259,60 @@ def compress_to_surjective(gamma, point: MatrixPoint, tol: Tolerances = DEFAULT_
     return beta, compressed
 
 
-def _lift_vector(lp: LiftedPoint, selfadjoint: bool) -> np.ndarray:
-    """Real affine coordinates of a lifted term.
+# Columns added to the working set per block of the reduction sweep.
+_BLOCK = 32
 
-    Hermitian data uses the diagonal plus the strict upper triangle;
-    general coordinates contribute real and imaginary parts of every
-    entry.
+
+def _lift_columns(alpha, value, selfadjoint: bool) -> np.ndarray:
+    """Real affine coordinates of lifted terms, one column per term.
+
+    Each column is hvec(alpha) followed by every coordinate of the value
+    (hvec for Hermitian data, real then imaginary parts of every entry
+    otherwise) and a final 1, so that A t = A t' says two weightings
+    have the same barycenter and the same total weight.
     """
-    parts = [hvec(herm_part(lp.alpha))]
-    for v in lp.value:
-        if selfadjoint:
-            parts.append(hvec(herm_part(v)))
-        else:
-            parts.append(np.concatenate([v.real.ravel(), v.imag.ravel()]))
-    return np.concatenate(parts)
+    m = alpha.shape[0]
+    parts = [hvec(herm_part(alpha))]
+    if selfadjoint:
+        parts.append(hvec(herm_part(value)).reshape(m, -1))
+    else:
+        flat = value.reshape(m, value.shape[1], -1)
+        parts.append(np.concatenate([flat.real, flat.imag], axis=2).reshape(m, -1))
+    parts.append(np.ones((m, 1)))
+    return np.concatenate(parts, axis=1).T
 
 
-def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TOL
-                        ) -> MatrixConvexCombination:
-    """Prune a matrix convex combination to affinely independent terms.
+def _svd(a: np.ndarray):
+    """Singular values and right vectors, retrying LAPACK's gesvd when the
+    default divide-and-conquer driver fails to converge."""
+    try:
+        _, s, vh = np.linalg.svd(a)
+    except np.linalg.LinAlgError:
+        _, s, vh = scipy.linalg.svd(a, lapack_driver="gesvd")
+    return s, vh
 
-    The combination is lifted to weighted points in the affine space of
-    trace-normalized pairs, where classical Caratheodory elimination
-    applies: while the lifted vectors are affinely dependent, shift the
-    weights along a dependence direction until the smallest ratio
-    t_j / c_j hits zero (ties take the smallest index) and drop the
-    vanished terms.  Surviving points are original points; only the
-    coefficients are rescaled.  The output length is at most
-    n^2 (2d + 1), or n^2 (d + 1) when every point is selfadjoint.
+
+def _sweep(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Null-basis elimination on the columns of ``a`` until they are
+    linearly independent; returns the new weights, zero for retired terms.
 
     Eliminations are swept a whole null basis at a time: after a
     dependence direction retires a term, the remaining basis vectors are
     Gaussian-updated to vanish on the retired column, so they stay valid
     directions for the shrunken support.  One SVD then pays for up to
-    (terms - rank) removals instead of a single one.
+    (columns - rank) removals instead of a single one.
     """
-    weights, lifted = lift_combination(c, tol)
-    if not lifted:
-        raise ZeroCoefficientError("combination has no nonzero terms")
-    points = [point for beta, point in c.terms
-              if ntrace(beta.conj().T @ beta) > 0.0]
-    selfadjoint = all(p.selfadjoint for p in points)
-    vecs = [_lift_vector(lp, selfadjoint) for lp in lifted]
-
-    t = np.array(weights, dtype=np.float64)
-    alive = list(range(len(lifted)))
-    while len(alive) > 1:
-        a = np.empty((vecs[0].size + 1, len(alive)))
-        for col, j in enumerate(alive):
-            a[:-1, col] = vecs[j]
-            a[-1, col] = 1.0
-        _, s, vh = np.linalg.svd(a)
+    t = t.copy()
+    alive = np.arange(t.size)
+    while alive.size > 1:
+        s, vh = _svd(a[:, alive])
         thresh = 1e-11 * max(s[0], 1.0)
         rank = int(np.count_nonzero(s > thresh))
-        if rank >= len(alive):
+        if rank >= alive.size:
             break
         basis = np.array(vh[rank:], dtype=np.float64)
-        ta = t[alive].copy()
-        pinned = np.zeros(len(alive), dtype=bool)
+        ta = t[alive]
+        pinned = np.zeros(alive.size, dtype=bool)
         for row in range(basis.shape[0]):
             cdir = basis[row]
             peak = float(np.abs(cdir).max())
@@ -299,7 +323,7 @@ def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TO
             pos = (cdir > 1e-12 * peak) & ~pinned
             if not np.any(pos):
                 continue
-            ratios = np.full(len(alive), np.inf)
+            ratios = np.full(alive.size, np.inf)
             ratios[pos] = ta[pos] / cdir[pos]
             pivot = int(np.argmin(ratios))
             theta = ratios[pivot]
@@ -318,14 +342,53 @@ def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TO
                 keep = norms > 1e-12
                 rest[keep] /= norms[keep, None]
                 rest[~keep] = 0.0
-        for col, j in enumerate(alive):
-            t[j] = ta[col]
-        alive = [j for j in alive if t[j] > 0.0]
-    total = float(np.sum(t[alive]))
-    surv_w = [t[j] / total for j in alive]
-    surv_l = [lifted[j] for j in alive]
-    surv_p = [points[j] for j in alive]
-    return unlift_point(surv_w, surv_l, surv_p, tol)
+        t[alive] = ta
+        alive = alive[ta > 0.0]
+    return t
+
+
+def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TOL
+                        ) -> MatrixConvexCombination:
+    """Prune a matrix convex combination to affinely independent terms.
+
+    The combination is lifted to weighted points in the affine space of
+    trace-normalized pairs, where classical Caratheodory elimination
+    applies: while the lifted vectors are affinely dependent, shift the
+    weights along a dependence direction until the smallest ratio
+    t_j / c_j hits zero (ties take the smallest index) and drop the
+    vanished terms.  Surviving points are original points; only the
+    coefficients are rescaled.  The output length is at most
+    n^2 (2d + 1), or n^2 (d + 1) when every point is selfadjoint.
+
+    The elimination is blocked: terms enter in order, 32 at a time, and
+    each block is swept together with the survivors of the blocks before
+    it, so the SVDs stay the size of the affine rank plus one block
+    whatever the number of terms.  Finally the survivors' weights are
+    re-solved by least squares against the original barycenter; the
+    solution replaces the swept weights when it is strictly positive and
+    meets the barycenter more closely.
+    """
+    kept, t, gammas, alpha, value = _lift_terms(c)
+    if not kept.size:
+        raise ZeroCoefficientError("combination has no nonzero terms")
+    points = [c.terms[j][1] for j in kept]
+    a = _lift_columns(alpha, value, all(p.selfadjoint for p in points))
+    target = a @ t
+    alive = np.zeros(0, dtype=np.intp)
+    for start in range(0, t.size, _BLOCK):
+        work = np.concatenate([alive, np.arange(start, min(start + _BLOCK, t.size))])
+        t[work] = _sweep(a[:, work], t[work])
+        alive = work[t[work] > 0.0]
+    ta = t[alive]
+    cols = a[:, alive]
+    exact = np.linalg.lstsq(cols, target, rcond=None)[0]
+    if np.all(exact > 0.0) and (np.linalg.norm(cols @ exact - target)
+                                < np.linalg.norm(cols @ ta - target)):
+        ta = exact
+    ta = ta / np.sum(ta)
+    lifted = [LiftedPoint(alpha=alpha[j], value=list(value[j]), weight=float(w),
+                          gamma=gammas[j]) for j, w in zip(alive, ta)]
+    return unlift_point(ta.tolist(), lifted, [points[j] for j in alive], tol)
 
 
 def _commutant_basis(coords, null_tol: float = 1e-10):

@@ -8,6 +8,7 @@ for reproducible output.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,8 @@ def asmatrix(a) -> np.ndarray:
 
 
 def herm_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    """(A + A*) / 2, matrix by matrix over any leading stack axes."""
+    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
 def herm_eig(a, tol: Tolerances = DEFAULT_TOL):
@@ -274,35 +276,42 @@ def complete_isometry_to_unitary(u0, domain_basis, range_basis,
     return u
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_indices(n: int):
+    """Row-major (rows, cols) of the strict upper triangle of an n x n matrix."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def hvec(h: np.ndarray) -> np.ndarray:
     """Real coordinates of a Hermitian matrix (isometric for Frobenius).
 
     Layout: the real diagonal, then sqrt(2) * (Re, Im) of the strict upper
-    triangle read row by row.
+    triangle read row by row.  A stack of shape (..., n, n) maps to
+    (..., n^2), one coordinate vector per matrix.
     """
-    n = h.shape[0]
-    out = np.empty(n * n, dtype=np.float64)
-    out[:n] = h.diagonal().real
-    pos = n
+    h = np.asarray(h)
+    n = h.shape[-1]
+    rows, cols = _upper_indices(n)
+    upper = h[..., rows, cols]
     s = np.sqrt(2.0)
-    for p in range(n):
-        for q in range(p + 1, n):
-            out[pos] = s * h[p, q].real
-            out[pos + 1] = s * h[p, q].imag
-            pos += 2
+    out = np.empty(h.shape[:-2] + (n * n,), dtype=np.float64)
+    out[..., :n] = np.diagonal(h, axis1=-2, axis2=-1).real
+    out[..., n::2] = s * upper.real
+    out[..., n + 1::2] = s * upper.imag
     return out
 
 
 def hunvec(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`hvec`."""
-    h = np.zeros((n, n), dtype=np.complex128)
-    h[np.diag_indices(n)] = v[:n]
-    pos = n
-    s = 1.0 / np.sqrt(2.0)
-    for p in range(n):
-        for q in range(p + 1, n):
-            z = s * (v[pos] + 1j * v[pos + 1])
-            h[p, q] = z
-            h[q, p] = np.conj(z)
-            pos += 2
+    """Inverse of :func:`hvec`; a stack (..., n^2) maps to (..., n, n)."""
+    v = np.asarray(v)
+    rows, cols = _upper_indices(n)
+    h = np.zeros(v.shape[:-1] + (n, n), dtype=np.complex128)
+    diag = np.arange(n)
+    h[..., diag, diag] = v[..., :n]
+    z = (1.0 / np.sqrt(2.0)) * (v[..., n::2] + 1j * v[..., n + 1::2])
+    h[..., rows, cols] = z
+    h[..., cols, rows] = np.conj(z)
     return h

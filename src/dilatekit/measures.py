@@ -8,6 +8,7 @@ measure are linear in the weights, which is what the fitter exploits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -293,20 +294,12 @@ class FitOptions:
     evaluator: object = None
 
 
-_HBASIS_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _herm_to_cvec(m: int) -> np.ndarray:
     """Complex matrix of shape (m^2, m^2) sending hvec(H) to H.ravel()."""
-    if m not in _HBASIS_CACHE:
-        phi = np.empty((m * m, m * m), dtype=np.complex128)
-        e = np.zeros(m * m)
-        for k in range(m * m):
-            e[k] = 1.0
-            phi[:, k] = hunvec(e, m).ravel()
-            e[k] = 0.0
-        _HBASIS_CACHE[m] = phi
-    return _HBASIS_CACHE[m]
+    phi = hunvec(np.eye(m * m), m).reshape(m * m, m * m).T.copy()
+    phi.flags.writeable = False
+    return phi
 
 
 def _point_rows(e: complex, d: int) -> np.ndarray:

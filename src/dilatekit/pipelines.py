@@ -147,12 +147,13 @@ def dilate_boundary(t, curve: BoundaryCurve, order: int = 4,
     d = t.shape[0]
     mu = quadrature_measure(t, curve, nodes, tol, margin=margin)
     _, zetas, _ = curve.sample(nodes)
+    powers = np.arange(1, order + 1)
+    cks = cauchy_transform(zetas[None, :] ** powers[:, None], curve, t, tol)
     values = {}
     power = np.eye(d, dtype=np.complex128)
-    for k in range(1, order + 1):
+    for k, ck in zip(powers, cks):
         power = power @ t
-        ck = cauchy_transform(zetas ** k, curve, t, tol)
-        values[(k,)] = (power + ck.conj().T) / 2.0
+        values[(int(k),)] = (power + ck.conj().T) / 2.0
     table = MomentTable(dim=d, nu=1, values=values, symmetric=True)
     dil, slim, nterms = _reduce_and_assemble(mu, table, tol)
     relations = Relations(rule="laurent", unitary=False, negatives="adjoint")

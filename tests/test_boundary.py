@@ -116,6 +116,25 @@ def test_cauchy_transform_circle_vanishes():
         assert abs(got) <= 1e-13
 
 
+def test_cauchy_transform_stacked_matches_single():
+    curve = dk.BoundaryCurve.ellipse(1.0, 0.6)
+    _, zetas, _ = curve.sample(128)
+    stack = zetas[None, :] ** np.arange(1, 4)[:, None]
+    t = np.array([[0.1, 0.3], [0.0, -0.2 + 0.1j]])
+    for at in (0.3 - 0.1j, t):
+        got = dk.cauchy_transform(stack, curve, at)
+        assert len(got) == 3
+        for f, g in zip(stack, got):
+            assert np.linalg.norm(g - dk.cauchy_transform(f, curve, at)) <= 1e-14
+
+
+def test_resolvent_singular_on_curve():
+    # T has an eigenvalue on the ellipse at theta = 0
+    curve = dk.BoundaryCurve.ellipse(1.0, 0.6)
+    with pytest.raises(ResolventSingularError, match="numerically singular"):
+        dk.boundary_density(np.diag([1.0, 0.0]), curve, 0.0)
+
+
 def test_cauchy_transform_constant_and_outside():
     curve = dk.BoundaryCurve.ellipse(1.0, 0.6)
     _, zetas, _ = curve.sample(128)

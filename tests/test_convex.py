@@ -58,6 +58,26 @@ def test_lift_unlift_roundtrip():
                 assert np.linalg.norm(va - vb) <= 1e-10
 
 
+def lifted_rank(c):
+    """Rank of the lifted vectors with a row of ones: affine rank + 1."""
+    _, lifted = dk.lift_combination(c)
+    selfadjoint = all(p.selfadjoint for _, p in c.terms)
+    cols = []
+    for lp in lifted:
+        parts = [dk.hvec(lp.alpha)]
+        for v in lp.value:
+            parts.append(dk.hvec(v) if selfadjoint
+                         else np.concatenate([v.real.ravel(), v.imag.ravel()]))
+        cols.append(np.concatenate(parts + [[1.0]]))
+    return int(np.linalg.matrix_rank(np.column_stack(cols)))
+
+
+# survivor counts of the single whole-support sweep that the blocked
+# sweep replaced, on the trials below; blocking must not keep more
+SWEEP_SURVIVORS = [27, 12, 12, 22, 19, 13, 21, 18, 19, 18, 7, 14,
+                   5, 18, 7, 18, 5, 2, 36, 20, 33, 3, 31, 27]
+
+
 def test_caratheodory_bounds_and_preservation():
     rng = np.random.default_rng(29)
     for trial in range(24):
@@ -69,6 +89,7 @@ def test_caratheodory_bounds_and_preservation():
         red = dk.caratheodory_reduce(c)
         bound = n * n * (d + 1) if sa else n * n * (2 * d + 1)
         assert len(red.terms) <= bound
+        assert len(red.terms) <= SWEEP_SURVIVORS[trial]
         assert red.defect() <= 1e-10
         assert barycenter_gap(red, c) <= 1e-9
         # fixed point: nothing left to eliminate
@@ -82,6 +103,7 @@ def test_caratheodory_survivors_are_input_points():
     ids = {id(p) for _, p in c.terms}
     red = dk.caratheodory_reduce(c)
     assert all(id(p) in ids for _, p in red.terms)
+    assert len(red.terms) <= 20
 
 
 def test_caratheodory_large_run_sweep():
@@ -91,6 +113,43 @@ def test_caratheodory_large_run_sweep():
     red = dk.caratheodory_reduce(c)
     assert len(red.terms) <= 4 * 3
     assert barycenter_gap(red, c) <= 1e-9
+    assert red.defect() <= 1e-10
+
+
+@pytest.mark.parametrize("nodes", [256, 512])
+def test_caratheodory_boundary_measure_terms(nodes):
+    # the boundary pipeline's combination: 3 rank-one terms per node
+    rng = np.random.default_rng(53)
+    curve = dk.BoundaryCurve.ellipse(1.0, 0.6)
+    t = complex_gaussian(rng, (3, 3))
+    t *= 0.5 / np.linalg.norm(t, 2)
+    mu = dk.quadrature_measure(t, curve, nodes)
+    table = dk.MomentTable(dim=3, nu=1, values={
+        (k,): np.linalg.matrix_power(t, k) for k in range(1, 5)})
+    c = dk.measure_to_combination(mu, table)
+    assert len(c.terms) == 3 * nodes
+    red = dk.caratheodory_reduce(c)
+    assert barycenter_gap(red, c) <= 1e-13
+    assert red.defect() <= 1e-12
+    assert len(red.terms) <= lifted_rank(c)
+    ids = {id(p) for _, p in c.terms}
+    assert all(id(p) in ids for _, p in red.terms)
+
+
+def test_caratheodory_svd_fallback(monkeypatch):
+    # numpy's divide-and-conquer SVD can fail to converge; the sweep then
+    # retries with LAPACK gesvd and the result is an equally valid reduction
+    rng = np.random.default_rng(59)
+    c = random_combination(rng, 2, 2, 80, True)
+    expected = len(dk.caratheodory_reduce(c).terms)
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    red = dk.caratheodory_reduce(c)
+    assert len(red.terms) == expected
+    assert barycenter_gap(red, c) <= 1e-12
     assert red.defect() <= 1e-10
 
 
@@ -177,6 +236,11 @@ def test_combination_validation_errors():
         bad.validate()
     with pytest.raises(InvalidCombinationError):
         dk.caratheodory_reduce(bad)
+    q = dk.MatrixPoint([np.eye(2), np.eye(2)], selfadjoint=True)
+    mixed = dk.MatrixConvexCombination(
+        n=2, terms=[(np.sqrt(0.5) * np.eye(2), p), (np.sqrt(0.5) * np.eye(2), q)])
+    with pytest.raises(dk.DimensionMismatchError):
+        dk.caratheodory_reduce(mixed)
 
 
 def test_ntrace():

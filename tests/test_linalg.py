@@ -158,3 +158,31 @@ def test_hvec_roundtrip_isometry():
         assert v.dtype == np.float64 and v.size == d * d
         assert abs(np.linalg.norm(v) - np.linalg.norm(h)) <= 1e-13
         assert np.linalg.norm(dk.hunvec(v, d) - h) <= 1e-14
+
+
+def loop_hvec(h):
+    """Per-entry reference for the hvec layout."""
+    n = h.shape[0]
+    out = [h[p, p].real for p in range(n)]
+    for p in range(n):
+        for q in range(p + 1, n):
+            out += [np.sqrt(2.0) * h[p, q].real, np.sqrt(2.0) * h[p, q].imag]
+    return np.array(out)
+
+
+def test_hvec_stacked_matches_per_matrix():
+    rng = np.random.default_rng(61)
+    for d in (1, 2, 4):
+        a = complex_gaussian(rng, (5, 2, d, d))
+        h = 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
+        v = dk.hvec(h)
+        assert v.shape == (5, 2, d * d)
+        back = dk.hunvec(v, d)
+        assert back.shape == h.shape
+        assert np.linalg.norm(back - h) <= 1e-14
+        for i in range(5):
+            for j in range(2):
+                ref = loop_hvec(h[i, j])
+                assert v[i, j].tobytes() == ref.tobytes()
+                assert dk.hvec(h[i, j]).tobytes() == ref.tobytes()
+                assert dk.hunvec(ref, d).tobytes() == back[i, j].tobytes()

@@ -212,6 +212,18 @@ def test_measure_combination_roundtrip():
         assert np.linalg.norm(slim.moment(idx) - mu.moment(idx)) <= 1e-9
 
 
+def test_herm_to_cvec_columns():
+    from dilatekit.measures import _herm_to_cvec
+
+    for m in (1, 3):
+        phi = _herm_to_cvec(m)
+        assert phi is _herm_to_cvec(m)
+        for k in range(m * m):
+            e = np.zeros(m * m)
+            e[k] = 1.0
+            assert np.array_equal(phi[:, k], dk.hunvec(e, m).ravel())
+
+
 def test_pruned_drops_null_atoms():
     mu = dk.AtomicMeasure(dim=1, atoms=[
         dk.PointAtom(point=[1.0], weight=np.array([[1.0 - 1e-12]])),

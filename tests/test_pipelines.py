@@ -84,10 +84,49 @@ def test_boundary_pipeline_contract():
     assert np.linalg.norm(n @ n.conj().T - n.conj().T @ n) <= 1e-10
 
 
+@pytest.mark.parametrize("seed", [0, 5, 6, 59])
+def test_boundary_d2_256_nodes(seed):
+    # 512 terms to reduce; at seeds 5, 6 and 59 the whole-support sweep
+    # drifted the alpha average off the identity (NotNormalizedError)
+    rng = np.random.default_rng([seed, 3])
+    curve = dk.BoundaryCurve.ellipse(1.0, 0.6)
+    t = random_contraction(rng, 2, 0.5)
+    result = dk.dilate_boundary(t, curve, order=4, nodes=256)
+    assert result.passed
+    assert result.reduced_terms <= 4 * (2 * 4 + 2)
+
+
 def test_boundary_rejects_uncontained():
     curve = dk.BoundaryCurve.disc(1.0)
     with pytest.raises(dk.NotContainedError):
         dk.dilate_boundary(2.0 * np.eye(2), curve, order=2, nodes=64)
+
+
+def interior_torus_data(rng, d):
+    """Commuting normal strict contractions."""
+    w = random_unitary(rng, d)
+    zs = rng.uniform(0.0, 0.5, size=(2, d)) * np.exp(2j * np.pi * rng.random((2, d)))
+    return [w @ np.diag(z) @ w.conj().T for z in zs]
+
+
+@pytest.mark.parametrize("seed", [1, 8, 14, 18])
+def test_regular_interior_d2_torus_12(seed):
+    # draws whose reduction meets a working set on which numpy's default
+    # SVD driver fails to converge (OpenBLAS); the gesvd retry covers them
+    ts = interior_torus_data(np.random.default_rng(seed), 2)
+    result = dk.dilate_regular(ts, order=1, nodes=12)
+    assert result.passed
+    final_tracks_fit(result)
+
+
+def test_regular_interior_d3_torus_24():
+    # 1728 terms to reduce: the whole-support sweep drifted the alpha
+    # average by 2.7e-4 here and raised NotNormalizedError
+    ts = interior_torus_data(np.random.default_rng(24), 3)
+    result = dk.dilate_regular(ts, order=1, nodes=24)
+    assert result.passed
+    assert result.reduced_terms <= 9 * (3 ** 2 + 1)
+    final_tracks_fit(result)
 
 
 def test_annulus_pipeline_contract():
