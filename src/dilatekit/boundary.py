@@ -11,7 +11,6 @@ atomic measure whose Naimark assembly is an explicit normal dilation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,19 +152,13 @@ class RangeReport:
     radius: float
 
 
-def _support_at(t: np.ndarray, theta: float):
-    h = herm_part(np.exp(-1j * theta) * t)
-    w, q = np.linalg.eigh(h)
-    xi = q[:, -1]
-    return float(w[-1]), complex(xi.conj() @ (t @ xi))
-
-
-def numerical_range(t, angles: int = 256, threads: int = 1) -> RangeReport:
+def numerical_range(t, angles: int = 256) -> RangeReport:
     """Sweep the support function of the numerical range.
 
     At each angle the top eigenvector of Re(e^{-i theta} T) gives both the
     support value h(theta) and a boundary point xi* T xi.  The numerical
-    radius is the maximum support value over the sweep.
+    radius is the maximum support value over the sweep.  All angles share
+    one batched eigh.
     """
     t = asmatrix(t)
     if t.shape[0] != t.shape[1]:
@@ -173,13 +166,10 @@ def numerical_range(t, angles: int = 256, threads: int = 1) -> RangeReport:
     if angles < 3:
         raise ShapeMismatchError("need at least 3 sweep angles")
     thetas = 2.0 * np.pi * np.arange(angles) / angles
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda th: _support_at(t, th), thetas))
-    else:
-        results = [_support_at(t, th) for th in thetas]
-    support = np.array([r[0] for r in results])
-    points = np.array([r[1] for r in results], dtype=np.complex128)
+    w, q = np.linalg.eigh(herm_part(np.exp(-1j * thetas)[:, None, None] * t))
+    support = w[:, -1]
+    xi = q[:, :, -1]
+    points = np.sum(xi.conj() * (xi @ t.T), axis=1)
     return RangeReport(thetas=thetas, support=support, points=points,
                        radius=float(np.max(support)))
 
@@ -218,18 +208,20 @@ def _resolvents(t: np.ndarray, zetas, cond_cap: float = 1e12) -> np.ndarray:
     return np.linalg.inv(m)
 
 
-def boundary_density(t, curve: BoundaryCurve, theta: float,
-                     tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def _densities(t: np.ndarray, zetas, dzetas) -> np.ndarray:
+    """The stack Re[dzeta_j / (2 pi i) (zeta_j - T)^{-1}], one per node."""
+    dzetas = np.asarray(dzetas, dtype=np.complex128)
+    return herm_part((dzetas / (2j * np.pi))[:, None, None] * _resolvents(t, zetas))
+
+
+def boundary_density(t, curve: BoundaryCurve, theta: float) -> np.ndarray:
     """The matrix density D(theta) of the boundary measure at one angle.
 
     PSD whenever the numerical range lies strictly inside the curve; the
     trapezoid sum of D over a uniform grid converges to the identity.
     """
-    t = asmatrix(t)
-    zeta = complex(curve.point(theta))
-    dzeta = complex(curve.derivative(theta))
-    res = _resolvents(t, [zeta])[0]
-    return herm_part(dzeta / (2j * np.pi) * res)
+    return _densities(asmatrix(t), [curve.point(theta)],
+                      [curve.derivative(theta)])[0]
 
 
 def quadrature_measure(t, curve: BoundaryCurve, nodes: int,
@@ -242,16 +234,17 @@ def quadrature_measure(t, curve: BoundaryCurve, nodes: int,
     1/nodes^2 or better) is recorded, then removed exactly by the
     measure's congruence normalization.
     """
+    if nodes < 1:
+        raise ShapeMismatchError(f"need at least one quadrature node, got {nodes}")
     t = asmatrix(t)
     if not contains_numerical_range(t, curve, margin=margin):
         raise NotContainedError(
             "numerical range is not inside the curve with the required margin"
         )
-    thetas, zetas, dzetas = curve.sample(nodes)
+    _, zetas, dzetas = curve.sample(nodes)
     w = 2.0 * np.pi / nodes
-    dens = herm_part((dzetas / (2j * np.pi))[:, None, None] * _resolvents(t, zetas))
     atoms = [PointAtom(point=[zeta], weight=psd_project(w * dj, tol))
-             for zeta, dj in zip(zetas, dens)]
+             for zeta, dj in zip(zetas, _densities(t, zetas, dzetas))]
     mu = AtomicMeasure(dim=t.shape[0], atoms=atoms)
     defect = float(np.linalg.norm(mu.unit_matrix() - np.eye(t.shape[0])))
     mu = mu.normalized(tol)
@@ -269,8 +262,7 @@ def _winding_inside(z: complex, pts: np.ndarray, diam: float) -> bool:
     return abs(dphi.sum() / (2.0 * np.pi) - 1.0) < 0.25
 
 
-def cauchy_transform(f_samples, curve: BoundaryCurve, at,
-                     tol: Tolerances = DEFAULT_TOL):
+def cauchy_transform(f_samples, curve: BoundaryCurve, at):
     """Trapezoid Cauchy transform of the conjugated samples.
 
     Computes (C fbar)(z) = (2 pi i)^{-1} oint conj(f(zeta)) / (zeta - z)
@@ -284,7 +276,7 @@ def cauchy_transform(f_samples, curve: BoundaryCurve, at,
     """
     f_samples = np.asarray(f_samples, dtype=np.complex128)
     nodes = f_samples.shape[-1]
-    thetas, zetas, dzetas = curve.sample(nodes)
+    _, zetas, dzetas = curve.sample(nodes)
     w = 1.0 / nodes  # trapezoid weight 2 pi / nodes divided by 2 pi
     diam = curve.diameter()
     scalar = np.isscalar(at) or np.asarray(at).ndim == 0

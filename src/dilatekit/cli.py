@@ -37,7 +37,6 @@ from .io import (
     write_json,
 )
 from .linalg import DEFAULT_TOL, Tolerances
-from .measures import FitOptions
 from .pipelines import (
     dilate_annulus,
     dilate_boundary,
@@ -58,65 +57,78 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInputError(message)
 
 
+def _above(low, kind=int):
+    """An argparse type: a ``kind`` strictly greater than ``low``."""
+    def parse(text):
+        value = kind(text)
+        if not value > low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not above {low}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dilatekit",
                      description="explicit finite-dimensional dilations "
                                  "from finite moment data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output_required=True):
+    def common(p, output_required=True, residual=True, seed=False):
         p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", required=output_required,
                        help="output path (prefix for dilation commands)")
-        p.add_argument("--tol-residual", type=float, default=None,
-                       dest="tol_residual", help="override residual_tol")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for fit initialization")
+        if residual:
+            p.add_argument("--tol-residual", type=float, default=None,
+                           dest="tol_residual", help="override residual_tol")
+        if seed:
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for fit initialization")
 
     p = sub.add_parser("dilate-circle", help="unitary rho-dilation via GNS")
     common(p)
-    p.add_argument("--order", type=int, required=True, help="moment order N")
-    p.add_argument("--rho", type=float, default=1.0)
+    p.add_argument("--order", type=_above(0), required=True,
+                   help="moment order N")
+    p.add_argument("--rho", type=_above(0.0, float), default=1.0)
 
     p = sub.add_parser("dilate-regular",
                        help="commuting unitaries from regular moments")
-    common(p)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--nodes", type=int, default=12,
+    common(p, seed=True)
+    p.add_argument("--order", type=_above(0), required=True)
+    p.add_argument("--nodes", type=_above(0), default=12,
                    help="torus lattice nodes per axis")
 
     p = sub.add_parser("dilate-boundary",
                        help="normal dilation on a convex boundary curve")
     common(p)
-    p.add_argument("--order", type=int, default=4)
-    p.add_argument("--nodes", type=int, default=256)
+    p.add_argument("--order", type=_above(0), default=4)
+    p.add_argument("--nodes", type=_above(0), default=256)
     p.add_argument("--curve", required=True,
                    help="disc | ellipse:a,b | annulus:r | @file.json")
 
     p = sub.add_parser("dilate-annulus",
                        help="normal dilation on both annulus circles")
-    common(p)
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--nodes", type=int, default=64)
+    common(p, seed=True)
+    p.add_argument("--order", type=_above(0), default=3)
+    p.add_argument("--nodes", type=_above(0), default=64)
     p.add_argument("--curve", required=True, help="annulus:r")
 
     p = sub.add_parser("dilate-qcommute",
                        help="q-commuting unitary pair, q = exp(2 pi i a/b)")
-    common(p)
-    p.add_argument("--order", type=int, default=1)
-    p.add_argument("--nodes", type=int, default=8,
+    common(p, seed=True)
+    p.add_argument("--order", type=_above(0), default=1)
+    p.add_argument("--nodes", type=_above(0), default=8,
                    help="phase lattice nodes per axis")
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--b", type=_above(0), required=True)
 
     p = sub.add_parser("reduce",
                        help="Caratheodory-reduce a matrix convex combination")
-    common(p)
+    common(p, residual=False)
 
     p = sub.add_parser("numrange", help="numerical range sweep to CSV")
-    common(p, output_required=False)
-    p.add_argument("--nodes", type=int, default=256, help="sweep angles")
-    p.add_argument("--threads", type=int, default=1)
+    common(p, output_required=False, residual=False)
+    p.add_argument("--nodes", type=_above(2), default=256, help="sweep angles")
 
     p = sub.add_parser("verify",
                        help="re-verify a dilation against a moment table")
@@ -199,7 +211,7 @@ def _run(args) -> int:
     if cmd == "dilate-regular":
         ops = decode_operators(read_json(args.input))
         result = dilate_regular(ops, order=args.order, nodes=args.nodes,
-                                tol=tol, options=FitOptions(seed=args.seed))
+                                tol=tol, seed=args.seed)
         return _emit_dilation(args, result)
     if cmd == "dilate-boundary":
         curve = _parse_curve(args.curve)
@@ -212,7 +224,7 @@ def _run(args) -> int:
             raise MalformedInputError("dilate-annulus needs --curve annulus:r")
         result = dilate_annulus(_one_operator(args), curve.params["r"],
                                 order=args.order, nodes=args.nodes, tol=tol,
-                                options=FitOptions(seed=args.seed))
+                                seed=args.seed)
         return _emit_dilation(args, result)
     if cmd == "dilate-qcommute":
         ops = decode_operators(read_json(args.input))
@@ -220,7 +232,7 @@ def _run(args) -> int:
             raise MalformedInputError("dilate-qcommute takes two input matrices")
         result = dilate_qcommute(ops[0], ops[1], a=args.a, b=args.b,
                                  order=args.order, nodes=args.nodes, tol=tol,
-                                 options=FitOptions(seed=args.seed))
+                                 seed=args.seed)
         return _emit_dilation(args, result)
     if cmd == "reduce":
         comb = decode_combination(read_json(args.input))
@@ -229,8 +241,7 @@ def _run(args) -> int:
         print(f"terms={len(reduced.terms)}")
         return 0
     if cmd == "numrange":
-        report = numerical_range(_one_operator(args), angles=args.nodes,
-                                 threads=args.threads)
+        report = numerical_range(_one_operator(args), angles=args.nodes)
         csv = range_report_csv(report)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:

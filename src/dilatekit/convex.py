@@ -113,9 +113,10 @@ class MatrixConvexCombination:
         return float(np.linalg.norm(s - np.eye(self.n)))
 
     def validate(self, tol: float = 1e-10):
-        if self.defect() > tol:
+        defect = self.defect()
+        if defect > tol:
             raise InvalidCombinationError(
-                f"coefficients sum to identity with defect {self.defect():.3e} > {tol:.1e}"
+                f"coefficients sum to identity with defect {defect:.3e} > {tol:.1e}"
             )
 
     def barycenter(self) -> list:

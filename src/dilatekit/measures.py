@@ -9,8 +9,7 @@ measure are linear in the weights, which is what the fitter exploits.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -41,7 +40,6 @@ __all__ = [
     "PointAtom",
     "IrrepAtom",
     "AtomicMeasure",
-    "FitOptions",
     "circle_grid",
     "torus_grid",
     "annulus_grid",
@@ -86,10 +84,11 @@ class PointAtom:
     def block_size(self, dim: int) -> int:
         return dim
 
-    def evaluate(self, idx, evaluator=None) -> complex:
-        if evaluator is not None:
-            return complex(evaluator(idx, self.point))
+    def evaluate(self, idx) -> complex:
         return laurent_scalar(idx, self.point)
+
+    def with_weight(self, weight) -> "PointAtom":
+        return PointAtom(self.point, weight)
 
 
 @dataclass
@@ -122,6 +121,10 @@ class IrrepAtom:
 
     def block_size(self, dim: int) -> int:
         return self.rep_dim * dim
+
+    def with_weight(self, weight) -> "IrrepAtom":
+        return IrrepAtom(self.generators, weight,
+                         scale_pairs=list(self.scale_pairs))
 
     def word(self, idx, rule: str = "ordered") -> np.ndarray:
         return word_image(idx, self.generators, rule=rule)
@@ -160,11 +163,11 @@ class AtomicMeasure:
                 s += np.einsum("sqsp->pq", g4)
         return s
 
-    def moment(self, idx, evaluator=None) -> np.ndarray:
+    def moment(self, idx) -> np.ndarray:
         m = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for a in self.atoms:
             if isinstance(a, PointAtom):
-                m += a.evaluate(idx, evaluator) * a.weight
+                m += a.evaluate(idx) * a.weight
             else:
                 m += a.contribution(idx, self.dim, self.index_rule)
         return m
@@ -206,17 +209,14 @@ class AtomicMeasure:
         atoms = []
         for a in self.atoms:
             if isinstance(a, PointAtom):
-                atoms.append(PointAtom(a.point, herm_part(r @ a.weight @ r)))
+                w = r @ a.weight @ r
             else:
                 b = a.rep_dim
                 g4 = a.weight.reshape(b, self.dim, b, self.dim)
                 g4 = np.einsum("sPtQ,Pp,Qq->sptq", g4, r, r.conj())
-                g = g4.reshape(b * self.dim, b * self.dim)
-                atoms.append(IrrepAtom(a.generators, herm_part(g),
-                                       scale_pairs=list(a.scale_pairs)))
-        return AtomicMeasure(dim=self.dim, atoms=atoms, defect=defect,
-                             fit_residual=self.fit_residual,
-                             index_rule=self.index_rule)
+                w = g4.reshape(b * self.dim, b * self.dim)
+            atoms.append(a.with_weight(herm_part(w)))
+        return replace(self, atoms=atoms, defect=defect)
 
     def pruned(self, prune_tol: float) -> "AtomicMeasure":
         atoms = [a for a in self.atoms
@@ -224,9 +224,7 @@ class AtomicMeasure:
                  and np.linalg.norm(a.weight) >= prune_tol]
         if not atoms:
             raise GridEmptyError("pruning removed every atom")
-        return AtomicMeasure(dim=self.dim, atoms=atoms, defect=self.defect,
-                             fit_residual=self.fit_residual,
-                             index_rule=self.index_rule)
+        return replace(self, atoms=atoms)
 
 
 def circle_grid(nodes: int, radius: float = 1.0) -> list:
@@ -284,14 +282,13 @@ def clock_phase_grid(a: int, b: int, nodes: int) -> list:
             for i in range(nodes) for j in range(nodes)]
 
 
-@dataclass
-class FitOptions:
-    max_iter: int = 20000
-    rho: float = 1.0
-    seed: int = 0
-    prune_tol: float = 1e-9
-    check_every: int = 25
-    evaluator: object = None
+# ADMM settings of fit_matrix_measure: iteration cap, initial penalty,
+# residual check period, and the weight norm below which a fitted atom
+# is dropped
+_MAX_ITER = 20000
+_RHO = 1.0
+_CHECK_EVERY = 25
+_PRUNE_TOL = 1e-9
 
 
 @functools.lru_cache(maxsize=None)
@@ -329,7 +326,7 @@ def _irrep_unit_rows(b: int, d: int) -> np.ndarray:
 
 def fit_matrix_measure(targets: MomentTable, grid: list,
                        tol: Tolerances = DEFAULT_TOL,
-                       options: FitOptions | None = None) -> AtomicMeasure:
+                       seed: int = 0) -> AtomicMeasure:
     """Fit PSD atom weights on a fixed grid to prescribed moments.
 
     Solves  min sum_{n != 0} || sum_j eval(n, j) P_j - L_n ||_F^2  over
@@ -337,11 +334,11 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
     splitting between the PSD cone (psd_project blockwise) and the
     constrained least-squares step (one prefactored KKT solve).  Raises
     Infeasible when the residual stays above fit_tol at the iteration
-    cap; atoms whose fitted weight is below prune_tol are dropped.
+    cap; atoms whose fitted weight is below _PRUNE_TOL are dropped.
+    ``seed`` draws the initial weights.
     """
     if not grid:
         raise GridEmptyError("empty atom grid")
-    opts = options or FitOptions()
     d = targets.dim
     indices = [idx for idx in targets.indices() if any(i != 0 for i in idx)]
     sizes = [a.block_size(d) for a in grid]
@@ -356,7 +353,7 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
             [val.real.ravel(), val.imag.ravel()])
         for j, atom in enumerate(grid):
             if isinstance(atom, PointAtom):
-                block = _point_rows(atom.evaluate(idx, opts.evaluator), d)
+                block = _point_rows(atom.evaluate(idx), d)
             else:
                 block = _irrep_rows(atom.word(idx, targets.index_rule),
                                     atom.rep_dim, d)
@@ -372,7 +369,7 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
 
     gram = a_mat.T @ a_mat
     atb = a_mat.T @ t_vec
-    rho = opts.rho
+    rho = _RHO
 
     def factor(rho_val):
         kkt = np.zeros((ncols + d * d, ncols + d * d))
@@ -382,7 +379,7 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
         return scipy.linalg.lu_factor(kkt)
 
     lu = factor(rho)
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(seed)
     z = np.zeros(ncols)
     for j, m in enumerate(sizes):
         z[offsets[j]:offsets[j + 1]] = (
@@ -392,47 +389,41 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
     rhs = np.empty(ncols + d * d)
     rhs[ncols:] = c_vec
 
-    uniform = len(set(sizes)) == 1
+    # the columns of each block size, so that every size group is one
+    # batched eigh instead of a Python loop over blocks
+    groups = [(m, np.concatenate([np.arange(offsets[j], offsets[j + 1])
+                                  for j, s in enumerate(sizes) if s == m]))
+              for m in sorted(set(sizes))]
 
     def project_blocks(v):
-        if uniform:
-            # one batched eigh across equal-size blocks instead of a
-            # Python loop; phi maps hvec coordinates to raveled matrices
-            m = sizes[0]
+        out = np.empty_like(v)
+        for m, cols in groups:
+            # phi maps hvec coordinates to raveled matrices
             phi = _herm_to_cvec(m)
-            mats = (v.reshape(len(sizes), m * m) @ phi.T).reshape(-1, m, m)
+            mats = (v[cols].reshape(-1, m * m) @ phi.T).reshape(-1, m, m)
             mats = (mats + mats.conj().transpose(0, 2, 1)) / 2.0
             w, q = np.linalg.eigh(mats)
             w = np.clip(w, 0.0, None)
-            out = (q * w[:, None, :]) @ q.conj().transpose(0, 2, 1)
-            out = (out + out.conj().transpose(0, 2, 1)) / 2.0
-            return (out.reshape(-1, m * m) @ phi.conj()).real.reshape(-1)
-        out = np.empty_like(v)
-        for j, m in enumerate(sizes):
-            h = hunvec(v[offsets[j]:offsets[j + 1]], m)
-            w, q = np.linalg.eigh(herm_part(h))
-            w = np.clip(w, 0.0, None)
-            out[offsets[j]:offsets[j + 1]] = hvec(herm_part((q * w) @ q.conj().T))
+            blocks = (q * w[:, None, :]) @ q.conj().transpose(0, 2, 1)
+            blocks = (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
+            out[cols] = (blocks.reshape(-1, m * m) @ phi.conj()).real.reshape(-1)
         return out
 
     fit_tol = tol.fit_tol
-    best = math.inf
-    resid = math.inf
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         rhs[:ncols] = atb + rho * (z - u)
         x = scipy.linalg.lu_solve(lu, rhs)[:ncols]
         z_old = z
         z = project_blocks(x + u)
         u = u + x - z
-        if it % opts.check_every == 0 or it == opts.max_iter:
+        if it % _CHECK_EVERY == 0 or it == _MAX_ITER:
             resid = float(np.linalg.norm(a_mat @ z - t_vec))
             unit_def = float(np.linalg.norm(c_mat @ z - c_vec))
-            best = min(best, resid)
             if resid <= 0.9 * fit_tol and unit_def <= 1e-9:
                 break
             r_primal = float(np.linalg.norm(x - z))
             r_dual = rho * float(np.linalg.norm(z - z_old))
-            if it % (opts.check_every * 8) == 0:
+            if it % (_CHECK_EVERY * 8) == 0:
                 if r_primal > 10.0 * r_dual and rho < 1e4:
                     rho *= 2.0
                     u = u / 2.0
@@ -447,20 +438,30 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
     if resid > fit_tol or unit_def > 1e-8:
         raise InfeasibleError(
             f"fit residual {resid:.6e} (unit defect {unit_def:.1e}) "
-            f"did not reach fit_tol {fit_tol:.1e} within {opts.max_iter} iterations",
+            f"did not reach fit_tol {fit_tol:.1e} within {_MAX_ITER} iterations",
             residual=resid,
         )
-    atoms = []
-    for j, atom in enumerate(grid):
-        w = hunvec(z[offsets[j]:offsets[j + 1]], sizes[j])
-        if isinstance(atom, PointAtom):
-            atoms.append(PointAtom(atom.point, w))
-        else:
-            atoms.append(IrrepAtom(atom.generators, w,
-                                   scale_pairs=list(atom.scale_pairs)))
+    atoms = [atom.with_weight(hunvec(z[offsets[j]:offsets[j + 1]], sizes[j]))
+             for j, atom in enumerate(grid)]
     mu = AtomicMeasure(dim=d, atoms=atoms, defect=unit_def, fit_residual=resid,
                        index_rule=targets.index_rule)
-    return mu.pruned(opts.prune_tol)
+    return mu.pruned(_PRUNE_TOL)
+
+
+def _choi_pieces(a: IrrepAtom, d: int, tol: Tolerances) -> list:
+    """The rank-one pieces gamma (b x d) of an irrep atom's Choi weight.
+
+    Eigenpairs are taken from the top down and stop at the first
+    eigenvalue at or below rank_tol times the largest.
+    """
+    lam, q = np.linalg.eigh(herm_part(a.weight))
+    lmax = max(float(lam[-1]), 0.0)
+    pieces = []
+    for k in range(lam.size - 1, -1, -1):
+        if lam[k] <= tol.rank_tol * lmax or lam[k] <= 0:
+            break
+        pieces.append(np.sqrt(lam[k]) * q[:, k].reshape(a.rep_dim, d))
+    return pieces
 
 
 def assemble_atomic_dilation(mu: AtomicMeasure, indices=None,
@@ -498,13 +499,7 @@ def assemble_atomic_dilation(mu: AtomicMeasure, indices=None,
     else:
         ngen = len(mu.atoms[0].generators)
         for a in mu.atoms:
-            b = a.rep_dim
-            lam, q = np.linalg.eigh(herm_part(a.weight))
-            lmax = max(float(lam[-1]), 0.0)
-            for k in range(lam.size - 1, -1, -1):
-                if lam[k] <= tol.rank_tol * lmax or lam[k] <= 0:
-                    break
-                gamma = np.sqrt(lam[k]) * q[:, k].reshape(b, d)
+            for gamma in _choi_pieces(a, d, tol):
                 v_blocks.append(gamma)
                 gen_blocks.append(a.generators)
     if not v_blocks:
@@ -553,7 +548,7 @@ def _canonical_indices(table: MomentTable):
 
 
 def measure_to_combination(mu: AtomicMeasure, table: MomentTable,
-                           tol: Tolerances = DEFAULT_TOL, evaluator=None):
+                           tol: Tolerances = DEFAULT_TOL):
     """View a measure as a matrix convex combination of its pure atoms.
 
     Each rank-one piece of an atom weight becomes a term; the point of an
@@ -569,7 +564,7 @@ def measure_to_combination(mu: AtomicMeasure, table: MomentTable,
         coords = []
         if isinstance(a, PointAtom):
             for idx in indices:
-                e = a.evaluate(idx, evaluator)
+                e = a.evaluate(idx)
                 coords.append(np.array([[e.real]], dtype=np.complex128))
                 coords.append(np.array([[e.imag]], dtype=np.complex128))
             point = MatrixPoint(coords=coords, selfadjoint=True, label=j)
@@ -577,20 +572,13 @@ def measure_to_combination(mu: AtomicMeasure, table: MomentTable,
             for k in range(r):
                 terms.append((f[k:k + 1, :], point))
         else:
-            b = a.rep_dim
             for idx in indices:
                 w = a.word(idx, mu.index_rule)
                 coords.append(herm_part(w))
                 coords.append(herm_part(-1j * w))
             point = MatrixPoint(coords=coords, selfadjoint=True, label=j)
-            lam, q = np.linalg.eigh(herm_part(a.weight))
-            lmax = max(float(lam[-1]), 0.0)
-            for k in range(lam.size - 1, -1, -1):
-                if lam[k] <= tol.rank_tol * lmax or lam[k] <= 0:
-                    break
-                terms.append((np.sqrt(lam[k]) * q[:, k].reshape(b, d), point))
-    comb = MatrixConvexCombination(n=d, terms=terms)
-    return comb
+            terms.extend((gamma, point) for gamma in _choi_pieces(a, d, tol))
+    return MatrixConvexCombination(n=d, terms=terms)
 
 
 def combination_to_measure(comb: MatrixConvexCombination, mu: AtomicMeasure
@@ -601,7 +589,6 @@ def combination_to_measure(comb: MatrixConvexCombination, mu: AtomicMeasure
     gamma accumulate as gamma* gamma (point weights) or rank-one Choi
     blocks (irrep weights).
     """
-    d = mu.dim
     acc: dict = {}
     for gamma, point in comb.terms:
         j = point.label
@@ -614,13 +601,5 @@ def combination_to_measure(comb: MatrixConvexCombination, mu: AtomicMeasure
             g = gamma.reshape(-1)
             w = np.outer(g, g.conj())
         acc[j] = acc.get(j, 0) + w
-    atoms = []
-    for j, w in sorted(acc.items()):
-        a = mu.atoms[j]
-        if isinstance(a, PointAtom):
-            atoms.append(PointAtom(a.point, herm_part(w)))
-        else:
-            atoms.append(IrrepAtom(a.generators, herm_part(w),
-                                   scale_pairs=list(a.scale_pairs)))
-    return AtomicMeasure(dim=d, atoms=atoms, defect=mu.defect,
-                         fit_residual=mu.fit_residual, index_rule=mu.index_rule)
+    atoms = [mu.atoms[j].with_weight(herm_part(w)) for j, w in sorted(acc.items())]
+    return replace(mu, atoms=atoms)

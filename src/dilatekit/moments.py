@@ -160,6 +160,8 @@ def regular_moments(ts, n_max: int, commute_tol: float = 1e-10) -> MomentTable:
     ts = [asmatrix(t) for t in ts]
     if not ts:
         raise DimensionMismatchError("need at least one operator")
+    if n_max < 1:
+        raise ShapeMismatchError("need at least first-order moments")
     d = ts[0].shape[0]
     for t in ts:
         if t.shape != (d, d):

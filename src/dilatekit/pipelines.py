@@ -26,7 +26,6 @@ from .errors import NotCommutingError
 from .linalg import DEFAULT_TOL, Tolerances, asmatrix
 from .measures import (
     AtomicMeasure,
-    FitOptions,
     annulus_grid,
     assemble_atomic_dilation,
     clock_phase_grid,
@@ -36,6 +35,7 @@ from .measures import (
     torus_grid,
 )
 from .moments import (
+    Dilation,
     MomentTable,
     circle_moments,
     laurent_moments,
@@ -43,7 +43,13 @@ from .moments import (
     regular_moments,
     toeplitz_gns_unitary,
 )
-from .verify import Relations, dimension_report, verify_dilation
+from .verify import (
+    DimensionReport,
+    Relations,
+    VerificationReport,
+    dimension_report,
+    verify_dilation,
+)
 
 __all__ = [
     "PipelineResult",
@@ -64,10 +70,10 @@ class PipelineResult:
     the matrix convex combination terms that survived reduction.
     """
 
-    dilation: object
+    dilation: Dilation
     targets: MomentTable
-    verification: object
-    dimensions: object
+    verification: VerificationReport
+    dimensions: DimensionReport
     measure: AtomicMeasure | None = None
     reduced_terms: int | None = None
 
@@ -76,19 +82,24 @@ class PipelineResult:
         return bool(self.verification.passed and self.dimensions.ok)
 
 
-def _reduce_and_assemble(mu: AtomicMeasure, table: MomentTable,
-                         tol: Tolerances):
-    """Common back half of the fitted pipelines.
-
-    The fitted measure typically has one weight per grid atom; viewing
-    it as a combination of pure atoms and reducing keeps at most
-    d^2 (dim S + 1) rank-one terms without moving the barycenter.
+def _measure_result(mu: AtomicMeasure, table: MomentTable,
+                    relations: Relations, tol: Tolerances, moment_tol: float,
+                    dim_s: int, sub_rank: int = 1) -> PipelineResult:
+    """Common back half of the measure pipelines: reduce the measure as a
+    combination of its pure atoms (the barycenter stays put), assemble the
+    Naimark dilation, and verify it with moment residuals held to
+    max(residual_tol, moment_tol).
     """
     comb = measure_to_combination(mu, table, tol)
     reduced = caratheodory_reduce(comb, tol)
     slim = combination_to_measure(reduced, mu).normalized(tol)
     dil = assemble_atomic_dilation(slim, indices=table.indices(), tol=tol)
-    return dil, slim, len(reduced.terms)
+    report = verify_dilation(dil, table, relations, tol,
+                             moment_tol=max(tol.residual_tol, moment_tol))
+    dims = dimension_report(dil, table.dim, dim_s, sub_rank=sub_rank)
+    return PipelineResult(dilation=dil, targets=table, verification=report,
+                          dimensions=dims, measure=slim,
+                          reduced_terms=len(reduced.terms))
 
 
 def dilate_circle(t, order: int, rho: float = 1.0,
@@ -110,22 +121,19 @@ def dilate_circle(t, order: int, rho: float = 1.0,
 
 def dilate_regular(ts, order: int, nodes: int = 12,
                    tol: Tolerances = DEFAULT_TOL,
-                   options: FitOptions | None = None) -> PipelineResult:
+                   seed: int = 0) -> PipelineResult:
     """Commuting unitary tuple matching the regular moments of ``ts``.
 
     The measure is fitted on the nodes^nu torus lattice, so moment data
     forcing off-grid atoms (e.g. a unitary with off-lattice spectrum) is
-    reported Infeasible rather than approximated silently.
+    reported Infeasible rather than approximated silently.  ``seed``
+    draws the fit's initial weights.
     """
     table = regular_moments(ts, order)
     grid = torus_grid(nodes, table.nu)
-    mu = fit_matrix_measure(table, grid, tol, options).normalized(tol)
-    dil, slim, nterms = _reduce_and_assemble(mu, table, tol)
-    report = verify_dilation(dil, table, Relations.commuting(table.nu), tol,
-                             moment_tol=max(tol.residual_tol, 1e-6))
-    dims = dimension_report(dil, table.dim, (2 * order + 1) ** table.nu)
-    return PipelineResult(dilation=dil, targets=table, verification=report,
-                          dimensions=dims, measure=slim, reduced_terms=nterms)
+    mu = fit_matrix_measure(table, grid, tol, seed).normalized(tol)
+    return _measure_result(mu, table, Relations.commuting(table.nu), tol,
+                           1e-6, (2 * order + 1) ** table.nu)
 
 
 def dilate_boundary(t, curve: BoundaryCurve, order: int = 4,
@@ -137,36 +145,34 @@ def dilate_boundary(t, curve: BoundaryCurve, order: int = 4,
     assembled into a normal N with spectrum on the curve.  The matched
     data is the skew compression
 
-        L_k = (T^k + ((C conj(z^k))(T))*) / 2,
+        L_k = (T^k + ((C conj(z^k))(T))*) / 2.
 
-    computed with the same node count, so the verification residual
-    reflects reduction and assembly error on top of the quadrature
-    truncation already present in both sides.
+    Only the Cauchy half of L_k is computed by the trapezoid rule, with
+    the same node count as the measure; T^k is exact.  The measure's
+    moments therefore miss L_k by half the trapezoid error of
+    oint z^k (z - T)^{-1} dz, and the verification residual carries that
+    quadrature error on top of reduction and assembly error.  Coarse node
+    counts can fail the 1e-5 moment check on quadrature error alone.
     """
     t = asmatrix(t)
     d = t.shape[0]
     mu = quadrature_measure(t, curve, nodes, tol, margin=margin)
     _, zetas, _ = curve.sample(nodes)
     powers = np.arange(1, order + 1)
-    cks = cauchy_transform(zetas[None, :] ** powers[:, None], curve, t, tol)
+    cks = cauchy_transform(zetas[None, :] ** powers[:, None], curve, t)
     values = {}
     power = np.eye(d, dtype=np.complex128)
     for k, ck in zip(powers, cks):
         power = power @ t
         values[(int(k),)] = (power + ck.conj().T) / 2.0
     table = MomentTable(dim=d, nu=1, values=values, symmetric=True)
-    dil, slim, nterms = _reduce_and_assemble(mu, table, tol)
     relations = Relations(rule="laurent", unitary=False, negatives="adjoint")
-    report = verify_dilation(dil, table, relations, tol,
-                             moment_tol=max(tol.residual_tol, 1e-5))
-    dims = dimension_report(dil, d, 2 * order + 1)
-    return PipelineResult(dilation=dil, targets=table, verification=report,
-                          dimensions=dims, measure=slim, reduced_terms=nterms)
+    return _measure_result(mu, table, relations, tol, 1e-5, 2 * order + 1)
 
 
 def dilate_annulus(t, inner_radius: float, order: int = 3, nodes: int = 64,
                    tol: Tolerances = DEFAULT_TOL,
-                   options: FitOptions | None = None) -> PipelineResult:
+                   seed: int = 0) -> PipelineResult:
     """Normal dilation on the two boundary circles of an annulus.
 
     Matches genuine two-sided powers T^k, |k| <= order, of an invertible
@@ -177,19 +183,13 @@ def dilate_annulus(t, inner_radius: float, order: int = 3, nodes: int = 64,
     t = asmatrix(t)
     table = laurent_moments(t, order)
     grid = annulus_grid(nodes, inner_radius)
-    mu = fit_matrix_measure(table, grid, tol, options).normalized(tol)
-    dil, slim, nterms = _reduce_and_assemble(mu, table, tol)
+    mu = fit_matrix_measure(table, grid, tol, seed).normalized(tol)
     relations = Relations(rule="laurent", unitary=False, negatives="inverse")
-    report = verify_dilation(dil, table, relations, tol,
-                             moment_tol=max(tol.residual_tol, 1e-6))
-    dims = dimension_report(dil, t.shape[0], 4 * order + 1)
-    return PipelineResult(dilation=dil, targets=table, verification=report,
-                          dimensions=dims, measure=slim, reduced_terms=nterms)
+    return _measure_result(mu, table, relations, tol, 1e-6, 4 * order + 1)
 
 
 def dilate_qcommute(t1, t2, a: int, b: int, order: int = 1, nodes: int = 8,
-                    tol: Tolerances = DEFAULT_TOL,
-                    options: FitOptions | None = None,
+                    tol: Tolerances = DEFAULT_TOL, seed: int = 0,
                     commute_tol: float = 1e-10) -> PipelineResult:
     """q-commuting unitary pair matching the ordered moments T1^n T2^m.
 
@@ -210,11 +210,6 @@ def dilate_qcommute(t1, t2, a: int, b: int, order: int = 1, nodes: int = 8,
             f"pair is not q-commuting for a/b = {a}/{b} (defect {defect:.3e})"
         )
     table = qcommuting_moments(t1, t2, order)
-    mu = fit_matrix_measure(table, grid, tol, options).normalized(tol)
-    dil, slim, nterms = _reduce_and_assemble(mu, table, tol)
-    report = verify_dilation(dil, table, Relations.exchange_pair(q), tol,
-                             moment_tol=max(tol.residual_tol, 1e-6))
-    dims = dimension_report(dil, t1.shape[0], 2 * (order + 1) ** 2 - 1,
-                            sub_rank=b)
-    return PipelineResult(dilation=dil, targets=table, verification=report,
-                          dimensions=dims, measure=slim, reduced_terms=nterms)
+    mu = fit_matrix_measure(table, grid, tol, seed).normalized(tol)
+    return _measure_result(mu, table, Relations.exchange_pair(q), tol, 1e-6,
+                           2 * (order + 1) ** 2 - 1, sub_rank=b)

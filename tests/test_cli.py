@@ -94,6 +94,39 @@ def test_usage_errors_exit_3(tmp_path):
                  "--output", str(tmp_path / "x")]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["dilate-circle", "--order", "0"],
+    ["dilate-circle", "--order", "2", "--rho", "-1"],
+    ["dilate-circle", "--order", "2", "--seed", "1"],
+    ["dilate-regular", "--order", "-1"],
+    ["dilate-regular", "--order", "1", "--nodes", "0"],
+    ["dilate-annulus", "--curve", "annulus:0.5", "--nodes", "0"],
+    ["dilate-boundary", "--curve", "disc", "--nodes", "0"],
+    ["dilate-boundary", "--curve", "disc", "--nodes", "-4"],
+    ["dilate-boundary", "--curve", "disc", "--order", "0"],
+    ["dilate-qcommute", "--a", "1", "--b", "0"],
+    ["numrange", "--nodes", "2"],
+    ["numrange", "--threads", "2"],
+    ["reduce", "--tol-residual", "1e-6"],
+])
+def test_bad_size_flags_exit_3(tmp_path, capsys, argv):
+    inp = write_operator(tmp_path / "t.json", 0.3 * np.eye(2))
+    code = main([argv[0], "--input", inp, "--output", str(tmp_path / "x")]
+                + argv[1:])
+    assert code == 3
+    # the usage error names the offending flag (argv ends in flag, value)
+    assert argv[-2] in capsys.readouterr().err
+
+
+def test_library_size_guards():
+    with pytest.raises(dk.ShapeMismatchError):
+        dk.quadrature_measure(0.3 * np.eye(2), dk.BoundaryCurve.disc(), 0)
+    with pytest.raises(dk.ShapeMismatchError):
+        dk.regular_moments([0.3 * np.eye(2)], -1)
+    with pytest.raises(dk.ShapeMismatchError):
+        dk.regular_moments([0.3 * np.eye(2)], 0)
+
+
 def test_qcommute_rejects_non_integer_ab(tmp_path):
     q = np.exp(2j * np.pi * 0.5)
     t1 = np.diag([1.0, q])

@@ -123,6 +123,21 @@ def test_fit_matrix_measure_matrix_targets():
         assert np.linalg.norm(mu.moment(idx) - table.value(idx)) <= 1e-6
 
 
+def test_fit_mixed_block_sizes():
+    # clock-shift irreps of q = -1 (blocks of 2d) beside characters (blocks
+    # of d) on one grid: the PSD projection runs once per block size.  The
+    # demo pair at half scale is interior data, so both kinds keep weight.
+    t1 = 0.5 * np.diag([1.0, -1.0])
+    t2 = np.array([[0.0, 0.5], [0.0, 0.0]])
+    table = dk.qcommuting_moments(t1, t2, 1)
+    grid = dk.clock_phase_grid(1, 2, 4) + dk.clock_phase_grid(0, 1, 4)
+    mu = dk.fit_matrix_measure(table, grid)
+    assert mu.fit_residual <= dk.DEFAULT_TOL.fit_tol
+    for a in mu.atoms:
+        assert np.linalg.eigvalsh(dk.herm_part(a.weight))[0] >= -dk.DEFAULT_TOL.psd_tol
+    assert {a.rep_dim for a in mu.atoms} == {1, 2}
+
+
 def test_fit_infeasible_raises():
     table = dk.MomentTable(dim=1, nu=1, values={(1,): np.array([[1.5]])})
     with pytest.raises(InfeasibleError) as exc:
