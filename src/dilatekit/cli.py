@@ -260,6 +260,15 @@ def _run(args) -> int:
         dil = decode_dilation(bundle["dilation"])
         targets = decode_table(bundle["targets"])
         relations = decode_relations(bundle.get("relations"))
+        if dil.v.shape[1] != targets.dim:
+            raise MalformedInputError(
+                f"dilation v has {dil.v.shape[1]} columns but the table "
+                f"has dim {targets.dim}")
+        if any(max(i, j) >= len(dil.generators)
+               for i, j, _ in relations.scale_pairs):
+            raise MalformedInputError(
+                "relations: scale pair index beyond the dilation's "
+                f"{len(dil.generators)} generators")
         report = verify_dilation(dil, targets, relations, tol)
         out = dump_json(report.to_dict())
         if args.output:

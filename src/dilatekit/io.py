@@ -163,6 +163,8 @@ def decode_table(obj) -> MomentTable:
     nu = _want(obj, "nu", int, "table")
     symmetric = bool(obj.get("symmetric", True))
     rule = obj.get("index_rule", "laurent")
+    if rule not in ("laurent", "ordered"):
+        raise MalformedInputError(f"table: unknown index_rule {rule!r}")
     entries = _want(obj, "entries", list, "table")
     values = {}
     for e in entries:
@@ -220,12 +222,10 @@ def decode_measure(obj) -> AtomicMeasure:
         elif kind == "irrep":
             gens = [decode_matrix(g, "irrep generator")
                     for g in _want(a, "generators", list, "atom")]
-            pairs = []
-            for p in a.get("scale_pairs", []):
-                if not isinstance(p, list) or len(p) != 3:
-                    raise MalformedInputError("atom: scale pairs are [i, j, q]")
-                pairs.append((int(p[0]), int(p[1]),
-                              _decode_complex(p[2], "scale pair")))
+            pairs = _decode_scale_pairs(a.get("scale_pairs", []), "atom")
+            if any(max(i, j) >= len(gens) for i, j, _ in pairs):
+                raise MalformedInputError(
+                    f"atom: scale pair index beyond its {len(gens)} generators")
             atoms.append(IrrepAtom(generators=gens, weight=weight,
                                    scale_pairs=pairs))
         else:
@@ -261,8 +261,10 @@ def decode_dilation(obj) -> Dilation:
     if v.shape[0] != space:
         raise MalformedInputError("dilation embedding height must equal space_dim")
     residuals = obj.get("residuals", {})
-    if not isinstance(residuals, dict):
-        raise MalformedInputError("dilation residuals must be an object")
+    if not isinstance(residuals, dict) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            for x in residuals.values()):
+        raise MalformedInputError("dilation residuals must map names to numbers")
     return Dilation(v=v, generators=gens, space_dim=space,
                     provenance=str(obj.get("provenance", "unknown")),
                     residuals={str(k): float(x) for k, x in residuals.items()})
@@ -348,17 +350,28 @@ def decode_combination(obj) -> MatrixConvexCombination:
         raise MalformedInputError(f"inconsistent combination: {exc}") from exc
 
 
+def _decode_scale_pairs(obj, where) -> list:
+    """Exchange relations [i, j, q]: generator positions i, j and complex q."""
+    if not isinstance(obj, list):
+        raise MalformedInputError(f"{where}: scale_pairs must be a list")
+    pairs = []
+    for p in obj:
+        if (not isinstance(p, list) or len(p) != 3
+                or not all(type(i) is int and i >= 0 for i in p[:2])):
+            raise MalformedInputError(
+                f"{where}: scale pairs are [i, j, q] with generator "
+                f"positions i, j >= 0, got {p!r}")
+        pairs.append((p[0], p[1], _decode_complex(p[2], f"{where} scale pair")))
+    return pairs
+
+
 def decode_relations(obj) -> Relations:
     """Relations declaration from JSON; all fields optional."""
     if obj is None:
         return Relations()
     if not isinstance(obj, dict):
         raise MalformedInputError("relations must be an object")
-    pairs = []
-    for p in obj.get("scale_pairs", []):
-        if not isinstance(p, list) or len(p) != 3:
-            raise MalformedInputError("relations: scale pairs are [i, j, q]")
-        pairs.append((int(p[0]), int(p[1]), _decode_complex(p[2], "scale pair")))
+    pairs = _decode_scale_pairs(obj.get("scale_pairs", []), "relations")
     rule = obj.get("rule", "laurent")
     negatives = obj.get("negatives", "adjoint")
     if rule not in ("laurent", "ordered") or negatives not in ("adjoint", "inverse"):
@@ -368,13 +381,23 @@ def decode_relations(obj) -> Relations:
 
 
 def decode_operators(obj) -> list:
-    """Operator input: {"matrices": [CMatrix...]} or {"matrix": CMatrix}."""
+    """Operator input: {"matrices": [CMatrix...]} or {"matrix": CMatrix}.
+
+    Operators are square and share one size.
+    """
     if isinstance(obj, dict) and "matrix" in obj:
-        return [decode_matrix(obj["matrix"], "input matrix")]
-    mats = _want(obj, "matrices", list, "input")
-    if not mats:
-        raise MalformedInputError("input: empty matrix list")
-    return [decode_matrix(m, "input matrix") for m in mats]
+        mats = [decode_matrix(obj["matrix"], "input matrix")]
+    else:
+        items = _want(obj, "matrices", list, "input")
+        if not items:
+            raise MalformedInputError("input: empty matrix list")
+        mats = [decode_matrix(m, "input matrix") for m in items]
+    rows = mats[0].shape[0]
+    if any(m.shape != (rows, rows) for m in mats):
+        shapes = ", ".join(f"{m.shape[0]}x{m.shape[1]}" for m in mats)
+        raise MalformedInputError(
+            f"input: operators must be square and of one size, got {shapes}")
+    return mats
 
 
 def range_report_csv(report: RangeReport) -> str:

@@ -53,16 +53,27 @@ __all__ = [
 ]
 
 
-def laurent_scalar(idx, z) -> complex:
-    """prod_i z_i^{n_i} with honest negative powers."""
-    acc = 1.0 + 0.0j
-    for zi, ni in zip(np.atleast_1d(z), np.atleast_1d(idx)):
+def laurent_scalar(idx, z):
+    """prod_i z_i^{n_i} with honest negative powers.
+
+    ``z`` is one point of C^nu or a stack (atoms, nu) of points, evaluated
+    point by point with the rounding of scalar complex arithmetic.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    re, im = np.ones(z.shape[:-1]), np.zeros(z.shape[:-1])
+    for zi, ni in zip(z.T, np.atleast_1d(idx)):
         if ni == 0:
             continue
-        if zi == 0:
+        if (zi == 0).any():
             raise ShapeMismatchError("negative power of a zero coordinate")
-        acc *= zi ** int(ni)
-    return acc
+        # numpy integer exponents take the scalar power routine (Python ints
+        # take a fast path for -1 and 2), and numpy's complex multiply loop
+        # fuses multiply-adds, so the product is spelled out
+        p = zi ** np.int64(ni)
+        re, im = re * p.real - im * p.imag, re * p.imag + im * p.real
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out[()]
 
 
 @dataclass
@@ -83,9 +94,6 @@ class PointAtom:
 
     def block_size(self, dim: int) -> int:
         return dim
-
-    def evaluate(self, idx) -> complex:
-        return laurent_scalar(idx, self.point)
 
     def with_weight(self, weight) -> "PointAtom":
         return PointAtom(self.point, weight)
@@ -126,15 +134,6 @@ class IrrepAtom:
         return IrrepAtom(self.generators, weight,
                          scale_pairs=list(self.scale_pairs))
 
-    def word(self, idx, rule: str = "ordered") -> np.ndarray:
-        return word_image(idx, self.generators, rule=rule)
-
-    def contribution(self, idx, dim: int, rule: str = "ordered") -> np.ndarray:
-        """The d x d moment contribution of this atom at one index."""
-        b = self.rep_dim
-        g4 = self.weight.reshape(b, dim, b, dim)
-        return np.einsum("st,tqsp->pq", self.word(idx, rule), g4)
-
 
 @dataclass
 class AtomicMeasure:
@@ -165,11 +164,13 @@ class AtomicMeasure:
 
     def moment(self, idx) -> np.ndarray:
         m = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for a in self.atoms:
+        for a, w in zip(self.atoms, _atom_words(self.atoms, [idx], self.index_rule)):
             if isinstance(a, PointAtom):
-                m += a.evaluate(idx) * a.weight
+                m += w[0, 0, 0] * a.weight
             else:
-                m += a.contribution(idx, self.dim, self.index_rule)
+                b = a.rep_dim
+                g4 = a.weight.reshape(b, self.dim, b, self.dim)
+                m += np.einsum("st,tqsp->pq", w[0], g4)
         return m
 
     def validate(self, tol: Tolerances = DEFAULT_TOL):
@@ -299,29 +300,71 @@ def _herm_to_cvec(m: int) -> np.ndarray:
     return phi
 
 
-def _point_rows(e: complex, d: int) -> np.ndarray:
-    phi = e * _herm_to_cvec(d)
-    return np.vstack([phi.real, phi.imag])
+def _words(atoms: list, indices: list, rule: str) -> np.ndarray:
+    """Every atom's words at every index, complex (atoms, indices, b, b).
+
+    The atoms are all points or all irreps of one rep_dim: 1 x 1 Laurent
+    monomials, or word_image of the generators under ``rule``.
+    """
+    if isinstance(atoms[0], PointAtom):
+        pts = np.array([a.point for a in atoms])
+        b, word = 1, lambda idx: laurent_scalar(idx, pts)[:, None, None]
+    else:
+        gens = [np.stack(g) for g in zip(*(a.generators for a in atoms))]
+        b, word = atoms[0].rep_dim, lambda idx: word_image(idx, gens, rule=rule)
+    words = np.empty((len(atoms), len(indices), b, b), dtype=np.complex128)
+    for i, idx in enumerate(indices):
+        words[:, i] = word(idx)
+    return words
 
 
-def _irrep_rows(word: np.ndarray, b: int, d: int) -> np.ndarray:
-    phi = _herm_to_cvec(b * d)
-    m2 = (b * d) ** 2
-    cols = np.empty((d * d, m2), dtype=np.complex128)
-    for k in range(m2):
-        g4 = phi[:, k].reshape(b, d, b, d)
-        cols[:, k] = np.einsum("st,tqsp->pq", word, g4).ravel()
-    return np.vstack([cols.real, cols.imag])
+def _atom_words(atoms: list, indices: list, rule: str) -> list:
+    """_words of any atom list, one (indices, b, b) array per atom (at
+    d = 1 the block size of an atom is its word size b)."""
+    words = [None] * len(atoms)
+    for _, _, pos, _ in _atom_groups(atoms, 1):
+        for j, w in zip(pos, _words([atoms[j] for j in pos], indices, rule)):
+            words[j] = w
+    return words
 
 
-def _irrep_unit_rows(b: int, d: int) -> np.ndarray:
-    phi = _herm_to_cvec(b * d)
-    m2 = (b * d) ** 2
-    cols = np.empty((d * d, m2), dtype=np.float64)
-    for k in range(m2):
-        g4 = phi[:, k].reshape(b, d, b, d)
-        cols[:, k] = hvec(np.einsum("sqsp->pq", g4))
-    return cols
+def _atom_groups(atoms: list, d: int):
+    """(kind, m, positions, columns) for the atoms of each kind and block
+    size m; an atom's m^2 columns are its hvec block in the stacked weights."""
+    keys = [(type(a), a.block_size(d)) for a in atoms]
+    offsets = np.cumsum([0] + [m * m for _, m in keys])
+    for kind, m in dict.fromkeys(keys):
+        pos = np.array([j for j, key in enumerate(keys) if key == (kind, m)])
+        yield kind, m, pos, (offsets[pos][:, None] + np.arange(m * m)).ravel()
+
+
+def _fit_system(targets: MomentTable, grid: list):
+    """The linear data of the fit: moments A z = t and unit mass C z = c.
+
+    z stacks hvec of every atom's weight block in grid order.  The rows
+    of A z at a nonzero index n hold the real, then the imaginary parts
+    of the measure's moment L_n; C z is hvec of its total mass.
+    """
+    d = targets.dim
+    indices = [idx for idx in targets.indices() if any(i != 0 for i in idx)]
+    vals = np.array([targets.value(idx) for idx in indices]).reshape(-1, d, d)
+    t_vec = np.stack([vals.real, vals.imag], axis=1).ravel()
+    ncols = sum(a.block_size(d) ** 2 for a in grid)
+    a_mat = np.empty((t_vec.size, ncols))
+    c_mat = np.empty((d * d, ncols))
+    for kind, m, pos, cols in _atom_groups(grid, d):
+        # basis[k] is the k-th hvec basis matrix of C^b (x) C^d
+        basis = _herm_to_cvec(m).T.reshape(m * m, m // d, d, m // d, d)
+        words = _words([grid[j] for j in pos], indices, targets.index_rule)
+        # a point scales its weight G by the word, e G; an irrep contracts
+        # its Choi block, sum_{s,t} w_st G_{(t,q),(s,p)}; w = I gives the mass
+        g = "tpsq" if kind is PointAtom else "tqsp"
+        block = np.einsum(f"aist,k{g}->ipqak", words, basis)
+        unit = hvec(np.einsum(f"k{g.replace('t', 's')}->kpq", basis)).T
+        a_mat[:, cols] = np.stack([block.real, block.imag], axis=1).reshape(
+            t_vec.size, cols.size)
+        c_mat[:, cols] = np.tile(unit, len(pos))
+    return a_mat, t_vec, c_mat, hvec(np.eye(d, dtype=np.complex128))
 
 
 def fit_matrix_measure(targets: MomentTable, grid: list,
@@ -340,32 +383,11 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
     if not grid:
         raise GridEmptyError("empty atom grid")
     d = targets.dim
-    indices = [idx for idx in targets.indices() if any(i != 0 for i in idx)]
-    sizes = [a.block_size(d) for a in grid]
-    offsets = np.concatenate([[0], np.cumsum([m * m for m in sizes])])
-    ncols = int(offsets[-1])
-
-    a_mat = np.zeros((2 * d * d * len(indices), ncols))
-    t_vec = np.empty(2 * d * d * len(indices))
-    for row, idx in enumerate(indices):
-        val = targets.value(idx)
-        t_vec[row * 2 * d * d:(row + 1) * 2 * d * d] = np.concatenate(
-            [val.real.ravel(), val.imag.ravel()])
-        for j, atom in enumerate(grid):
-            if isinstance(atom, PointAtom):
-                block = _point_rows(atom.evaluate(idx), d)
-            else:
-                block = _irrep_rows(atom.word(idx, targets.index_rule),
-                                    atom.rep_dim, d)
-            a_mat[row * 2 * d * d:(row + 1) * 2 * d * d,
-                  offsets[j]:offsets[j + 1]] = block
-    c_mat = np.zeros((d * d, ncols))
-    for j, atom in enumerate(grid):
-        if isinstance(atom, PointAtom):
-            c_mat[:, offsets[j]:offsets[j + 1]] = np.eye(d * d)
-        else:
-            c_mat[:, offsets[j]:offsets[j + 1]] = _irrep_unit_rows(atom.rep_dim, d)
-    c_vec = hvec(np.eye(d, dtype=np.complex128))
+    a_mat, t_vec, c_mat, c_vec = _fit_system(targets, grid)
+    ncols = a_mat.shape[1]
+    sizes = np.array([a.block_size(d) for a in grid])
+    # every (kind, block size) group is one batched eigh in the projection
+    groups = list(_atom_groups(grid, d))
 
     gram = a_mat.T @ a_mat
     atb = a_mat.T @ t_vec
@@ -379,25 +401,17 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
         return scipy.linalg.lu_factor(kkt)
 
     lu = factor(rho)
-    rng = np.random.default_rng(seed)
-    z = np.zeros(ncols)
-    for j, m in enumerate(sizes):
-        z[offsets[j]:offsets[j + 1]] = (
-            (0.5 + 0.5 * rng.random()) / len(grid)
-        ) * hvec(np.eye(m, dtype=np.complex128))
+    # each weight starts at a random multiple of hvec(I_m), which is
+    # C^T hvec(I_d) block by block
+    weights = (0.5 + 0.5 * np.random.default_rng(seed).random(len(grid))) / len(grid)
+    z = np.repeat(weights, sizes ** 2) * (c_mat.T @ c_vec)
     u = np.zeros(ncols)
     rhs = np.empty(ncols + d * d)
     rhs[ncols:] = c_vec
 
-    # the columns of each block size, so that every size group is one
-    # batched eigh instead of a Python loop over blocks
-    groups = [(m, np.concatenate([np.arange(offsets[j], offsets[j + 1])
-                                  for j, s in enumerate(sizes) if s == m]))
-              for m in sorted(set(sizes))]
-
     def project_blocks(v):
         out = np.empty_like(v)
-        for m, cols in groups:
+        for _, m, _, cols in groups:
             # phi maps hvec coordinates to raveled matrices
             phi = _herm_to_cvec(m)
             mats = (v[cols].reshape(-1, m * m) @ phi.T).reshape(-1, m, m)
@@ -441,8 +455,8 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
             f"did not reach fit_tol {fit_tol:.1e} within {_MAX_ITER} iterations",
             residual=resid,
         )
-    atoms = [atom.with_weight(hunvec(z[offsets[j]:offsets[j + 1]], sizes[j]))
-             for j, atom in enumerate(grid)]
+    blocks = np.split(z, np.cumsum(sizes ** 2)[:-1])
+    atoms = [a.with_weight(hunvec(v, m)) for a, v, m in zip(grid, blocks, sizes)]
     mu = AtomicMeasure(dim=d, atoms=atoms, defect=unit_def, fit_residual=resid,
                        index_rule=targets.index_rule)
     return mu.pruned(_PRUNE_TOL)
@@ -537,14 +551,8 @@ def _canonical_indices(table: MomentTable):
     tables with genuine negative powers (annulus) keep every nonzero
     index, since z^{-n} is then independent data.
     """
-    out = []
-    for idx in table.indices():
-        nz = [i for i in idx if i != 0]
-        if not nz:
-            continue
-        if not table.symmetric or nz[0] > 0:
-            out.append(idx)
-    return out
+    return [idx for idx in table.indices() if any(idx)
+            and (not table.symmetric or next(i for i in idx if i != 0) > 0)]
 
 
 def measure_to_combination(mu: AtomicMeasure, table: MomentTable,
@@ -557,26 +565,17 @@ def measure_to_combination(mu: AtomicMeasure, table: MomentTable,
     Caratheodory bound n^2 (d+1) applies.  Labels record the grid index
     for reassembly.
     """
-    indices = _canonical_indices(table)
     d = mu.dim
     terms = []
-    for j, a in enumerate(mu.atoms):
-        coords = []
+    words = _atom_words(mu.atoms, _canonical_indices(table), mu.index_rule)
+    for j, (a, w) in enumerate(zip(mu.atoms, words)):
+        parts = np.stack([herm_part(w), herm_part(-1j * w)], axis=1)
+        point = MatrixPoint(coords=list(parts.reshape(-1, *w.shape[1:])),
+                            selfadjoint=True, label=j)
         if isinstance(a, PointAtom):
-            for idx in indices:
-                e = a.evaluate(idx)
-                coords.append(np.array([[e.real]], dtype=np.complex128))
-                coords.append(np.array([[e.imag]], dtype=np.complex128))
-            point = MatrixPoint(coords=coords, selfadjoint=True, label=j)
             f, r = numerical_rank_factor(herm_part(a.weight), tol)
-            for k in range(r):
-                terms.append((f[k:k + 1, :], point))
+            terms.extend((f[k:k + 1, :], point) for k in range(r))
         else:
-            for idx in indices:
-                w = a.word(idx, mu.index_rule)
-                coords.append(herm_part(w))
-                coords.append(herm_part(-1j * w))
-            point = MatrixPoint(coords=coords, selfadjoint=True, label=j)
             terms.extend((gamma, point) for gamma in _choi_pieces(a, d, tol))
     return MatrixConvexCombination(n=d, terms=terms)
 

@@ -303,17 +303,19 @@ def word_image(idx, generators, rule: str = "laurent",
     it is "inverse" (annulus data).  For unitary generators the two
     agree.  ordered: g_1^n g_2^m for nonnegative indices and the adjoint
     word for nonpositive ones; mixed signs are not part of the ordered
-    operator system.
+    operator system.  Generators may be stacks (..., k, k) of equal
+    shape; the word is then evaluated matrix by matrix.
     """
     idx = tuple(int(i) for i in np.atleast_1d(idx))
-    k = generators[0].shape[0]
+    k = generators[0].shape[-1]
     acc = np.eye(k, dtype=np.complex128)
     if rule == "laurent":
         for g, ni in zip(generators, idx):
             if ni == 0:
                 continue
             base = g if ni > 0 else (
-                g.conj().T if negatives == "adjoint" else np.linalg.inv(g))
+                np.swapaxes(g.conj(), -1, -2) if negatives == "adjoint"
+                else np.linalg.inv(g))
             acc = acc @ np.linalg.matrix_power(base, abs(ni))
         return acc
     if rule == "ordered":
@@ -324,7 +326,7 @@ def word_image(idx, generators, rule: str = "laurent",
         if all(i <= 0 for i in idx):
             for g, ni in zip(generators, idx):
                 acc = acc @ np.linalg.matrix_power(g, -ni)
-            return acc.conj().T
+            return np.swapaxes(acc.conj(), -1, -2)
         raise ShapeMismatchError(
             f"mixed-sign index {idx} is outside the ordered operator system"
         )

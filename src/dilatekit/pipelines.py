@@ -22,7 +22,7 @@ import numpy as np
 
 from .boundary import BoundaryCurve, cauchy_transform, quadrature_measure
 from .convex import caratheodory_reduce
-from .errors import NotCommutingError
+from .errors import DimensionMismatchError, NotCommutingError
 from .linalg import DEFAULT_TOL, Tolerances, asmatrix
 from .measures import (
     AtomicMeasure,
@@ -200,6 +200,10 @@ def dilate_qcommute(t1, t2, a: int, b: int, order: int = 1, nodes: int = 8,
     """
     t1 = asmatrix(t1)
     t2 = asmatrix(t2)
+    if t1.shape != t2.shape or t1.shape[0] != t1.shape[1]:
+        raise DimensionMismatchError(
+            "q-commuting pair needs two square matrices of one size, got "
+            f"{t1.shape} and {t2.shape}")
     # grid construction also enforces integer a, b
     grid = clock_phase_grid(a, b, nodes)
     q = np.exp(2j * np.pi * a / b)

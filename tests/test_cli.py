@@ -118,6 +118,24 @@ def test_bad_size_flags_exit_3(tmp_path, capsys, argv):
     assert argv[-2] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["numrange"],
+    ["dilate-circle", "--order", "2"],
+    ["dilate-boundary", "--curve", "disc"],
+    ["dilate-annulus", "--curve", "annulus:0.5"],
+    ["dilate-regular", "--order", "1"],
+    ["dilate-qcommute", "--a", "1", "--b", "2"],
+])
+def test_non_square_input_exit_3(tmp_path, capsys, argv):
+    m = 0.1 * np.arange(6).reshape(2, 3)
+    mats = (m, m) if argv[0] == "dilate-qcommute" else (m,)
+    inp = write_operator(tmp_path / "t.json", *mats)
+    code = main([argv[0], "--input", inp, "--output", str(tmp_path / "x")]
+                + argv[1:])
+    assert code == 3
+    assert "2x3" in capsys.readouterr().err
+
+
 def test_library_size_guards():
     with pytest.raises(dk.ShapeMismatchError):
         dk.quadrature_measure(0.3 * np.eye(2), dk.BoundaryCurve.disc(), 0)
@@ -229,6 +247,43 @@ def test_verify_subcommand(tmp_path, capsys):
     inp.write_text(dump_json({"dilation": bundle["dilation"]}),
                    encoding="utf-8")
     assert main(["verify", "--input", str(inp)]) == 3
+
+
+def _break_pair_index(bundle):
+    bundle["relations"]["scale_pairs"] = [[0.5, 0, [1.0, 0.0]]]
+
+
+def _break_pair_range(bundle):
+    bundle["relations"]["scale_pairs"] = [[0, 1, [1.0, 0.0]]]
+
+
+def _break_v_width(bundle):
+    bundle["targets"] = encode_table(dk.circle_moments(0.5 * np.eye(3), 1.0, 2))
+
+
+def _break_residual(bundle):
+    bundle["dilation"]["residuals"] = {"unit_defect": "small"}
+
+
+def _break_index_rule(bundle):
+    bundle["targets"]["index_rule"] = "sideways"
+
+
+@pytest.mark.parametrize("breaks", [_break_pair_index, _break_pair_range,
+                                    _break_v_width, _break_residual,
+                                    _break_index_rule])
+def test_malformed_verify_bundle_exit_3(tmp_path, capsys, breaks):
+    t = np.array([[0.0, 0.7], [0.0, 0.0]])
+    bundle = {
+        "dilation": encode_dilation(dk.dilate_circle(t, order=2).dilation),
+        "targets": encode_table(dk.circle_moments(t, 1.0, 2)),
+        "relations": {"rule": "laurent", "scale_pairs": []},
+    }
+    breaks(bundle)
+    inp = tmp_path / "bundle.json"
+    inp.write_text(dump_json(bundle), encoding="utf-8")
+    assert main(["verify", "--input", str(inp)]) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_curve_specs(tmp_path):

@@ -159,6 +159,27 @@ def test_decode_errors_are_malformed():
         decode_table({"dim": 1, "nu": 1})
     with pytest.raises(MalformedInputError):
         decode_operators({})
+    with pytest.raises(MalformedInputError, match="2x3"):
+        decode_operators({"matrix": encode_matrix(np.ones((2, 3)))})
+    with pytest.raises(MalformedInputError, match="2x2, 3x3"):
+        decode_operators({"matrices": [encode_matrix(np.eye(2)),
+                                       encode_matrix(np.eye(3))]})
+    with pytest.raises(MalformedInputError, match="index_rule"):
+        decode_table({"dim": 1, "nu": 1, "index_rule": "sideways",
+                      "entries": []})
+    irrep = dk.clock_shift_irrep(1, 2)
+    irrep.weight = np.eye(4) / 2.0
+    obj = encode_measure(dk.AtomicMeasure(dim=2, atoms=[irrep],
+                                          index_rule="ordered"))
+    for pair in ([0, 2, [1.0, 0.0]], [-1, 0, [1.0, 0.0]], ["0", 1, [1.0, 0.0]],
+                 [0, 1]):
+        obj["atoms"][0]["scale_pairs"] = [pair]
+        with pytest.raises(MalformedInputError):
+            decode_measure(obj)
+    with pytest.raises(MalformedInputError):
+        decode_relations({"scale_pairs": [[True, 1, [1.0, 0.0]]]})
+    with pytest.raises(MalformedInputError):
+        decode_relations({"scale_pairs": {"i": 0}})
 
 
 def test_read_json_errors(tmp_path):

@@ -8,7 +8,7 @@ from dilatekit import (
     ShapeMismatchError,
 )
 
-from conftest import complex_gaussian, random_psd, random_unitary
+from conftest import complex_gaussian, random_contraction, random_psd, random_unitary
 
 
 def normalized_point_measure(rng, d, points, ranks=None):
@@ -255,7 +255,123 @@ def test_irrep_contribution_matches_pure_states():
     g = complex_gaussian(rng, (b * d,))
     atom.weight = np.outer(g, g.conj())
     gamma = g.reshape(b, d)
-    w = atom.word((1, 1))
+    w = dk.word_image((1, 1), atom.generators, rule="ordered")
     want = gamma.conj().T @ w @ gamma
-    got = atom.contribution((1, 1), d)
+    mu = dk.AtomicMeasure(dim=d, atoms=[atom], index_rule="ordered")
+    got = mu.moment((1, 1))
     assert np.linalg.norm(got - want) <= 1e-12
+
+
+def _laurent_reference(idx, z):
+    """The scalar loop laurent_scalar reproduces: Python complex products."""
+    acc = 1.0 + 0.0j
+    for zi, ni in zip(np.atleast_1d(z), np.atleast_1d(idx)):
+        if ni != 0:
+            acc *= zi ** int(ni)
+    return acc
+
+
+def test_words_match_scalar_loops():
+    """Stacked Laurent monomials and words equal the one-at-a-time loops
+    bit for bit."""
+    from dilatekit.measures import _words
+
+    rng = np.random.default_rng(103)
+    idx1 = [(k,) for k in range(-6, 7)]
+    idx2 = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
+    idx3 = [(1, -2, 3), (-4, 0, 2), (2, 2, -1)]
+    point_grids = [
+        (dk.annulus_grid(12, 0.5), idx1),
+        (dk.torus_grid(6, 2), idx2),
+        ([dk.PointAtom(point=complex_gaussian(rng, 2)) for _ in range(20)], idx2),
+        ([dk.PointAtom(point=complex_gaussian(rng, 3)) for _ in range(20)], idx3),
+    ]
+    for grid, indices in point_grids:
+        words = _words(grid, indices, "laurent")
+        want = np.array([[[[_laurent_reference(idx, a.point)]] for idx in indices]
+                         for a in grid])
+        assert words.shape == (len(grid), len(indices), 1, 1)
+        assert np.array_equal(words.view(np.uint64), want.view(np.uint64))
+        single = np.array([dk.laurent_scalar(indices[-1], a.point) for a in grid])
+        assert np.array_equal(single.view(np.uint64),
+                              want[:, -1, 0, 0].copy().view(np.uint64))
+    ordered = [(i, j) for i in range(3) for j in range(3)] + [(-1, 0), (-1, -2)]
+    for grid, indices, rule in [(dk.clock_phase_grid(1, 3, 3), ordered, "ordered"),
+                                (dk.clock_phase_grid(1, 2, 2), idx2, "laurent")]:
+        words = _words(grid, indices, rule)
+        want = np.array([[dk.word_image(idx, a.generators, rule=rule)
+                          for idx in indices] for a in grid])
+        assert np.array_equal(words.view(np.uint64), want.view(np.uint64))
+    with pytest.raises(ShapeMismatchError):
+        _words([dk.PointAtom(point=[0.0])], [(-1,)], "laurent")
+
+
+@pytest.mark.parametrize("name", ["torus", "annulus", "clock_mixed"])
+def test_fit_system_matches_measure(name):
+    """A z and C z of _fit_system are the moments and the mass of the measure
+    whose weights z stacks, as AtomicMeasure's own loops compute them."""
+    from dilatekit.measures import _fit_system
+
+    rng = np.random.default_rng(107)
+    if name == "torus":
+        t = random_contraction(rng, 2, 0.5)
+        table, grid = dk.regular_moments([t, t @ t], 2), dk.torus_grid(4, 2)
+    elif name == "annulus":
+        t = np.diag([0.7, 0.8]) + 0.05 * complex_gaussian(rng, (2, 2))
+        table, grid = dk.laurent_moments(t, 3), dk.annulus_grid(8, 0.5)
+    else:
+        table = dk.qcommuting_moments(0.5 * np.diag([1.0, -1.0]),
+                                      np.array([[0.0, 0.5], [0.0, 0.0]]), 2)
+        grid = dk.clock_phase_grid(1, 2, 3) + dk.clock_phase_grid(0, 1, 3)
+    d = table.dim
+    weights = [random_psd(rng, a.block_size(d)) / len(grid) for a in grid]
+    mu = dk.AtomicMeasure(dim=d, index_rule=table.index_rule,
+                          atoms=[a.with_weight(w) for a, w in zip(grid, weights)])
+    a_mat, t_vec, c_mat, c_vec = _fit_system(table, grid)
+    z = np.concatenate([dk.hvec(w) for w in weights])
+    indices = [idx for idx in table.indices() if any(idx)]
+    assert any(i < 0 for idx in indices for i in idx)
+    rows = (a_mat @ z).reshape(len(indices), 2, d, d)
+    targets = t_vec.reshape(len(indices), 2, d, d)
+    for idx, row, target in zip(indices, rows, targets):
+        m = mu.moment(idx)
+        assert np.linalg.norm(row[0] + 1j * row[1] - m) <= 1e-13
+        assert np.array_equal(target[0] + 1j * target[1], table.value(idx))
+    assert np.linalg.norm(c_mat @ z - dk.hvec(mu.unit_matrix())) <= 1e-13
+    assert np.array_equal(c_vec, dk.hvec(np.eye(d, dtype=complex)))
+
+
+def test_irrep_measure_combination_roundtrip():
+    rng = np.random.default_rng(109)
+    b, d = 2, 2
+    atoms = dk.clock_phase_grid(1, 2, 3)
+    # two rank-one Choi pieces per atom with sum gamma* gamma = I
+    gammas = [complex_gaussian(rng, (2, b, d)) for _ in atoms]
+    c = dk.inv_sqrt_psd(sum(g.conj().T @ g for pair in gammas for g in pair))
+    for atom, pair in zip(atoms, gammas):
+        vecs = [(g @ c).reshape(-1) for g in pair]
+        atom.weight = sum(np.outer(v, v.conj()) for v in vecs)
+    mu = dk.AtomicMeasure(dim=d, atoms=atoms, index_rule="ordered")
+    assert np.linalg.norm(mu.unit_matrix() - np.eye(d)) <= 1e-12
+    values = {idx: mu.moment(idx) for idx in [(1, 0), (0, 1), (1, 1), (2, 1)]}
+    table = dk.MomentTable(dim=d, nu=2, values=values, index_rule="ordered")
+    comb = dk.measure_to_combination(mu, table)
+    assert comb.defect() <= 1e-10
+    assert len(comb.terms) == 2 * len(atoms)
+    canonical = [idx for idx in table.indices()
+                 if any(idx) and next(i for i in idx if i != 0) > 0]
+    for _, point in comb.terms:
+        atom = mu.atoms[point.label]
+        assert len(point.coords) == 2 * len(canonical)
+        for k, idx in enumerate(canonical):
+            w = dk.word_image(idx, atom.generators, rule="ordered")
+            assert np.array_equal(point.coords[2 * k], dk.herm_part(w))
+            assert np.array_equal(point.coords[2 * k + 1], dk.herm_part(-1j * w))
+    back = dk.combination_to_measure(comb, mu)
+    for idx in table.indices():
+        assert np.linalg.norm(back.moment(idx) - mu.moment(idx)) <= 1e-12
+    red = dk.caratheodory_reduce(comb)
+    slim = dk.combination_to_measure(red, mu).normalized()
+    assert len(red.terms) <= len(comb.terms)
+    for idx in table.indices():
+        assert np.linalg.norm(slim.moment(idx) - mu.moment(idx)) <= 1e-9

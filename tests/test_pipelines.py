@@ -179,6 +179,13 @@ def test_qcommute_rejects_wrong_relation():
         dk.dilate_qcommute(t1, t2, a=1, b=2, order=1, nodes=4)
 
 
+@pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((2, 2), (3, 3))])
+def test_qcommute_rejects_shapes_before_commutator(shapes):
+    t1, t2 = (0.1 * np.ones(s) for s in shapes)
+    with pytest.raises(dk.DimensionMismatchError):
+        dk.dilate_qcommute(t1, t2, a=1, b=2, order=1, nodes=4)
+
+
 def test_passed_is_conjunction():
     t = np.array([[0.5]])
     result = dk.dilate_circle(t, order=2)
