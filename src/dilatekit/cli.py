@@ -264,6 +264,10 @@ def _run(args) -> int:
             raise MalformedInputError(
                 f"dilation v has {dil.v.shape[1]} columns but the table "
                 f"has dim {targets.dim}")
+        if len(dil.generators) != targets.nu:
+            raise MalformedInputError(
+                f"dilation has {len(dil.generators)} generators but the "
+                f"table has nu {targets.nu}")
         if any(max(i, j) >= len(dil.generators)
                for i, j, _ in relations.scale_pairs):
             raise MalformedInputError(

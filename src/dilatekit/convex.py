@@ -283,13 +283,14 @@ def _lift_columns(alpha, value, selfadjoint: bool) -> np.ndarray:
     return np.concatenate(parts, axis=1).T
 
 
-def _svd(a: np.ndarray):
+def _svd(a: np.ndarray, full_matrices: bool = True):
     """Singular values and right vectors, retrying LAPACK's gesvd when the
     default divide-and-conquer driver fails to converge."""
     try:
-        _, s, vh = np.linalg.svd(a)
+        _, s, vh = np.linalg.svd(a, full_matrices=full_matrices)
     except np.linalg.LinAlgError:
-        _, s, vh = scipy.linalg.svd(a, lapack_driver="gesvd")
+        _, s, vh = scipy.linalg.svd(a, full_matrices=full_matrices,
+                                    lapack_driver="gesvd")
     return s, vh
 
 

@@ -12,9 +12,8 @@ import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
-from .convex import MatrixConvexCombination, MatrixPoint
+from .convex import MatrixConvexCombination, MatrixPoint, _svd
 from .errors import (
     DimensionMismatchError,
     GridEmptyError,
@@ -64,7 +63,7 @@ def laurent_scalar(idx, z):
     for zi, ni in zip(z.T, np.atleast_1d(idx)):
         if ni == 0:
             continue
-        if (zi == 0).any():
+        if ni < 0 and (zi == 0).any():
             raise ShapeMismatchError("negative power of a zero coordinate")
         # numpy integer exponents take the scalar power routine (Python ints
         # take a fast path for -1 and 2), and numpy's complex multiply loop
@@ -375,10 +374,14 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
     Solves  min sum_{n != 0} || sum_j eval(n, j) P_j - L_n ||_F^2  over
     PSD weights subject to the exact unit constraint at index 0, by ADMM
     splitting between the PSD cone (psd_project blockwise) and the
-    constrained least-squares step (one prefactored KKT solve).  Raises
-    Infeasible when the residual stays above fit_tol at the iteration
-    cap; atoms whose fitted weight is below _PRUNE_TOL are dropped.
-    ``seed`` draws the initial weights.
+    constrained least-squares step.  That step only moves the part of
+    z - u in the row space of the moment and mass maps [A; C], so it is
+    solved once, as an affine map, in the coordinates of an orthonormal
+    basis of that row space (Boyd et al. 2011, sec. 4.2.4); an iteration
+    costs three small matrix-vector products.  Raises Infeasible when
+    the residual stays above fit_tol at the iteration cap; atoms whose
+    fitted weight is below _PRUNE_TOL are dropped.  ``seed`` draws the
+    initial weights.
     """
     if not grid:
         raise GridEmptyError("empty atom grid")
@@ -389,25 +392,39 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
     # every (kind, block size) group is one batched eigh in the projection
     groups = list(_atom_groups(grid, d))
 
-    gram = a_mat.T @ a_mat
-    atb = a_mat.T @ t_vec
+    # the rows of Q are an orthonormal basis of the row space of [A; C].
+    # With w = Q v the x-step is x = v + Q^T (y - w), where y solves the
+    # constrained least squares in the k coordinates of the basis,
+    # min |A_q y - t|^2 + rho |y - w|^2 subject to C_q y = c.
+    s, basis = _svd(np.vstack([a_mat, c_mat]), full_matrices=False)
+    basis = basis[:np.count_nonzero(s > 1e-12 * s[0])]
+    k = basis.shape[0]
+    a_q, c_q = a_mat @ basis.T, c_mat @ basis.T
+    gram = a_q.T @ a_q
+    # y - w is the KKT solve of [-A_q^T A_q w + A_q^T t; -C_q w + c]:
+    # these are the right-hand sides of its w part and its constant part
+    rhs = np.zeros((k + d * d, k + 1))
+    rhs[:k, :k] = -gram
+    rhs[k:, :k] = -c_q
+    rhs[:k, k] = a_q.T @ t_vec
+    rhs[k:, k] = c_vec
     rho = _RHO
 
     def factor(rho_val):
-        kkt = np.zeros((ncols + d * d, ncols + d * d))
-        kkt[:ncols, :ncols] = gram + rho_val * np.eye(ncols)
-        kkt[:ncols, ncols:] = c_mat.T
-        kkt[ncols:, :ncols] = c_mat
-        return scipy.linalg.lu_factor(kkt)
+        """The step y - w = G w + y0 as the pair (G, y0)."""
+        kkt = np.zeros((k + d * d, k + d * d))
+        kkt[:k, :k] = gram + rho_val * np.eye(k)
+        kkt[:k, k:] = c_q.T
+        kkt[k:, :k] = c_q
+        sol = np.linalg.solve(kkt, rhs)[:k]
+        return sol[:, :k], sol[:, k]
 
-    lu = factor(rho)
+    g_mat, y0 = factor(rho)
     # each weight starts at a random multiple of hvec(I_m), which is
     # C^T hvec(I_d) block by block
     weights = (0.5 + 0.5 * np.random.default_rng(seed).random(len(grid))) / len(grid)
     z = np.repeat(weights, sizes ** 2) * (c_mat.T @ c_vec)
     u = np.zeros(ncols)
-    rhs = np.empty(ncols + d * d)
-    rhs[ncols:] = c_vec
 
     def project_blocks(v):
         out = np.empty_like(v)
@@ -425,8 +442,8 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
 
     fit_tol = tol.fit_tol
     for it in range(1, _MAX_ITER + 1):
-        rhs[:ncols] = atb + rho * (z - u)
-        x = scipy.linalg.lu_solve(lu, rhs)[:ncols]
+        v = z - u
+        x = v + basis.T @ (g_mat @ (basis @ v) + y0)
         z_old = z
         z = project_blocks(x + u)
         u = u + x - z
@@ -441,11 +458,11 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
                 if r_primal > 10.0 * r_dual and rho < 1e4:
                     rho *= 2.0
                     u = u / 2.0
-                    lu = factor(rho)
+                    g_mat, y0 = factor(rho)
                 elif r_dual > 10.0 * r_primal and rho > 1e-4:
                     rho /= 2.0
                     u = u * 2.0
-                    lu = factor(rho)
+                    g_mat, y0 = factor(rho)
 
     resid = float(np.linalg.norm(a_mat @ z - t_vec))
     unit_def = float(np.linalg.norm(c_mat @ z - c_vec))

@@ -307,6 +307,9 @@ def word_image(idx, generators, rule: str = "laurent",
     shape; the word is then evaluated matrix by matrix.
     """
     idx = tuple(int(i) for i in np.atleast_1d(idx))
+    if len(idx) != len(generators):
+        raise DimensionMismatchError(
+            f"index {idx} has {len(idx)} entries for {len(generators)} generators")
     k = generators[0].shape[-1]
     acc = np.eye(k, dtype=np.complex128)
     if rule == "laurent":

@@ -269,9 +269,15 @@ def _break_index_rule(bundle):
     bundle["targets"]["index_rule"] = "sideways"
 
 
+def _break_generator_count(bundle):
+    # a one-generator dilation against a table of pairs
+    pairs = dk.regular_moments([0.3 * np.eye(2), 0.2 * np.eye(2)], 1)
+    bundle["targets"] = encode_table(pairs)
+
+
 @pytest.mark.parametrize("breaks", [_break_pair_index, _break_pair_range,
                                     _break_v_width, _break_residual,
-                                    _break_index_rule])
+                                    _break_index_rule, _break_generator_count])
 def test_malformed_verify_bundle_exit_3(tmp_path, capsys, breaks):
     t = np.array([[0.0, 0.7], [0.0, 0.0]])
     bundle = {

@@ -30,6 +30,13 @@ def test_laurent_scalar_frozen():
     assert dk.laurent_scalar((1, -1), [2.0, 4.0]) == pytest.approx(0.5)
     with pytest.raises(ShapeMismatchError):
         dk.laurent_scalar((-1,), 0.0)
+    # only a negative power of a zero coordinate is undefined
+    pts = [[0.0], [2.0]]
+    assert np.array_equal(dk.laurent_scalar((0,), pts), [1.0, 1.0])
+    assert np.array_equal(dk.laurent_scalar((1,), pts), [0.0, 2.0])
+    assert dk.laurent_scalar((1,), 0.0) == 0.0
+    with pytest.raises(ShapeMismatchError):
+        dk.laurent_scalar((-1,), pts)
 
 
 def test_atomic_measure_moment_and_unit():
@@ -375,3 +382,110 @@ def test_irrep_measure_combination_roundtrip():
     assert len(red.terms) <= len(comb.terms)
     for idx in table.indices():
         assert np.linalg.norm(slim.moment(idx) - mu.moment(idx)) <= 1e-9
+
+
+def _dense_kkt_fit(targets, grid, seed=0):
+    """Reference ADMM whose x-step solves the dense (ncols + d^2) KKT system.
+
+    Same seed, penalty schedule and stopping rule as fit_matrix_measure;
+    returns the stacked weights before pruning.
+    """
+    import scipy.linalg
+
+    from dilatekit.measures import (_CHECK_EVERY, _MAX_ITER, _RHO, _atom_groups,
+                                    _fit_system, _herm_to_cvec)
+
+    d = targets.dim
+    a_mat, t_vec, c_mat, c_vec = _fit_system(targets, grid)
+    ncols = a_mat.shape[1]
+    sizes = np.array([a.block_size(d) for a in grid])
+    groups = list(_atom_groups(grid, d))
+    gram, atb, rho = a_mat.T @ a_mat, a_mat.T @ t_vec, _RHO
+
+    def factor(rho_val):
+        kkt = np.zeros((ncols + d * d, ncols + d * d))
+        kkt[:ncols, :ncols] = gram + rho_val * np.eye(ncols)
+        kkt[:ncols, ncols:] = c_mat.T
+        kkt[ncols:, :ncols] = c_mat
+        return scipy.linalg.lu_factor(kkt)
+
+    def project_blocks(v):
+        out = np.empty_like(v)
+        for _, m, _, cols in groups:
+            phi = _herm_to_cvec(m)
+            mats = (v[cols].reshape(-1, m * m) @ phi.T).reshape(-1, m, m)
+            mats = (mats + mats.conj().transpose(0, 2, 1)) / 2.0
+            w, q = np.linalg.eigh(mats)
+            w = np.clip(w, 0.0, None)
+            blocks = (q * w[:, None, :]) @ q.conj().transpose(0, 2, 1)
+            blocks = (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
+            out[cols] = (blocks.reshape(-1, m * m) @ phi.conj()).real.reshape(-1)
+        return out
+
+    lu = factor(rho)
+    weights = (0.5 + 0.5 * np.random.default_rng(seed).random(len(grid))) / len(grid)
+    z = np.repeat(weights, sizes ** 2) * (c_mat.T @ c_vec)
+    u = np.zeros(ncols)
+    rhs = np.empty(ncols + d * d)
+    rhs[ncols:] = c_vec
+    for it in range(1, _MAX_ITER + 1):
+        rhs[:ncols] = atb + rho * (z - u)
+        x = scipy.linalg.lu_solve(lu, rhs)[:ncols]
+        z_old = z
+        z = project_blocks(x + u)
+        u = u + x - z
+        if it % _CHECK_EVERY == 0 or it == _MAX_ITER:
+            resid = float(np.linalg.norm(a_mat @ z - t_vec))
+            unit_def = float(np.linalg.norm(c_mat @ z - c_vec))
+            if resid <= 0.9 * dk.DEFAULT_TOL.fit_tol and unit_def <= 1e-9:
+                break
+            r_primal = float(np.linalg.norm(x - z))
+            r_dual = rho * float(np.linalg.norm(z - z_old))
+            if it % (_CHECK_EVERY * 8) == 0:
+                if r_primal > 10.0 * r_dual and rho < 1e4:
+                    rho, u = rho * 2.0, u / 2.0
+                    lu = factor(rho)
+                elif r_dual > 10.0 * r_primal and rho > 1e-4:
+                    rho, u = rho / 2.0, u * 2.0
+                    lu = factor(rho)
+    return z
+
+
+@pytest.mark.parametrize("name", ["torus", "clock_mixed"])
+def test_fit_matches_dense_kkt_reference(name):
+    """The row-space x-step reproduces the dense KKT ADMM: the same atoms
+    survive pruning, with weights equal to roundoff."""
+    from dilatekit.measures import _PRUNE_TOL, _fit_system
+
+    rng = np.random.default_rng(113)
+    if name == "clock_mixed":
+        table = dk.qcommuting_moments(0.5 * np.diag([1.0, -1.0]),
+                                      np.array([[0.0, 0.5], [0.0, 0.0]]), 1)
+        grid = dk.clock_phase_grid(1, 2, 4) + dk.clock_phase_grid(0, 1, 4)
+    else:
+        # commuting unitaries with spectrum on the lattice: thousands of
+        # iterations, penalty changes, and most atoms pruned
+        u = random_unitary(rng, 2)
+        spectra = np.exp(2j * np.pi * rng.integers(0, 6, size=(2, 2)) / 6)
+        table = dk.regular_moments([u @ np.diag(s) @ u.conj().T for s in spectra], 1)
+        grid = dk.torus_grid(6, 2)
+        # L_{-n} = L_n*: the rows at -n repeat those at n, so [A; C] is
+        # rank deficient
+        a_mat, _, c_mat, _ = _fit_system(table, grid)
+        w = np.vstack([a_mat, c_mat])
+        assert np.linalg.matrix_rank(w) < min(w.shape)
+    d = table.dim
+    z = _dense_kkt_fit(table, grid)
+    sizes = [a.block_size(d) for a in grid]
+    blocks = np.split(z, np.cumsum(np.square(sizes))[:-1])
+    want = [(j, dk.hunvec(v, m)) for j, (v, m) in enumerate(zip(blocks, sizes))
+            if np.linalg.norm(dk.hunvec(v, m)) >= _PRUNE_TOL]
+    mu = dk.fit_matrix_measure(table, grid)
+    assert len(mu.atoms) == len(want)
+    for a, (j, weight) in zip(mu.atoms, want):
+        if isinstance(a, dk.PointAtom):
+            assert np.array_equal(a.point, grid[j].point)
+        else:
+            assert all(np.array_equal(g, h)
+                       for g, h in zip(a.generators, grid[j].generators))
+        assert np.linalg.norm(a.weight - weight) <= 1e-10

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dilatekit as dk
-from dilatekit import NotCommutingError, NotPSDError
+from dilatekit import DimensionMismatchError, NotCommutingError, NotPSDError
 
 from conftest import random_contraction, random_unitary
 
@@ -133,6 +133,12 @@ def test_word_image_semantics():
     b = np.diag([1.0, -1.0])
     w = dk.word_image((1, 2), [a, b], rule="ordered")
     assert np.allclose(w, a @ b @ b)
+    # an index names one power per generator, no more and no fewer
+    for rule in ("laurent", "ordered"):
+        with pytest.raises(DimensionMismatchError):
+            dk.word_image((1, 2), [np.eye(2)], rule=rule)
+        with pytest.raises(DimensionMismatchError):
+            dk.word_image((1,), [a, b], rule=rule)
 
 
 def test_moment_table_api():

@@ -6,6 +6,8 @@ verification passed, dimension slack nonnegative, reduction inside the
 d^2 (dim S + 1) budget, and final residual tracking the fit residual.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,20 @@ def test_regular_interior_d3_torus_24():
     assert result.passed
     assert result.reduced_terms <= 9 * (3 ** 2 + 1)
     final_tracks_fit(result)
+
+
+def test_fit_memory_d3_torus_24():
+    # 5184 columns: one ncols x ncols float array is 205 MiB, so the fit
+    # must never form the Gram matrix or a full-size KKT system
+    ts = interior_torus_data(np.random.default_rng(24), 3)
+    table, grid = dk.regular_moments(ts, 1), dk.torus_grid(24, 2)
+    tracemalloc.start()
+    try:
+        dk.fit_matrix_measure(table, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_annulus_pipeline_contract():
