@@ -189,16 +189,19 @@ def contains_numerical_range(t, curve: BoundaryCurve, margin: float | None = Non
     return bool(np.all(report.support <= curve.support(report.thetas) - margin))
 
 
-def _resolvents(t: np.ndarray, zetas, cond_cap: float = 1e12) -> np.ndarray:
+_COND_CAP = 1e12
+
+
+def _resolvents(t: np.ndarray, zetas) -> np.ndarray:
     """The stack of resolvents (zeta_j - T)^{-1}, one per node.
 
-    One batched SVD checks every condition number against ``cond_cap``
+    One batched SVD checks every condition number against _COND_CAP
     and one batched inverse forms the stack.
     """
     zetas = np.asarray(zetas, dtype=np.complex128)
     m = zetas[:, None, None] * np.eye(t.shape[0]) - t
     sv = np.linalg.svd(m, compute_uv=False)
-    bad = (sv[:, -1] <= 0) | (sv[:, 0] > cond_cap * sv[:, -1])
+    bad = (sv[:, -1] <= 0) | (sv[:, 0] > _COND_CAP * sv[:, -1])
     if np.any(bad):
         j = int(np.argmax(bad))
         raise ResolventSingularError(
@@ -225,8 +228,7 @@ def boundary_density(t, curve: BoundaryCurve, theta: float) -> np.ndarray:
 
 
 def quadrature_measure(t, curve: BoundaryCurve, nodes: int,
-                       tol: Tolerances = DEFAULT_TOL,
-                       margin: float | None = None) -> AtomicMeasure:
+                       tol: Tolerances = DEFAULT_TOL) -> AtomicMeasure:
     """Trapezoid discretization of the boundary measure as point atoms.
 
     Weights are w_j = 2 pi / nodes times the PSD projection of
@@ -237,7 +239,7 @@ def quadrature_measure(t, curve: BoundaryCurve, nodes: int,
     if nodes < 1:
         raise ShapeMismatchError(f"need at least one quadrature node, got {nodes}")
     t = asmatrix(t)
-    if not contains_numerical_range(t, curve, margin=margin):
+    if not contains_numerical_range(t, curve):
         raise NotContainedError(
             "numerical range is not inside the curve with the required margin"
         )

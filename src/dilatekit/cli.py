@@ -21,7 +21,7 @@ import sys
 
 from .boundary import BoundaryCurve, numerical_range
 from .convex import caratheodory_reduce
-from .errors import DilatekitError, MalformedInputError
+from .errors import DilatekitError, MalformedInputError, ResolventSingularError
 from .io import (
     decode_combination,
     decode_curve,
@@ -273,7 +273,13 @@ def _run(args) -> int:
             raise MalformedInputError(
                 "relations: scale pair index beyond the dilation's "
                 f"{len(dil.generators)} generators")
-        report = verify_dilation(dil, targets, relations, tol)
+        if relations.rule != targets.index_rule:
+            raise MalformedInputError(f"relations: rule {relations.rule!r} is not "
+                                      f"the table's index_rule {targets.index_rule!r}")
+        try:
+            report = verify_dilation(dil, targets, relations, tol)
+        except ResolventSingularError as exc:
+            raise MalformedInputError(f"relations: {exc}") from exc
         out = dump_json(report.to_dict())
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -260,8 +260,10 @@ def compress_to_surjective(gamma, point: MatrixPoint, tol: Tolerances = DEFAULT_
     return beta, compressed
 
 
-# Columns added to the working set per block of the reduction sweep.
+# Columns added to the working set per block of the reduction sweep, and
+# the relative singular value below which a commutant direction is null.
 _BLOCK = 32
+_NULL_TOL = 1e-10
 
 
 def _lift_columns(alpha, value, selfadjoint: bool) -> np.ndarray:
@@ -393,7 +395,7 @@ def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TO
     return unlift_point(ta.tolist(), lifted, [points[j] for j in alive], tol)
 
 
-def _commutant_basis(coords, null_tol: float = 1e-10):
+def _commutant_basis(coords):
     """Orthonormal basis (as vectors) of the commutant of a *-closed family."""
     n = coords[0].shape[0]
     eye = np.eye(n)
@@ -405,7 +407,7 @@ def _commutant_basis(coords, null_tol: float = 1e-10):
     k = np.vstack(rows)
     _, s, vh = np.linalg.svd(k)
     smax = s[0] if s.size else 0.0
-    thresh = null_tol * max(smax, 1.0)
+    thresh = _NULL_TOL * max(smax, 1.0)
     null = [vh[i].conj() for i in range(vh.shape[0]) if i >= s.size or s[i] <= thresh]
     return null
 

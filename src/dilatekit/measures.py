@@ -12,6 +12,7 @@ import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 
 from .convex import MatrixConvexCombination, MatrixPoint, _svd
 from .errors import (
@@ -33,7 +34,7 @@ from .linalg import (
     inv_sqrt_psd,
     numerical_rank_factor,
 )
-from .moments import Dilation, MomentTable, word_image
+from .moments import Dilation, MomentTable, _word_walk
 
 __all__ = [
     "PointAtom",
@@ -303,18 +304,18 @@ def _words(atoms: list, indices: list, rule: str) -> np.ndarray:
     """Every atom's words at every index, complex (atoms, indices, b, b).
 
     The atoms are all points or all irreps of one rep_dim: 1 x 1 Laurent
-    monomials, or word_image of the generators under ``rule``.
+    monomials, or the generators' words under ``rule`` from one walk.
     """
     if isinstance(atoms[0], PointAtom):
         pts = np.array([a.point for a in atoms])
-        b, word = 1, lambda idx: laurent_scalar(idx, pts)[:, None, None]
+        b, words = 1, (laurent_scalar(idx, pts)[:, None, None] for idx in indices)
     else:
         gens = [np.stack(g) for g in zip(*(a.generators for a in atoms))]
-        b, word = atoms[0].rep_dim, lambda idx: word_image(idx, gens, rule=rule)
-    words = np.empty((len(atoms), len(indices), b, b), dtype=np.complex128)
-    for i, idx in enumerate(indices):
-        words[:, i] = word(idx)
-    return words
+        b, words = atoms[0].rep_dim, _word_walk(indices, gens, rule)
+    out = np.empty((len(atoms), len(indices), b, b), dtype=np.complex128)
+    for i, w in enumerate(words):
+        out[:, i] = w
+    return out
 
 
 def _atom_words(atoms: list, indices: list, rule: str) -> list:
@@ -515,10 +516,9 @@ def assemble_atomic_dilation(mu: AtomicMeasure, indices=None,
         )
     d = mu.dim
     kind = mu.kind()
-    v_blocks = []
-    gen_blocks = []
+    v_blocks, gen_blocks = [], []
     if kind == "point":
-        nu = mu.atoms[0].nu
+        ngen = mu.atoms[0].nu
         for a in mu.atoms:
             f, r = numerical_rank_factor(herm_part(a.weight), tol)
             if r == 0:
@@ -526,7 +526,6 @@ def assemble_atomic_dilation(mu: AtomicMeasure, indices=None,
             v_blocks.append(f)
             gen_blocks.append([zi * np.eye(r, dtype=np.complex128)
                                for zi in a.point])
-        ngen = nu
     else:
         ngen = len(mu.atoms[0].generators)
         for a in mu.atoms:
@@ -535,27 +534,19 @@ def assemble_atomic_dilation(mu: AtomicMeasure, indices=None,
                 gen_blocks.append(a.generators)
     if not v_blocks:
         raise GridEmptyError("measure has no mass to assemble")
-    space = int(sum(vb.shape[0] for vb in v_blocks))
     v = np.vstack(v_blocks)
-    gens = []
-    for i in range(ngen):
-        g = np.zeros((space, space), dtype=np.complex128)
-        pos = 0
-        for vb, blocks in zip(v_blocks, gen_blocks):
-            k = vb.shape[0]
-            g[pos:pos + k, pos:pos + k] = blocks[i]
-            pos += k
-        gens.append(g)
+    space = v.shape[0]
+    gens = [scipy.linalg.block_diag(*(blocks[i] for blocks in gen_blocks))
+            for i in range(ngen)]
     residuals = {"unit_defect": unit_defect}
     if indices is not None:
-        worst = 0.0
-        for idx in indices:
-            # the measure's own moments use honest Laurent powers, so
-            # negative indices must be inverse powers here as well
-            w = word_image(idx, gens, rule=mu.index_rule, negatives="inverse")
-            worst = max(worst, float(np.linalg.norm(
-                v.conj().T @ w @ v - mu.moment(idx))))
-        residuals["moment_vs_measure"] = worst
+        # the measure's own moments use honest Laurent powers, so
+        # negative indices must be inverse powers here as well
+        indices = list(indices)
+        words = _word_walk(indices, gens, mu.index_rule, "inverse", v=v)
+        residuals["moment_vs_measure"] = max(
+            (float(np.linalg.norm(v.conj().T @ w - mu.moment(idx)))
+             for idx, w in zip(indices, words)), default=0.0)
     return Dilation(v=v, generators=gens, space_dim=space,
                     provenance="naimark" if kind == "point" else "naimark-irrep",
                     residuals=residuals)

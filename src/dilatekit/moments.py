@@ -9,6 +9,7 @@ tables store genuine negative powers instead and say so via the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ from .errors import (
     DimensionMismatchError,
     NotCommutingError,
     NotPSDError,
+    ResolventSingularError,
     ShapeMismatchError,
 )
 from .linalg import (
@@ -40,6 +42,9 @@ __all__ = [
     "toeplitz_gns_unitary",
     "word_image",
 ]
+
+
+_COMMUTE_TOL = 1e-10
 
 
 @dataclass
@@ -72,6 +77,9 @@ class MomentTable:
                     f"moment at {idx} has shape {val.shape}, expected "
                     f"({self.dim}, {self.dim})"
                 )
+            if self.index_rule == "ordered" and min(idx) < 0 < max(idx):
+                raise ShapeMismatchError(
+                    f"mixed-sign index {idx} is outside the ordered operator system")
             clean[idx] = val
         self.values = clean
         zero = (0,) * self.nu
@@ -150,11 +158,11 @@ def circle_moments(t, rho: float, n_max: int) -> MomentTable:
     return MomentTable(dim=d, nu=1, values=values, symmetric=True)
 
 
-def regular_moments(ts, n_max: int, commute_tol: float = 1e-10) -> MomentTable:
+def regular_moments(ts, n_max: int) -> MomentTable:
     """Regular moments T(n) = (T*)^{n^-} T^{n^+} of a commuting tuple.
 
     n^+ and n^- are the entrywise positive and negative parts, so e.g.
-    T((1, -1)) = T_2* T_1.  Pairwise commutators above ``commute_tol``
+    T((1, -1)) = T_2* T_1.  Pairwise commutators above _COMMUTE_TOL
     raise NotCommuting.
     """
     ts = [asmatrix(t) for t in ts]
@@ -169,7 +177,7 @@ def regular_moments(ts, n_max: int, commute_tol: float = 1e-10) -> MomentTable:
     for i in range(len(ts)):
         for j in range(i + 1, len(ts)):
             defect = np.linalg.norm(ts[i] @ ts[j] - ts[j] @ ts[i])
-            if defect > commute_tol:
+            if defect > _COMMUTE_TOL:
                 raise NotCommutingError(
                     f"operators {i} and {j} do not commute (defect {defect:.3e})"
                 )
@@ -253,6 +261,8 @@ def toeplitz_gns_unitary(table: MomentTable, tol: Tolerances = DEFAULT_TOL) -> D
     if not table.symmetric:
         raise ShapeMismatchError("GNS construction needs a conjugate-closed table")
     n = table.order()
+    if n < 1:
+        raise ShapeMismatchError("GNS construction needs moments of order 1 or more")
     d = table.dim
     m = toeplitz_kernel(table)
     w, r = numerical_rank_factor(m, tol)
@@ -277,12 +287,9 @@ def toeplitz_gns_unitary(table: MomentTable, tol: Tolerances = DEFAULT_TOL) -> D
     u = complete_isometry_to_unitary(u0, dom, rng_basis, tol)
     v = polar_isometry(w[:, :d])
 
-    resid = 0.0
-    power = np.eye(r, dtype=np.complex128)
-    for k in range(1, n + 1):
-        power = power @ u
-        resid = max(resid, float(np.linalg.norm(
-            v.conj().T @ power @ v - table.value((k,)))))
+    words = _word_walk([(k,) for k in range(1, n + 1)], [u], v=v)
+    resid = max(float(np.linalg.norm(v.conj().T @ w - table.value((k,))))
+                for k, w in enumerate(words, 1))
     return Dilation(
         v=v,
         generators=[u],
@@ -290,6 +297,51 @@ def toeplitz_gns_unitary(table: MomentTable, tol: Tolerances = DEFAULT_TOL) -> D
         provenance="gns",
         residuals={"shift_isometry": shift_defect, "moment_max": resid},
     )
+
+
+def _word_walk(indices, generators, rule: str = "laurent",
+               negatives: str = "adjoint", v=None) -> list:
+    """w(G) v for each index, as word_image reads it (v defaults to the
+    identity), from one memoized walk of the index lattice: W_n = B W_n',
+    where B is the word's leftmost factor and n' is n without it.  B sits
+    at the first nonzero entry, or at the last one of a nonpositive
+    ordered index; each generator is inverted at most once.
+    """
+    if rule not in ("laurent", "ordered"):
+        raise ShapeMismatchError(f"unknown index rule {rule!r}")
+
+    @functools.cache
+    def factor(i, s):
+        g = generators[i]
+        if s > 0 or rule == "ordered" or negatives == "adjoint":
+            return g if s > 0 else np.swapaxes(g.conj(), -1, -2)
+        try:
+            return np.linalg.inv(g)
+        except np.linalg.LinAlgError as exc:
+            raise ResolventSingularError(
+                f"generator {i} is singular: no inverse reading") from exc
+
+    words = {(0,) * len(generators): v if v is not None
+             else np.eye(generators[0].shape[-1], dtype=np.complex128)}
+    keys = [tuple(int(i) for i in np.atleast_1d(idx)) for idx in indices]
+    for idx in keys:
+        if len(idx) != len(generators):
+            raise DimensionMismatchError(
+                f"index {idx} has {len(idx)} entries for {len(generators)} generators")
+        if rule == "ordered" and min(idx) < 0 < max(idx):
+            raise ShapeMismatchError(
+                f"mixed-sign index {idx} is outside the ordered operator system")
+        path, n = [], idx
+        while n not in words:
+            nonzero = [i for i, ni in enumerate(n) if ni]
+            i = nonzero[-1 if rule == "ordered" and n[nonzero[0]] < 0 else 0]
+            s = 1 if n[i] > 0 else -1
+            path.append((n, factor(i, s)))
+            n = n[:i] + (n[i] - s,) + n[i + 1:]
+        w = words[n]
+        for m, f in reversed(path):
+            w = words[m] = f @ w
+    return [words[idx] for idx in keys]
 
 
 def word_image(idx, generators, rule: str = "laurent",
@@ -300,37 +352,11 @@ def word_image(idx, generators, rule: str = "laurent",
     generators.  A negative entry means the conjugate function when
     ``negatives`` is "adjoint" (the right reading for conjugate-closed
     moment tables, where L_{-n} = L_n*) and an honest inverse power when
-    it is "inverse" (annulus data).  For unitary generators the two
-    agree.  ordered: g_1^n g_2^m for nonnegative indices and the adjoint
-    word for nonpositive ones; mixed signs are not part of the ordered
-    operator system.  Generators may be stacks (..., k, k) of equal
-    shape; the word is then evaluated matrix by matrix.
+    it is "inverse" (annulus data; a singular generator raises
+    ResolventSingularError).  For unitary generators the two agree.
+    ordered: g_1^n g_2^m for nonnegative indices and the adjoint word for
+    nonpositive ones; mixed signs are not part of the ordered operator
+    system.  Generators may be stacks (..., k, k) of equal shape, taken
+    matrix by matrix.  Built one factor at a time from the left.
     """
-    idx = tuple(int(i) for i in np.atleast_1d(idx))
-    if len(idx) != len(generators):
-        raise DimensionMismatchError(
-            f"index {idx} has {len(idx)} entries for {len(generators)} generators")
-    k = generators[0].shape[-1]
-    acc = np.eye(k, dtype=np.complex128)
-    if rule == "laurent":
-        for g, ni in zip(generators, idx):
-            if ni == 0:
-                continue
-            base = g if ni > 0 else (
-                np.swapaxes(g.conj(), -1, -2) if negatives == "adjoint"
-                else np.linalg.inv(g))
-            acc = acc @ np.linalg.matrix_power(base, abs(ni))
-        return acc
-    if rule == "ordered":
-        if all(i >= 0 for i in idx):
-            for g, ni in zip(generators, idx):
-                acc = acc @ np.linalg.matrix_power(g, ni)
-            return acc
-        if all(i <= 0 for i in idx):
-            for g, ni in zip(generators, idx):
-                acc = acc @ np.linalg.matrix_power(g, -ni)
-            return np.swapaxes(acc.conj(), -1, -2)
-        raise ShapeMismatchError(
-            f"mixed-sign index {idx} is outside the ordered operator system"
-        )
-    raise ShapeMismatchError(f"unknown index rule {rule!r}")
+    return _word_walk([idx], generators, rule, negatives)[0]

@@ -35,6 +35,7 @@ from .measures import (
     torus_grid,
 )
 from .moments import (
+    _COMMUTE_TOL,
     Dilation,
     MomentTable,
     circle_moments,
@@ -137,7 +138,7 @@ def dilate_regular(ts, order: int, nodes: int = 12,
 
 
 def dilate_boundary(t, curve: BoundaryCurve, order: int = 4,
-                    nodes: int = 256, margin: float | None = None,
+                    nodes: int = 256,
                     tol: Tolerances = DEFAULT_TOL) -> PipelineResult:
     """Normal dilation on a convex curve enclosing the numerical range.
 
@@ -156,7 +157,7 @@ def dilate_boundary(t, curve: BoundaryCurve, order: int = 4,
     """
     t = asmatrix(t)
     d = t.shape[0]
-    mu = quadrature_measure(t, curve, nodes, tol, margin=margin)
+    mu = quadrature_measure(t, curve, nodes, tol)
     _, zetas, _ = curve.sample(nodes)
     powers = np.arange(1, order + 1)
     cks = cauchy_transform(zetas[None, :] ** powers[:, None], curve, t)
@@ -189,8 +190,7 @@ def dilate_annulus(t, inner_radius: float, order: int = 3, nodes: int = 64,
 
 
 def dilate_qcommute(t1, t2, a: int, b: int, order: int = 1, nodes: int = 8,
-                    tol: Tolerances = DEFAULT_TOL, seed: int = 0,
-                    commute_tol: float = 1e-10) -> PipelineResult:
+                    tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> PipelineResult:
     """q-commuting unitary pair matching the ordered moments T1^n T2^m.
 
     q = exp(2 pi i a/b) with integer a, b; the candidate atoms are
@@ -209,7 +209,7 @@ def dilate_qcommute(t1, t2, a: int, b: int, order: int = 1, nodes: int = 8,
     q = np.exp(2j * np.pi * a / b)
     scale = max(1.0, float(np.linalg.norm(t1) * np.linalg.norm(t2)))
     defect = float(np.linalg.norm(t2 @ t1 - q * (t1 @ t2)))
-    if defect > commute_tol * scale:
+    if defect > _COMMUTE_TOL * scale:
         raise NotCommutingError(
             f"pair is not q-commuting for a/b = {a}/{b} (defect {defect:.3e})"
         )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerances
-from .moments import Dilation, MomentTable, word_image
+from .moments import Dilation, MomentTable, _word_walk
 
 __all__ = [
     "Relations",
@@ -86,37 +86,26 @@ def verify_dilation(dil: Dilation, targets: MomentTable,
 
     Checks: V is an isometry; each generator is unitary (or normal);
     declared exchange relations hold; and V* w(G) V matches each stored
-    moment.  Structural defects are held to 1e-10, moment residuals to
-    ``moment_tol`` (default residual_tol).
+    moment.  The columns w(G) V come from one walk of the table's index
+    lattice, W_n = B W_n' with B the leftmost factor of the word, so no
+    K x K word is formed.  Structural defects are held to 1e-10, moment
+    residuals to ``moment_tol`` (default residual_tol).
     """
     if relations is None:
         relations = Relations.commuting(targets.nu, unitary=True)
     if moment_tol is None:
         moment_tol = tol.residual_tol
-    v = dil.v
-    gens = dil.generators
-    d = targets.dim
-    iso = float(np.linalg.norm(v.conj().T @ v - np.eye(d)))
-    gen_defects = []
-    for g in gens:
-        if relations.unitary:
-            gen_defects.append(float(np.linalg.norm(
-                g.conj().T @ g - np.eye(g.shape[0]))))
-        else:
-            gen_defects.append(float(np.linalg.norm(
-                g.conj().T @ g - g @ g.conj().T)))
-    rel_defects = []
-    for (i, j, q) in relations.scale_pairs:
-        rel_defects.append(float(np.linalg.norm(
-            gens[j] @ gens[i] - q * (gens[i] @ gens[j]))))
-    residuals = {}
-    worst = 0.0
-    for idx in targets.indices():
-        w = word_image(idx, gens, rule=relations.rule,
-                       negatives=relations.negatives)
-        r = float(np.linalg.norm(v.conj().T @ w @ v - targets.value(idx)))
-        residuals[idx] = r
-        worst = max(worst, r)
+    v, gens = dil.v, dil.generators
+    iso = float(np.linalg.norm(v.conj().T @ v - np.eye(targets.dim)))
+    gen_defects = [float(np.linalg.norm(g.conj().T @ g - (
+        np.eye(g.shape[0]) if relations.unitary else g @ g.conj().T)))
+        for g in gens]
+    rel_defects = [float(np.linalg.norm(gens[j] @ gens[i] - q * (gens[i] @ gens[j])))
+                   for i, j, q in relations.scale_pairs]
+    words = _word_walk(targets.indices(), gens, relations.rule, relations.negatives, v)
+    residuals = {idx: float(np.linalg.norm(v.conj().T @ w - targets.value(idx)))
+                 for idx, w in zip(targets.indices(), words)}
+    worst = max(residuals.values())
     structure_tol = 1e-10
     passed = (
         iso <= structure_tol

@@ -275,9 +275,43 @@ def _break_generator_count(bundle):
     bundle["targets"] = encode_table(pairs)
 
 
+def _pair_dilation():
+    """A two-generator dilation for tables of pairs."""
+    return encode_dilation(dk.Dilation(v=np.eye(2), generators=[np.eye(2)] * 2,
+                                       space_dim=2, provenance="test"))
+
+
+def _break_ordered_mixed_sign(bundle):
+    # the ordered operator system has no word for a mixed-sign index
+    table = encode_table(dk.qcommuting_moments(0.3 * np.eye(2), 0.2 * np.eye(2), 1))
+    table["entries"].append({"index": [1, -1],
+                             "value": encode_matrix(0.06 * np.eye(2))})
+    bundle["dilation"] = _pair_dilation()
+    bundle["targets"] = table
+    bundle["relations"]["rule"] = "ordered"
+
+
+def _break_rule_mismatch(bundle):
+    # a laurent table of pairs read under the ordered rule
+    bundle["dilation"] = _pair_dilation()
+    bundle["targets"] = encode_table(
+        dk.regular_moments([0.3 * np.eye(2), 0.2 * np.eye(2)], 1))
+    bundle["relations"]["rule"] = "ordered"
+
+
+def _break_singular_generator(bundle):
+    # negative indices read as inverses of a generator with a zero column
+    dil = decode_dilation(bundle["dilation"])
+    dil.generators[0][:, 0] = 0.0
+    bundle["dilation"] = encode_dilation(dil)
+    bundle["relations"]["negatives"] = "inverse"
+
+
 @pytest.mark.parametrize("breaks", [_break_pair_index, _break_pair_range,
                                     _break_v_width, _break_residual,
-                                    _break_index_rule, _break_generator_count])
+                                    _break_index_rule, _break_generator_count,
+                                    _break_ordered_mixed_sign, _break_rule_mismatch,
+                                    _break_singular_generator])
 def test_malformed_verify_bundle_exit_3(tmp_path, capsys, breaks):
     t = np.array([[0.0, 0.7], [0.0, 0.0]])
     bundle = {

@@ -165,6 +165,10 @@ def test_assemble_point_dilation_exact():
                    for a in mu.atoms)
     assert dil.space_dim == expected
     assert dil.residuals["moment_vs_measure"] <= 1e-12
+    # indices may come as any iterable, read once
+    again = dk.assemble_atomic_dilation(mu, indices=((k,) for k in range(-2, 3)))
+    assert again.residuals == dil.residuals
+    assert dil.residuals["moment_vs_measure"] > 0.0
     u = dil.generators[0]
     for k in range(-2, 3):
         w = dk.word_image((k,), [u], negatives="inverse")

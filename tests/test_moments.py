@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 import dilatekit as dk
-from dilatekit import DimensionMismatchError, NotCommutingError, NotPSDError
+from dilatekit import (
+    DimensionMismatchError,
+    NotCommutingError,
+    NotPSDError,
+    ResolventSingularError,
+    ShapeMismatchError,
+)
+from dilatekit.moments import _word_walk
 
-from conftest import random_contraction, random_unitary
+from conftest import complex_gaussian, random_contraction, random_unitary
 
 
 def compression_residual(dil, table, indices, negatives="adjoint",
@@ -155,3 +162,128 @@ def test_dilation_compress():
     gen = np.diag([2.0, 3.0])
     dil = dk.Dilation(v=v, generators=[gen], space_dim=2, provenance="test")
     assert dil.compress(gen)[0, 0] == pytest.approx(2.0)
+
+
+def _matrix_power_word(idx, generators, rule="laurent", negatives="adjoint"):
+    """The word as word_image evaluated it before the lattice walk: one
+    matrix_power per index entry, multiplied from the left."""
+    idx = tuple(int(i) for i in np.atleast_1d(idx))
+    k = generators[0].shape[-1]
+    acc = np.eye(k, dtype=np.complex128)
+    if rule == "laurent":
+        for g, ni in zip(generators, idx):
+            if ni == 0:
+                continue
+            base = g if ni > 0 else (
+                np.swapaxes(g.conj(), -1, -2) if negatives == "adjoint"
+                else np.linalg.inv(g))
+            acc = acc @ np.linalg.matrix_power(base, abs(ni))
+        return acc
+    if all(i >= 0 for i in idx):
+        for g, ni in zip(generators, idx):
+            acc = acc @ np.linalg.matrix_power(g, ni)
+        return acc
+    for g, ni in zip(generators, idx):
+        acc = acc @ np.linalg.matrix_power(g, -ni)
+    return np.swapaxes(acc.conj(), -1, -2)
+
+
+def _assert_walk_matches(indices, gens, rule, negatives, v=None):
+    """One walk over ``indices`` (and word_image one index at a time when v
+    is the identity) against the matrix_power reference, within
+    1e-12 max(1, |ref|)."""
+    got = _word_walk(indices, gens, rule, negatives, v=v)
+    assert len(got) == len(indices)
+    for idx, w in zip(indices, got):
+        ref = _matrix_power_word(idx, gens, rule, negatives)
+        if v is None:
+            single = dk.word_image(idx, gens, rule=rule, negatives=negatives)
+            assert np.linalg.norm(single - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+        else:
+            ref = ref @ v
+        assert np.linalg.norm(w - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref)), idx
+
+
+_PAIRS = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
+_TRIPLES = [(1, -2, 3), (-2, 0, 1), (0, -1, -1), (2, 2, -2), (0, 0, 4), (-3, -1, -2)]
+
+
+@pytest.mark.parametrize("stack", [(), (5,)], ids=["single", "stacked"])
+@pytest.mark.parametrize("rule,negatives", [("laurent", "adjoint"),
+                                            ("laurent", "inverse"),
+                                            ("ordered", "adjoint")])
+def test_word_walk_matches_matrix_power(rule, negatives, stack):
+    """Non-commuting generators pin the factor order: a walk that took its
+    factor from the wrong end of the word fails here."""
+    rng = np.random.default_rng(107)
+    b = 4
+    for nu, indices in ((2, _PAIRS), (3, _TRIPLES)):
+        if rule == "ordered":
+            indices = [idx for idx in indices if min(idx) >= 0 or max(idx) <= 0]
+        gens = [np.eye(b) + 0.4 * complex_gaussian(rng, stack + (b, b)) / np.sqrt(b)
+                for _ in range(nu)]
+        assert np.linalg.norm(gens[0] @ gens[1] - gens[1] @ gens[0]) > 0.1
+        _assert_walk_matches(indices, gens, rule, negatives)
+        _assert_walk_matches(indices, gens, rule, negatives,
+                             v=complex_gaussian(rng, (b, 2)))
+
+
+def test_word_walk_inverts_each_generator_once(monkeypatch):
+    rng = np.random.default_rng(109)
+    gens = [np.eye(3) + 0.3 * complex_gaussian(rng, (3, 3)) for _ in range(2)]
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or inv(a))
+    _word_walk(_PAIRS, gens, "laurent", "inverse")
+    assert len(calls) == 2
+    calls.clear()
+    _word_walk(_PAIRS, gens, "laurent", "adjoint")
+    assert not calls
+
+
+def test_word_walk_on_pipeline_outputs():
+    """Each pipeline's dilation: w(G) V from the walk against the
+    reference word times V, under the reading its verification uses."""
+    t = np.array([[0.2 + 0.1j, 0.3], [0.0, -0.25]])
+    runs = [
+        (dk.dilate_circle(t, order=3), "adjoint"),
+        (dk.dilate_boundary(t, dk.BoundaryCurve.disc(), order=2, nodes=32), "adjoint"),
+        (dk.dilate_regular([0.3 * np.eye(2), np.diag([0.2, -0.1])], order=1,
+                           nodes=4), "adjoint"),
+        (dk.dilate_annulus(np.diag([0.7, 0.8j]), 0.5, order=1, nodes=8), "inverse"),
+        (dk.dilate_qcommute(0.5 * np.diag([1.0, -1.0]),
+                            np.array([[0.0, 0.5], [0.0, 0.0]]),
+                            a=1, b=2, order=1, nodes=4), "adjoint"),
+    ]
+    for result, negatives in runs:
+        assert result.passed
+        dil, table = result.dilation, result.targets
+        _assert_walk_matches(table.indices(), dil.generators, table.index_rule,
+                             negatives, v=dil.v)
+
+
+def test_pipelines_form_no_word_powers(monkeypatch):
+    """GNS, assembly and verification evaluate words by the walk alone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.matrix_power was called")
+
+    monkeypatch.setattr(np.linalg, "matrix_power", refuse)
+    rng = np.random.default_rng(113)
+    assert dk.dilate_circle(random_contraction(rng, 8, norm=0.9), order=16).passed
+    assert dk.dilate_annulus(np.diag([0.7, 0.8j]), 0.5, order=1, nodes=8).passed
+    t = np.array([[0.2 + 0.1j, 0.3], [0.0, -0.25]])
+    assert dk.dilate_boundary(t, dk.BoundaryCurve.disc(), order=2, nodes=32).passed
+
+
+def test_malformed_readings_raise():
+    g = np.diag([1.0, 0.0])
+    with pytest.raises(ResolventSingularError, match="generator 1"):
+        dk.word_image((0, -1), [np.eye(2), g], negatives="inverse")
+    # the adjoint reading needs no inverse
+    assert np.allclose(dk.word_image((0, -1), [np.eye(2), g]), g)
+    with pytest.raises(ShapeMismatchError):
+        dk.toeplitz_gns_unitary(dk.MomentTable(dim=2, nu=1))
+    with pytest.raises(ShapeMismatchError):
+        dk.MomentTable(dim=1, nu=2, values={(1, -1): [[0.5]]}, index_rule="ordered")
+    with pytest.raises(ShapeMismatchError):
+        dk.word_image((1, -1), [np.eye(2), g], rule="ordered")
