@@ -245,13 +245,10 @@ def quadrature_measure(t, curve: BoundaryCurve, nodes: int,
         )
     _, zetas, dzetas = curve.sample(nodes)
     w = 2.0 * np.pi / nodes
-    atoms = [PointAtom(point=[zeta], weight=psd_project(w * dj, tol))
-             for zeta, dj in zip(zetas, _densities(t, zetas, dzetas))]
-    mu = AtomicMeasure(dim=t.shape[0], atoms=atoms)
-    defect = float(np.linalg.norm(mu.unit_matrix() - np.eye(t.shape[0])))
-    mu = mu.normalized(tol)
-    mu.defect = defect
-    return mu
+    weights = psd_project(w * _densities(t, zetas, dzetas), tol)
+    atoms = [PointAtom(point=[zeta], weight=p) for zeta, p in zip(zetas, weights)]
+    # normalized() records the defect it removes
+    return AtomicMeasure(dim=t.shape[0], atoms=atoms).normalized(tol)
 
 
 def _winding_inside(z: complex, pts: np.ndarray, diam: float) -> bool:

@@ -112,20 +112,28 @@ def herm_eig(a, tol: Tolerances = DEFAULT_TOL):
     return w, q
 
 
-def _canonical_phases(w: np.ndarray) -> np.ndarray:
-    """Rotate each row of ``w`` so its largest-magnitude entry is real >= 0.
-
-    Pure output convention: rows keep their span and norms, but the factor
-    becomes independent of the eigensolver's arbitrary per-vector phase.
-    """
-    out = w.copy()
-    for i in range(out.shape[0]):
-        row = out[i]
-        j = int(np.argmax(np.abs(row)))
-        piv = row[j]
-        if np.abs(piv) > 0:
-            out[i] = row * (np.abs(piv) / piv)
-    return out
+def _rank_one_split(lam: np.ndarray, q: np.ndarray, tol: Tolerances, rows: bool = True):
+    """Rank-one pieces of a stack of Hermitian matrices, given their batched
+    eigh, by numerical_rank_factor's rule: matrix by matrix, the pieces
+    (pieces, m) of the eigenvalues above rank_tol * lambda_max, largest
+    first, and the count per matrix.  ``rows`` gives the phase-normalized
+    rows of W with M = W* W, else the vectors g with M = sum g g*."""
+    lmax = lam[:, -1]
+    scale = np.maximum(np.abs(lam[:, 0]), np.abs(lmax))
+    bad = lam[:, 0] < -tol.psd_tol * np.maximum(scale, 1e-300)
+    if bad.any():
+        j = np.argmax(bad)
+        raise NotPSDError(f"matrix is not PSD: min eigenvalue {lam[j, 0]:.6e} "
+                          f"(threshold {-tol.psd_tol * scale[j]:.1e})",
+                          min_eig=float(lam[j, 0]))
+    lam, vecs = lam[:, ::-1], np.swapaxes(q, 1, 2)[:, ::-1]
+    keep = (lam > tol.rank_tol * lmax[:, None]) & (lmax > 0)[:, None]
+    pieces = np.sqrt(lam[keep])[:, None] * (vecs[keep].conj() if rows else vecs[keep])
+    if rows:
+        # each row's largest entry real >= 0, whatever phases eigh chose
+        piv = pieces[np.arange(len(pieces)), np.argmax(np.abs(pieces), axis=1)]
+        pieces = pieces * (np.abs(piv) / piv)[:, None]
+    return pieces, keep.sum(1)
 
 
 def numerical_rank_factor(m, tol: Tolerances = DEFAULT_TOL):
@@ -141,40 +149,29 @@ def numerical_rank_factor(m, tol: Tolerances = DEFAULT_TOL):
     (w, r) : W of shape (r, dim) with ||W* W - M||_F <= 10 * rank_tol * ||M||_F,
              and the numerical rank r.
     """
-    m = asmatrix(m)
     lam, q = herm_eig(m, tol)
     if lam.size == 0:
         return np.zeros((0, 0), dtype=np.complex128), 0
-    lmax = float(lam[-1])
-    scale = max(abs(float(lam[0])), abs(lmax))
-    if lam[0] < -tol.psd_tol * max(scale, 1e-300):
-        raise NotPSDError(
-            f"matrix is not PSD: min eigenvalue {lam[0]:.6e} "
-            f"(threshold {-tol.psd_tol * scale:.1e})",
-            min_eig=float(lam[0]),
-        )
-    if lmax <= 0:
-        return np.zeros((0, m.shape[0]), dtype=np.complex128), 0
-    keep = lam > tol.rank_tol * lmax
-    r = int(np.count_nonzero(keep))
-    idx = np.nonzero(keep)[0][::-1]  # descending eigenvalue order
-    w = (np.sqrt(lam[idx])[:, None]) * q[:, idx].conj().T
-    return _canonical_phases(w), r
+    w, r = _rank_one_split(lam[None], q[None], tol)
+    return w, int(r[0])
 
 
 def psd_project(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Nearest positive semidefinite matrix in Frobenius norm.
+    """Nearest positive semidefinite matrix in Frobenius norm, matrix by
+    matrix over any leading stack axes.
 
     Symmetrizes, then clips negative eigenvalues to zero.  Idempotent up
     to floating point; PSD inputs come back unchanged to machine
     precision.
     """
-    a = asmatrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise NonSquareError("psd_project needs a square matrix")
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise NonSquareError(f"psd_project needs square matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ShapeMismatchError("matrix contains NaN or Inf entries")
     w, q = np.linalg.eigh(herm_part(a))
-    w = np.clip(w, 0.0, None)
-    return herm_part((q * w) @ q.conj().T)
+    w = np.clip(w, 0.0, None)[..., None, :]
+    return herm_part((q * w) @ np.swapaxes(q.conj(), -1, -2))
 
 
 def polar_isometry(a: np.ndarray) -> np.ndarray:

@@ -4,6 +4,10 @@ A measure is a finite list of atoms, each either a point z with a PSD
 matrix weight (commutative case) or a finite-dimensional unitary
 representation with a PSD Choi block (q-commuting case).  Moments of the
 measure are linear in the weights, which is what the fitter exploits.
+Every operation walks the atoms as groups of one kind and block size,
+each group one stack: one batched eigh splits a group's weights into
+rank-one pieces by numerical_rank_factor's rule for both kinds (a weight
+below -psd_tol raises NotPSD), and psd_project projects whole stacks.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .convex import MatrixConvexCombination, MatrixPoint, _svd
 from .errors import (
@@ -27,12 +30,13 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _rank_one_split,
     asmatrix,
     herm_part,
     hunvec,
     hvec,
     inv_sqrt_psd,
-    numerical_rank_factor,
+    psd_project,
 )
 from .moments import Dilation, MomentTable, _word_walk
 
@@ -152,46 +156,46 @@ class AtomicMeasure:
         return "irrep" if kinds == {"IrrepAtom"} else "point"
 
     def unit_matrix(self) -> np.ndarray:
-        s = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for a in self.atoms:
-            if isinstance(a, PointAtom):
-                s += a.weight
-            else:
-                b = a.rep_dim
-                g4 = a.weight.reshape(b, self.dim, b, self.dim)
-                s += np.einsum("sqsp->pq", g4)
-        return s
+        return self._moments(None)
 
     def moment(self, idx) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for a, w in zip(self.atoms, _atom_words(self.atoms, [idx], self.index_rule)):
-            if isinstance(a, PointAtom):
-                m += w[0, 0, 0] * a.weight
-            else:
-                b = a.rep_dim
-                g4 = a.weight.reshape(b, self.dim, b, self.dim)
-                m += np.einsum("st,tqsp->pq", w[0], g4)
-        return m
+        return self._moments([idx])[0]
+
+    def _moments(self, indices) -> np.ndarray:
+        """The moments (indices, d, d), or the mass if indices is None, as
+        running sums over the atoms in order (bits as the per-atom loop)."""
+        d = self.dim
+        shape = (d, d) if indices is None else (len(indices), d, d)
+        terms = np.zeros((len(self.atoms) + 1,) + shape, dtype=np.complex128)
+        for kind, _, pos, weights in _weight_groups(self.atoms, d):
+            words = None if indices is None else _words(
+                [self.atoms[j] for j in pos], indices, self.index_rule)
+            terms[pos + 1] = _contract(kind, weights, d, words)
+        return np.cumsum(terms, axis=0)[-1]
 
     def validate(self, tol: Tolerances = DEFAULT_TOL):
-        for a in self.atoms:
-            w = herm_part(a.weight)
-            wmin = float(np.linalg.eigvalsh(w)[0])
-            scale = max(float(np.linalg.norm(w)), 1.0)
-            if wmin < -tol.psd_tol * scale:
-                raise NonPSDWeightError(
-                    f"atom weight has eigenvalue {wmin:.3e} below -psd_tol"
-                )
-            if isinstance(a, IrrepAtom):
-                for g in a.generators:
-                    if np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0])) > 1e-10:
-                        raise NotIsometricError("irrep generator image not unitary")
-                for (i, j, q) in a.scale_pairs:
-                    gi, gj = a.generators[i], a.generators[j]
-                    if np.linalg.norm(gj @ gi - q * (gi @ gj)) > 1e-10:
-                        raise ShapeMismatchError(
-                            "irrep generators violate the declared exchange relation"
-                        )
+        for kind, _, pos, weights in _weight_groups(self.atoms, self.dim):
+            w = herm_part(weights)
+            wmin = np.linalg.eigvalsh(w)[:, 0]
+            bad = wmin < -tol.psd_tol * np.maximum(np.linalg.norm(w, axis=(1, 2)), 1.0)
+            if bad.any():
+                raise NonPSDWeightError(f"atom {pos[np.argmax(bad)]} weight has "
+                                        f"eigenvalue {wmin[bad][0]:.3e} below -psd_tol")
+            if kind is PointAtom:
+                continue
+            # gens[a, i]: image i of atom a; a row (a, i, j, q) of p: a relation
+            gens = np.array([self.atoms[j].generators for j in pos])
+            unit = gens.conj().swapaxes(2, 3) @ gens - np.eye(gens.shape[-1])
+            if np.any(np.linalg.norm(unit, axis=(2, 3)) > 1e-10):
+                raise NotIsometricError("irrep generator image not unitary")
+            p = np.reshape([(a, *pair) for a, j in enumerate(pos)
+                            for pair in self.atoms[j].scale_pairs], (-1, 4))
+            a, i, j = p[:, :3].real.astype(int).T
+            gi, gj = gens[a, i], gens[a, j]
+            if np.any(np.linalg.norm(gj @ gi - p[:, 3, None, None] * (gi @ gj),
+                                     axis=(1, 2)) > 1e-10):
+                raise ShapeMismatchError(
+                    "irrep generators violate the declared exchange relation")
 
     def normalized(self, tol: Tolerances = DEFAULT_TOL) -> "AtomicMeasure":
         """Congruence-rescale the weights so the total mass is exactly I.
@@ -206,17 +210,14 @@ class AtomicMeasure:
             raise NotNormalizedError(
                 f"measure mass defect {defect:.3e} too large to renormalize"
             )
-        r = inv_sqrt_psd(s, tol)
-        atoms = []
-        for a in self.atoms:
-            if isinstance(a, PointAtom):
-                w = r @ a.weight @ r
-            else:
-                b = a.rep_dim
-                g4 = a.weight.reshape(b, self.dim, b, self.dim)
-                g4 = np.einsum("sPtQ,Pp,Qq->sptq", g4, r, r.conj())
-                w = g4.reshape(b * self.dim, b * self.dim)
-            atoms.append(a.with_weight(herm_part(w)))
+        r, d, atoms = inv_sqrt_psd(s, tol), self.dim, list(self.atoms)
+        for kind, m, pos, weights in _weight_groups(self.atoms, d):
+            # the irrep contraction reads the d legs transposed
+            g4 = weights.reshape(-1, m // d, d, m // d, d)
+            w = r @ weights @ r if kind is PointAtom else np.einsum(
+                "asPtQ,Pp,Qq->asptq", g4, r, r.conj())
+            for j, wj in zip(pos, herm_part(w.reshape(-1, m, m))):
+                atoms[j] = atoms[j].with_weight(wj)
         return replace(self, atoms=atoms, defect=defect)
 
     def pruned(self, prune_tol: float) -> "AtomicMeasure":
@@ -318,16 +319,6 @@ def _words(atoms: list, indices: list, rule: str) -> np.ndarray:
     return out
 
 
-def _atom_words(atoms: list, indices: list, rule: str) -> list:
-    """_words of any atom list, one (indices, b, b) array per atom (at
-    d = 1 the block size of an atom is its word size b)."""
-    words = [None] * len(atoms)
-    for _, _, pos, _ in _atom_groups(atoms, 1):
-        for j, w in zip(pos, _words([atoms[j] for j in pos], indices, rule)):
-            words[j] = w
-    return words
-
-
 def _atom_groups(atoms: list, d: int):
     """(kind, m, positions, columns) for the atoms of each kind and block
     size m; an atom's m^2 columns are its hvec block in the stacked weights."""
@@ -336,6 +327,40 @@ def _atom_groups(atoms: list, d: int):
     for kind, m in dict.fromkeys(keys):
         pos = np.array([j for j, key in enumerate(keys) if key == (kind, m)])
         yield kind, m, pos, (offsets[pos][:, None] + np.arange(m * m)).ravel()
+
+
+def _weight_groups(atoms: list, d: int):
+    """_atom_groups with each group's weights stacked (atoms, m, m)."""
+    for j, a in enumerate(atoms):
+        m = a.block_size(d)
+        if a.weight is None or a.weight.shape != (m, m):
+            raise ShapeMismatchError(f"atom {j} has no {m} x {m} weight")
+    for kind, m, pos, _ in _atom_groups(atoms, d):
+        yield kind, m, pos, np.stack([atoms[j].weight for j in pos])
+
+
+def _contract(kind, weights: np.ndarray, d: int, words=None) -> np.ndarray:
+    """Weights (..., m, m) contracted with their words (..., indices, b, b)
+    into (..., indices, d, d), or with the identity into (..., d, d): a
+    point scales its weight by the word, e G; an irrep contracts its Choi
+    block G as (b, d, b, d), sum_{s,t} w_st G_{(t,q),(s,p)}."""
+    g4 = weights.reshape(weights.shape[:-2] + (weights.shape[-1] // d, d) * 2)
+    if kind is PointAtom:
+        g = g4[..., 0, :, 0, :]
+        if words is not None:
+            g = words[..., 0, 0, None, None] * g[..., None, :, :]
+        return 0.0 + g  # a sum from zero, as einsum's: a -0 product reads +0
+    if words is None:
+        return np.einsum("...sqsp->...pq", g4)
+    return np.einsum("...ist,...tqsp->...ipq", words, g4)
+
+
+def _pieces(kind, weights: np.ndarray, d: int, tol: Tolerances):
+    """Rank-one pieces (pieces, b, d) of a group's weights, and the count per
+    atom: a point's P = sum gamma* gamma, an irrep's G = sum vec(gamma) vec(gamma)*."""
+    lam, q = np.linalg.eigh(herm_part(weights))
+    flat, counts = _rank_one_split(lam, q, tol, rows=kind is PointAtom)
+    return flat.reshape(len(flat), -1, d), counts
 
 
 def _fit_system(targets: MomentTable, grid: list):
@@ -353,17 +378,14 @@ def _fit_system(targets: MomentTable, grid: list):
     a_mat = np.empty((t_vec.size, ncols))
     c_mat = np.empty((d * d, ncols))
     for kind, m, pos, cols in _atom_groups(grid, d):
-        # basis[k] is the k-th hvec basis matrix of C^b (x) C^d
-        basis = _herm_to_cvec(m).T.reshape(m * m, m // d, d, m // d, d)
+        # basis[k] is the k-th hvec basis matrix of C^m, a weight
+        basis = _herm_to_cvec(m).T.reshape(m * m, m, m)
         words = _words([grid[j] for j in pos], indices, targets.index_rule)
-        # a point scales its weight G by the word, e G; an irrep contracts
-        # its Choi block, sum_{s,t} w_st G_{(t,q),(s,p)}; w = I gives the mass
-        g = "tpsq" if kind is PointAtom else "tqsp"
-        block = np.einsum(f"aist,k{g}->ipqak", words, basis)
-        unit = hvec(np.einsum(f"k{g.replace('t', 's')}->kpq", basis)).T
+        # block[i, p, q, a, k]: atom a's basis weight k contracted at index i
+        block = _contract(kind, basis, d, words[:, None]).transpose(2, 3, 4, 0, 1)
         a_mat[:, cols] = np.stack([block.real, block.imag], axis=1).reshape(
             t_vec.size, cols.size)
-        c_mat[:, cols] = np.tile(unit, len(pos))
+        c_mat[:, cols] = np.tile(hvec(_contract(kind, basis, d)).T, len(pos))
     return a_mat, t_vec, c_mat, hvec(np.eye(d, dtype=np.complex128))
 
 
@@ -430,14 +452,8 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
     def project_blocks(v):
         out = np.empty_like(v)
         for _, m, _, cols in groups:
-            # phi maps hvec coordinates to raveled matrices
-            phi = _herm_to_cvec(m)
-            mats = (v[cols].reshape(-1, m * m) @ phi.T).reshape(-1, m, m)
-            mats = (mats + mats.conj().transpose(0, 2, 1)) / 2.0
-            w, q = np.linalg.eigh(mats)
-            w = np.clip(w, 0.0, None)
-            blocks = (q * w[:, None, :]) @ q.conj().transpose(0, 2, 1)
-            blocks = (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
+            phi = _herm_to_cvec(m)  # hvec coordinates to raveled matrices
+            blocks = psd_project((v[cols].reshape(-1, m * m) @ phi.T).reshape(-1, m, m))
             out[cols] = (blocks.reshape(-1, m * m) @ phi.conj()).real.reshape(-1)
         return out
 
@@ -480,22 +496,6 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
     return mu.pruned(_PRUNE_TOL)
 
 
-def _choi_pieces(a: IrrepAtom, d: int, tol: Tolerances) -> list:
-    """The rank-one pieces gamma (b x d) of an irrep atom's Choi weight.
-
-    Eigenpairs are taken from the top down and stop at the first
-    eigenvalue at or below rank_tol times the largest.
-    """
-    lam, q = np.linalg.eigh(herm_part(a.weight))
-    lmax = max(float(lam[-1]), 0.0)
-    pieces = []
-    for k in range(lam.size - 1, -1, -1):
-        if lam[k] <= tol.rank_tol * lmax or lam[k] <= 0:
-            break
-        pieces.append(np.sqrt(lam[k]) * q[:, k].reshape(a.rep_dim, d))
-    return pieces
-
-
 def assemble_atomic_dilation(mu: AtomicMeasure, indices=None,
                              tol: Tolerances = DEFAULT_TOL) -> Dilation:
     """Build the explicit dilation carried by an atomic measure.
@@ -515,29 +515,33 @@ def assemble_atomic_dilation(mu: AtomicMeasure, indices=None,
             "call .normalized() first"
         )
     d = mu.dim
-    kind = mu.kind()
-    v_blocks, gen_blocks = [], []
-    if kind == "point":
-        ngen = mu.atoms[0].nu
-        for a in mu.atoms:
-            f, r = numerical_rank_factor(herm_part(a.weight), tol)
-            if r == 0:
-                continue
-            v_blocks.append(f)
-            gen_blocks.append([zi * np.eye(r, dtype=np.complex128)
-                               for zi in a.point])
-    else:
-        ngen = len(mu.atoms[0].generators)
-        for a in mu.atoms:
-            for gamma in _choi_pieces(a, d, tol):
-                v_blocks.append(gamma)
-                gen_blocks.append(a.generators)
-    if not v_blocks:
+    point = mu.kind() == "point"
+    # per group: the rows of V, each row's atom, and each rank-one piece's images
+    rows, owners, images = [], [], []
+    for kind, m, pos, weights in _weight_groups(mu.atoms, d):
+        pieces, counts = _pieces(kind, weights, d, tol)
+        rows.append(pieces.reshape(-1, d))
+        owners.append(np.repeat(pos, counts * (m // d)))
+        images.append(np.repeat([mu.atoms[j].point if point else mu.atoms[j].generators
+                                 for j in pos], counts, axis=0))
+    owner = np.concatenate(owners)
+    if not owner.size:
         raise GridEmptyError("measure has no mass to assemble")
-    v = np.vstack(v_blocks)
+    order = np.argsort(owner, kind="stable")  # rows of V in atom order
+    v = np.concatenate(rows)[order]
     space = v.shape[0]
-    gens = [scipy.linalg.block_diag(*(blocks[i] for blocks in gen_blocks))
-            for i in range(ngen)]
+    if point:
+        # one group: z_{j,i} I on the rows of atom j, zero between atoms
+        same = owner[:, None] == owner[None, :]
+        gens = [np.where(same, z[:, None] * np.eye(space), 0) for z in images[0].T]
+    else:
+        # each piece's b x b generator images on the diagonal
+        gens, start = np.zeros((images[0].shape[1], space, space), complex), 0
+        for img in images:
+            idx = start + np.arange(img.shape[0] * img.shape[-1]).reshape(len(img), -1)
+            gens[:, idx[:, :, None], idx[:, None, :]] = np.swapaxes(img, 0, 1)
+            start += idx.size
+        gens = list(gens[:, order][:, :, order])
     residuals = {"unit_defect": unit_defect}
     if indices is not None:
         # the measure's own moments use honest Laurent powers, so
@@ -545,10 +549,10 @@ def assemble_atomic_dilation(mu: AtomicMeasure, indices=None,
         indices = list(indices)
         words = _word_walk(indices, gens, mu.index_rule, "inverse", v=v)
         residuals["moment_vs_measure"] = max(
-            (float(np.linalg.norm(v.conj().T @ w - mu.moment(idx)))
-             for idx, w in zip(indices, words)), default=0.0)
+            (float(np.linalg.norm(v.conj().T @ w - m))
+             for w, m in zip(words, mu._moments(indices))), default=0.0)
     return Dilation(v=v, generators=gens, space_dim=space,
-                    provenance="naimark" if kind == "point" else "naimark-irrep",
+                    provenance="naimark" if point else "naimark-irrep",
                     residuals=residuals)
 
 
@@ -574,18 +578,18 @@ def measure_to_combination(mu: AtomicMeasure, table: MomentTable,
     for reassembly.
     """
     d = mu.dim
-    terms = []
-    words = _atom_words(mu.atoms, _canonical_indices(table), mu.index_rule)
-    for j, (a, w) in enumerate(zip(mu.atoms, words)):
-        parts = np.stack([herm_part(w), herm_part(-1j * w)], axis=1)
-        point = MatrixPoint(coords=list(parts.reshape(-1, *w.shape[1:])),
-                            selfadjoint=True, label=j)
-        if isinstance(a, PointAtom):
-            f, r = numerical_rank_factor(herm_part(a.weight), tol)
-            terms.extend((f[k:k + 1, :], point) for k in range(r))
-        else:
-            terms.extend((gamma, point) for gamma in _choi_pieces(a, d, tol))
-    return MatrixConvexCombination(n=d, terms=terms)
+    indices = _canonical_indices(table)
+    terms = [None] * len(mu.atoms)
+    for kind, _, pos, weights in _weight_groups(mu.atoms, d):
+        words = _words([mu.atoms[j] for j in pos], indices, mu.index_rule)
+        parts = np.stack([herm_part(words), herm_part(-1j * words)], axis=2)
+        pieces, counts = _pieces(kind, weights, d, tol)
+        for j, coords, own in zip(pos.tolist(), parts,
+                                  np.split(pieces, np.cumsum(counts)[:-1])):
+            point = MatrixPoint(coords=list(coords.reshape(-1, *words.shape[2:])),
+                                selfadjoint=True, label=j)
+            terms[j] = [(gamma, point) for gamma in own]
+    return MatrixConvexCombination(n=d, terms=[t for ts in terms for t in ts])
 
 
 def combination_to_measure(comb: MatrixConvexCombination, mu: AtomicMeasure
@@ -594,19 +598,21 @@ def combination_to_measure(comb: MatrixConvexCombination, mu: AtomicMeasure
 
     Term labels index into the original measure's grid; coefficients
     gamma accumulate as gamma* gamma (point weights) or rank-one Choi
-    blocks (irrep weights).
+    blocks vec(gamma) vec(gamma)* (irrep weights), in term order.
     """
-    acc: dict = {}
-    for gamma, point in comb.terms:
-        j = point.label
-        if j is None or not (0 <= j < len(mu.atoms)):
-            raise ShapeMismatchError("combination term does not label a grid atom")
-        a = mu.atoms[j]
-        if isinstance(a, PointAtom):
-            w = gamma.conj().T @ gamma
-        else:
-            g = gamma.reshape(-1)
-            w = np.outer(g, g.conj())
-        acc[j] = acc.get(j, 0) + w
-    atoms = [mu.atoms[j].with_weight(herm_part(w)) for j, w in sorted(acc.items())]
+    labels = [point.label for _, point in comb.terms]
+    if any(j is None or not (0 <= j < len(mu.atoms)) for j in labels):
+        raise ShapeMismatchError("combination term does not label a grid atom")
+    kept = sorted(set(labels))
+    atoms = [mu.atoms[j] for j in kept]
+    slot = np.searchsorted(kept, labels)  # term t belongs to atoms[slot[t]]
+    for kind, m, pos, _ in _atom_groups(atoms, mu.dim):
+        sel = np.flatnonzero(np.isin(slot, pos))
+        g = np.array([comb.terms[t][0] for t in sel])
+        w = (g.conj().swapaxes(1, 2) @ g if kind is PointAtom
+             else g.reshape(len(g), -1, 1) * g.reshape(len(g), 1, -1).conj())
+        acc = np.zeros((len(pos), m, m), dtype=np.complex128)
+        np.add.at(acc, np.searchsorted(pos, slot[sel]), w)
+        for j, wj in zip(pos, herm_part(acc)):
+            atoms[j] = atoms[j].with_weight(wj)
     return replace(mu, atoms=atoms)

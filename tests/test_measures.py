@@ -5,6 +5,7 @@ import dilatekit as dk
 from dilatekit import (
     InfeasibleError,
     NotNormalizedError,
+    NotPSDError,
     ShapeMismatchError,
 )
 
@@ -350,6 +351,18 @@ def test_fit_system_matches_measure(name):
         assert np.array_equal(target[0] + 1j * target[1], table.value(idx))
     assert np.linalg.norm(c_mat @ z - dk.hvec(mu.unit_matrix())) <= 1e-13
     assert np.array_equal(c_vec, dk.hvec(np.eye(d, dtype=complex)))
+    # bit for bit the einsum of every basis weight with every word
+    from dilatekit.measures import _atom_groups, _herm_to_cvec, _words
+
+    for kind, m, pos, cols in _atom_groups(grid, d):
+        basis = _herm_to_cvec(m).T.reshape(m * m, m // d, d, m // d, d)
+        words = _words([grid[j] for j in pos], indices, table.index_rule)
+        g = "tpsq" if kind is dk.PointAtom else "tqsp"
+        block = np.einsum(f"aist,k{g}->ipqak", words, basis)
+        unit = dk.hvec(np.einsum(f"k{g.replace('t', 's')}->kpq", basis)).T
+        _assert_bits(a_mat[:, cols], np.stack([block.real, block.imag], axis=1).reshape(
+            t_vec.size, cols.size))
+        _assert_bits(c_mat[:, cols], np.tile(unit, len(pos)))
 
 
 def test_irrep_measure_combination_roundtrip():
@@ -418,11 +431,7 @@ def _dense_kkt_fit(targets, grid, seed=0):
         for _, m, _, cols in groups:
             phi = _herm_to_cvec(m)
             mats = (v[cols].reshape(-1, m * m) @ phi.T).reshape(-1, m, m)
-            mats = (mats + mats.conj().transpose(0, 2, 1)) / 2.0
-            w, q = np.linalg.eigh(mats)
-            w = np.clip(w, 0.0, None)
-            blocks = (q * w[:, None, :]) @ q.conj().transpose(0, 2, 1)
-            blocks = (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
+            blocks = _ref_fit_projection(mats)
             out[cols] = (blocks.reshape(-1, m * m) @ phi.conj()).real.reshape(-1)
         return out
 
@@ -493,3 +502,318 @@ def test_fit_matches_dense_kkt_reference(name):
             assert all(np.array_equal(g, h)
                        for g, h in zip(a.generators, grid[j].generators))
         assert np.linalg.norm(a.weight - weight) <= 1e-10
+
+
+# -- per-atom references: the loops the stacked back half replaced ------
+
+
+def _ref_fit_projection(mats):
+    """The PSD projection the ADMM fit once wrote out for its stacks."""
+    mats = (mats + mats.conj().transpose(0, 2, 1)) / 2.0
+    w, q = np.linalg.eigh(mats)
+    w = np.clip(w, 0.0, None)
+    blocks = (q * w[:, None, :]) @ q.conj().transpose(0, 2, 1)
+    return (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
+
+
+def _ref_psd_project(a):
+    """psd_project of one matrix."""
+    w, q = np.linalg.eigh(dk.herm_part(a))
+    w = np.clip(w, 0.0, None)
+    return dk.herm_part((q * w) @ q.conj().T)
+
+
+def _ref_rank_factor(m, tol=dk.DEFAULT_TOL):
+    """numerical_rank_factor of one Hermitian matrix, phases row by row."""
+    lam, q = np.linalg.eigh(m)
+    lmax = float(lam[-1])
+    scale = max(abs(float(lam[0])), abs(lmax))
+    if lam[0] < -tol.psd_tol * max(scale, 1e-300):
+        raise NotPSDError("not PSD", min_eig=float(lam[0]))
+    if lmax <= 0:
+        return np.zeros((0, m.shape[0]), dtype=np.complex128)
+    idx = np.nonzero(lam > tol.rank_tol * lmax)[0][::-1]
+    w = np.sqrt(lam[idx])[:, None] * q[:, idx].conj().T
+    for i in range(w.shape[0]):
+        row = w[i]
+        piv = row[int(np.argmax(np.abs(row)))]
+        if np.abs(piv) > 0:
+            w[i] = row * (np.abs(piv) / piv)
+    return w
+
+
+def _ref_choi_pieces(a, d, tol=dk.DEFAULT_TOL):
+    """Rank-one pieces of one irrep atom's Choi weight, top down."""
+    lam, q = np.linalg.eigh(dk.herm_part(a.weight))
+    lmax = max(float(lam[-1]), 0.0)
+    pieces = []
+    for k in range(lam.size - 1, -1, -1):
+        if lam[k] <= tol.rank_tol * lmax or lam[k] <= 0:
+            break
+        pieces.append(np.sqrt(lam[k]) * q[:, k].reshape(a.rep_dim, d))
+    return pieces
+
+
+def _ref_pieces(a, d):
+    if isinstance(a, dk.PointAtom):
+        f = _ref_rank_factor(dk.herm_part(a.weight))
+        return [f[k:k + 1] for k in range(f.shape[0])]
+    return _ref_choi_pieces(a, d)
+
+
+def _ref_g4(a, d):
+    b = a.block_size(d) // d
+    return a.weight.reshape(b, d, b, d)
+
+
+def _ref_unit_matrix(mu):
+    s = np.zeros((mu.dim, mu.dim), dtype=np.complex128)
+    for a in mu.atoms:
+        if isinstance(a, dk.PointAtom):
+            s += a.weight
+        else:
+            s += np.einsum("sqsp->pq", _ref_g4(a, mu.dim))
+    return s
+
+
+def _ref_moment(mu, idx):
+    m = np.zeros((mu.dim, mu.dim), dtype=np.complex128)
+    for a in mu.atoms:
+        if isinstance(a, dk.PointAtom):
+            m += dk.laurent_scalar(idx, a.point) * a.weight
+        else:
+            w = dk.word_image(idx, a.generators, rule=mu.index_rule)
+            m += np.einsum("st,tqsp->pq", w, _ref_g4(a, mu.dim))
+    return m
+
+
+def _ref_normalized_weights(mu):
+    r = dk.inv_sqrt_psd(_ref_unit_matrix(mu))
+    out = []
+    for a in mu.atoms:
+        if isinstance(a, dk.PointAtom):
+            w = r @ a.weight @ r
+        else:
+            g4 = np.einsum("sPtQ,Pp,Qq->sptq", _ref_g4(a, mu.dim), r, r.conj())
+            w = g4.reshape(a.weight.shape)
+        out.append(dk.herm_part(w))
+    return out
+
+
+def _ref_combination_weights(comb, mu):
+    acc = {}
+    for gamma, point in comb.terms:
+        if isinstance(mu.atoms[point.label], dk.PointAtom):
+            w = gamma.conj().T @ gamma
+        else:
+            g = gamma.reshape(-1)
+            w = np.outer(g, g.conj())
+        acc[point.label] = acc.get(point.label, 0) + w
+    return [dk.herm_part(w) for _, w in sorted(acc.items())]
+
+
+def _ref_assembly(mu):
+    """V and the generators of the Naimark dilation, block by block."""
+    import scipy.linalg
+
+    v_blocks, gen_blocks = [], []
+    for a in mu.atoms:
+        pieces = _ref_pieces(a, mu.dim)
+        if isinstance(a, dk.PointAtom):
+            if pieces:
+                r = len(pieces)
+                v_blocks.append(np.vstack(pieces))
+                gen_blocks.append([z * np.eye(r, dtype=np.complex128) for z in a.point])
+        else:
+            v_blocks.extend(pieces)
+            gen_blocks.extend([a.generators] * len(pieces))
+    gens = [scipy.linalg.block_diag(*(blocks[i] for blocks in gen_blocks))
+            for i in range(len(gen_blocks[0]))]
+    return np.vstack(v_blocks), gens
+
+
+def _assert_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want, dtype=got.dtype).view(np.uint64))
+
+
+def _back_half_case(name):
+    """A normalized measure and a table of its moments."""
+    from dataclasses import replace
+
+    rng = np.random.default_rng(127)
+    if name == "point_d1":
+        # scalar weights: one long sum per entry, where numpy would block
+        raw = normalized_point_measure(rng, 1, [[np.exp(0.3j * j)] for j in range(40)])
+        table = dk.MomentTable(dim=1, nu=1, values={(k,): raw.moment((k,))
+                                                    for k in range(1, 4)})
+    elif name == "point_d2":
+        points = [[np.exp(2j * np.pi * j / 9)] for j in range(9)]
+        raw = normalized_point_measure(rng, 2, points, ranks=[2, 1, 2, 1, 1, 2, 2, 1, 2])
+        # a percent-level mass defect for normalized() to repair
+        raw = replace(raw, atoms=[a.with_weight(1.01 * a.weight) for a in raw.atoms])
+        table = dk.MomentTable(dim=2, nu=1, values={(k,): raw.moment((k,))
+                                                    for k in range(1, 4)})
+    elif name == "point_d3":
+        t = random_contraction(rng, 3, norm=0.4)
+        raw = dk.quadrature_measure(t, dk.BoundaryCurve.ellipse(1.0, 0.6), 192)
+        table = dk.MomentTable(dim=3, nu=1, values={(k,): raw.moment((k,))
+                                                    for k in range(1, 5)})
+    elif name == "irrep_b2":
+        atoms = dk.clock_phase_grid(1, 2, 3)
+        for a, rank in zip(atoms, [1, 2, 4, 3, 1, 2, 1, 4, 2]):
+            a.weight = random_psd(rng, 4, rank) / 20.0
+        raw = dk.AtomicMeasure(dim=2, atoms=atoms, index_rule="ordered")
+        raw = replace(raw, atoms=[a.with_weight(1.01 * w) for a, w in
+                                  zip(atoms, _ref_normalized_weights(raw))])
+        table = dk.MomentTable(dim=2, nu=2, index_rule="ordered", values={
+            idx: raw.moment(idx) for idx in [(1, 0), (0, 1), (1, 1), (2, 1)]})
+    else:
+        table = dk.qcommuting_moments(0.5 * np.diag([1.0, -1.0]),
+                                      np.array([[0.0, 0.5], [0.0, 0.0]]), 1)
+        grid = dk.clock_phase_grid(1, 2, 4) + dk.clock_phase_grid(0, 1, 4)
+        raw = dk.fit_matrix_measure(table, grid)
+        if name == "clock_mixed_shuffled":
+            # interleave the b = 1 and b = 2 groups
+            order = rng.permutation(len(raw.atoms))
+            raw = replace(raw, atoms=[raw.atoms[j] for j in order])
+    return raw, table
+
+
+@pytest.mark.parametrize("name", ["point_d1", "point_d2", "point_d3", "irrep_b2",
+                                  "clock_mixed",
+                                  "clock_mixed_shuffled"])
+def test_back_half_matches_per_atom_loops(name):
+    """The stacked group walk reproduces the per-atom loops bit for bit:
+    mass, moments, normalization, the rank-one split, the combination
+    view and back, and the Naimark assembly."""
+    from dilatekit.measures import _atom_groups
+
+    raw, table = _back_half_case(name)
+    d = raw.dim
+    _assert_bits(raw.unit_matrix(), _ref_unit_matrix(raw))
+    mu = raw.normalized()
+    for a, want in zip(mu.atoms, _ref_normalized_weights(raw)):
+        _assert_bits(a.weight, want)
+    assert len(list(_atom_groups(mu.atoms, d))) == (
+        2 if name.startswith("clock") else 1)
+    indices = list(table.indices())
+    for idx in indices:
+        _assert_bits(mu.moment(idx), _ref_moment(mu, idx))
+    for a in mu.atoms:
+        if isinstance(a, dk.PointAtom):
+            f, r = dk.numerical_rank_factor(a.weight)
+            _assert_bits(f, _ref_rank_factor(dk.herm_part(a.weight)))
+    comb = dk.measure_to_combination(mu, table)
+    want = [(gamma, j) for j, a in enumerate(mu.atoms) for gamma in _ref_pieces(a, d)]
+    assert len(comb.terms) == len(want)
+    for (gamma, point), (ref, j) in zip(comb.terms, want):
+        assert point.label == j
+        _assert_bits(gamma, ref)
+    reduced = dk.caratheodory_reduce(comb)
+    slim = dk.combination_to_measure(reduced, mu)
+    for a, w in zip(slim.atoms, _ref_combination_weights(reduced, mu)):
+        _assert_bits(a.weight, w)
+    dil = dk.assemble_atomic_dilation(mu, indices=indices)
+    v, gens = _ref_assembly(mu)
+    _assert_bits(dil.v, v)
+    assert len(dil.generators) == len(gens)
+    for g, ref in zip(dil.generators, gens):
+        _assert_bits(g, ref)
+    assert dil.residuals["moment_vs_measure"] <= 1e-12
+
+
+def test_psd_project_stacks_match_single_and_fit_kernels():
+    """psd_project on a stack equals psd_project matrix by matrix, and the
+    kernel the fit wrote out for its hvec stacks, bit for bit."""
+    from dilatekit.measures import _atom_groups, _herm_to_cvec
+
+    rng = np.random.default_rng(131)
+    for d, n in ((2, 40), (3, 64)):
+        a = complex_gaussian(rng, (n, d, d))
+        out = dk.psd_project(a)
+        for got, m in zip(out, a):
+            _assert_bits(got, _ref_psd_project(m))
+        _assert_bits(dk.psd_project(a[0]), _ref_psd_project(a[0]))
+    grid = dk.clock_phase_grid(1, 2, 4) + dk.clock_phase_grid(0, 1, 4)
+    for _, m, _, cols in _atom_groups(grid, 2):
+        v = rng.normal(size=cols.size)
+        mats = (v.reshape(-1, m * m) @ _herm_to_cvec(m).T).reshape(-1, m, m)
+        _assert_bits(dk.psd_project(mats), _ref_fit_projection(mats))
+    with pytest.raises(dk.NonSquareError):
+        dk.psd_project(np.zeros((4, 2, 3)))
+
+
+def test_back_half_eigh_calls_per_group(monkeypatch):
+    """measure_to_combination and assemble_atomic_dilation split weights
+    with one batched eigh per atom group, not one per atom."""
+    from dilatekit.measures import _atom_groups
+
+    rng = np.random.default_rng(137)
+    t = random_contraction(rng, 3, norm=0.4)
+    mu = dk.quadrature_measure(t, dk.BoundaryCurve.ellipse(1.0, 0.6), 192)
+    table = dk.MomentTable(dim=3, nu=1, values={(k,): mu.moment((k,))
+                                                for k in range(1, 5)})
+    groups = len(list(_atom_groups(mu.atoms, 3)))
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    dk.measure_to_combination(mu, table)
+    dk.assemble_atomic_dilation(mu, indices=table.indices())
+    assert len(mu.atoms) == 192 and groups == 1
+    assert 1 <= len(shapes) <= 2 * groups
+    assert all(s == (192, 3, 3) for s in shapes)
+
+
+@pytest.mark.parametrize("kind", ["point", "irrep"])
+def test_negative_weight_raises_for_both_kinds(kind):
+    """One split rule: a weight with an eigenvalue below -psd_tol is NotPSD
+    for an irrep's Choi block exactly as for a point's weight."""
+    if kind == "irrep":
+        atoms = dk.clock_phase_grid(1, 2, 1)
+        atoms[0].weight = np.diag([1.0, -0.3])
+        mu = dk.AtomicMeasure(dim=1, atoms=atoms, index_rule="ordered")
+        values = {idx: mu.moment(idx) for idx in [(1, 0), (0, 1)]}
+        table = dk.MomentTable(dim=1, nu=2, values=values, index_rule="ordered")
+    else:
+        atoms = [dk.PointAtom(point=[1j], weight=np.diag([1.0, -0.3]))]
+        mu = dk.AtomicMeasure(dim=2, atoms=atoms)
+        table = dk.MomentTable(dim=2, nu=1, values={(1,): mu.moment((1,))})
+    # the negative part is 0.3 of a unit mass, not roundoff
+    assert np.linalg.norm(mu.unit_matrix()) <= 1.1
+    with pytest.raises(NotPSDError) as exc:
+        dk.measure_to_combination(mu, table)
+    assert exc.value.min_eig == pytest.approx(-0.3)
+
+
+def test_atoms_without_weight_raise():
+    """Every measure operation names the first atom that has no weight of
+    its block size; pruned() still drops such atoms."""
+    mu = dk.AtomicMeasure(dim=1, atoms=dk.circle_grid(4))
+    calls = [mu.unit_matrix, mu.normalized, lambda: mu.moment((1,)), mu.validate,
+             lambda: dk.assemble_atomic_dilation(mu),
+             lambda: dk.measure_to_combination(
+                 mu, dk.MomentTable(dim=1, nu=1, values={(1,): np.zeros((1, 1))}))]
+    for call in calls:
+        with pytest.raises(ShapeMismatchError, match="atom 0 has no 1 x 1 weight"):
+            call()
+    atoms = dk.circle_grid(4)
+    atoms[2].weight = np.array([[1.0]])
+    atoms[3].weight = np.eye(2)
+    mu = dk.AtomicMeasure(dim=1, atoms=atoms)
+    with pytest.raises(ShapeMismatchError, match="atom 0 "):
+        mu.unit_matrix()
+    with pytest.raises(ShapeMismatchError, match="atom 1 has no 1 x 1 weight"):
+        dk.AtomicMeasure(dim=1, atoms=atoms[2:]).unit_matrix()
+    assert len(mu.pruned(1e-9).atoms) == 2
+    irreps = dk.AtomicMeasure(dim=2, atoms=dk.clock_phase_grid(1, 2, 2),
+                              index_rule="ordered")
+    with pytest.raises(ShapeMismatchError, match="atom 0 has no 4 x 4 weight"):
+        irreps.normalized()
