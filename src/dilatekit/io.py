@@ -21,6 +21,7 @@ Wire formats:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -78,6 +79,9 @@ def _dump(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
+        pairs = _dump_pairs(obj)
+        if pairs is not None:
+            return pairs
         return "[" + ", ".join(_dump(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = []
@@ -87,6 +91,21 @@ def _dump(obj) -> str:
             items.append(json.dumps(k) + ": " + _dump(v))
         return "{" + ", ".join(items) + "}"
     raise MalformedInputError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _dump_pairs(obj):
+    """A list of [float, float] pairs (the [re, im] data of a matrix) in
+    one formatting call, byte for byte as _dump writes it number by number;
+    None for any other list."""
+    if not set(map(type, obj)) <= {list, tuple} or set(map(len, obj)) != {2}:
+        return None
+    flat = list(itertools.chain.from_iterable(obj))
+    if set(map(type, flat)) != {float}:
+        return None
+    if not all(map(math.isfinite, flat)):
+        for x in flat:
+            _fmt(x)  # raises at the first non-finite entry
+    return "[" + ", ".join(("[%.17g, %.17g]",) * len(obj)) % tuple(flat) + "]"
 
 
 def write_json(path, obj):
@@ -129,7 +148,7 @@ def encode_matrix(m) -> dict:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2:
         raise MalformedInputError("only 2-d matrices are serialized")
-    data = [[float(z.real), float(z.imag)] for z in m.ravel()]
+    data = m.reshape(-1).view(np.float64).reshape(-1, 2).tolist()
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 

@@ -30,6 +30,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _psd_floor,
     _rank_one_split,
     asmatrix,
     herm_part,
@@ -175,12 +176,12 @@ class AtomicMeasure:
 
     def validate(self, tol: Tolerances = DEFAULT_TOL):
         for kind, _, pos, weights in _weight_groups(self.atoms, self.dim):
-            w = herm_part(weights)
-            wmin = np.linalg.eigvalsh(w)[:, 0]
-            bad = wmin < -tol.psd_tol * np.maximum(np.linalg.norm(w, axis=(1, 2)), 1.0)
+            lam = np.linalg.eigvalsh(herm_part(weights))
+            bad = lam[:, 0] < _psd_floor(lam, tol)
             if bad.any():
                 raise NonPSDWeightError(f"atom {pos[np.argmax(bad)]} weight has "
-                                        f"eigenvalue {wmin[bad][0]:.3e} below -psd_tol")
+                                        f"eigenvalue {lam[bad][0, 0]:.3e} below "
+                                        f"-psd_tol * max|eigenvalue|")
             if kind is PointAtom:
                 continue
             # gens[a, i]: image i of atom a; a row (a, i, j, q) of p: a relation

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from dilatekit.io import (
     write_json,
 )
 
-from conftest import complex_gaussian, random_combination, random_psd
+from conftest import complex_gaussian, random_combination, random_contraction, random_psd
 
 
 def test_dump_json_17_digits_roundtrip():
@@ -208,3 +209,184 @@ def test_range_report_csv_zeros():
     for row in lines[1:]:
         _, h, re, im = row.split(",")
         assert float(h) == 0.0 and float(re) == 0.0 and float(im) == 0.0
+
+
+# The number-by-number serializer that io replaced with one formatting call
+# per [re, im] pair list; its bytes are the contract.
+def _ref_fmt(x: float) -> str:
+    if not math.isfinite(x):
+        raise MalformedInputError(f"non-finite number {x!r} cannot be serialized")
+    return f"{float(x):.17g}"
+
+
+def _ref_dump(obj) -> str:
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _ref_fmt(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_ref_dump(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        items = []
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise MalformedInputError(f"JSON object keys must be strings, got {k!r}")
+            items.append(json.dumps(k) + ": " + _ref_dump(v))
+        return "{" + ", ".join(items) + "}"
+    raise MalformedInputError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _ref_encode_matrix(m) -> dict:
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim != 2:
+        raise MalformedInputError("only 2-d matrices are serialized")
+    data = [[float(z.real), float(z.imag)] for z in m.ravel()]
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
+
+
+def _outcome(dump, obj):
+    """The text written, or the message of the MalformedInputError raised."""
+    try:
+        return dump(obj)
+    except MalformedInputError as exc:
+        return ("MalformedInputError", str(exc))
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0,
+               float(2**53 + 1), 1e-17, 123456789.0]
+NAN, INF = float("nan"), float("inf")
+
+DUMP_CASES = [
+    [[x, y] for x in EDGE_FLOATS for y in EDGE_FLOATS[:3]],
+    [(0.1, -0.0), (5e-324, 1.7976931348623157e308)],
+    ((0.1, 0.2), [0.3, 0.4]),
+    [[2**53 + 1, 0.5]],
+    [[0.5, 2**53 + 1]],
+    [[1, 2], [3, 4]],
+    [[True, 0.5], [0.25, False]],
+    [[np.float64(0.1), 0.2], [0.3, np.float64(-0.0)]],
+    [[np.float32(0.1), 0.2]],
+    [[np.int64(3), 0.2]],
+    [],
+    [[]],
+    [[], []],
+    [[0.1]],
+    [[0.1, 0.2, 0.3]],
+    [[0.1, 0.2], [0.3]],
+    [[0.1, 0.2], "x"],
+    [[0.1, 0.2], None],
+    [[0.1, None], [0.3, 0.4]],
+    [[0.1, [0.2, 0.3]]],
+    [[[0.1, 0.2], [0.3, 0.4]], [[0.5, 0.6], [0.7, 0.8]]],
+    {"rows": 1, "cols": 2, "data": [[0.1, -0.0], [5e-324, 0.1]]},
+    {"a": {"b": [[0.1, 0.2]], "c": [1, 2.5, "s", None, True]}, "": ()},
+    [0.1, 0.2],
+    [[0.1, NAN], [0.3, 0.4]],
+    [[0.1, 0.2], [INF, 0.4]],
+    [[-INF, NAN]],
+    [[np.float64(NAN), 0.2]],
+    [(0.1, 0.2), (-INF, 0.0)],
+    {"ok": [[0.1, 0.2]], "bad": [[0.3, NAN]]},
+]
+
+
+@pytest.mark.parametrize("obj", DUMP_CASES, ids=range(len(DUMP_CASES)))
+def test_dump_json_matches_number_by_number_reference(obj):
+    """Same bytes as the per-number serializer on pair lists and on every
+    near miss of one; a non-finite entry raises the same message."""
+    assert _outcome(dump_json, obj) == _outcome(lambda o: _ref_dump(o) + "\n", obj)
+
+
+def test_dump_json_pair_list_non_finite_message():
+    with pytest.raises(MalformedInputError,
+                       match=r"^non-finite number nan cannot be serialized$"):
+        dump_json({"data": [[0.1, 0.2], [0.3, NAN]]})
+    with pytest.raises(MalformedInputError,
+                       match=r"^non-finite number -inf cannot be serialized$"):
+        dump_json([[0.1, 0.2], [-INF, NAN]])
+
+
+def test_dump_json_property_matches_reference():
+    """Nested dicts and lists of pairs, pair lists with ints, bools and
+    numpy floats, tuples and empty lists: bytes equal the reference's."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    number = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+    leaf = (number | st.integers() | st.just(2**53 + 1) | st.booleans()
+            | number.map(np.float64) | st.none() | st.text(max_size=3)
+            | st.sampled_from([NAN, INF, -INF]))
+    pair = st.tuples(number, number) | st.tuples(leaf, leaf)
+    pairs = st.lists(pair.map(list) | pair, max_size=6)
+    tree = st.recursive(
+        pairs | leaf,
+        lambda kids: (st.lists(kids, max_size=4) | st.tuples(kids, kids)
+                      | st.dictionaries(st.text(max_size=3), kids, max_size=4)),
+        max_leaves=20)
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+    @hyp.given(tree)
+    def check(obj):
+        assert _outcome(dump_json, obj) == _outcome(lambda o: _ref_dump(o) + "\n", obj)
+
+    check()
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: complex_gaussian(rng, (3, 4)),
+    lambda rng: complex_gaussian(rng, (4, 3)).T,
+    lambda rng: complex_gaussian(rng, (5, 6))[::2, 1::2],
+    lambda rng: np.asfortranarray(complex_gaussian(rng, (3, 3))),
+    lambda rng: rng.normal(size=(2, 5)),
+    lambda rng: np.arange(6).reshape(2, 3),
+    lambda rng: np.array([[-0.0, 5e-324 - 0.0j], [1.7976931348623157e308j, -5e-324j]]),
+    lambda rng: np.array([[complex(-0.0, -0.0), 0.1 + 0.2j]]),
+    lambda rng: np.zeros((0, 2), dtype=np.complex128),
+])
+def test_encode_matrix_matches_reference_and_roundtrips(make):
+    """One tolist() gives the reference's Python floats, signed zeros and
+    subnormals included, and the JSON decodes back bit for bit.  The one
+    exception is the sign of a zero: -0.0 is written "-0", which JSON
+    readers parse as the integer 0."""
+    m = make(np.random.default_rng(149))
+    ours, ref = encode_matrix(m), _ref_encode_matrix(m)
+    assert all(type(x) is float for p in ours["data"] for x in p)
+    assert _ref_dump(ours) == _ref_dump(ref)
+    assert dump_json(ours) == _ref_dump(ref) + "\n"
+    if m.size:
+        back = decode_matrix(json.loads(dump_json(ours)))
+        want = np.asarray(m, dtype=np.complex128)
+        assert back.shape == want.shape
+        assert back.tobytes() == np.ascontiguousarray(want + 0.0).tobytes()
+
+
+def _ref_encode_dilation(dil):
+    return {
+        "v": _ref_encode_matrix(dil.v),
+        "generators": [_ref_encode_matrix(g) for g in dil.generators],
+        "space_dim": dil.space_dim,
+        "provenance": dil.provenance,
+        "residuals": {k: float(v) for k, v in sorted(dil.residuals.items())},
+    }
+
+
+def test_dilation_json_formats_matrices_in_one_call(monkeypatch):
+    """A K=264 GNS dilation (d=8, order 32) is written without one _fmt call
+    per number: only its residual scalars go through it."""
+    from dilatekit import io
+
+    rng = np.random.default_rng(151)
+    dil = dk.toeplitz_gns_unitary(dk.circle_moments(random_contraction(rng, 8, 0.9), 1.0, 32))
+    assert dil.space_dim == 264
+    calls = []
+    fmt = io._fmt
+    monkeypatch.setattr(io, "_fmt", lambda x: calls.append(x) or fmt(x))
+    text = dump_json(encode_dilation(dil))
+    assert len(calls) == len(dil.residuals)
+    assert text == _ref_dump(_ref_encode_dilation(dil)) + "\n"
+

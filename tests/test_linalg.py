@@ -149,6 +149,99 @@ def test_complete_isometry_rejects_non_isometric_map():
         dk.complete_isometry_to_unitary(u0, d, d)
 
 
+def _loosen(rng, q, defect):
+    """q (I + t H) for a random Hermitian H, with t chosen so that the
+    result spans span(q) with ||Q* Q - I||_F = defect."""
+    k = q.shape[1]
+    h = complex_gaussian(rng, (k, k))
+    h = h + h.conj().T
+    # the Gram matrix is I + 2t H + t^2 H^2
+    a, b = np.linalg.norm(h @ h), 2.0 * np.linalg.norm(h)
+    t = 2.0 * defect / (b + np.sqrt(b * b + 4.0 * a * defect))
+    return q @ (np.eye(k) + t * h)
+
+
+@pytest.mark.parametrize("n,k", [(6, 2), (40, 33)])
+def test_complete_isometry_loose_bases_still_unitary(n, k):
+    """Bases orthonormal only to just under the 1e-10 * k acceptance bound
+    are re-orthonormalized: the completion is unitary and still maps the
+    domain span onto the range span."""
+    rng = np.random.default_rng(19)
+    dq = random_unitary(rng, n)[:, :k]
+    target = random_unitary(rng, n)
+    d = _loosen(rng, dq, 0.9e-10 * k)
+    r = _loosen(rng, target @ dq, 0.9e-10 * k)
+    for b in (d, r):
+        defect = np.linalg.norm(b.conj().T @ b - np.eye(k))
+        assert 0.8e-10 * k <= defect <= 1e-10 * k
+    u0 = target @ dq @ dq.conj().T
+    u = dk.complete_isometry_to_unitary(u0, d, r)
+    assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-12 * n
+    assert np.linalg.norm(u @ dq - target @ dq) <= 1e-9
+
+
+def test_complete_isometry_keeps_orthonormal_bases(monkeypatch):
+    """Bases orthonormal to roundoff (from an SVD, as the GNS shift's) are
+    not decomposed again: no polar_isometry call, and a unitary result."""
+    import dilatekit.linalg as linalg
+
+    rng = np.random.default_rng(23)
+    n, k = 40, 33
+    d = np.linalg.svd(complex_gaussian(rng, (n, k)), full_matrices=False)[0]
+    target = random_unitary(rng, n)
+    r = np.linalg.svd(target @ d, full_matrices=False)[0]
+    u0 = r @ (r.conj().T @ target @ d) @ d.conj().T
+    calls = []
+    polar = linalg.polar_isometry
+    monkeypatch.setattr(linalg, "polar_isometry",
+                        lambda a: calls.append(a.shape) or polar(a))
+    u = dk.complete_isometry_to_unitary(u0, d, r)
+    assert calls == []
+    assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-12 * n
+    assert np.linalg.norm(u @ d - u0 @ d) <= 1e-12 * n
+
+
+def _ref_index_order_complement(basis):
+    """The per-vector modified Gram-Schmidt loop the complement replaced."""
+    r, k = basis.shape
+    cols, out = [basis[:, j] for j in range(k)], []
+    for j in range(r):
+        if len(out) == r - k:
+            break
+        v = np.zeros(r, dtype=np.complex128)
+        v[j] = 1.0
+        for _ in range(2):
+            for c in cols:
+                v = v - c * np.vdot(c, v)
+        nrm = np.linalg.norm(v)
+        if nrm > 1e-8:
+            cols.append(v / nrm)
+            out.append(v / nrm)
+    return np.column_stack(out) if out else np.zeros((r, 0), dtype=np.complex128)
+
+
+@pytest.mark.parametrize("n,k", [(1, 0), (5, 0), (5, 5), (6, 1), (12, 7), (40, 33)])
+def test_index_order_complement_matches_loop(n, k):
+    """Same index order and keep rule as the per-vector loop: the two
+    complements agree to roundoff, are orthonormal and span the orthogonal
+    complement.  A basis aligned with e_0 skips that candidate."""
+    from dilatekit.linalg import _index_order_complement
+
+    rng = np.random.default_rng(29)
+    basis = random_unitary(rng, n)[:, :k]
+    if k:
+        basis[:, 0] = 0.0
+        basis[0, 0] = 1.0
+        basis = np.linalg.qr(basis)[0]
+    c = _index_order_complement(basis)
+    ref = _ref_index_order_complement(basis)
+    assert c.shape == ref.shape == (n, n - k)
+    assert np.linalg.norm(c - ref) <= 1e-13 * n
+    full = np.hstack([basis, c])
+    assert np.linalg.norm(full.conj().T @ full - np.eye(n)) <= 1e-13 * n
+    assert np.array_equal(_index_order_complement(basis), c)
+
+
 def test_hvec_roundtrip_isometry():
     rng = np.random.default_rng(19)
     for d in (1, 3, 6):

@@ -4,6 +4,7 @@ import pytest
 import dilatekit as dk
 from dilatekit import (
     InfeasibleError,
+    NonPSDWeightError,
     NotNormalizedError,
     NotPSDError,
     ShapeMismatchError,
@@ -791,6 +792,31 @@ def test_negative_weight_raises_for_both_kinds(kind):
     with pytest.raises(NotPSDError) as exc:
         dk.measure_to_combination(mu, table)
     assert exc.value.min_eig == pytest.approx(-0.3)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("neg", [-1e-8, -1e-11, -1e-13])
+def test_validate_and_assembly_share_one_psd_rule(scale, neg):
+    """validate() and the rank-one split give one verdict: a weight whose
+    smallest eigenvalue is below -psd_tol * max|eigenvalue| fails both, any
+    other passes both.  diag(1e-3, -1e-11) once passed validate() and then
+    raised NotPSD inside assemble_atomic_dilation."""
+    w = scale * np.diag([1e-3, neg / scale])
+    mu = dk.AtomicMeasure(dim=2, atoms=[
+        dk.PointAtom(point=[1.0], weight=w),
+        dk.PointAtom(point=[-1.0], weight=np.eye(2) - w)])
+    rejected = neg < -dk.DEFAULT_TOL.psd_tol * 1e-3 * scale
+
+    def verdict(call):
+        try:
+            call()
+        except (NonPSDWeightError, NotPSDError):
+            return True
+        return False
+
+    assert verdict(mu.validate) == rejected
+    assert verdict(lambda: dk.assemble_atomic_dilation(mu)) == rejected
+    assert verdict(lambda: dk.numerical_rank_factor(w)) == rejected
 
 
 def test_atoms_without_weight_raise():
