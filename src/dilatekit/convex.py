@@ -3,13 +3,13 @@
 A matrix convex combination sum_j gamma_j* x_j gamma_j (with
 sum_j gamma_j* gamma_j = I_n) is treated as data: the ``gamma_j`` are
 rectangular coefficient matrices and the ``x_j`` are matrix points, i.e.
-tuples of square matrices all of one level.  The trace convention
+stacks (nvars, k, k) of square matrices all of one level.  The trace convention
 throughout is the normalized one, ntrace(I_n) = 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -19,6 +19,7 @@ from .errors import (
     InvalidCombinationError,
     NotHermitianError,
     NotNormalizedError,
+    ShapeMismatchError,
     ZeroCoefficientError,
 )
 from .linalg import (
@@ -52,39 +53,44 @@ def ntrace(a: np.ndarray) -> float:
 
 @dataclass
 class MatrixPoint:
-    """A point in a matrix convex set: d square coordinates at one level.
+    """A point in a matrix convex set: nvars square coordinates at one level.
 
-    ``label`` is free-form caller metadata (e.g. which measure atom the
-    point came from); it is carried through reductions untouched.
+    ``coords`` is one complex128 array (nvars, k, k), converted once from
+    any sequence of k x k matrices.  ``label`` is free-form caller metadata
+    (e.g. which measure atom the point came from); it is carried through
+    reductions untouched.
     """
 
-    coords: list
+    coords: np.ndarray
     selfadjoint: bool = False
     label: object = None
 
     def __post_init__(self):
-        self.coords = [asmatrix(c) for c in self.coords]
-        if not self.coords:
+        try:
+            c = np.asarray(self.coords, dtype=np.complex128)
+        except ValueError:  # ragged: the coordinates' shapes differ
+            c = np.empty(0)
+        if not len(self.coords):
             raise DimensionMismatchError("a matrix point needs at least one coordinate")
-        k = self.coords[0].shape[0]
-        for c in self.coords:
-            if c.shape != (k, k):
-                raise DimensionMismatchError("coordinates must be square, one level")
+        if c.ndim != 3 and any(np.ndim(x) != 2 for x in self.coords):
+            raise ShapeMismatchError("every coordinate must be a 2-d array")
+        if not np.all(np.isfinite(c)):
+            raise ShapeMismatchError("matrix contains NaN or Inf entries")
+        if c.ndim != 3 or c.shape[1] != c.shape[2]:
+            raise DimensionMismatchError("coordinates must be square, one level")
         if self.selfadjoint:
-            for c in self.coords:
-                nrm = max(np.linalg.norm(c), 1.0)
-                if np.linalg.norm(c - c.conj().T) > 1e-10 * nrm:
-                    raise NotHermitianError(
-                        "selfadjoint point has a non-Hermitian coordinate"
-                    )
+            defect = np.linalg.norm(c - c.conj().swapaxes(1, 2), axis=(1, 2))
+            if np.any(defect > 1e-10 * np.maximum(np.linalg.norm(c, axis=(1, 2)), 1.0)):
+                raise NotHermitianError("selfadjoint point has a non-Hermitian coordinate")
+        self.coords = c
 
     @property
     def level(self) -> int:
-        return self.coords[0].shape[0]
+        return self.coords.shape[1]
 
     @property
     def nvars(self) -> int:
-        return len(self.coords)
+        return self.coords.shape[0]
 
 
 @dataclass
@@ -107,9 +113,7 @@ class MatrixConvexCombination:
         self.terms = checked
 
     def defect(self) -> float:
-        s = np.zeros((self.n, self.n), dtype=np.complex128)
-        for gamma, _ in self.terms:
-            s += gamma.conj().T @ gamma
+        s = sum(gamma.conj().T @ gamma for gamma, _ in self.terms)
         return float(np.linalg.norm(s - np.eye(self.n)))
 
     def validate(self, tol: float = 1e-10):
@@ -119,14 +123,11 @@ class MatrixConvexCombination:
                 f"coefficients sum to identity with defect {defect:.3e} > {tol:.1e}"
             )
 
-    def barycenter(self) -> list:
-        """The represented point sum_j gamma_j* x_j gamma_j, coordinatewise."""
-        d = self.terms[0][1].nvars
-        out = [np.zeros((self.n, self.n), dtype=np.complex128) for _ in range(d)]
+    def barycenter(self) -> np.ndarray:
+        """The represented point sum_j gamma_j* x_j gamma_j, stacked (nvars, n, n)."""
+        out = np.zeros((self.terms[0][1].nvars, self.n, self.n), dtype=np.complex128)
         for gamma, point in self.terms:
-            g = gamma.conj().T
-            for i in range(d):
-                out[i] += g @ point.coords[i] @ gamma
+            out += gamma.conj().T @ point.coords @ gamma
         return out
 
 
@@ -134,15 +135,15 @@ class MatrixConvexCombination:
 class LiftedPoint:
     """One term of a combination, pushed to the trace-normalized graph.
 
-    alpha = gamma* gamma has ntrace 1; value = gamma* x gamma
-    coordinatewise; weight is the normalized trace the term carried.
+    alpha = gamma* gamma has ntrace 1; value = gamma* x gamma, stacked
+    (nvars, n, n); weight is the normalized trace the term carried.
     ``gamma`` itself is kept because alpha determines it only up to a left
     isometry, and reconstructing a combination needs the actual
     coefficient.
     """
 
     alpha: np.ndarray
-    value: list
+    value: np.ndarray
     weight: float
     gamma: np.ndarray
 
@@ -170,7 +171,7 @@ def _lift_terms(c: MatrixConvexCombination):
         groups.setdefault(point.level, []).append(j)
     for idx in groups.values():
         beta = np.stack([c.terms[j][0] for j in idx])
-        x = np.stack([np.stack(c.terms[j][1].coords) for j in idx])
+        x = np.stack([c.terms[j][1].coords for j in idx])
         tg = np.einsum("jkn,jkn->j", beta.conj(), beta).real / n
         gamma = beta / np.sqrt(np.where(tg > 0.0, tg, 1.0))[:, None, None]
         gh = np.swapaxes(gamma.conj(), -1, -2)
@@ -196,7 +197,7 @@ def lift_combination(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TOL):
     (weights, lifted) : list of floats and list of LiftedPoint.
     """
     _, t, gammas, alpha, value = _lift_terms(c)
-    lifted = [LiftedPoint(alpha=a, value=list(v), weight=w, gamma=g)
+    lifted = [LiftedPoint(alpha=a, value=v, weight=w, gamma=g)
               for w, g, a, v in zip(t.tolist(), gammas, alpha, value)]
     return t.tolist(), lifted
 
@@ -218,19 +219,14 @@ def unlift_point(weights, lifted, points, tol: Tolerances = DEFAULT_TOL
     if abs(wsum - 1.0) > 1e-10:
         raise NotNormalizedError(f"weights sum to {wsum!r}, expected 1")
     n = lifted[0].alpha.shape[0]
-    mean_alpha = np.zeros((n, n), dtype=np.complex128)
-    for w, lp in zip(weights, lifted):
-        mean_alpha += w * lp.alpha
+    mean_alpha = sum(w * lp.alpha for w, lp in zip(weights, lifted))
     if np.linalg.norm(mean_alpha - np.eye(n)) > 1e-9:
         raise NotNormalizedError(
             "weighted alphas do not average to the identity "
             f"(defect {np.linalg.norm(mean_alpha - np.eye(n)):.3e})"
         )
     betas = [np.sqrt(w) * lp.gamma for w, lp in zip(weights, lifted)]
-    s = np.zeros((n, n), dtype=np.complex128)
-    for b in betas:
-        s += b.conj().T @ b
-    corr = inv_sqrt_psd(s, tol)
+    corr = inv_sqrt_psd(sum(b.conj().T @ b for b in betas), tol)
     betas = [b @ corr for b in betas]
     return MatrixConvexCombination(n=n, terms=list(zip(betas, points)))
 
@@ -252,12 +248,7 @@ def compress_to_surjective(gamma, point: MatrixPoint, tol: Tolerances = DEFAULT_
     r = int(np.count_nonzero(s > tol.rank_tol * s[0]))
     delta = u[:, :r]
     beta = delta.conj().T @ gamma
-    compressed = MatrixPoint(
-        coords=[delta.conj().T @ x @ delta for x in point.coords],
-        selfadjoint=point.selfadjoint,
-        label=point.label,
-    )
-    return beta, compressed
+    return beta, replace(point, coords=delta.conj().T @ point.coords @ delta)
 
 
 # Columns added to the working set per block of the reduction sweep, and
@@ -390,26 +381,19 @@ def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TO
                                 < np.linalg.norm(cols @ ta - target)):
         ta = exact
     ta = ta / np.sum(ta)
-    lifted = [LiftedPoint(alpha=alpha[j], value=list(value[j]), weight=float(w),
+    lifted = [LiftedPoint(alpha=alpha[j], value=value[j], weight=float(w),
                           gamma=gammas[j]) for j, w in zip(alive, ta)]
     return unlift_point(ta.tolist(), lifted, [points[j] for j in alive], tol)
 
 
 def _commutant_basis(coords):
     """Orthonormal basis (as vectors) of the commutant of a *-closed family."""
-    n = coords[0].shape[0]
+    n = coords.shape[1]
     eye = np.eye(n)
-    rows = []
-    for a in coords:
-        rows.append(np.kron(a, eye) - np.kron(eye, a.T))
-        ah = a.conj().T
-        rows.append(np.kron(ah, eye) - np.kron(eye, ah.T))
-    k = np.vstack(rows)
-    _, s, vh = np.linalg.svd(k)
-    smax = s[0] if s.size else 0.0
-    thresh = _NULL_TOL * max(smax, 1.0)
-    null = [vh[i].conj() for i in range(vh.shape[0]) if i >= s.size or s[i] <= thresh]
-    return null
+    s, vh = _svd(np.vstack([np.kron(a, eye) - np.kron(eye, a.T)
+                            for c in coords for a in (c, c.conj().T)]))
+    thresh = _NULL_TOL * max(s[0], 1.0)
+    return [vh[i].conj() for i in range(vh.shape[0]) if i >= s.size or s[i] <= thresh]
 
 
 def irreducible_split(x: MatrixPoint, tol: Tolerances = DEFAULT_TOL, seed: int = 0):
@@ -451,16 +435,7 @@ def irreducible_split(x: MatrixPoint, tol: Tolerances = DEFAULT_TOL, seed: int =
     gap_at = int(np.argmax(np.diff(w)))
     beta = q[:, : gap_at + 1]
     delta = q[:, gap_at + 1:]
-    x_beta = MatrixPoint(
-        coords=[beta.conj().T @ c @ beta for c in x.coords],
-        selfadjoint=x.selfadjoint,
-        label=x.label,
-    )
-    x_delta = MatrixPoint(
-        coords=[delta.conj().T @ c @ delta for c in x.coords],
-        selfadjoint=x.selfadjoint,
-        label=x.label,
-    )
+    x_beta, x_delta = (replace(x, coords=e.conj().T @ x.coords @ e) for e in (beta, delta))
     return beta, delta, x_beta, x_delta
 
 

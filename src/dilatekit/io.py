@@ -17,6 +17,9 @@ Wire formats:
                "provenance", "residuals"}
     curve     {"kind", "params"} or {"kind": "sampled", "params",
                "samples": [[theta, [re, im], [re, im]], ...]}
+    combination
+              {"n", "terms": [{"beta": CMatrix k x n, "point": {"coords":
+               [CMatrix k x k, ...], "selfadjoint", "label"}}, ...]}
 """
 
 from __future__ import annotations
@@ -138,7 +141,10 @@ def _decode_complex(v, where) -> complex:
     if (not isinstance(v, (list, tuple)) or len(v) != 2
             or not all(isinstance(x, (int, float)) for x in v)):
         raise MalformedInputError(f"{where}: complex values are [re, im] pairs")
-    z = complex(float(v[0]), float(v[1]))
+    try:
+        z = complex(float(v[0]), float(v[1]))
+    except OverflowError:  # an integer beyond the double range
+        z = complex(math.inf)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise MalformedInputError(f"{where}: non-finite complex entry")
     return z
@@ -160,8 +166,20 @@ def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
         raise MalformedInputError(
             f"{where}: data length {len(data)} does not match {rows}x{cols}"
         )
-    flat = [_decode_complex(v, where) for v in data]
-    return np.array(flat, dtype=np.complex128).reshape(rows, cols)
+    # the entry types are checked once over the whole list, as _dump_pairs
+    # does; any other type, or a value beyond the double range, is decoded
+    # entry by entry, which raises at the first bad entry
+    values = None
+    if set(map(type, data)) <= {list, tuple} and set(map(len, data)) == {2}:
+        flat = list(itertools.chain.from_iterable(data))
+        if set(map(type, flat)) <= {int, float, bool}:
+            try:
+                values = np.array(flat, dtype=np.float64).view(np.complex128)
+            except OverflowError:  # an integer beyond the double range
+                pass
+    if values is None or not np.isfinite(values).all():
+        values = np.array([_decode_complex(v, where) for v in data], dtype=np.complex128)
+    return values.reshape(rows, cols)
 
 
 def encode_table(table: MomentTable) -> dict:
@@ -284,9 +302,13 @@ def decode_dilation(obj) -> Dilation:
             isinstance(x, (int, float)) and not isinstance(x, bool)
             for x in residuals.values()):
         raise MalformedInputError("dilation residuals must map names to numbers")
+    try:
+        residuals = {str(k): float(x) for k, x in residuals.items()}
+    except OverflowError as exc:  # an integer beyond the double range
+        raise MalformedInputError(f"dilation residuals: {exc}") from exc
     return Dilation(v=v, generators=gens, space_dim=space,
                     provenance=str(obj.get("provenance", "unknown")),
-                    residuals={str(k): float(x) for k, x in residuals.items()})
+                    residuals=residuals)
 
 
 def encode_curve(curve: BoundaryCurve) -> dict:

@@ -136,6 +136,17 @@ def test_non_square_input_exit_3(tmp_path, capsys, argv):
     assert "2x3" in capsys.readouterr().err
 
 
+def test_huge_integer_entry_exit_3(tmp_path, capsys):
+    # a JSON integer beyond the double range is malformed input, not a crash
+    inp = tmp_path / "t.json"
+    inp.write_text('{"matrix": {"rows": 1, "cols": 1, "data": [[1%s, 0]]}}'
+                   % ("0" * 400), encoding="utf-8")
+    code = main(["dilate-circle", "--input", str(inp),
+                 "--output", str(tmp_path / "x"), "--order", "1"])
+    assert code == 3
+    assert "non-finite complex entry" in capsys.readouterr().err
+
+
 def test_library_size_guards():
     with pytest.raises(dk.ShapeMismatchError):
         dk.quadrature_measure(0.3 * np.eye(2), dk.BoundaryCurve.disc(), 0)
@@ -265,6 +276,11 @@ def _break_residual(bundle):
     bundle["dilation"]["residuals"] = {"unit_defect": "small"}
 
 
+def _break_residual_overflow(bundle):
+    # an integer beyond the double range, as JSON allows
+    bundle["dilation"]["residuals"] = {"unit_defect": 10**400}
+
+
 def _break_index_rule(bundle):
     bundle["targets"]["index_rule"] = "sideways"
 
@@ -309,6 +325,7 @@ def _break_singular_generator(bundle):
 
 @pytest.mark.parametrize("breaks", [_break_pair_index, _break_pair_range,
                                     _break_v_width, _break_residual,
+                                    _break_residual_overflow,
                                     _break_index_rule, _break_generator_count,
                                     _break_ordered_mixed_sign, _break_rule_mismatch,
                                     _break_singular_generator])

@@ -201,8 +201,8 @@ def test_irreducible_split_certifies_generating_coords():
     assert dk.irreducible_split(x) is None
 
 
-def test_decompose_irreducible_recursion():
-    rng = np.random.default_rng(47)
+def _reducible_point(rng):
+    """Random blocks of levels 1, 2 and 3 on the diagonal, turned by a unitary."""
     blocks = [random_point(rng, k, 2, False) for k in (1, 2, 3)]
     n = 6
     u = random_unitary(rng, n)
@@ -215,18 +215,76 @@ def test_decompose_irreducible_recursion():
             m[pos:pos + k, pos:pos + k] = b.coords[i]
             pos += k
         coords.append(u @ m @ u.conj().T)
-    x = dk.MatrixPoint(coords, selfadjoint=False)
-    leaves = dk.decompose_irreducible(x)
+    return dk.MatrixPoint(coords, selfadjoint=False)
+
+
+def assert_irreducible_decomposition(x, leaves, tol):
+    n = x.level
     assert 1 < len(leaves) <= n
     assert sum(leaf.level for _, leaf in leaves) == n
     for emb, leaf in leaves:
         assert dk.irreducible_split(leaf) is None
         assert algebra_dimension(leaf.coords) == leaf.level ** 2
-    for i in range(2):
+    for i in range(x.nvars):
         rec = np.zeros((n, n), dtype=np.complex128)
         for emb, leaf in leaves:
             rec += emb @ leaf.coords[i] @ emb.conj().T
-        assert np.linalg.norm(rec - coords[i]) <= 1e-9 * n
+        assert np.linalg.norm(rec - x.coords[i]) <= tol
+
+
+def test_decompose_irreducible_recursion():
+    x = _reducible_point(np.random.default_rng(47))
+    assert_irreducible_decomposition(x, dk.decompose_irreducible(x), 1e-9 * x.level)
+
+
+def test_decompose_irreducible_svd_fallback(monkeypatch):
+    # the commutant's SVD retries with LAPACK gesvd, as the reduction's does
+    x = _reducible_point(np.random.default_rng(47))
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    leaves = dk.decompose_irreducible(x)
+    monkeypatch.undo()  # the checks below take SVDs of their own
+    assert_irreducible_decomposition(x, leaves, 1e-9)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("coords, selfadjoint, error", [
+    ([], False, dk.DimensionMismatchError),
+    (np.zeros((0, 2, 2)), False, dk.DimensionMismatchError),
+    ([np.ones((2, 3))], False, dk.DimensionMismatchError),
+    ([np.ones((2, 3)), np.ones((2, 3))], True, dk.DimensionMismatchError),
+    ([np.eye(2), np.eye(3)], False, dk.DimensionMismatchError),
+    ([np.eye(2), np.eye(2), np.ones((1, 1))], True, dk.DimensionMismatchError),
+    ([np.ones(2)], False, dk.ShapeMismatchError),
+    ([np.eye(2), np.ones(2)], False, dk.ShapeMismatchError),
+    ([np.ones((2, 2, 2))], False, dk.ShapeMismatchError),
+    ([0.5], False, dk.ShapeMismatchError),
+    ([np.array([[NAN]])], False, dk.ShapeMismatchError),
+    ([np.eye(2), np.array([[1.0, np.inf], [0.0, 1.0]])], True, dk.ShapeMismatchError),
+    ([np.array([[0.0, 1e-9], [0.0, 0.0]])], True, dk.NotHermitianError),
+    # the bound is per coordinate: a large first one does not loosen the second's
+    ([1e6 * np.eye(2), np.array([[0.0, 1e-9], [0.0, 0.0]])], True, dk.NotHermitianError),
+    ([1e4 * np.eye(2) + np.array([[0.0, 1.1e-6], [0.0, 0.0]])], True,
+     dk.NotHermitianError),
+    # defects of 0.9 times the bound 1e-10 * max(|c|, 1): accepted
+    ([np.array([[0.0, 0.9e-10 / np.sqrt(2)], [0.0, 0.0]])], True, None),
+    ([1e4 * np.eye(2) + np.array([[0.0, 0.9e-6], [0.0, 0.0]])], True, None),
+    ([np.array([[0.0, 1.0], [0.0, 0.0]])], False, None),
+    ((np.eye(2), 1j * np.eye(2)), False, None),
+    ([[[1.0, 2.0], [2.0, 3.0]]], True, None),
+])
+def test_matrix_point_validation(coords, selfadjoint, error):
+    if error is None:
+        p = dk.MatrixPoint(coords, selfadjoint=selfadjoint)
+        assert p.nvars == len(coords)
+        return
+    with pytest.raises(error):
+        dk.MatrixPoint(coords, selfadjoint=selfadjoint)
 
 
 def test_combination_validation_errors():

@@ -390,3 +390,91 @@ def test_dilation_json_formats_matrices_in_one_call(monkeypatch):
     assert len(calls) == len(dil.residuals)
     assert text == _ref_dump(_ref_encode_dilation(dil)) + "\n"
 
+
+
+# The entry-by-entry decoder that decode_matrix replaced with one type
+# check and one float64 array; its results and messages are the contract.
+def _ref_decode_matrix(obj, where="matrix"):
+    from dilatekit.io import _decode_complex, _want
+
+    rows = _want(obj, "rows", int, where)
+    cols = _want(obj, "cols", int, where)
+    data = _want(obj, "data", list, where)
+    if rows < 1 or cols < 1 or len(data) != rows * cols:
+        raise MalformedInputError(
+            f"{where}: data length {len(data)} does not match {rows}x{cols}"
+        )
+    flat = [_decode_complex(v, where) for v in data]
+    return np.array(flat, dtype=np.complex128).reshape(rows, cols)
+
+
+def _decoded(decode, data):
+    """Shape and bits of the decoded matrix, or the message raised."""
+    try:
+        m = decode({"rows": 1, "cols": len(data), "data": data}, "m")
+    except MalformedInputError as exc:
+        return ("MalformedInputError", str(exc))
+    return m.shape, m.dtype, m.tobytes()
+
+
+DECODE_CASES = [
+    [[0.1, -0.0], [5e-324, 1.7976931348623157e308]],
+    [[1, 2], (3, 4.5)],
+    [[True, 0.5], [0.25, False]],
+    [[2**53 + 1, -(2**64) - 1]],
+    [[10**400, 0.0]],
+    [[0.0, -(10**400)]],
+    [[np.float64(0.1), 0.2]],
+    [[np.int64(3), 0.2]],
+    [[0.1, NAN]],
+    [[INF, 0.0], "x"],
+    ["x", [INF, 0.0]],
+    [[10**400, 0.0], [0.1]],
+    [[0.1], [10**400, 0.0]],
+    [[0.1, 0.2, 0.3]],
+    [[0.1, None]],
+    [[0.1, "0.2"]],
+    [[[0.1, 0.2], [0.3, 0.4]]],
+    [None],
+]
+
+
+@pytest.mark.parametrize("data", DECODE_CASES, ids=range(len(DECODE_CASES)))
+def test_decode_matrix_matches_entry_by_entry_reference(data):
+    """Same bits, or the same message at the same first bad entry; an
+    integer beyond the double range is a non-finite entry, not a crash."""
+    assert _decoded(decode_matrix, data) == _decoded(_ref_decode_matrix, data)
+
+
+def test_decode_matrix_huge_integer_is_malformed():
+    with pytest.raises(MalformedInputError, match=r"^m: non-finite complex entry$"):
+        decode_matrix({"rows": 1, "cols": 1, "data": [[10**400, 0]]}, "m")
+    with pytest.raises(MalformedInputError, match="^dilation residuals: int too large"):
+        decode_dilation(dict(encode_dilation(dk.Dilation(
+            v=np.eye(1), generators=[np.eye(1)], space_dim=1, provenance="test")),
+            residuals={"unit_defect": 10**400}))
+
+
+def test_decode_matrix_property_matches_reference():
+    """Pair lists of floats, huge and ordinary ints, bools and numpy
+    scalars, and their near misses: both decoders accept and reject the
+    same data, with the same message and the same bits."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    # integers about the largest double: 2**1024 - 2**970 rounds up past it
+    huge = st.sampled_from([10**400, -(10**400), 2**1024 - 2**970, 2**1024 - 2**970 - 1])
+    number = (st.floats() | st.integers() | huge | st.booleans()
+              | st.sampled_from(EDGE_FLOATS + [NAN, INF, -INF]))
+    leaf = (number | st.floats().map(np.float64) | st.integers(-3, 3).map(np.int64)
+            | st.none() | st.text(max_size=2))
+    pair = st.tuples(number, number) | st.tuples(leaf, leaf)
+    entry = (pair.map(list) | pair | st.lists(leaf, max_size=3) | leaf)
+    data = st.lists(pair.map(list), min_size=1, max_size=8) | st.lists(
+        entry, min_size=1, max_size=8)
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True)
+    @hyp.given(data)
+    def check(data):
+        assert _decoded(decode_matrix, data) == _decoded(_ref_decode_matrix, data)
+
+    check()

@@ -319,12 +319,8 @@ def test_words_match_scalar_loops():
         _words([dk.PointAtom(point=[0.0])], [(-1,)], "laurent")
 
 
-@pytest.mark.parametrize("name", ["torus", "annulus", "clock_mixed"])
-def test_fit_system_matches_measure(name):
-    """A z and C z of _fit_system are the moments and the mass of the measure
-    whose weights z stacks, as AtomicMeasure's own loops compute them."""
-    from dilatekit.measures import _fit_system
-
+def _random_measure(name):
+    """A table and a measure of random full-rank weights on a grid of its kind."""
     rng = np.random.default_rng(107)
     if name == "torus":
         t = random_contraction(rng, 2, 0.5)
@@ -340,6 +336,17 @@ def test_fit_system_matches_measure(name):
     weights = [random_psd(rng, a.block_size(d)) / len(grid) for a in grid]
     mu = dk.AtomicMeasure(dim=d, index_rule=table.index_rule,
                           atoms=[a.with_weight(w) for a, w in zip(grid, weights)])
+    return table, grid, weights, mu
+
+
+@pytest.mark.parametrize("name", ["torus", "annulus", "clock_mixed"])
+def test_fit_system_matches_measure(name):
+    """A z and C z of _fit_system are the moments and the mass of the measure
+    whose weights z stacks, as AtomicMeasure's own loops compute them."""
+    from dilatekit.measures import _fit_system
+
+    table, grid, weights, mu = _random_measure(name)
+    d = table.dim
     a_mat, t_vec, c_mat, c_vec = _fit_system(table, grid)
     z = np.concatenate([dk.hvec(w) for w in weights])
     indices = [idx for idx in table.indices() if any(idx)]
@@ -364,6 +371,27 @@ def test_fit_system_matches_measure(name):
         _assert_bits(a_mat[:, cols], np.stack([block.real, block.imag], axis=1).reshape(
             t_vec.size, cols.size))
         _assert_bits(c_mat[:, cols], np.tile(unit, len(pos)))
+
+
+@pytest.mark.parametrize("name", ["torus", "annulus", "clock_mixed"])
+def test_combination_point_is_one_array_per_atom(name):
+    """Each atom's point is one (2c, b, b) complex array for its c canonical
+    indices, the very array every rank-one piece of the atom shares."""
+    from dilatekit.measures import _canonical_indices
+
+    table, grid, _, mu = _random_measure(name)
+    c = len(_canonical_indices(table))
+    comb = dk.measure_to_combination(mu, table)
+    points = {}
+    for gamma, point in comb.terms:
+        b = gamma.shape[0]
+        assert type(point.coords) is np.ndarray
+        assert point.coords.dtype == np.complex128
+        assert point.coords.shape == (2 * c, b, b)
+        assert points.setdefault(point.label, point.coords) is point.coords
+    # full-rank weights: an atom of block size m splits into m pieces
+    assert len(comb.terms) == sum(a.block_size(table.dim) for a in grid)
+    assert sorted(points) == list(range(len(grid)))
 
 
 def test_irrep_measure_combination_roundtrip():
