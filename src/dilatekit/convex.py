@@ -72,8 +72,11 @@ class MatrixPoint:
             c = np.empty(0)
         if not len(self.coords):
             raise DimensionMismatchError("a matrix point needs at least one coordinate")
-        if c.ndim != 3 and any(np.ndim(x) != 2 for x in self.coords):
-            raise ShapeMismatchError("every coordinate must be a 2-d array")
+        if c.ndim != 3:  # not one stack: find the fault coordinate by coordinate
+            each = [np.asarray(x, dtype=np.complex128) for x in self.coords]
+            if any(x.ndim != 2 for x in each):
+                raise ShapeMismatchError("every coordinate must be a 2-d array")
+            c = np.concatenate([x.ravel() for x in each])
         if not np.all(np.isfinite(c)):
             raise ShapeMismatchError("matrix contains NaN or Inf entries")
         if c.ndim != 3 or c.shape[1] != c.shape[2]:
@@ -103,6 +106,9 @@ class MatrixConvexCombination:
     def __post_init__(self):
         checked = []
         for gamma, point in self.terms:
+            if point.nvars != self.terms[0][1].nvars:
+                raise DimensionMismatchError(
+                    "every point needs the same number of coordinates")
             gamma = asmatrix(gamma)
             if gamma.shape != (point.level, self.n):
                 raise DimensionMismatchError(
@@ -113,7 +119,9 @@ class MatrixConvexCombination:
         self.terms = checked
 
     def defect(self) -> float:
-        s = sum(gamma.conj().T @ gamma for gamma, _ in self.terms)
+        s = np.zeros((self.n, self.n), dtype=np.complex128)
+        for gamma, _ in self.terms:
+            s += gamma.conj().T @ gamma
         return float(np.linalg.norm(s - np.eye(self.n)))
 
     def validate(self, tol: float = 1e-10):
@@ -159,8 +167,6 @@ def _lift_terms(c: MatrixConvexCombination):
     c.validate(1e-10)
     n = c.n
     nvars = c.terms[0][1].nvars if c.terms else 0
-    if any(point.nvars != nvars for _, point in c.terms):
-        raise DimensionMismatchError("every point needs the same number of coordinates")
     m = len(c.terms)
     t = np.empty(m)
     gammas = [None] * m
@@ -219,14 +225,19 @@ def unlift_point(weights, lifted, points, tol: Tolerances = DEFAULT_TOL
     if abs(wsum - 1.0) > 1e-10:
         raise NotNormalizedError(f"weights sum to {wsum!r}, expected 1")
     n = lifted[0].alpha.shape[0]
-    mean_alpha = sum(w * lp.alpha for w, lp in zip(weights, lifted))
+    mean_alpha = np.zeros((n, n), dtype=np.complex128)
+    for w, lp in zip(weights, lifted):
+        mean_alpha += w * lp.alpha
     if np.linalg.norm(mean_alpha - np.eye(n)) > 1e-9:
         raise NotNormalizedError(
             "weighted alphas do not average to the identity "
             f"(defect {np.linalg.norm(mean_alpha - np.eye(n)):.3e})"
         )
     betas = [np.sqrt(w) * lp.gamma for w, lp in zip(weights, lifted)]
-    corr = inv_sqrt_psd(sum(b.conj().T @ b for b in betas), tol)
+    s = np.zeros((n, n), dtype=np.complex128)
+    for b in betas:
+        s += b.conj().T @ b
+    corr = inv_sqrt_psd(s, tol)
     betas = [b @ corr for b in betas]
     return MatrixConvexCombination(n=n, terms=list(zip(betas, points)))
 
@@ -388,12 +399,19 @@ def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TO
 
 def _commutant_basis(coords):
     """Orthonormal basis (as vectors) of the commutant of a *-closed family."""
-    n = coords.shape[1]
+    n = coords[0].shape[0]
     eye = np.eye(n)
-    s, vh = _svd(np.vstack([np.kron(a, eye) - np.kron(eye, a.T)
-                            for c in coords for a in (c, c.conj().T)]))
-    thresh = _NULL_TOL * max(s[0], 1.0)
-    return [vh[i].conj() for i in range(vh.shape[0]) if i >= s.size or s[i] <= thresh]
+    rows = []
+    for a in coords:
+        rows.append(np.kron(a, eye) - np.kron(eye, a.T))
+        ah = a.conj().T
+        rows.append(np.kron(ah, eye) - np.kron(eye, ah.T))
+    k = np.vstack(rows)
+    s, vh = _svd(k)
+    smax = s[0] if s.size else 0.0
+    thresh = _NULL_TOL * max(smax, 1.0)
+    null = [vh[i].conj() for i in range(vh.shape[0]) if i >= s.size or s[i] <= thresh]
+    return null
 
 
 def irreducible_split(x: MatrixPoint, tol: Tolerances = DEFAULT_TOL, seed: int = 0):
@@ -435,7 +453,8 @@ def irreducible_split(x: MatrixPoint, tol: Tolerances = DEFAULT_TOL, seed: int =
     gap_at = int(np.argmax(np.diff(w)))
     beta = q[:, : gap_at + 1]
     delta = q[:, gap_at + 1:]
-    x_beta, x_delta = (replace(x, coords=e.conj().T @ x.coords @ e) for e in (beta, delta))
+    x_beta = replace(x, coords=beta.conj().T @ x.coords @ beta)
+    x_delta = replace(x, coords=delta.conj().T @ x.coords @ delta)
     return beta, delta, x_beta, x_delta
 
 

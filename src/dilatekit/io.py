@@ -166,20 +166,8 @@ def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
         raise MalformedInputError(
             f"{where}: data length {len(data)} does not match {rows}x{cols}"
         )
-    # the entry types are checked once over the whole list, as _dump_pairs
-    # does; any other type, or a value beyond the double range, is decoded
-    # entry by entry, which raises at the first bad entry
-    values = None
-    if set(map(type, data)) <= {list, tuple} and set(map(len, data)) == {2}:
-        flat = list(itertools.chain.from_iterable(data))
-        if set(map(type, flat)) <= {int, float, bool}:
-            try:
-                values = np.array(flat, dtype=np.float64).view(np.complex128)
-            except OverflowError:  # an integer beyond the double range
-                pass
-    if values is None or not np.isfinite(values).all():
-        values = np.array([_decode_complex(v, where) for v in data], dtype=np.complex128)
-    return values.reshape(rows, cols)
+    flat = [_decode_complex(v, where) for v in data]
+    return np.array(flat, dtype=np.complex128).reshape(rows, cols)
 
 
 def encode_table(table: MomentTable) -> dict:

@@ -583,13 +583,12 @@ def measure_to_combination(mu: AtomicMeasure, table: MomentTable,
     terms = [None] * len(mu.atoms)
     for kind, _, pos, weights in _weight_groups(mu.atoms, d):
         words = _words([mu.atoms[j] for j in pos], indices, mu.index_rule)
-        # parts[a]: atom a's point, the re/im parts at each index (2c, b, b)
-        parts = np.stack([herm_part(words), herm_part(-1j * words)], axis=2
-                         ).reshape(len(pos), -1, *words.shape[2:])
+        parts = np.stack([herm_part(words), herm_part(-1j * words)], axis=2)
         pieces, counts = _pieces(kind, weights, d, tol)
         for j, coords, own in zip(pos.tolist(), parts,
                                   np.split(pieces, np.cumsum(counts)[:-1])):
-            point = MatrixPoint(coords=coords, selfadjoint=True, label=j)
+            point = MatrixPoint(coords=coords.reshape(-1, *words.shape[2:]),
+                                selfadjoint=True, label=j)
             terms[j] = [(gamma, point) for gamma in own]
     return MatrixConvexCombination(n=d, terms=[t for ts in terms for t in ts])
 

@@ -265,6 +265,8 @@ NAN = float("nan")
     ([np.ones((2, 2, 2))], False, dk.ShapeMismatchError),
     ([0.5], False, dk.ShapeMismatchError),
     ([np.array([[NAN]])], False, dk.ShapeMismatchError),
+    # ragged and non-finite: the non-finite entry is named, as for one level
+    ([np.array([[NAN]]), np.eye(2)], False, dk.ShapeMismatchError),
     ([np.eye(2), np.array([[1.0, np.inf], [0.0, 1.0]])], True, dk.ShapeMismatchError),
     ([np.array([[0.0, 1e-9], [0.0, 0.0]])], True, dk.NotHermitianError),
     # the bound is per coordinate: a large first one does not loosen the second's
@@ -295,10 +297,13 @@ def test_combination_validation_errors():
     with pytest.raises(InvalidCombinationError):
         dk.caratheodory_reduce(bad)
     q = dk.MatrixPoint([np.eye(2), np.eye(2)], selfadjoint=True)
-    mixed = dk.MatrixConvexCombination(
-        n=2, terms=[(np.sqrt(0.5) * np.eye(2), p), (np.sqrt(0.5) * np.eye(2), q)])
-    with pytest.raises(dk.DimensionMismatchError):
-        dk.caratheodory_reduce(mixed)
+    # points with different numbers of coordinates, in either order, are
+    # refused when the combination is built, before any barycenter or reduction
+    for first, second in ((p, q), (q, p)):
+        with pytest.raises(dk.DimensionMismatchError):
+            dk.MatrixConvexCombination(
+                n=2, terms=[(np.sqrt(0.5) * np.eye(2), first),
+                            (np.sqrt(0.5) * np.eye(2), second)])
 
 
 def test_ntrace():
