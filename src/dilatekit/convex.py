@@ -98,25 +98,32 @@ class MatrixPoint:
 
 @dataclass
 class MatrixConvexCombination:
-    """Terms (gamma_j, x_j) with sum gamma_j* gamma_j = I_n."""
+    """Terms (gamma_j, x_j) with sum gamma_j* gamma_j = I_n.
+
+    Each coefficient is converted to a complex128 array once; one pass
+    over all of them rejects NaN/Inf entries.
+    """
 
     n: int
     terms: list = field(default_factory=list)
 
     def __post_init__(self):
-        checked = []
-        for gamma, point in self.terms:
-            if point.nvars != self.terms[0][1].nvars:
+        gammas = [np.asarray(gamma, dtype=np.complex128) for gamma, _ in self.terms]
+        points = [point for _, point in self.terms]
+        if gammas and not np.isfinite(np.concatenate([g.ravel() for g in gammas])).all():
+            raise ShapeMismatchError("matrix contains NaN or Inf entries")
+        for gamma, point in zip(gammas, points):
+            if point.nvars != points[0].nvars:
                 raise DimensionMismatchError(
                     "every point needs the same number of coordinates")
-            gamma = asmatrix(gamma)
+            if gamma.ndim != 2:
+                raise ShapeMismatchError(f"expected a 2-d array, got ndim={gamma.ndim}")
             if gamma.shape != (point.level, self.n):
                 raise DimensionMismatchError(
                     f"coefficient shape {gamma.shape} does not match "
                     f"point level {point.level} and target level {self.n}"
                 )
-            checked.append((gamma, point))
-        self.terms = checked
+        self.terms = list(zip(gammas, points))
 
     def defect(self) -> float:
         s = np.zeros((self.n, self.n), dtype=np.complex128)
@@ -302,11 +309,15 @@ def _sweep(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Null-basis elimination on the columns of ``a`` until they are
     linearly independent; returns the new weights, zero for retired terms.
 
-    Eliminations are swept a whole null basis at a time: after a
-    dependence direction retires a term, the remaining basis vectors are
-    Gaussian-updated to vanish on the retired column, so they stay valid
-    directions for the shrunken support.  One SVD then pays for up to
-    (columns - rank) removals instead of a single one.
+    Each pass takes one SVD and sweeps its whole null basis: a dependence
+    direction retires (pins) one term, and the remaining basis vectors
+    are Gaussian-updated to vanish on the pinned column, so they stay
+    valid directions for the shrunken support.  A retired term stays at
+    zero: the roundoff that later directions leave on it is dropped, not
+    carried into the next pass.  A pass that leaves ``rank`` unpinned
+    terms has retired one per null direction; those terms are
+    independent, and the sweep ends without another SVD.  A pass that
+    skipped or deferred a direction leaves more and gets another pass.
     """
     t = t.copy()
     alive = np.arange(t.size)
@@ -318,38 +329,42 @@ def _sweep(a: np.ndarray, t: np.ndarray) -> np.ndarray:
             break
         basis = np.array(vh[rank:], dtype=np.float64)
         ta = t[alive]
-        pinned = np.zeros(alive.size, dtype=bool)
+        free = np.ones(alive.size, dtype=bool)
+        ratios = np.empty(alive.size)
         for row in range(basis.shape[0]):
             cdir = basis[row]
-            peak = float(np.abs(cdir).max())
+            hi, lo = cdir.max(), -cdir.min()
+            peak = max(hi, lo)
             if peak <= 1e-14:
                 continue
-            if cdir.max() < -cdir.min():
-                cdir = -cdir
-            pos = (cdir > 1e-12 * peak) & ~pinned
-            if not np.any(pos):
+            if hi < lo:
+                np.negative(cdir, out=cdir)
+            pos = cdir > 1e-12 * peak
+            pos &= free
+            if not pos.any():
                 continue
-            ratios = np.full(alive.size, np.inf)
-            ratios[pos] = ta[pos] / cdir[pos]
+            ratios.fill(np.inf)
+            np.divide(ta, cdir, out=ratios, where=pos)
             pivot = int(np.argmin(ratios))
-            theta = ratios[pivot]
-            ta = np.clip(ta - theta * cdir, 0.0, None)
-            ta[pivot] = 0.0
-            pinned[pivot] = True
+            ta -= ratios[pivot] * cdir
+            np.maximum(ta, 0.0, out=ta)
+            free[pivot] = False
             rest = basis[row + 1:]
-            if rest.size:
-                lam = rest[:, pivot] / cdir[pivot]
-                # directions needing a huge multiplier lose too much
-                # accuracy; defer them to the next SVD pass instead
-                bad = np.abs(lam) > 1e8
-                rest -= np.outer(np.where(bad, 0.0, lam), cdir)
-                rest[bad] = 0.0
-                norms = np.linalg.norm(rest, axis=1)
-                keep = norms > 1e-12
-                rest[keep] /= norms[keep, None]
-                rest[~keep] = 0.0
+            lam = rest[:, pivot] / cdir[pivot]
+            # directions needing a huge multiplier lose too much
+            # accuracy; defer them to the next SVD pass instead.  Dividing
+            # by an infinite norm zeroes them, and rows left too short
+            bad = np.abs(lam) > 1e8
+            lam[bad] = 0.0
+            rest -= lam[:, None] * cdir
+            norms = np.sqrt(np.einsum("ij,ij->i", rest, rest))
+            norms[bad | (norms <= 1e-12)] = np.inf
+            rest /= norms[:, None]
+        ta[~free] = 0.0
         t[alive] = ta
         alive = alive[ta > 0.0]
+        if np.count_nonzero(free) == rank:  # every null direction retired a term
+            break
     return t
 
 
@@ -369,10 +384,14 @@ def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TO
     The elimination is blocked: terms enter in order, 32 at a time, and
     each block is swept together with the survivors of the blocks before
     it, so the SVDs stay the size of the affine rank plus one block
-    whatever the number of terms.  Finally the survivors' weights are
-    re-solved by least squares against the original barycenter; the
-    solution replaces the swept weights when it is strictly positive and
-    meets the barycenter more closely.
+    whatever the number of terms.  A block usually costs one SVD: its
+    sweep ends on the pass that retires one term per null direction, and
+    the next block's SVD covers the survivors again.  After the last
+    block, one more sweep over the survivors confirms that they are
+    independent; it costs one SVD when they are.  Finally the survivors'
+    weights are re-solved by least squares against the original
+    barycenter; the solution replaces the swept weights when it is
+    strictly positive and meets the barycenter more closely.
     """
     kept, t, gammas, alpha, value = _lift_terms(c)
     if not kept.size:
@@ -381,7 +400,8 @@ def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TO
     a = _lift_columns(alpha, value, all(p.selfadjoint for p in points))
     target = a @ t
     alive = np.zeros(0, dtype=np.intp)
-    for start in range(0, t.size, _BLOCK):
+    # the last, empty block is the confirming sweep over the final survivors
+    for start in range(0, t.size + _BLOCK, _BLOCK):
         work = np.concatenate([alive, np.arange(start, min(start + _BLOCK, t.size))])
         t[work] = _sweep(a[:, work], t[work])
         alive = work[t[work] > 0.0]

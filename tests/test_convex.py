@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import dilatekit as dk
+from dilatekit import convex
 from dilatekit import (
     InvalidCombinationError,
     ZeroCoefficientError,
@@ -116,8 +119,8 @@ def test_caratheodory_large_run_sweep():
     assert red.defect() <= 1e-10
 
 
-@pytest.mark.parametrize("nodes", [256, 512])
-def test_caratheodory_boundary_measure_terms(nodes):
+@pytest.mark.parametrize("nodes", [128, 256, 512])
+def test_caratheodory_boundary_measure_terms(nodes, monkeypatch):
     # the boundary pipeline's combination: 3 rank-one terms per node
     rng = np.random.default_rng(53)
     curve = dk.BoundaryCurve.ellipse(1.0, 0.6)
@@ -128,7 +131,20 @@ def test_caratheodory_boundary_measure_terms(nodes):
         (k,): np.linalg.matrix_power(t, k) for k in range(1, 5)})
     c = dk.measure_to_combination(mu, table)
     assert len(c.terms) == 3 * nodes
+    svd, calls = convex._svd, []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(convex, "_svd", counting_svd)
     red = dk.caratheodory_reduce(c)
+    # each retired term stays retired, so a block costs one SVD, plus one
+    # confirming SVD after the last block.  The slack of 3 allows for passes
+    # that defer an ill-conditioned direction and need a second SVD.  It
+    # still catches a sweep that lets retired terms come back from roundoff,
+    # which takes about four SVDs per block (52 for 384 terms).
+    assert len(calls) <= math.ceil(len(c.terms) / 32) + 1 + 3
     assert barycenter_gap(red, c) <= 1e-13
     assert red.defect() <= 1e-12
     assert len(red.terms) <= lifted_rank(c)
@@ -296,6 +312,16 @@ def test_combination_validation_errors():
         bad.validate()
     with pytest.raises(InvalidCombinationError):
         dk.caratheodory_reduce(bad)
+    # one NaN entry among finite coefficients, and a coefficient that is a
+    # stack rather than a matrix, are both refused when the combination is built
+    half = np.sqrt(0.5) * np.eye(2)
+    nan = half.copy()
+    nan[1, 0] = np.nan
+    for coeff in (nan, half[None]):
+        with pytest.raises(dk.ShapeMismatchError):
+            dk.MatrixConvexCombination(n=2, terms=[(half, p), (coeff, p)])
+    with pytest.raises(dk.DimensionMismatchError, match=r"coefficient shape \(2, 1\)"):
+        dk.MatrixConvexCombination(n=2, terms=[(half, p), (half[:, :1], p)])
     q = dk.MatrixPoint([np.eye(2), np.eye(2)], selfadjoint=True)
     # points with different numbers of coordinates, in either order, are
     # refused when the combination is built, before any barycenter or reduction
