@@ -125,25 +125,39 @@ class MatrixConvexCombination:
                 )
         self.terms = list(zip(gammas, points))
 
+    def _levels(self):
+        """(term indices, coefficients stacked (terms, k, n)) for each point
+        level k, levels in order of first use."""
+        groups: dict = {}
+        for j, (_, point) in enumerate(self.terms):
+            groups.setdefault(point.level, []).append(j)
+        for idx in groups.values():
+            yield idx, np.stack([self.terms[j][0] for j in idx])
+
     def defect(self) -> float:
         s = np.zeros((self.n, self.n), dtype=np.complex128)
-        for gamma, _ in self.terms:
-            s += gamma.conj().T @ gamma
+        for _, beta in self._levels():
+            s += np.einsum("jkn,jkm->nm", beta.conj(), beta)
         return float(np.linalg.norm(s - np.eye(self.n)))
 
     def validate(self, tol: float = 1e-10):
-        defect = self.defect()
-        if defect > tol:
-            raise InvalidCombinationError(
-                f"coefficients sum to identity with defect {defect:.3e} > {tol:.1e}"
-            )
+        _require_unit(self.defect(), tol)
 
     def barycenter(self) -> np.ndarray:
         """The represented point sum_j gamma_j* x_j gamma_j, stacked (nvars, n, n)."""
         out = np.zeros((self.terms[0][1].nvars, self.n, self.n), dtype=np.complex128)
-        for gamma, point in self.terms:
-            out += gamma.conj().T @ point.coords @ gamma
+        for idx, beta in self._levels():
+            x = np.stack([self.terms[j][1].coords for j in idx])
+            out += np.einsum("jkn,jvkl,jlm->vnm", beta.conj(), x, beta)
         return out
+
+
+def _require_unit(defect: float, tol: float):
+    """Refuse coefficients whose sum of gamma* gamma is defect away from I."""
+    if defect > tol:
+        raise InvalidCombinationError(
+            f"coefficients sum to identity with defect {defect:.3e} > {tol:.1e}"
+        )
 
 
 @dataclass
@@ -169,9 +183,9 @@ def _lift_terms(c: MatrixConvexCombination):
     Terms are grouped by point level so that each group is one stacked
     computation.  Returns the kept term indices, the weights t_j, the
     coefficients gamma_j (a list, their heights differ), and the stacks
-    alpha (m, n, n) and value (m, nvars, n, n).
+    alpha (m, n, n) and value (m, nvars, n, n).  Refuses the combination
+    when sum t_j alpha_j = sum beta_j* beta_j is more than 1e-10 from I.
     """
-    c.validate(1e-10)
     n = c.n
     nvars = c.terms[0][1].nvars if c.terms else 0
     m = len(c.terms)
@@ -179,11 +193,7 @@ def _lift_terms(c: MatrixConvexCombination):
     gammas = [None] * m
     alpha = np.empty((m, n, n), dtype=np.complex128)
     value = np.empty((m, nvars, n, n), dtype=np.complex128)
-    groups: dict = {}
-    for j, (_, point) in enumerate(c.terms):
-        groups.setdefault(point.level, []).append(j)
-    for idx in groups.values():
-        beta = np.stack([c.terms[j][0] for j in idx])
+    for idx, beta in c._levels():
         x = np.stack([c.terms[j][1].coords for j in idx])
         tg = np.einsum("jkn,jkn->j", beta.conj(), beta).real / n
         gamma = beta / np.sqrt(np.where(tg > 0.0, tg, 1.0))[:, None, None]
@@ -193,6 +203,8 @@ def _lift_terms(c: MatrixConvexCombination):
         value[idx] = gh[:, None] @ x @ gamma[:, None]
         for j, g in zip(idx, gamma):
             gammas[j] = g
+    _require_unit(float(np.linalg.norm(np.einsum("j,jkl->kl", t, alpha) - np.eye(n))),
+                  1e-10)
     kept = np.flatnonzero(t > 0.0)
     return kept, t[kept], [gammas[j] for j in kept], alpha[kept], value[kept]
 
@@ -295,14 +307,12 @@ def _lift_columns(alpha, value, selfadjoint: bool) -> np.ndarray:
 
 
 def _svd(a: np.ndarray, full_matrices: bool = True):
-    """Singular values and right vectors, retrying LAPACK's gesvd when the
-    default divide-and-conquer driver fails to converge."""
+    """The SVD (u, s, vh), retrying LAPACK's gesvd when the default
+    divide-and-conquer driver fails to converge."""
     try:
-        _, s, vh = np.linalg.svd(a, full_matrices=full_matrices)
+        return np.linalg.svd(a, full_matrices=full_matrices)
     except np.linalg.LinAlgError:
-        _, s, vh = scipy.linalg.svd(a, full_matrices=full_matrices,
-                                    lapack_driver="gesvd")
-    return s, vh
+        return scipy.linalg.svd(a, full_matrices=full_matrices, lapack_driver="gesvd")
 
 
 def _sweep(a: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -322,7 +332,7 @@ def _sweep(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     t = t.copy()
     alive = np.arange(t.size)
     while alive.size > 1:
-        s, vh = _svd(a[:, alive])
+        _, s, vh = _svd(a[:, alive])
         thresh = 1e-11 * max(s[0], 1.0)
         rank = int(np.count_nonzero(s > thresh))
         if rank >= alive.size:
@@ -427,7 +437,7 @@ def _commutant_basis(coords):
         ah = a.conj().T
         rows.append(np.kron(ah, eye) - np.kron(eye, ah.T))
     k = np.vstack(rows)
-    s, vh = _svd(k)
+    _, s, vh = _svd(k)
     smax = s[0] if s.size else 0.0
     thresh = _NULL_TOL * max(smax, 1.0)
     null = [vh[i].conj() for i in range(vh.shape[0]) if i >= s.size or s[i] <= thresh]

@@ -312,6 +312,11 @@ def test_combination_validation_errors():
         bad.validate()
     with pytest.raises(InvalidCombinationError):
         dk.caratheodory_reduce(bad)
+    # coefficients summing to I + 2e-10 E_11 are refused by the reduction
+    # too, whose gate reads the lifted stacks
+    near = [(np.sqrt(0.5) * np.eye(2), p), (np.diag(np.sqrt([0.5 + 2e-10, 0.5])), p)]
+    with pytest.raises(InvalidCombinationError, match="defect 2.000e-10 > 1.0e-10"):
+        dk.caratheodory_reduce(dk.MatrixConvexCombination(n=2, terms=near))
     # one NaN entry among finite coefficients, and a coefficient that is a
     # stack rather than a matrix, are both refused when the combination is built
     half = np.sqrt(0.5) * np.eye(2)

@@ -147,11 +147,86 @@ def test_fit_mixed_block_sizes():
     assert {a.rep_dim for a in mu.atoms} == {1, 2}
 
 
-def test_fit_infeasible_raises():
+def _count_polish(monkeypatch):
+    """Record every face polish the fit attempts and whether it was PSD."""
+    from dilatekit import measures
+
+    calls = []
+    polish = measures._polish
+
+    def counted(*args):
+        out = polish(*args)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr(measures, "_polish", counted)
+    return calls
+
+
+def test_fit_infeasible_raises(monkeypatch):
+    # the polish runs at checks 1, 2, 4, ..., 512 of the 800 a refusal makes
+    calls = _count_polish(monkeypatch)
     table = dk.MomentTable(dim=1, nu=1, values={(1,): np.array([[1.5]])})
     with pytest.raises(InfeasibleError) as exc:
         dk.fit_matrix_measure(table, dk.circle_grid(32))
     assert exc.value.residual > 0.1
+    assert 1 <= len(calls) <= 10
+
+
+def _qcommute_pair(rng):
+    """The demo pair T2 T1 = -T1 T2 at lattice phases, turned by a unitary."""
+    w = random_unitary(rng, 2)
+    lam, beta = np.exp(2j * np.pi * np.array([1, 3]) / 8)
+    return (w @ np.diag([lam, -lam]) @ w.conj().T,
+            w @ np.array([[0.0, beta], [0.0, 0.0]]) @ w.conj().T)
+
+
+def test_polish_rejects_non_psd_face_solution(monkeypatch):
+    """At the first check the q-commute face solve meets the moments but
+    leaves a face weight S_j with a negative eigenvalue: it is refused, and
+    the fit goes on to a PSD measure.  Later face solves are PSD, but the
+    fit waits for one that meets the moments to 1e-3 fit_tol."""
+    from dilatekit.measures import _admm, _polish
+
+    table = dk.qcommuting_moments(*_qcommute_pair(np.random.default_rng(127)), 1)
+    grid = dk.clock_phase_grid(1, 2, 8)
+    system, groups, z = _fit_start(table, grid)
+    _, z = next(_admm(*system, groups, z))
+    assert np.linalg.norm(system[0] @ z - system[1]) > dk.DEFAULT_TOL.fit_tol
+    assert _polish(*system, groups, z) is None
+    calls = _count_polish(monkeypatch)
+    mu = dk.fit_matrix_measure(table, grid)
+    assert calls[0] is False and calls[-1] is True
+    assert mu.fit_residual <= 1e-3 * dk.DEFAULT_TOL.fit_tol
+    for a in mu.atoms:
+        assert np.linalg.eigvalsh(a.weight)[0] >= -1e-12
+
+
+def test_polish_stops_extremal_fit_at_first_check(monkeypatch):
+    """Commuting unitaries with spectrum on the 8-node lattice (the bench's
+    regular extremal case): the first polish, at iteration 25, is accepted."""
+    rng = np.random.default_rng(131)
+    w = random_unitary(rng, 3)
+    phases = np.exp(2j * np.pi * rng.integers(0, 8, size=(2, 3)) / 8)
+    table = dk.regular_moments([w @ np.diag(ph) @ w.conj().T for ph in phases], 2)
+    calls = _count_polish(monkeypatch)
+    mu = dk.fit_matrix_measure(table, dk.torus_grid(8, 2))
+    assert calls == [True]
+    assert mu.fit_residual <= 1e-12
+    assert len(mu.atoms) <= 3
+
+    # numpy's divide-and-conquer SVD can fail to converge on the face
+    # solve's nearly null matrices; LAPACK gesvd then gives the same stop
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    again = dk.fit_matrix_measure(table, dk.torus_grid(8, 2))
+    assert calls == [True, True]
+    assert len(again.atoms) == len(mu.atoms)
+    for a, b in zip(again.atoms, mu.atoms):
+        assert np.array_equal(a.point, b.point)
+        assert np.linalg.norm(a.weight - b.weight) <= 1e-12
 
 
 def test_assemble_point_dilation_exact():
@@ -493,10 +568,37 @@ def _dense_kkt_fit(targets, grid, seed=0):
     return z
 
 
+def _fit_start(targets, grid, seed=0):
+    """fit_matrix_measure's linear system, atom groups and seeded start."""
+    from dilatekit.measures import _atom_groups, _fit_system
+
+    d = targets.dim
+    system = _fit_system(targets, grid)
+    sizes = np.array([a.block_size(d) for a in grid])
+    weights = (0.5 + 0.5 * np.random.default_rng(seed).random(len(grid))) / len(grid)
+    z = np.repeat(weights, sizes ** 2) * (system[2].T @ system[3])
+    return system, list(_atom_groups(grid, d)), z
+
+
+def _plain_fit(targets, grid, seed=0):
+    """fit_matrix_measure's plain ADMM iteration under the plain stopping
+    rule alone, without the face polish; the stacked weights before pruning."""
+    from dilatekit.measures import _admm
+
+    system, groups, z = _fit_start(targets, grid, seed)
+    a_mat, t_vec, c_mat, c_vec = system
+    for _, z in _admm(*system, groups, z):
+        if (np.linalg.norm(a_mat @ z - t_vec) <= 0.9 * dk.DEFAULT_TOL.fit_tol
+                and np.linalg.norm(c_mat @ z - c_vec) <= 1e-9):
+            break
+    return z
+
+
 @pytest.mark.parametrize("name", ["torus", "clock_mixed"])
 def test_fit_matches_dense_kkt_reference(name):
     """The row-space x-step reproduces the dense KKT ADMM: the same atoms
-    survive pruning, with weights equal to roundoff."""
+    survive pruning, with weights equal to roundoff.  The polished fit
+    keeps those atoms and meets the table within fit_tol."""
     from dilatekit.measures import _PRUNE_TOL, _fit_system
 
     rng = np.random.default_rng(113)
@@ -517,20 +619,28 @@ def test_fit_matches_dense_kkt_reference(name):
         w = np.vstack([a_mat, c_mat])
         assert np.linalg.matrix_rank(w) < min(w.shape)
     d = table.dim
-    z = _dense_kkt_fit(table, grid)
     sizes = [a.block_size(d) for a in grid]
-    blocks = np.split(z, np.cumsum(np.square(sizes))[:-1])
-    want = [(j, dk.hunvec(v, m)) for j, (v, m) in enumerate(zip(blocks, sizes))
-            if np.linalg.norm(dk.hunvec(v, m)) >= _PRUNE_TOL]
+
+    def survivors(z):
+        blocks = np.split(z, np.cumsum(np.square(sizes))[:-1])
+        return [(j, dk.hunvec(v, m)) for j, (v, m) in enumerate(zip(blocks, sizes))
+                if np.linalg.norm(dk.hunvec(v, m)) >= _PRUNE_TOL]
+
+    want = survivors(_dense_kkt_fit(table, grid))
+    got = survivors(_plain_fit(table, grid))
+    assert [j for j, _ in got] == [j for j, _ in want]
+    for (_, weight), (_, ref) in zip(got, want):
+        assert np.linalg.norm(weight - ref) <= 1e-10
     mu = dk.fit_matrix_measure(table, grid)
     assert len(mu.atoms) == len(want)
-    for a, (j, weight) in zip(mu.atoms, want):
+    for a, (j, _) in zip(mu.atoms, want):
         if isinstance(a, dk.PointAtom):
             assert np.array_equal(a.point, grid[j].point)
         else:
             assert all(np.array_equal(g, h)
                        for g, h in zip(a.generators, grid[j].generators))
-        assert np.linalg.norm(a.weight - weight) <= 1e-10
+    for idx in table.indices():
+        assert np.linalg.norm(mu.moment(idx) - table.value(idx)) <= dk.DEFAULT_TOL.fit_tol
 
 
 # -- per-atom references: the loops the stacked back half replaced ------
