@@ -2,8 +2,8 @@
 
 Matrices are plain ``numpy.ndarray`` with dtype complex128, row-major.
 The routines here fix the deterministic conventions (eigenvalue order,
-factor phases, complement bases) that the dilation constructions rely on
-for reproducible output.
+factor phases) that the dilation constructions rely on for reproducible
+output.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import (
     DimensionMismatchError,
     NonSquareError,
     NotHermitianError,
-    NotIsometricError,
     NotPSDError,
     ShapeMismatchError,
 )
@@ -30,8 +29,6 @@ __all__ = [
     "herm_eig",
     "numerical_rank_factor",
     "psd_project",
-    "complete_isometry_to_unitary",
-    "polar_isometry",
     "inv_sqrt_psd",
     "hvec",
     "hunvec",
@@ -182,18 +179,6 @@ def psd_project(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return herm_part((q * w) @ np.swapaxes(q.conj(), -1, -2))
 
 
-# ||Q* Q - I||_F per column that an orthonormal basis computed by an SVD,
-# or its product with a unitary, stays under: the GNS bases of a d=8,
-# order-32 circle table measure at most 1.4 eps per column
-_ORTHO_ROUNDOFF = 16 * np.finfo(np.float64).eps
-
-
-def polar_isometry(a: np.ndarray) -> np.ndarray:
-    """Nearest matrix with orthonormal columns (polar factor), for tall a."""
-    u, _, vh = np.linalg.svd(a, full_matrices=False)
-    return u @ vh
-
-
 def inv_sqrt_psd(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Inverse square root of a Hermitian positive definite matrix."""
     w, q = herm_eig(s, tol)
@@ -204,89 +189,6 @@ def inv_sqrt_psd(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
             min_eig=float(w[0]),
         )
     return (q * (1.0 / np.sqrt(w))) @ q.conj().T
-
-
-def _index_order_complement(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal complement of span(basis), built deterministically.
-
-    Standard basis vectors are orthogonalized against the accumulated set
-    in index order 0, 1, ...; a candidate is kept when its residual is
-    numerically nonzero.  Two projection passes keep the result
-    orthonormal to machine precision.
-    """
-    r, k = basis.shape
-    rows = np.empty((r, r), dtype=np.complex128)  # the accumulated set, by rows
-    rows[:k] = basis.T
-    m = k
-    for j in range(r):
-        if m == r:
-            break
-        v = np.zeros(r, dtype=np.complex128)
-        v[j] = 1.0
-        for _ in range(2):
-            a = rows[:m]
-            v = v - (a @ v.conj()).conj() @ a
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            rows[m] = v / nrm
-            m += 1
-    if m != r:
-        raise NotIsometricError("could not complete an orthonormal complement")
-    return rows[k:].T
-
-
-def complete_isometry_to_unitary(u0, domain_basis, range_basis,
-                                 tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Extend a partial isometry to a unitary on the whole space.
-
-    ``u0`` must map span(domain_basis) isometrically onto
-    span(range_basis); both bases are orthonormal with equally many
-    columns.  The extension pairs the two orthonormal complements built by
-    index-order Gram-Schmidt over the standard basis, so the completion is
-    deterministic: completing e1 -> e2 in C^2 yields the permutation
-    [[0, 1], [1, 0]].
-    """
-    u0 = asmatrix(u0)
-    d = asmatrix(domain_basis)
-    rg = asmatrix(range_basis)
-    r = u0.shape[0]
-    if u0.shape[1] != r:
-        raise NonSquareError("partial map must be square")
-    if d.shape[0] != r or rg.shape[0] != r:
-        raise DimensionMismatchError("basis height does not match the partial map")
-    if d.shape[1] != rg.shape[1]:
-        raise DimensionMismatchError(
-            f"domain has dimension {d.shape[1]} but range has {rg.shape[1]}"
-        )
-    k = d.shape[1]
-    # a basis orthonormal to roundoff is kept; a looser one is re-orthonormalized
-    roundoff = _ORTHO_ROUNDOFF * max(1, k)
-    bases = []
-    for name, b in (("domain", d), ("range", rg)):
-        defect = np.linalg.norm(b.conj().T @ b - np.eye(k))
-        if defect > 1e-10 * max(1, k):
-            raise NotIsometricError(f"{name} basis is not orthonormal")
-        bases.append(polar_isometry(b) if defect > roundoff else b)
-    d, rg = bases
-    if k:
-        b = u0 @ d
-        iso_defect = np.linalg.norm(b.conj().T @ b - np.eye(k))
-        onto_defect = np.linalg.norm(b - rg @ (rg.conj().T @ b))
-        if iso_defect > 1e-10 * max(1, k) or onto_defect > 1e-10 * max(1, k):
-            raise NotIsometricError(
-                f"partial map is not an isometry onto the range span "
-                f"(isometry defect {iso_defect:.3e}, range defect {onto_defect:.3e})"
-            )
-        if iso_defect > roundoff:
-            b = polar_isometry(b)
-    else:
-        b = np.zeros((r, 0), dtype=np.complex128)
-    dc = _index_order_complement(d)
-    rc = _index_order_complement(b if k else rg)
-    u = b @ d.conj().T + rc @ dc.conj().T
-    if np.linalg.norm(u.conj().T @ u - np.eye(r)) > 1e-12 * max(1, r):
-        raise NotIsometricError("completion failed to produce a unitary")
-    return u
 
 
 @functools.lru_cache(maxsize=None)

@@ -21,15 +21,7 @@ from .errors import (
     ResolventSingularError,
     ShapeMismatchError,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
-    asmatrix,
-    complete_isometry_to_unitary,
-    herm_part,
-    numerical_rank_factor,
-    polar_isometry,
-)
+from .linalg import DEFAULT_TOL, Tolerances, _psd_floor, asmatrix, herm_part
 
 __all__ = [
     "MomentTable",
@@ -250,13 +242,38 @@ def toeplitz_kernel(table: MomentTable) -> np.ndarray:
 
 
 def toeplitz_gns_unitary(table: MomentTable, tol: Tolerances = DEFAULT_TOL) -> Dilation:
-    """Unitary matching a conjugate-closed one-variable moment table.
+    """Unitary matching a conjugate-closed one-variable moment table: the
+    finite block CMV matrix of its Verblunsky coefficients, V = [I; 0] and
+    V* U^k V = L_k for 0 <= k <= N (Cantero, Moral & Velazquez 2003,
+    Linear Algebra Appl. 362; Damanik, Pushnitski & Simon 2008, Surveys in
+    Approximation Theory 4).
 
-    The block Toeplitz kernel M = [L_{j-i}] is factored as W* W; columns
-    of W realize the GNS space of the truncated data.  Shifting block
-    spans is isometric exactly because M is Toeplitz, and the shift is
-    completed to a unitary U with V* U^k V = L_k for 0 <= k <= N.  The
-    space dimension is the numerical rank r <= (N+1) d.
+    Recursion (block Szego).  With x_j = U^j V, phi_m and psi_m are
+    orthonormal bases of the forward and backward innovations
+    span{x_0..x_m} - span{x_0..x_{m-1}} and span{x_0..x_m} -
+    span{x_1..x_m}, kept as coefficient stacks over x_0..x_m;
+    phi_0 = psi_0 = x_0.  As U phi_m is orthogonal to x_1..x_m, the
+    coefficient a_m = psi_m* U phi_m = psi_m0* sum_j L_{j+1} phi_mj.  With
+    a_m = P diag(s) W* and q = sqrt(1 - s^2) on the kept directions,
+    phi_{m+1} = (U phi_m - psi_m a_m) W / q and psi_{m+1} = (psi_m -
+    U phi_m a_m*) P / q.
+
+    CMV convention.  Then [U phi_m, psi_{m+1}] = [psi_m, phi_{m+1}] Theta_m
+    with the Julia block Theta_m = [[a_m, P q], [q W*, -diag(s)]], and in
+    the basis phi_0, phi_1, U^-1 psi_2, U^-1 phi_3, U^-2 psi_4, ... the
+    unitary is U = L M, L = diag(Theta_0, Theta_2, ...), M = diag(I,
+    Theta_1, Theta_3, ...), with I on block N, whose Theta lies past the
+    data.  U is five-block-diagonal and written block by block.
+
+    Thin defects.  Directions with 1 - s^2 at or below rank_tol are
+    dropped (s set to 1 in a_m), so block m+1 has r_{m+1} <= r_m rows and
+    K = d + sum r_m, for exact data the rank of the block Toeplitz kernel;
+    no defect is inverted, so unitary or norm-one data are handled.
+
+    Refusal.  A coefficient of norm above 1 + psd_tol, or a moment the
+    finished U misses by more than residual_tol where the kernel is not
+    PSD, raises NotPSD naming the order, with the smallest eigenvalue of
+    the kernel cut at that order.
     """
     if not table.symmetric:
         raise ShapeMismatchError("GNS construction needs a conjugate-closed table")
@@ -264,39 +281,94 @@ def toeplitz_gns_unitary(table: MomentTable, tol: Tolerances = DEFAULT_TOL) -> D
     if n < 1:
         raise ShapeMismatchError("GNS construction needs moments of order 1 or more")
     d = table.dim
-    m = toeplitz_kernel(table)
-    w, r = numerical_rank_factor(m, tol)
-    norm_m = np.linalg.norm(m)
+    moments = np.concatenate([table.value((k,)) for k in range(1, n + 1)], axis=1)
+    fwd = bwd = np.eye(d, dtype=np.complex128)  # phi_m, psi_m over x_0..x_m, stacked
+    thetas, sizes = [], [d]
+    for m in range(n):
+        r = sizes[-1]
+        a = bwd[:d].conj().T @ (moments[:, :(m + 1) * d] @ fwd)
+        p, s, wh = np.linalg.svd(a)
+        if r and s[0] > 1.0 + tol.psd_tol:
+            raise _refusal(table, m + 1, f"Verblunsky coefficient of norm {s[0]:.6e}")
+        defect = (1.0 - s) * (1.0 + s)
+        keep = defect > tol.rank_tol
+        if not keep.all():
+            a = a + (p[:, ~keep] * (1.0 - s[~keep])) @ wh[~keep]
+        q = np.sqrt(defect[keep])
+        p, wh, k = p[:, keep], wh[keep], len(q)
+        theta = np.empty((r + k, r + k), dtype=np.complex128)
+        theta[:r, :r] = a
+        theta[:r, r:] = p * q
+        theta[r:, :r] = q[:, None] * wh
+        theta[r:, r:] = np.diag(-s[keep])
+        thetas.append(theta)
+        sizes.append(k)
+        up = np.vstack([np.zeros((d, r)), fwd])  # U phi_m
+        back = np.vstack([bwd, np.zeros((d, r))])
+        fwd = (up - back @ a) @ (wh.conj().T / q)
+        bwd = (back - up @ a.conj().T) @ (p / q)
 
-    x = w[:, : n * d]
-    y = w[:, d:]
-    p, sv, qh = np.linalg.svd(x, full_matrices=False)
-    s = int(np.count_nonzero(sv > tol.rank_tol * sv[0]))
-    dom = p[:, :s]
-    coef = qh.conj().T[:, :s] / sv[:s]
-    img = y @ coef
-    shift_defect = float(np.linalg.norm(img.conj().T @ img - np.eye(s)))
-    if shift_defect > 1e-8 * max(norm_m, 1.0):
-        raise NotPSDError(
-            "moment data does not induce an isometric shift on the GNS space "
-            f"(defect {shift_defect:.3e}); kernel is not consistently PSD",
-            min_eig=None,
-        )
-    rng_basis = polar_isometry(img)
-    u0 = rng_basis @ dom.conj().T
-    u = complete_isometry_to_unitary(u0, dom, rng_basis, tol)
-    v = polar_isometry(w[:, :d])
-
+    off = np.cumsum([0] + sizes)
+    big = int(off[-1])
+    u = _cmv_product(thetas, sizes, off)
+    v = np.zeros((big, d), dtype=np.complex128)
+    v[:d] = np.eye(d)
+    shift = max(float(np.linalg.norm(t.conj().T @ t - np.eye(len(t)))) for t in thetas)
     words = _word_walk([(k,) for k in range(1, n + 1)], [u], v=v)
-    resid = max(float(np.linalg.norm(v.conj().T @ w - table.value((k,))))
-                for k, w in enumerate(words, 1))
+    resid = [float(np.linalg.norm(w[:d] - table.value((k,)))) for k, w in enumerate(words, 1)]
+    miss = next((k for k, x in enumerate(resid, 1) if x > tol.residual_tol), None)
+    if miss is not None:
+        lam = _kernel_spectrum(table, miss)
+        if lam[0] < _psd_floor(lam, tol):
+            raise _refusal(table, miss, f"moment residual {resid[miss - 1]:.3e}", lam)
     return Dilation(
         v=v,
         generators=[u],
-        space_dim=r,
+        space_dim=big,
         provenance="gns",
-        residuals={"shift_isometry": shift_defect, "moment_max": resid},
+        residuals={"shift_isometry": shift, "moment_max": max(resid)},
     )
+
+
+def _cmv_product(thetas, sizes, off) -> np.ndarray:
+    """U = L M, one group of L at a time: a block row of L meets two
+    groups of M, so it has at most four nonzero blocks.  Summing into
+    zeros leaves no -0.0 entry, which the JSON wire format would lose."""
+    n = len(thetas)
+
+    def groups(first):  # (first block, end block, matrix)
+        out = [] if first == 0 else [(0, 1, np.eye(sizes[0]))]
+        out += [(m, m + 2, thetas[m]) for m in range(first, n, 2)]
+        if (n - first) % 2 == 0:
+            out.append((n, n + 1, np.eye(sizes[n])))
+        return out
+
+    m_rows = {}
+    for j0, j1, g in groups(1):
+        for j in range(j0, j1):
+            m_rows[j] = slice(off[j0], off[j1]), g[off[j] - off[j0]:off[j + 1] - off[j0]]
+    u = np.zeros((off[-1], off[-1]), dtype=np.complex128)
+    for j0, j1, g in groups(0):
+        for j in range(j0, j1):
+            cols, m_part = m_rows[j]
+            u[off[j0]:off[j1], cols] += g[:, off[j] - off[j0]:off[j + 1] - off[j0]] @ m_part
+    return u
+
+
+def _kernel_spectrum(table: MomentTable, order: int) -> np.ndarray:
+    """Eigenvalues of the block Toeplitz kernel of the table cut at ``order``."""
+    d = table.dim
+    return np.linalg.eigvalsh(toeplitz_kernel(table)[:(order + 1) * d, :(order + 1) * d])
+
+
+def _refusal(table: MomentTable, order: int, why: str, lam=None) -> NotPSDError:
+    """NotPSD at ``order``; the truncated kernel's smallest eigenvalue is
+    the witness."""
+    if lam is None:
+        lam = _kernel_spectrum(table, order)
+    return NotPSDError(
+        f"moment data admit no unitary dilation at order {order} ({why}): "
+        f"block Toeplitz kernel min eigenvalue {lam[0]:.6e}", min_eig=float(lam[0]))
 
 
 def _word_walk(indices, generators, rule: str = "laurent",

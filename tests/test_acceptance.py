@@ -103,6 +103,9 @@ def test_criterion_02_radius_scaled_dilations(bank, capsys):
             worst = max(worst, float(defect))
             if defect > 1e-8:
                 bad.append(f"#{i} k={k}: defect {defect:.2e}")
+        k = res.dilation.space_dim
+        if k > (order + 1) * t.shape[0]:
+            bad.append(f"#{i}: K={k} breaks (N+1)d={(order + 1) * t.shape[0]}")
         if not res.passed:
             bad.append(f"#{i}: result not passed")
     bank[2] = results

@@ -168,7 +168,9 @@ def test_qcommute_rejects_non_integer_ab(tmp_path):
 
 
 def test_tol_override_env(tmp_path, monkeypatch):
-    t = np.array([[0.0, 0.8], [0.0, 0.0]])
+    # a generic operator: its dilation meets the moments to roundoff, not
+    # exactly as the CMV dilation of a nilpotent Jordan block does
+    t = np.array([[0.3 + 0.1j, 0.2], [0.0, -0.4]])
     inp = write_operator(tmp_path / "t.json", t)
     # an absurd residual tolerance flips verification to failed: exit 4
     monkeypatch.setenv("DILATEKIT_TOL_OVERRIDE",

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from dilatekit import (
     ResolventSingularError,
     ShapeMismatchError,
 )
+from dilatekit.io import decode_dilation, dump_json, encode_dilation
 from dilatekit.moments import _word_walk
 
 from conftest import complex_gaussian, random_contraction, random_unitary
@@ -128,6 +131,73 @@ def test_gns_psd_gate():
     with pytest.raises(NotPSDError) as exc:
         dk.toeplitz_gns_unitary(dk.circle_moments(t, 1.0, 1))
     assert exc.value.min_eig < -1e-6
+
+
+def _unitary_plus_contraction():
+    """A 2x2 unitary beside a 2x2 contraction of norm 0.9."""
+    rng = np.random.default_rng(71)
+    t = np.zeros((4, 4), dtype=np.complex128)
+    t[:2, :2] = random_unitary(rng, 2)
+    t[2:, 2:] = random_contraction(rng, 2, norm=0.9)
+    return t
+
+
+# (operator, rho, order, K): data whose Verblunsky coefficients reach norm
+# one, or whose defects lose rank, so the CMV blocks shrink
+DEGENERATE = [
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, 4, 6),
+    (np.array([[0.0, 2.0], [0.0, 0.0]]), 2.0, 4, 6),
+    (random_unitary(np.random.default_rng(73), 3), 1.0, 3, 3),
+    (np.diag([1.0, 0.5]), 1.0, 3, 5),
+    (np.zeros((2, 2)), 1.0, 3, 8),
+    (_unitary_plus_contraction(), 1.0, 3, 10),
+]
+
+
+@pytest.mark.parametrize("t,rho,order,k", DEGENERATE,
+                         ids=["jordan", "berger", "unitary", "diag-1-half", "zero",
+                              "unitary-plus-contraction"])
+def test_gns_degenerate_data(t, rho, order, k):
+    """K is the numerical rank of the block Toeplitz kernel, and the
+    dilation verifies, on data a full-rank recursion cannot normalize."""
+    table = dk.circle_moments(t, rho, order)
+    lam = np.linalg.eigvalsh(dk.toeplitz_kernel(table))
+    rank = int(np.count_nonzero(lam > dk.DEFAULT_TOL.rank_tol * lam[-1]))
+    result = dk.dilate_circle(t, order=order, rho=rho)
+    assert result.dilation.space_dim == rank == k
+    assert result.passed
+
+
+def test_gns_cmv_structure_and_wire():
+    """The circle unitary is five-block-diagonal with V = [I; 0], and its
+    dilation round-trips the JSON wire format bit for bit (no -0.0 zeros)."""
+    rng = np.random.default_rng(79)
+    d = 8
+    dil = dk.toeplitz_gns_unitary(dk.circle_moments(random_contraction(rng, d, 0.9), 1.0, 32))
+    u, k = dil.generators[0], dil.space_dim
+    assert k == 33 * d
+    want_v = np.zeros((k, d))
+    want_v[:d] = np.eye(d)
+    assert np.array_equal(dil.v, want_v)
+    assert np.count_nonzero(u) <= 4 * d * k
+    text = dump_json(encode_dilation(dil))
+    assert len(text.encode()) < 1_000_000
+    back = decode_dilation(json.loads(text))
+    assert back.v.tobytes() == dil.v.tobytes()
+    assert back.generators[0].tobytes() == u.tobytes()
+
+
+def test_gns_refuses_inconsistent_degenerate_data():
+    """A unitary first moment fixes every later one; a table that disagrees
+    is refused at the order where its kernel stops being PSD, with the
+    kernel's smallest eigenvalue as the witness."""
+    w = np.array([[0.0, 1.0], [1.0, 0.0]])
+    table = dk.MomentTable(dim=2, nu=1, values={(1,): w, (2,): np.zeros((2, 2))})
+    with pytest.raises(NotPSDError, match="order 2") as exc:
+        dk.toeplitz_gns_unitary(table)
+    kernel = dk.toeplitz_kernel(table)
+    assert exc.value.min_eig == pytest.approx(np.linalg.eigvalsh(kernel)[0], abs=1e-12)
+    assert exc.value.min_eig < -0.1
 
 
 def test_word_image_semantics():
