@@ -81,6 +81,9 @@ def _dump(obj) -> str:
         return _fmt(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    if (isinstance(obj, np.ndarray) and obj.dtype == np.float64
+            and obj.ndim == 2 and obj.shape[1] == 2):
+        return _format_pairs(obj)
     if isinstance(obj, (list, tuple)):
         pairs = _dump_pairs(obj)
         if pairs is not None:
@@ -97,18 +100,31 @@ def _dump(obj) -> str:
 
 
 def _dump_pairs(obj):
-    """A list of [float, float] pairs (the [re, im] data of a matrix) in
-    one formatting call, byte for byte as _dump writes it number by number;
-    None for any other list."""
+    """A list of [float, float] pairs (the [re, im] data of a matrix as a
+    list) through _format_pairs; None for any other list."""
     if not set(map(type, obj)) <= {list, tuple} or set(map(len, obj)) != {2}:
         return None
     flat = list(itertools.chain.from_iterable(obj))
     if set(map(type, flat)) != {float}:
         return None
-    if not all(map(math.isfinite, flat)):
-        for x in flat:
-            _fmt(x)  # raises at the first non-finite entry
-    return "[" + ", ".join(("[%.17g, %.17g]",) * len(obj)) % tuple(flat) + "]"
+    return _format_pairs(np.array(flat).reshape(-1, 2))
+
+
+def _format_pairs(a: np.ndarray) -> str:
+    """An (n, 2) float64 array of [re, im] pairs, byte for byte as _dump
+    writes the pairs number by number.  A pair whose two bit patterns are
+    zero is written "[0, 0]" unformatted; every other pair goes through one
+    formatting call, so -0.0 is still written "-0"."""
+    finite = np.isfinite(a)
+    if not finite.all():  # raise at the first non-finite entry
+        _fmt(float(a.reshape(-1)[np.argmin(finite)]))
+    bits = a.view(np.uint64)
+    nonzero = np.flatnonzero(bits[:, 0] | bits[:, 1])
+    edges = [-1, *nonzero.tolist(), len(a)]
+    # the runs of zero pairs before, between and after the nonzero pairs
+    zeros = ["[0, 0], " * (j - i - 1) for i, j in zip(edges, edges[1:])]
+    template = "[%.17g, %.17g], ".join(zeros)
+    return "[" + template[:-2] % tuple(a[nonzero].ravel().tolist()) + "]"
 
 
 def write_json(path, obj):
@@ -151,17 +167,21 @@ def _decode_complex(v, where) -> complex:
 
 
 def encode_matrix(m) -> dict:
-    m = np.asarray(m, dtype=np.complex128)
+    """``data`` is the (rows*cols, 2) float64 [re, im] view of a row-major
+    copy of ``m``, so that it cannot alias the matrix."""
+    m = np.array(m, dtype=np.complex128, order="C")
     if m.ndim != 2:
         raise MalformedInputError("only 2-d matrices are serialized")
-    data = m.reshape(-1).view(np.float64).reshape(-1, 2).tolist()
+    data = m.view(np.float64).reshape(-1, 2)
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
 def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
     rows = _want(obj, "rows", int, where)
     cols = _want(obj, "cols", int, where)
-    data = _want(obj, "data", list, where)
+    data = _want(obj, "data", (list, np.ndarray), where)
+    if isinstance(data, np.ndarray):  # encode_matrix's array, not yet written
+        data = np.atleast_1d(data).tolist()
     if rows < 1 or cols < 1 or len(data) != rows * cols:
         raise MalformedInputError(
             f"{where}: data length {len(data)} does not match {rows}x{cols}"

@@ -17,7 +17,6 @@ from .errors import (
     DimensionMismatchError,
     NonSquareError,
     NotHermitianError,
-    NotIsometricError,
     NotPSDError,
     ShapeMismatchError,
 )
@@ -190,35 +189,6 @@ def inv_sqrt_psd(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
             min_eig=float(w[0]),
         )
     return (q * (1.0 / np.sqrt(w))) @ q.conj().T
-
-
-def _index_order_complement(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal complement of span(basis), built deterministically.
-
-    Standard basis vectors are orthogonalized against the accumulated set
-    in index order 0, 1, ...; a candidate is kept when its residual is
-    numerically nonzero.  Two projection passes keep the result
-    orthonormal to machine precision.
-    """
-    r, k = basis.shape
-    rows = np.empty((r, r), dtype=np.complex128)  # the accumulated set, by rows
-    rows[:k] = basis.T
-    m = k
-    for j in range(r):
-        if m == r:
-            break
-        v = np.zeros(r, dtype=np.complex128)
-        v[j] = 1.0
-        for _ in range(2):
-            a = rows[:m]
-            v = v - (a @ v.conj()).conj() @ a
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            rows[m] = v / nrm
-            m += 1
-    if m != r:
-        raise NotIsometricError("could not complete an orthonormal complement")
-    return rows[k:].T
 
 
 @functools.lru_cache(maxsize=None)

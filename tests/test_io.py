@@ -100,12 +100,13 @@ def test_measure_roundtrip_both_kinds():
 def test_dilation_roundtrip():
     res = dk.dilate_circle(np.array([[0.4]]), order=2)
     dil = res.dilation
-    back = decode_dilation(json.loads(dump_json(encode_dilation(dil))))
-    assert back.space_dim == dil.space_dim
-    assert back.provenance == dil.provenance
-    assert np.array_equal(back.v, dil.v)
-    for a, b in zip(dil.generators, back.generators):
-        assert np.array_equal(a, b)
+    for back in (decode_dilation(json.loads(dump_json(encode_dilation(dil)))),
+                 decode_dilation(encode_dilation(dil))):
+        assert back.space_dim == dil.space_dim
+        assert back.provenance == dil.provenance
+        assert np.array_equal(back.v, dil.v)
+        for a, b in zip(dil.generators, back.generators):
+            assert np.array_equal(a, b)
 
 
 def test_curve_roundtrip():
@@ -156,6 +157,9 @@ def test_decode_errors_are_malformed():
         decode_matrix({"rows": 2, "cols": 2})  # data missing
     with pytest.raises(MalformedInputError):
         decode_matrix({"rows": 2, "cols": 2, "data": [[[0.0, 0.0]]]})
+    for arr in (np.array(0.5), np.zeros((1, 3)), np.zeros((2, 2), np.complex128)):
+        with pytest.raises(MalformedInputError):
+            decode_matrix({"rows": 1, "cols": 1, "data": arr})
     with pytest.raises(MalformedInputError):
         decode_table({"dim": 1, "nu": 1})
     with pytest.raises(MalformedInputError):
@@ -349,20 +353,117 @@ def test_dump_json_property_matches_reference():
     lambda rng: np.zeros((0, 2), dtype=np.complex128),
 ])
 def test_encode_matrix_matches_reference_and_roundtrips(make):
-    """One tolist() gives the reference's Python floats, signed zeros and
-    subnormals included, and the JSON decodes back bit for bit.  The one
-    exception is the sign of a zero: -0.0 is written "-0", which JSON
-    readers parse as the integer 0."""
+    """The data array holds the reference's doubles bit for bit, signed
+    zeros and subnormals included; it dumps to the reference's bytes, and
+    decodes back bit for bit in memory and from its JSON.  The one
+    exception is the sign of a zero in JSON: -0.0 is written "-0", which
+    JSON readers parse as the integer 0."""
     m = make(np.random.default_rng(149))
     ours, ref = encode_matrix(m), _ref_encode_matrix(m)
-    assert all(type(x) is float for p in ours["data"] for x in p)
-    assert _ref_dump(ours) == _ref_dump(ref)
+    want_data = np.asarray(ref["data"], np.float64).reshape(-1, 2)
+    assert ours["data"].dtype == np.float64 and ours["data"].shape == want_data.shape
+    assert ours["data"].tobytes() == want_data.tobytes()
     assert dump_json(ours) == _ref_dump(ref) + "\n"
     if m.size:
-        back = decode_matrix(json.loads(dump_json(ours)))
         want = np.asarray(m, dtype=np.complex128)
+        here = decode_matrix(ours)
+        assert here.shape == want.shape
+        assert here.tobytes() == np.ascontiguousarray(want).tobytes()
+        back = decode_matrix(json.loads(dump_json(ours)))
         assert back.shape == want.shape
         assert back.tobytes() == np.ascontiguousarray(want + 0.0).tobytes()
+
+
+def _one_entry(shape, at, z):
+    m = np.zeros(shape, dtype=np.complex128)
+    m[at] = z
+    return m
+
+
+ARRAY_CASES = [
+    np.zeros((4, 5)),
+    np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), 0.0]]),
+    np.array([[complex(-0.0, 0.5), complex(0.5, -0.0)]]),
+    np.array([[5e-324, complex(0.0, -5e-324)], [complex(2.2250738585072009e-308, 1e-310), 0.0]]),
+    np.array([[1.7976931348623157e308, complex(0.0, -1.7976931348623157e308)]]),
+    _one_entry((300, 300), (137, 211), 0.1 - 0.0j),
+    _one_entry((300, 300), (299, 299), complex(0.0, 1.0 / 3.0)),
+    _one_entry((1, 7), (0, 0), 2.0 ** 53 + 1),
+]
+
+
+@pytest.mark.parametrize("m", ARRAY_CASES, ids=range(len(ARRAY_CASES)))
+def test_dump_matrix_array_matches_reference(m):
+    """All-zero matrices, signed zeros in either part, subnormals, the
+    largest double, one nonzero entry among 90,000 zeros: the array is
+    written as the number-by-number reference writes its list."""
+    assert dump_json(encode_matrix(m)) == _ref_dump(_ref_encode_matrix(m)) + "\n"
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF, complex(0.0, NAN), complex(0.5, -INF)])
+def test_dump_matrix_array_non_finite_message(bad):
+    """The array path raises the list path's message, naming the first
+    non-finite number in [re, im] order."""
+    m = np.array([[0.1, 0.0], [bad, complex(INF, NAN)]])
+    ref = _ref_encode_matrix(m)
+    want = _outcome(lambda o: _ref_dump(o) + "\n", ref)
+    assert want[0] == "MalformedInputError"
+    assert _outcome(dump_json, encode_matrix(m)) == want
+    assert _outcome(dump_json, {"rows": 2, "cols": 2, "data": ref["data"]}) == want
+
+
+def test_dump_matrix_array_property_matches_reference():
+    """Sparse complex matrices of any finite doubles: the array is written
+    as the number-by-number reference writes its list."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    number = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+    entry = (st.just(0j) | st.sampled_from([complex(-0.0, 0.0), complex(0.0, -0.0)])
+             | st.builds(complex, number | st.just(0.0), number | st.just(0.0)))
+
+    @st.composite
+    def sparse(draw):
+        rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        m = np.zeros(rows * cols, dtype=np.complex128)
+        at = draw(st.lists(st.integers(0, max(rows * cols - 1, 0)), max_size=rows * cols))
+        for i in at:
+            m[i] = draw(entry)
+        return m.reshape(rows, cols)
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+    @hyp.given(sparse())
+    def check(m):
+        assert dump_json(encode_matrix(m)) == _ref_dump(_ref_encode_matrix(m)) + "\n"
+
+    check()
+
+
+def test_encode_matrix_copies_the_matrix():
+    """Changing the matrix after encode_matrix does not change the text."""
+    m = complex_gaussian(np.random.default_rng(157), (3, 4))
+    obj = encode_matrix(m)
+    text = dump_json(obj)
+    assert not np.shares_memory(obj["data"], m)
+    m[1, 2] = 7.0
+    m[0] = 0.0
+    assert dump_json(obj) == text
+
+
+@pytest.mark.parametrize("arr", [
+    np.zeros((3, 2), dtype=np.float32),
+    np.zeros((3, 2), dtype=np.int64),
+    np.zeros((3, 2), dtype=np.complex128),
+    np.zeros((3, 3)),
+    np.zeros((3, 1)),
+    np.zeros(6),
+    np.zeros((3, 2, 2)),
+    np.array(0.5),
+])
+def test_dump_json_refuses_other_arrays(arr):
+    """Only an (n, 2) float64 array is written as [re, im] pairs."""
+    with pytest.raises(MalformedInputError,
+                       match="^cannot serialize object of type ndarray$"):
+        dump_json({"rows": 1, "cols": 1, "data": arr})
 
 
 def _ref_encode_dilation(dil):

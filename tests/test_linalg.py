@@ -9,7 +9,7 @@ from dilatekit import (
     Tolerances,
 )
 
-from conftest import complex_gaussian, random_psd, random_unitary
+from conftest import complex_gaussian, random_psd
 
 
 def test_asmatrix_coercion_and_rejection():
@@ -105,47 +105,6 @@ def test_inv_sqrt_psd():
     g = complex_gaussian(rng, (4, 2))
     with pytest.raises(NotPSDError):
         dk.inv_sqrt_psd(g @ g.conj().T)
-
-
-def _ref_index_order_complement(basis):
-    """The per-vector modified Gram-Schmidt loop the complement replaced."""
-    r, k = basis.shape
-    cols, out = [basis[:, j] for j in range(k)], []
-    for j in range(r):
-        if len(out) == r - k:
-            break
-        v = np.zeros(r, dtype=np.complex128)
-        v[j] = 1.0
-        for _ in range(2):
-            for c in cols:
-                v = v - c * np.vdot(c, v)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            cols.append(v / nrm)
-            out.append(v / nrm)
-    return np.column_stack(out) if out else np.zeros((r, 0), dtype=np.complex128)
-
-
-@pytest.mark.parametrize("n,k", [(1, 0), (5, 0), (5, 5), (6, 1), (12, 7), (40, 33)])
-def test_index_order_complement_matches_loop(n, k):
-    """Same index order and keep rule as the per-vector loop: the two
-    complements agree to roundoff, are orthonormal and span the orthogonal
-    complement.  A basis aligned with e_0 skips that candidate."""
-    from dilatekit.linalg import _index_order_complement
-
-    rng = np.random.default_rng(29)
-    basis = random_unitary(rng, n)[:, :k]
-    if k:
-        basis[:, 0] = 0.0
-        basis[0, 0] = 1.0
-        basis = np.linalg.qr(basis)[0]
-    c = _index_order_complement(basis)
-    ref = _ref_index_order_complement(basis)
-    assert c.shape == ref.shape == (n, n - k)
-    assert np.linalg.norm(c - ref) <= 1e-13 * n
-    full = np.hstack([basis, c])
-    assert np.linalg.norm(full.conj().T @ full - np.eye(n)) <= 1e-13 * n
-    assert np.array_equal(_index_order_complement(basis), c)
 
 
 def test_hvec_roundtrip_isometry():
