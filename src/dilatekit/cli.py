@@ -138,7 +138,7 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_tol(args) -> Tolerances:
-    tol = DEFAULT_TOL
+    values = {}
     env = os.environ.get("DILATEKIT_TOL_OVERRIDE")
     if env:
         try:
@@ -149,15 +149,20 @@ def _resolve_tol(args) -> Tolerances:
             ) from exc
         if not isinstance(overrides, dict):
             raise MalformedInputError("DILATEKIT_TOL_OVERRIDE must be an object")
-        try:
-            tol = tol.replace(**{k: float(v) for k, v in overrides.items()})
-        except TypeError as exc:
-            raise MalformedInputError(
-                f"unknown tolerance field in DILATEKIT_TOL_OVERRIDE: {exc}"
-            ) from exc
+        for name, v in overrides.items():
+            try:
+                values[name] = float(v)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise MalformedInputError(
+                    f"DILATEKIT_TOL_OVERRIDE field {name!r}: {exc}"
+                ) from exc
     if getattr(args, "tol_residual", None) is not None:
-        tol = tol.replace(residual_tol=args.tol_residual)
-    return tol
+        values["residual_tol"] = args.tol_residual
+    # unknown fields raise TypeError, out-of-range values ValueError
+    try:
+        return DEFAULT_TOL.replace(**values)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(f"bad tolerance: {exc}") from exc
 
 
 def _parse_curve(spec: str) -> BoundaryCurve:

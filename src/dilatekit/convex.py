@@ -4,7 +4,7 @@ A matrix convex combination sum_j gamma_j* x_j gamma_j (with
 sum_j gamma_j* gamma_j = I_n) is treated as data: the ``gamma_j`` are
 rectangular coefficient matrices and the ``x_j`` are matrix points, i.e.
 stacks (nvars, k, k) of square matrices all of one level.  The trace convention
-throughout is the normalized one, ntrace(I_n) = 1.
+throughout is the normalized one, tr(I_n) / n = 1.
 """
 
 from __future__ import annotations
@@ -35,20 +35,11 @@ from .linalg import (
 __all__ = [
     "MatrixPoint",
     "MatrixConvexCombination",
-    "LiftedPoint",
-    "ntrace",
-    "lift_combination",
-    "unlift_point",
     "compress_to_surjective",
     "caratheodory_reduce",
     "irreducible_split",
     "decompose_irreducible",
 ]
-
-
-def ntrace(a: np.ndarray) -> float:
-    """Normalized trace, ntrace(I_n) = 1."""
-    return float(np.trace(a).real) / a.shape[0]
 
 
 @dataclass
@@ -160,23 +151,6 @@ def _require_unit(defect: float, tol: float):
         )
 
 
-@dataclass
-class LiftedPoint:
-    """One term of a combination, pushed to the trace-normalized graph.
-
-    alpha = gamma* gamma has ntrace 1; value = gamma* x gamma, stacked
-    (nvars, n, n); weight is the normalized trace the term carried.
-    ``gamma`` itself is kept because alpha determines it only up to a left
-    isometry, and reconstructing a combination needs the actual
-    coefficient.
-    """
-
-    alpha: np.ndarray
-    value: np.ndarray
-    weight: float
-    gamma: np.ndarray
-
-
 def _lift_terms(c: MatrixConvexCombination):
     """Batched lift of every nonzero term, in term order.
 
@@ -209,55 +183,23 @@ def _lift_terms(c: MatrixConvexCombination):
     return kept, t[kept], [gammas[j] for j in kept], alpha[kept], value[kept]
 
 
-def lift_combination(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TOL):
-    """Lift a combination to weighted trace-normalized terms.
+def _unlift(n: int, w, gammas, alpha, points, tol: Tolerances = DEFAULT_TOL
+            ) -> MatrixConvexCombination:
+    """Rebuild a matrix convex combination from weighted lifted terms.
 
-    Terms with zero coefficient are dropped; each survivor (beta_j, x_j)
-    becomes weight t_j = ntrace(beta_j* beta_j) and normalized coefficient
-    gamma_j = t_j^{-1/2} beta_j.  The weights are a classical convex
-    combination: t_j > 0, sum t_j = 1.
-
-    Returns
-    -------
-    (weights, lifted) : list of floats and list of LiftedPoint.
+    The inverse of the lift in :func:`_lift_terms`: beta_j = w_j^{1/2}
+    gamma_j.  Refuses the terms when the w-average of the alphas is more
+    than 1e-9 from I; otherwise one congruence by the inverse square root
+    of that average absorbs the remaining roundoff, so that the output
+    satisfies sum beta* beta = I_n to machine precision.
     """
-    _, t, gammas, alpha, value = _lift_terms(c)
-    lifted = [LiftedPoint(alpha=a, value=v, weight=w, gamma=g)
-              for w, g, a, v in zip(t.tolist(), gammas, alpha, value)]
-    return t.tolist(), lifted
-
-
-def unlift_point(weights, lifted, points, tol: Tolerances = DEFAULT_TOL
-                 ) -> MatrixConvexCombination:
-    """Rebuild a matrix convex combination from lifted terms.
-
-    Inverse of :func:`lift_combination`: beta_j = w_j^{1/2} gamma_j.  The
-    weights must sum to 1 and the alphas must average to the identity;
-    a final exact normalization absorbs accumulated roundoff so the
-    output satisfies sum beta* beta = I_n to machine precision.
-    """
-    if len(weights) != len(lifted) or len(lifted) != len(points):
-        raise DimensionMismatchError("weights, lifted terms and points must align")
-    if not lifted:
-        raise ZeroCoefficientError("cannot unlift an empty combination")
-    wsum = float(np.sum(weights))
-    if abs(wsum - 1.0) > 1e-10:
-        raise NotNormalizedError(f"weights sum to {wsum!r}, expected 1")
-    n = lifted[0].alpha.shape[0]
-    mean_alpha = np.zeros((n, n), dtype=np.complex128)
-    for w, lp in zip(weights, lifted):
-        mean_alpha += w * lp.alpha
-    if np.linalg.norm(mean_alpha - np.eye(n)) > 1e-9:
+    mean_alpha = np.einsum("j,jkl->kl", w, alpha)
+    drift = float(np.linalg.norm(mean_alpha - np.eye(n)))
+    if drift > 1e-9:
         raise NotNormalizedError(
-            "weighted alphas do not average to the identity "
-            f"(defect {np.linalg.norm(mean_alpha - np.eye(n)):.3e})"
-        )
-    betas = [np.sqrt(w) * lp.gamma for w, lp in zip(weights, lifted)]
-    s = np.zeros((n, n), dtype=np.complex128)
-    for b in betas:
-        s += b.conj().T @ b
-    corr = inv_sqrt_psd(s, tol)
-    betas = [b @ corr for b in betas]
+            f"weighted alphas do not average to the identity (defect {drift:.3e})")
+    corr = inv_sqrt_psd(mean_alpha, tol)
+    betas = [np.sqrt(wj) * g @ corr for wj, g in zip(w.tolist(), gammas)]
     return MatrixConvexCombination(n=n, terms=list(zip(betas, points)))
 
 
@@ -401,7 +343,9 @@ def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TO
     independent; it costs one SVD when they are.  Finally the survivors'
     weights are re-solved by least squares against the original
     barycenter; the solution replaces the swept weights when it is
-    strictly positive and meets the barycenter more closely.
+    strictly positive and meets the barycenter more closely.  Survivors
+    whose rescaled alphas average more than 1e-9 from I are refused with
+    NotNormalizedError, not renormalized.
     """
     kept, t, gammas, alpha, value = _lift_terms(c)
     if not kept.size:
@@ -421,10 +365,8 @@ def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TO
     if np.all(exact > 0.0) and (np.linalg.norm(cols @ exact - target)
                                 < np.linalg.norm(cols @ ta - target)):
         ta = exact
-    ta = ta / np.sum(ta)
-    lifted = [LiftedPoint(alpha=alpha[j], value=value[j], weight=float(w),
-                          gamma=gammas[j]) for j, w in zip(alive, ta)]
-    return unlift_point(ta.tolist(), lifted, [points[j] for j in alive], tol)
+    return _unlift(c.n, ta / np.sum(ta), [gammas[j] for j in alive], alpha[alive],
+                   [points[j] for j in alive], tol)
 
 
 def _commutant_basis(coords):

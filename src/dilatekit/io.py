@@ -24,7 +24,6 @@ Wire formats:
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 
@@ -85,9 +84,6 @@ def _dump(obj) -> str:
             and obj.ndim == 2 and obj.shape[1] == 2):
         return _format_pairs(obj)
     if isinstance(obj, (list, tuple)):
-        pairs = _dump_pairs(obj)
-        if pairs is not None:
-            return pairs
         return "[" + ", ".join(_dump(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = []
@@ -97,17 +93,6 @@ def _dump(obj) -> str:
             items.append(json.dumps(k) + ": " + _dump(v))
         return "{" + ", ".join(items) + "}"
     raise MalformedInputError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-def _dump_pairs(obj):
-    """A list of [float, float] pairs (the [re, im] data of a matrix as a
-    list) through _format_pairs; None for any other list."""
-    if not set(map(type, obj)) <= {list, tuple} or set(map(len, obj)) != {2}:
-        return None
-    flat = list(itertools.chain.from_iterable(obj))
-    if set(map(type, flat)) != {float}:
-        return None
-    return _format_pairs(np.array(flat).reshape(-1, 2))
 
 
 def _format_pairs(a: np.ndarray) -> str:

@@ -9,6 +9,7 @@ output.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("rank_tol", "psd_tol", "residual_tol", "fit_tol", "herm_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
         if self.rank_tol > self.psd_tol:
             raise ValueError("rank_tol must not exceed psd_tol")
 

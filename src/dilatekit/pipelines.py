@@ -89,11 +89,12 @@ def _measure_result(mu: AtomicMeasure, table: MomentTable,
     """Common back half of the measure pipelines: reduce the measure as a
     combination of its pure atoms (the barycenter stays put), assemble the
     Naimark dilation, and verify it with moment residuals held to
-    max(residual_tol, moment_tol).
+    max(residual_tol, moment_tol).  The reduction returns unit mass to
+    within roundoff, so the reduced measure is not normalized again.
     """
     comb = measure_to_combination(mu, table, tol)
     reduced = caratheodory_reduce(comb, tol)
-    slim = combination_to_measure(reduced, mu).normalized(tol)
+    slim = combination_to_measure(reduced, mu)
     dil = assemble_atomic_dilation(slim, indices=table.indices(), tol=tol)
     report = verify_dilation(dil, table, relations, tol,
                              moment_tol=max(tol.residual_tol, moment_tol))

@@ -198,6 +198,26 @@ def test_tol_override_rejects_garbage(tmp_path, monkeypatch):
                  "--output", str(tmp_path / "x"), "--order", "1"]) == 3
 
 
+@pytest.mark.parametrize("env, flags, field", [
+    ('{"rank_tol": 0}', [], "rank_tol"),
+    ('{"rank_tol": "abc"}', [], "rank_tol"),
+    ('{"psd_tol": 1e-12}', [], "psd_tol"),
+    ('{"fit_tol": 1e400}', [], "fit_tol"),
+    ('{"fit_tol": NaN}', [], "fit_tol"),
+    (None, ["--tol-residual", "-1"], "residual_tol"),
+], ids=["zero", "string", "psd-below-rank", "inf", "nan", "negative-flag"])
+def test_bad_tolerance_is_malformed(tmp_path, monkeypatch, capsys, env, flags, field):
+    # a tolerance out of range is a usage error (exit 3) naming the field,
+    # never a traceback or a run under an infinite tolerance
+    inp = write_operator(tmp_path / "t.json", np.array([[0.5]]))
+    if env is not None:
+        monkeypatch.setenv("DILATEKIT_TOL_OVERRIDE", env)
+    assert main(["dilate-circle", "--input", inp, "--output",
+                 str(tmp_path / "x"), "--order", "1", *flags]) == 3
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "x.report.json").exists()
+
+
 def test_numrange_csv(tmp_path, capsys):
     inp = write_operator(tmp_path / "z.json", np.zeros((2, 2)))
     out = tmp_path / "range.csv"

@@ -7,6 +7,7 @@ import dilatekit as dk
 from dilatekit import convex
 from dilatekit import (
     InvalidCombinationError,
+    NotNormalizedError,
     ZeroCoefficientError,
 )
 
@@ -43,36 +44,45 @@ def test_lift_unlift_roundtrip():
         d = int(rng.integers(1, 4))
         sa = bool(trial % 2)
         c = random_combination(rng, n, d, int(rng.integers(2, 8)), sa)
-        weights, lifted = dk.lift_combination(c)
-        assert abs(sum(weights) - 1.0) <= 1e-12
-        for w, lp in zip(weights, lifted):
-            assert abs(dk.ntrace(lp.alpha) - 1.0) <= 1e-12
-            assert w > 0.0
-        points = [p for _, p in c.terms]
-        back = dk.unlift_point(weights, lifted, points)
+        kept, weights, gammas, alpha, value = convex._lift_terms(c)
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        assert np.all(weights > 0.0)
+        ntraces = np.trace(alpha, axis1=1, axis2=2).real / n
+        assert np.all(np.abs(ntraces - 1.0) <= 1e-12)
+        points = [c.terms[j][1] for j in kept]
+        back = convex._unlift(n, weights, gammas, alpha, points)
         assert back.defect() <= 1e-10
         assert barycenter_gap(back, c) <= 1e-10
         # second direction: lifting the reconstruction recovers the data
-        w2, l2 = dk.lift_combination(back)
-        for wa, wb, la, lb in zip(weights, w2, lifted, l2):
+        _, w2, _, alpha2, value2 = convex._lift_terms(back)
+        for wa, wb, aa, ab, va, vb in zip(weights, w2, alpha, alpha2, value, value2):
             assert abs(wa - wb) <= 1e-10
-            assert np.linalg.norm(la.alpha - lb.alpha) <= 1e-10
-            for va, vb in zip(la.value, lb.value):
-                assert np.linalg.norm(va - vb) <= 1e-10
+            assert np.linalg.norm(aa - ab) <= 1e-10
+            for xa, xb in zip(va, vb):
+                assert np.linalg.norm(xa - xb) <= 1e-10
+
+
+def test_unlift_refuses_alpha_drift():
+    # the reduction's last gate: weights whose alphas average more than
+    # 1e-9 away from I are refused, not renormalized away
+    rng = np.random.default_rng(41)
+    c = random_combination(rng, 2, 2, 6, False)
+    kept, weights, gammas, alpha, _ = convex._lift_terms(c)
+    points = [c.terms[j][1] for j in kept]
+    # scaling every weight by 1 + e moves the average by e |I|_F = e sqrt(2)
+    near = convex._unlift(2, weights * (1.0 + 0.5e-9 / math.sqrt(2.0)),
+                          gammas, alpha, points)
+    assert near.defect() <= 1e-12
+    with pytest.raises(NotNormalizedError, match=r"defect 2\.0"):
+        convex._unlift(2, weights * (1.0 + 2e-9 / math.sqrt(2.0)),
+                       gammas, alpha, points)
 
 
 def lifted_rank(c):
     """Rank of the lifted vectors with a row of ones: affine rank + 1."""
-    _, lifted = dk.lift_combination(c)
+    _, _, _, alpha, value = convex._lift_terms(c)
     selfadjoint = all(p.selfadjoint for _, p in c.terms)
-    cols = []
-    for lp in lifted:
-        parts = [dk.hvec(lp.alpha)]
-        for v in lp.value:
-            parts.append(dk.hvec(v) if selfadjoint
-                         else np.concatenate([v.real.ravel(), v.imag.ravel()]))
-        cols.append(np.concatenate(parts + [[1.0]]))
-    return int(np.linalg.matrix_rank(np.column_stack(cols)))
+    return int(np.linalg.matrix_rank(convex._lift_columns(alpha, value, selfadjoint)))
 
 
 # survivor counts of the single whole-support sweep that the blocked
@@ -335,8 +345,3 @@ def test_combination_validation_errors():
             dk.MatrixConvexCombination(
                 n=2, terms=[(np.sqrt(0.5) * np.eye(2), first),
                             (np.sqrt(0.5) * np.eye(2), second)])
-
-
-def test_ntrace():
-    assert dk.ntrace(np.diag([2.0, 0.0])) == pytest.approx(1.0)
-    assert dk.ntrace(np.eye(3)) == pytest.approx(1.0)

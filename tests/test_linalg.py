@@ -31,6 +31,11 @@ def test_tolerances_validation():
         Tolerances(rank_tol=0.0)
     with pytest.raises(ValueError):
         Tolerances(rank_tol=1e-3, psd_tol=1e-9)
+    # non-finite fields are refused too, not carried into a run
+    for bad in ({"fit_tol": float("inf")}, {"residual_tol": float("nan")},
+                {"psd_tol": float("inf")}):
+        with pytest.raises(ValueError, match="finite"):
+            Tolerances(**bad)
     t = Tolerances().replace(residual_tol=1e-6)
     assert t.residual_tol == 1e-6
     assert dk.DEFAULT_TOL.residual_tol == 1e-8

@@ -21,6 +21,9 @@ def final_tracks_fit(result):
     fit = result.measure.fit_residual
     assert fit is not None
     assert result.verification.max_moment_residual <= 2.0 * fit + 1e-11
+    # the reduced measure is not renormalized: the reduction keeps unit mass
+    unit = result.measure.unit_matrix()
+    assert np.linalg.norm(unit - np.eye(unit.shape[0])) <= 1e-12
 
 
 def test_circle_pipeline_contract():
@@ -96,6 +99,7 @@ def test_boundary_d2_256_nodes(seed):
     result = dk.dilate_boundary(t, curve, order=4, nodes=256)
     assert result.passed
     assert result.reduced_terms <= 4 * (2 * 4 + 2)
+    assert np.linalg.norm(result.measure.unit_matrix() - np.eye(2)) <= 1e-12
 
 
 def test_boundary_rejects_uncontained():
