@@ -82,7 +82,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--tol-residual", type=float, default=None,
                            dest="tol_residual", help="override residual_tol")
         if seed:
-            p.add_argument("--seed", type=int, default=0,
+            p.add_argument("--seed", type=_above(-1), default=0,
                            help="seed for fit initialization")
 
     p = sub.add_parser("dilate-circle", help="unitary rho-dilation via GNS")

@@ -131,7 +131,8 @@ def _want(obj, key, kinds, where):
     if not isinstance(obj, dict) or key not in obj:
         raise MalformedInputError(f"{where}: missing field {key!r}")
     v = obj[key]
-    if kinds is not None and not isinstance(v, kinds):
+    # JSON true and false are never a count: bool is an int subclass
+    if kinds is not None and (not isinstance(v, kinds) or isinstance(v, bool)):
         raise MalformedInputError(
             f"{where}: field {key!r} has type {type(v).__name__}"
         )
@@ -140,7 +141,8 @@ def _want(obj, key, kinds, where):
 
 def _decode_complex(v, where) -> complex:
     if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(isinstance(x, (int, float)) for x in v)):
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       for x in v)):
         raise MalformedInputError(f"{where}: complex values are [re, im] pairs")
     try:
         z = complex(float(v[0]), float(v[1]))
@@ -199,7 +201,7 @@ def decode_table(obj) -> MomentTable:
     values = {}
     for e in entries:
         idx = _want(e, "index", list, "table entry")
-        if len(idx) != nu or not all(isinstance(i, int) for i in idx):
+        if len(idx) != nu or not all(type(i) is int for i in idx):
             raise MalformedInputError(f"table entry: bad index {idx!r}")
         values[tuple(idx)] = decode_matrix(_want(e, "value", dict, "table entry"))
     try:

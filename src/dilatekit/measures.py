@@ -285,9 +285,11 @@ def clock_phase_grid(a: int, b: int, nodes: int) -> list:
             for i in range(nodes) for j in range(nodes)]
 
 
-# ADMM settings of fit_matrix_measure: iteration cap, initial penalty,
-# residual check period, and the weight norm below which a fitted atom
-# is dropped
+# ADMM settings of fit_matrix_measure: iteration cap, the one fixed
+# penalty (ADMM's convergence theory assumes a fixed one; Boyd et al. 2011,
+# sec. 3.4.1), residual check period (a divisor of the cap, so the last
+# iterate is checked), and the weight norm below which a fitted atom is
+# dropped
 _MAX_ITER = 20000
 _RHO = 1.0
 _CHECK_EVERY = 25
@@ -398,11 +400,10 @@ def _fit_system(targets: MomentTable, grid: list):
 
 
 def _admm(a_mat, t_vec, c_mat, c_vec, groups, z):
-    """The plain ADMM iteration of the fit, started from the weights z.
+    """The plain ADMM iteration of the fit, started from the weights z, with
+    the one fixed penalty _RHO.
 
-    Yields (it, z) at every residual check: every _CHECK_EVERY iterations
-    and at _MAX_ITER.  The penalty update that may follow a check runs
-    when the caller asks for the next iterate, after its stopping test.
+    Yields (it, z) at every residual check, every _CHECK_EVERY iterations.
 
     The x-step only moves the part of z - u in the row space of the moment
     and mass maps [A; C], so it is solved once, as an affine map, in the
@@ -420,23 +421,19 @@ def _admm(a_mat, t_vec, c_mat, c_vec, groups, z):
     k = basis.shape[0]
     a_q, c_q = a_mat @ basis.T, c_mat @ basis.T
     gram = a_q.T @ a_q
-    # y - w is the KKT solve of [-A_q^T A_q w + A_q^T t; -C_q w + c]:
-    # these are the right-hand sides of its w part and its constant part
+    # y - w = G w + y0 is the KKT solve of [-A_q^T A_q w + A_q^T t; -C_q w + c],
+    # one solve for its w part G and its constant part y0
+    kkt = np.zeros((k + d2, k + d2))
+    kkt[:k, :k] = gram + _RHO * np.eye(k)
+    kkt[:k, k:] = c_q.T
+    kkt[k:, :k] = c_q
     rhs = np.zeros((k + d2, k + 1))
     rhs[:k, :k] = -gram
     rhs[k:, :k] = -c_q
     rhs[:k, k] = a_q.T @ t_vec
     rhs[k:, k] = c_vec
-    rho = _RHO
-
-    def factor(rho_val):
-        """The step y - w = G w + y0 as the pair (G, y0)."""
-        kkt = np.zeros((k + d2, k + d2))
-        kkt[:k, :k] = gram + rho_val * np.eye(k)
-        kkt[:k, k:] = c_q.T
-        kkt[k:, :k] = c_q
-        sol = np.linalg.solve(kkt, rhs)[:k]
-        return sol[:, :k], sol[:, k]
+    sol = np.linalg.solve(kkt, rhs)[:k]
+    g_mat, y0 = sol[:, :k], sol[:, k]
 
     def project_blocks(v):
         out = np.empty_like(v)
@@ -446,27 +443,14 @@ def _admm(a_mat, t_vec, c_mat, c_vec, groups, z):
             out[cols] = (blocks.reshape(-1, m * m) @ phi.conj()).real.reshape(-1)
         return out
 
-    g_mat, y0 = factor(rho)
     u = np.zeros(ncols)
     for it in range(1, _MAX_ITER + 1):
         v = z - u
         x = v + basis.T @ (g_mat @ (basis @ v) + y0)
-        z_old = z
         z = project_blocks(x + u)
         u = u + x - z
-        if it % _CHECK_EVERY == 0 or it == _MAX_ITER:
+        if it % _CHECK_EVERY == 0:
             yield it, z
-            if it % (_CHECK_EVERY * 8) == 0:
-                r_primal = float(np.linalg.norm(x - z))
-                r_dual = rho * float(np.linalg.norm(z - z_old))
-                if r_primal > 10.0 * r_dual and rho < 1e4:
-                    rho *= 2.0
-                    u = u / 2.0
-                    g_mat, y0 = factor(rho)
-                elif r_dual > 10.0 * r_primal and rho > 1e-4:
-                    rho /= 2.0
-                    u = u * 2.0
-                    g_mat, y0 = factor(rho)
 
 
 def _cut_lstsq(mat, rhs, scale):
@@ -617,10 +601,10 @@ def assemble_atomic_dilation(mu: AtomicMeasure, indices=None,
     """Build the explicit dilation carried by an atomic measure.
 
     Point atoms contribute rank(P_j) dimensions each: factor
-    P_j = F_j* F_j, stack the F_j into the isometry V, and take
-    block-diagonal scalar generators z_{j,i} I.  Irrep atoms contribute
-    one b-dimensional block per rank-one piece of the Choi weight, with
-    the generator images on the diagonal.  Compressions V* w V then equal
+    P_j = F_j* F_j, stack the F_j into the isometry V, and take diagonal
+    generators, z_{j,i} on the rows of atom j.  Irrep atoms contribute one
+    b-dimensional block per rank-one piece of the Choi weight, with the
+    generator images on the diagonal.  Compressions V* w V then equal
     the measure's moments exactly (up to factorization roundoff).
     """
     mu.validate(tol)
@@ -647,9 +631,8 @@ def assemble_atomic_dilation(mu: AtomicMeasure, indices=None,
     v = np.concatenate(rows)[order]
     space = v.shape[0]
     if point:
-        # one group: z_{j,i} I on the rows of atom j, zero between atoms
-        same = owner[:, None] == owner[None, :]
-        gens = [np.where(same, z[:, None] * np.eye(space), 0) for z in images[0].T]
+        # one group: generator i is diagonal, z_{j,i} on the rows of atom j
+        gens = [np.diag(z) for z in images[0][order].T]
     else:
         # each piece's b x b generator images on the diagonal
         gens, start = np.zeros((images[0].shape[1], space, space), complex), 0

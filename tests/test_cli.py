@@ -108,6 +108,9 @@ def test_usage_errors_exit_3(tmp_path):
     ["numrange", "--nodes", "2"],
     ["numrange", "--threads", "2"],
     ["reduce", "--tol-residual", "1e-6"],
+    ["dilate-regular", "--order", "1", "--seed", "-1"],
+    ["dilate-annulus", "--curve", "annulus:0.5", "--seed", "-1"],
+    ["dilate-qcommute", "--a", "1", "--b", "2", "--seed", "-1"],
 ])
 def test_bad_size_flags_exit_3(tmp_path, capsys, argv):
     inp = write_operator(tmp_path / "t.json", 0.3 * np.eye(2))
@@ -116,6 +119,7 @@ def test_bad_size_flags_exit_3(tmp_path, capsys, argv):
     assert code == 3
     # the usage error names the offending flag (argv ends in flag, value)
     assert argv[-2] in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -145,6 +149,18 @@ def test_huge_integer_entry_exit_3(tmp_path, capsys):
                  "--output", str(tmp_path / "x"), "--order", "1"])
     assert code == 3
     assert "non-finite complex entry" in capsys.readouterr().err
+
+
+def test_boolean_json_entries_exit_3(tmp_path, capsys):
+    # JSON true is not a count or a number, though Python's bool is an int
+    inp = tmp_path / "t.json"
+    inp.write_text('{"matrix": {"rows": true, "cols": true, "data": [[true, false]]}}',
+                   encoding="utf-8")
+    code = main(["dilate-circle", "--input", str(inp),
+                 "--output", str(tmp_path / "x"), "--order", "1"])
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
 
 
 def test_library_size_guards():

@@ -202,6 +202,30 @@ def test_polish_rejects_non_psd_face_solution(monkeypatch):
         assert np.linalg.eigvalsh(a.weight)[0] >= -1e-12
 
 
+def test_fixed_penalty_stops_qcommute_fit_at_400(monkeypatch):
+    """The demo q-commute pair on clock_phase_grid(1, 2, 8), order 1: with
+    one fixed penalty the polish at check 16 (iteration 400) is accepted,
+    and the dilation keeps the 8 dimensions of the pair's clock atoms."""
+    from dilatekit import measures
+
+    checks = []
+    admm = measures._admm
+
+    def counted(*args):
+        for it, z in admm(*args):
+            checks.append(it)
+            yield it, z
+
+    monkeypatch.setattr(measures, "_admm", counted)
+    calls = _count_polish(monkeypatch)
+    t1, t2 = _qcommute_pair(np.random.default_rng(137))
+    result = dk.dilate_qcommute(t1, t2, 1, 2, order=1, nodes=8)
+    assert checks[-1] <= 400
+    assert 1 <= len(calls) <= 5 and calls[-1] is True
+    assert result.passed
+    assert result.dilation.space_dim == 8
+
+
 def test_polish_stops_extremal_fit_at_first_check(monkeypatch):
     """Commuting unitaries with spectrum on the 8-node lattice (the bench's
     regular extremal case): the first polish, at iteration 25, is accepted."""
@@ -508,7 +532,7 @@ def test_irrep_measure_combination_roundtrip():
 def _dense_kkt_fit(targets, grid, seed=0):
     """Reference ADMM whose x-step solves the dense (ncols + d^2) KKT system.
 
-    Same seed, penalty schedule and stopping rule as fit_matrix_measure;
+    Same seed, fixed penalty and stopping rule as fit_matrix_measure;
     returns the stacked weights before pruning.
     """
     import scipy.linalg
@@ -521,14 +545,11 @@ def _dense_kkt_fit(targets, grid, seed=0):
     ncols = a_mat.shape[1]
     sizes = np.array([a.block_size(d) for a in grid])
     groups = list(_atom_groups(grid, d))
-    gram, atb, rho = a_mat.T @ a_mat, a_mat.T @ t_vec, _RHO
-
-    def factor(rho_val):
-        kkt = np.zeros((ncols + d * d, ncols + d * d))
-        kkt[:ncols, :ncols] = gram + rho_val * np.eye(ncols)
-        kkt[:ncols, ncols:] = c_mat.T
-        kkt[ncols:, :ncols] = c_mat
-        return scipy.linalg.lu_factor(kkt)
+    kkt = np.zeros((ncols + d * d, ncols + d * d))
+    kkt[:ncols, :ncols] = a_mat.T @ a_mat + _RHO * np.eye(ncols)
+    kkt[:ncols, ncols:] = c_mat.T
+    kkt[ncols:, :ncols] = c_mat
+    lu = scipy.linalg.lu_factor(kkt)
 
     def project_blocks(v):
         out = np.empty_like(v)
@@ -539,32 +560,22 @@ def _dense_kkt_fit(targets, grid, seed=0):
             out[cols] = (blocks.reshape(-1, m * m) @ phi.conj()).real.reshape(-1)
         return out
 
-    lu = factor(rho)
     weights = (0.5 + 0.5 * np.random.default_rng(seed).random(len(grid))) / len(grid)
     z = np.repeat(weights, sizes ** 2) * (c_mat.T @ c_vec)
     u = np.zeros(ncols)
     rhs = np.empty(ncols + d * d)
     rhs[ncols:] = c_vec
+    atb = a_mat.T @ t_vec
     for it in range(1, _MAX_ITER + 1):
-        rhs[:ncols] = atb + rho * (z - u)
+        rhs[:ncols] = atb + _RHO * (z - u)
         x = scipy.linalg.lu_solve(lu, rhs)[:ncols]
-        z_old = z
         z = project_blocks(x + u)
         u = u + x - z
-        if it % _CHECK_EVERY == 0 or it == _MAX_ITER:
+        if it % _CHECK_EVERY == 0:
             resid = float(np.linalg.norm(a_mat @ z - t_vec))
             unit_def = float(np.linalg.norm(c_mat @ z - c_vec))
             if resid <= 0.9 * dk.DEFAULT_TOL.fit_tol and unit_def <= 1e-9:
                 break
-            r_primal = float(np.linalg.norm(x - z))
-            r_dual = rho * float(np.linalg.norm(z - z_old))
-            if it % (_CHECK_EVERY * 8) == 0:
-                if r_primal > 10.0 * r_dual and rho < 1e4:
-                    rho, u = rho * 2.0, u / 2.0
-                    lu = factor(rho)
-                elif r_dual > 10.0 * r_primal and rho > 1e-4:
-                    rho, u = rho / 2.0, u * 2.0
-                    lu = factor(rho)
     return z
 
 
@@ -608,7 +619,7 @@ def test_fit_matches_dense_kkt_reference(name):
         grid = dk.clock_phase_grid(1, 2, 4) + dk.clock_phase_grid(0, 1, 4)
     else:
         # commuting unitaries with spectrum on the lattice: thousands of
-        # iterations, penalty changes, and most atoms pruned
+        # iterations and most atoms pruned
         u = random_unitary(rng, 2)
         spectra = np.exp(2j * np.pi * rng.integers(0, 6, size=(2, 2)) / 6)
         table = dk.regular_moments([u @ np.diag(s) @ u.conj().T for s in spectra], 1)
@@ -762,7 +773,9 @@ def _ref_assembly(mu):
             if pieces:
                 r = len(pieces)
                 v_blocks.append(np.vstack(pieces))
-                gen_blocks.append([z * np.eye(r, dtype=np.complex128) for z in a.point])
+                # z on the diagonal; every off-diagonal entry is +0
+                gen_blocks.append([np.diag(np.full(r, z, dtype=np.complex128))
+                                   for z in a.point])
         else:
             v_blocks.extend(pieces)
             gen_blocks.extend([a.generators] * len(pieces))
