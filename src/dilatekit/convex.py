@@ -223,9 +223,7 @@ def compress_to_surjective(gamma, point: MatrixPoint, tol: Tolerances = DEFAULT_
     return beta, replace(point, coords=delta.conj().T @ point.coords @ delta)
 
 
-# Columns added to the working set per block of the reduction sweep, and
-# the relative singular value below which a commutant direction is null.
-_BLOCK = 32
+# The relative singular value below which a commutant direction is null.
 _NULL_TOL = 1e-10
 
 
@@ -248,13 +246,20 @@ def _lift_columns(alpha, value, selfadjoint: bool) -> np.ndarray:
     return np.concatenate(parts, axis=1).T
 
 
-def _svd(a: np.ndarray, full_matrices: bool = True):
-    """The SVD (u, s, vh), retrying LAPACK's gesvd when the default
-    divide-and-conquer driver fails to converge."""
+def _svd(a: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
+    """The SVD (u, s, vh), or s alone without ``compute_uv``, retrying
+    LAPACK's gesvd when the default divide-and-conquer driver fails to
+    converge."""
     try:
-        return np.linalg.svd(a, full_matrices=full_matrices)
+        return np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
-        return scipy.linalg.svd(a, full_matrices=full_matrices, lapack_driver="gesvd")
+        return scipy.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv,
+                                lapack_driver="gesvd")
+
+
+def _rank(s: np.ndarray) -> int:
+    """Numerical rank from singular values: the reduction's one cutoff."""
+    return int(np.count_nonzero(s > 1e-11 * max(s[0], 1.0)))
 
 
 def _sweep(a: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -275,11 +280,12 @@ def _sweep(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     alive = np.arange(t.size)
     while alive.size > 1:
         _, s, vh = _svd(a[:, alive])
-        thresh = 1e-11 * max(s[0], 1.0)
-        rank = int(np.count_nonzero(s > thresh))
+        rank = _rank(s)
         if rank >= alive.size:
             break
-        basis = np.array(vh[rank:], dtype=np.float64)
+        # rows contiguous: scipy's gesvd returns a Fortran-ordered vh, and
+        # numpy 2.4's in-place np.negative miscomputes rows 8 elements apart
+        basis = np.array(vh[rank:], dtype=np.float64, order="C")
         ta = t[alive]
         free = np.ones(alive.size, dtype=bool)
         ratios = np.empty(alive.size)
@@ -333,19 +339,24 @@ def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TO
     coefficients are rescaled.  The output length is at most
     n^2 (2d + 1), or n^2 (d + 1) when every point is selfadjoint.
 
-    The elimination is blocked: terms enter in order, 32 at a time, and
-    each block is swept together with the survivors of the blocks before
-    it, so the SVDs stay the size of the affine rank plus one block
-    whatever the number of terms.  A block usually costs one SVD: its
-    sweep ends on the pass that retires one term per null direction, and
-    the next block's SVD covers the survivors again.  After the last
-    block, one more sweep over the survivors confirms that they are
-    independent; it costs one SVD when they are.  Finally the survivors'
-    weights are re-solved by least squares against the original
-    barycenter; the solution replaces the swept weights when it is
-    strictly positive and meets the barycenter more closely.  Survivors
-    whose rescaled alphas average more than 1e-9 from I are refused with
-    NotNormalizedError, not renormalized.
+    The elimination runs on a merge tree (recombination, Litterer & Lyons
+    2012).  One SVD of all lifted columns gives their rank r, with the
+    sweep's own cutoff.  While more than 2r terms are alive, they are
+    split in index order into 2r groups, and the groups' mass-weighted
+    means are swept with the group masses as weights.  Every term of a
+    group is rescaled by the group's new mass over its old one, so the
+    groups the sweep retires drop out whole; a sweep retires at least
+    half of the groups, so each level about halves the alive terms and
+    the SVDs stay 2r columns wide.  A level that retires nothing ends the
+    tree early.  One sweep over the remaining terms then makes them
+    independent.  The partition follows index order, so the output is
+    deterministic.
+
+    Finally the survivors' weights are re-solved by least squares against
+    the original barycenter; the solution replaces the swept weights when
+    it is strictly positive and meets the barycenter more closely.
+    Survivors whose rescaled alphas average more than 1e-9 from I are
+    refused with NotNormalizedError, not renormalized.
     """
     kept, t, gammas, alpha, value = _lift_terms(c)
     if not kept.size:
@@ -353,12 +364,23 @@ def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TO
     points = [c.terms[j][1] for j in kept]
     a = _lift_columns(alpha, value, all(p.selfadjoint for p in points))
     target = a @ t
-    alive = np.zeros(0, dtype=np.intp)
-    # the last, empty block is the confirming sweep over the final survivors
-    for start in range(0, t.size + _BLOCK, _BLOCK):
-        work = np.concatenate([alive, np.arange(start, min(start + _BLOCK, t.size))])
-        t[work] = _sweep(a[:, work], t[work])
-        alive = work[t[work] > 0.0]
+    groups = 2 * _rank(_svd(a, compute_uv=False))
+    alive = np.arange(t.size)
+    while alive.size > groups:
+        # np.array_split's partition of the alive terms, in index order
+        sizes = np.full(groups, alive.size // groups)
+        sizes[:alive.size % groups] += 1
+        starts = np.cumsum(sizes) - sizes
+        ta = t[alive]
+        mass = np.add.reduceat(ta, starts)
+        means = np.add.reduceat(a[:, alive] * ta, starts, axis=1) / mass
+        new_mass = _sweep(means, mass)
+        if np.all(new_mass > 0.0):
+            break
+        t[alive] = ta * np.repeat(new_mass / mass, sizes)
+        alive = alive[t[alive] > 0.0]
+    t[alive] = _sweep(a[:, alive], t[alive])
+    alive = alive[t[alive] > 0.0]
     ta = t[alive]
     cols = a[:, alive]
     exact = np.linalg.lstsq(cols, target, rcond=None)[0]

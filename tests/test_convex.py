@@ -85,8 +85,8 @@ def lifted_rank(c):
     return int(np.linalg.matrix_rank(convex._lift_columns(alpha, value, selfadjoint)))
 
 
-# survivor counts of the single whole-support sweep that the blocked
-# sweep replaced, on the trials below; blocking must not keep more
+# survivor counts of a single whole-support sweep on the trials below;
+# the merge tree must not keep more
 SWEEP_SURVIVORS = [27, 12, 12, 22, 19, 13, 21, 18, 19, 18, 7, 14,
                    5, 18, 7, 18, 5, 2, 36, 20, 33, 3, 31, 27]
 
@@ -120,7 +120,7 @@ def test_caratheodory_survivors_are_input_points():
 
 
 def test_caratheodory_large_run_sweep():
-    # hundreds of terms in one shot, the regime the null basis sweep is for
+    # hundreds of terms in one call, the regime the merge tree is for
     rng = np.random.default_rng(37)
     c = random_combination(rng, 2, 2, 300, True, level_max=2)
     red = dk.caratheodory_reduce(c)
@@ -129,9 +129,8 @@ def test_caratheodory_large_run_sweep():
     assert red.defect() <= 1e-10
 
 
-@pytest.mark.parametrize("nodes", [128, 256, 512])
-def test_caratheodory_boundary_measure_terms(nodes, monkeypatch):
-    # the boundary pipeline's combination: 3 rank-one terms per node
+def boundary_combination(nodes):
+    """The boundary pipeline's combination: 3 rank-one terms per node."""
     rng = np.random.default_rng(53)
     curve = dk.BoundaryCurve.ellipse(1.0, 0.6)
     t = complex_gaussian(rng, (3, 3))
@@ -141,6 +140,10 @@ def test_caratheodory_boundary_measure_terms(nodes, monkeypatch):
         (k,): np.linalg.matrix_power(t, k) for k in range(1, 5)})
     c = dk.measure_to_combination(mu, table)
     assert len(c.terms) == 3 * nodes
+    return c
+
+
+def reduce_counting_svds(c, monkeypatch):
     svd, calls = convex._svd, []
 
     def counting_svd(*args, **kwargs):
@@ -149,12 +152,25 @@ def test_caratheodory_boundary_measure_terms(nodes, monkeypatch):
 
     monkeypatch.setattr(convex, "_svd", counting_svd)
     red = dk.caratheodory_reduce(c)
-    # each retired term stays retired, so a block costs one SVD, plus one
-    # confirming SVD after the last block.  The slack of 3 allows for passes
-    # that defer an ill-conditioned direction and need a second SVD.  It
-    # still catches a sweep that lets retired terms come back from roundoff,
-    # which takes about four SVDs per block (52 for 384 terms).
-    assert len(calls) <= math.ceil(len(c.terms) / 32) + 1 + 3
+    monkeypatch.undo()
+    return red, len(calls)
+
+
+def tree_svd_bound(c):
+    # one SVD for the rank, then each tree level halves the alive terms
+    # with one sweep over 2 rank group means, which usually costs one SVD,
+    # and one final sweep.  The slack allows for sweeps that defer an
+    # ill-conditioned direction and need a second SVD.  The blocked sweep
+    # the tree replaced made one SVD per 32 terms: 13 for 384 terms, 97
+    # for 3072.
+    return math.ceil(math.log2(len(c.terms) / lifted_rank(c))) + 3
+
+
+@pytest.mark.parametrize("nodes", [128, 256, 512])
+def test_caratheodory_boundary_measure_terms(nodes, monkeypatch):
+    c = boundary_combination(nodes)
+    red, svds = reduce_counting_svds(c, monkeypatch)
+    assert svds <= tree_svd_bound(c)
     assert barycenter_gap(red, c) <= 1e-13
     assert red.defect() <= 1e-12
     assert len(red.terms) <= lifted_rank(c)
@@ -162,11 +178,30 @@ def test_caratheodory_boundary_measure_terms(nodes, monkeypatch):
     assert all(id(p) in ids for _, p in red.terms)
 
 
+def test_caratheodory_tree_scaling(monkeypatch):
+    # 3072 terms: six tree levels down to 2 rank terms
+    c = boundary_combination(1024)
+    red, svds = reduce_counting_svds(c, monkeypatch)
+    assert len(red.terms) <= lifted_rank(c)
+    assert barycenter_gap(red, c) <= 1e-13
+    assert red.defect() <= 1e-12
+    assert svds <= tree_svd_bound(c)
+    # the partition follows index order, so the output repeats bit for bit
+    again = dk.caratheodory_reduce(c)
+    assert len(again.terms) == len(red.terms)
+    for (b1, p1), (b2, p2) in zip(red.terms, again.terms):
+        assert p1 is p2
+        assert np.array_equal(b1, b2)
+
+
 def test_caratheodory_svd_fallback(monkeypatch):
-    # numpy's divide-and-conquer SVD can fail to converge; the sweep then
-    # retries with LAPACK gesvd and the result is an equally valid reduction
+    # numpy's divide-and-conquer SVD can fail to converge; the reduction then
+    # retries with LAPACK gesvd and the result is an equally valid reduction.
+    # The 80 terms are more than twice the lifted rank, so the rank SVD and
+    # at least one tree level take the fallback too.
     rng = np.random.default_rng(59)
     c = random_combination(rng, 2, 2, 80, True)
+    assert len(c.terms) > 2 * lifted_rank(c)
     expected = len(dk.caratheodory_reduce(c).terms)
 
     def no_convergence(*args, **kwargs):

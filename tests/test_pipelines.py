@@ -135,6 +135,23 @@ def test_regular_interior_d3_torus_24():
     final_tracks_fit(result)
 
 
+# Shapes the benchmark workloads leave out; each must pass on every draw.
+@pytest.mark.parametrize("draw", range(3))
+@pytest.mark.parametrize("d, nodes", [(2, 192), (2, 256), (3, 256)])
+def test_boundary_left_out_shapes(d, nodes, draw):
+    t = random_contraction(np.random.default_rng([4242, draw]), d, 0.5)
+    result = dk.dilate_boundary(t, dk.BoundaryCurve.ellipse(1.0, 0.6), order=4,
+                                nodes=nodes)
+    assert result.passed
+
+
+@pytest.mark.parametrize("draw", range(3))
+def test_regular_interior_d2_torus_12_left_out(draw):
+    ts = interior_torus_data(np.random.default_rng([4242, draw]), 2)
+    result = dk.dilate_regular(ts, order=1, nodes=12)
+    assert result.passed
+
+
 def test_fit_memory_d3_torus_24():
     # 5184 columns: one ncols x ncols float array is 205 MiB, so the fit
     # must never form the Gram matrix or a full-size KKT system
