@@ -7,7 +7,8 @@ measure are linear in the weights, which is what the fitter exploits.
 Every operation walks the atoms as groups of one kind and block size,
 each group one stack: one batched eigh splits a group's weights into
 rank-one pieces by numerical_rank_factor's rule for both kinds (a weight
-below -psd_tol raises NotPSD), and psd_project projects whole stacks.
+below -psd_tol raises NotPSD), and the fit projects whole stacks onto
+the PSD cone, screening each block's inertia before any eigh.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .linalg import (
     hunvec,
     hvec,
     inv_sqrt_psd,
-    psd_project,
 )
 from .moments import Dilation, MomentTable, _word_walk
 
@@ -377,26 +377,77 @@ def _fit_system(targets: MomentTable, grid: list):
     """The linear data of the fit: moments A z = t and unit mass C z = c.
 
     z stacks hvec of every atom's weight block in grid order.  The rows
-    of A z at a nonzero index n hold the real, then the imaginary parts
-    of the measure's moment L_n; C z is hvec of its total mass.
+    of A z at an index n hold the real, then the imaginary parts of the
+    measure's moment L_n; C z is hvec of its total mass.  A symmetric
+    table on a grid whose words at -n are the adjoints of those at n
+    (unit-modulus points, unitary irreps) keeps only the rows of its
+    canonical indices, A and t scaled by sqrt 2: the rows at -n would
+    repeat them, so A^T A, A^T t and |A z - t| are those of all nonzero
+    indices.  Other tables and grids keep every nonzero index.
     """
     d = targets.dim
     indices = [idx for idx in targets.indices() if any(i != 0 for i in idx)]
-    vals = np.array([targets.value(idx) for idx in indices]).reshape(-1, d, d)
-    t_vec = np.stack([vals.real, vals.imag], axis=1).ravel()
+    groups = list(_atom_groups(grid, d))
+    words = [_words([grid[j] for j in pos], indices, targets.index_rule)
+             for _, _, pos, _ in groups]
+    keep, scale = list(range(len(indices))), 1.0
+    if targets.symmetric:
+        at = {idx: i for i, idx in enumerate(indices)}
+        neg = [at[tuple(-i for i in idx)] for idx in indices]
+        if all(_adjoint_closed(w, neg) for w in words):
+            keep = [at[idx] for idx in _canonical_indices(targets)]
+            scale = np.sqrt(2.0)
+    vals = np.array([targets.value(indices[i]) for i in keep]).reshape(-1, d, d)
+    t_vec = scale * np.stack([vals.real, vals.imag], axis=1).ravel()
     ncols = sum(a.block_size(d) ** 2 for a in grid)
     a_mat = np.empty((t_vec.size, ncols))
     c_mat = np.empty((d * d, ncols))
-    for kind, m, pos, cols in _atom_groups(grid, d):
+    for (kind, m, pos, cols), w in zip(groups, words):
         # basis[k] is the k-th hvec basis matrix of C^m, a weight
         basis = _herm_to_cvec(m).T.reshape(m * m, m, m)
-        words = _words([grid[j] for j in pos], indices, targets.index_rule)
         # block[i, p, q, a, k]: atom a's basis weight k contracted at index i
-        block = _contract(kind, basis, d, words[:, None]).transpose(2, 3, 4, 0, 1)
-        a_mat[:, cols] = np.stack([block.real, block.imag], axis=1).reshape(
+        block = _contract(kind, basis, d, w[:, keep][:, None]).transpose(2, 3, 4, 0, 1)
+        a_mat[:, cols] = scale * np.stack([block.real, block.imag], axis=1).reshape(
             t_vec.size, cols.size)
         c_mat[:, cols] = np.tile(hvec(_contract(kind, basis, d)).T, len(pos))
     return a_mat, t_vec, c_mat, hvec(np.eye(d, dtype=np.complex128))
+
+
+def _adjoint_closed(words: np.ndarray, neg: list) -> bool:
+    """Whether each atom's word at index -n is the adjoint of its word at
+    n to roundoff; words (atoms, indices, b, b), -n at position neg[i]."""
+    gap = np.abs(words[:, neg] - np.swapaxes(words.conj(), -1, -2)).max(initial=0.0)
+    return bool(gap <= 1e-12 * max(1.0, np.abs(words).max(initial=0.0)))
+
+
+def _project_hvec(coords: np.ndarray, m: int) -> np.ndarray:
+    """The PSD projection of a stack of hvec coordinates (blocks, m^2).
+
+    Each block's inertia is read from the signs of its unpivoted LDL*
+    pivots (Sylvester's law of inertia), one elimination step at a time
+    over the whole stack.  A positive definite block keeps its
+    coordinates bit for bit and a negative definite one becomes 0; the
+    rest, whose pivots change sign, vanish or are lost to overflow, go
+    through one batched eigh with the negative eigenvalues clipped.
+    """
+    phi = _herm_to_cvec(m)  # hvec coordinates to raveled matrices
+    mats = (coords @ phi.T).reshape(-1, m, m)
+    pivots = np.empty(mats.shape[:2])
+    schur = mats
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(m):
+            pivots[:, k] = schur[:, 0, 0].real
+            col = schur[:, 1:, 0]
+            schur = schur[:, 1:, 1:] - col[:, :, None] * (
+                col.conj() / pivots[:, k, None])[:, None, :]
+    pos, neg = (pivots > 0).all(axis=1), (pivots < 0).all(axis=1)
+    out = np.where(neg[:, None], 0.0, coords)
+    rest = ~(pos | neg)
+    if rest.any():
+        w, q = np.linalg.eigh(mats[rest])
+        blocks = (q * np.clip(w, 0.0, None)[:, None, :]) @ np.swapaxes(q.conj(), 1, 2)
+        out[rest] = (blocks.reshape(-1, m * m) @ phi.conj()).real
+    return out
 
 
 def _admm(a_mat, t_vec, c_mat, c_vec, groups, z):
@@ -409,7 +460,10 @@ def _admm(a_mat, t_vec, c_mat, c_vec, groups, z):
     and mass maps [A; C], so it is solved once, as an affine map, in the
     coordinates of an orthonormal basis of that row space (Boyd et al.
     2011, sec. 4.2.4); an iteration costs three small matrix-vector
-    products and one batched PSD projection per (kind, block size) group.
+    products and one PSD projection per (kind, block size) group, which
+    sends only its blocks that are neither positive nor negative definite
+    through eigh (_project_hvec).  A non-finite iterate raises
+    ShapeMismatch.
     """
     d2, ncols = c_mat.shape
     # the rows of Q are an orthonormal basis of the row space of [A; C].
@@ -436,11 +490,11 @@ def _admm(a_mat, t_vec, c_mat, c_vec, groups, z):
     g_mat, y0 = sol[:, :k], sol[:, k]
 
     def project_blocks(v):
+        if not np.all(np.isfinite(v)):
+            raise ShapeMismatchError("matrix contains NaN or Inf entries")
         out = np.empty_like(v)
         for _, m, _, cols in groups:
-            phi = _herm_to_cvec(m)  # hvec coordinates to raveled matrices
-            blocks = psd_project((v[cols].reshape(-1, m * m) @ phi.T).reshape(-1, m, m))
-            out[cols] = (blocks.reshape(-1, m * m) @ phi.conj()).real.reshape(-1)
+            out[cols] = _project_hvec(v[cols].reshape(-1, m * m), m).ravel()
         return out
 
     u = np.zeros(ncols)
@@ -522,10 +576,11 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
 
     Solves  min sum_{n != 0} || sum_j eval(n, j) P_j - L_n ||_F^2  over
     PSD weights subject to the exact unit constraint at index 0, by ADMM
-    splitting between the PSD cone (psd_project blockwise) and the
-    constrained least-squares step (see _admm).  Every 25 iterations the
-    fit stops when the residual is at most 0.9 fit_tol and the unit
-    defect at most 1e-9.
+    splitting between the PSD cone (block by block, each block's inertia
+    screened by its LDL* pivots before any eigh) and the constrained
+    least-squares step (see _admm) over the rows of _fit_system.  Every
+    25 iterations the fit stops when the residual is at most 0.9 fit_tol
+    and the unit defect at most 1e-9.
 
     When that test fails at a check whose number is a power of two
     (iterations 25, 50, 100, 200, ...: at most 10 attempts in a fit), the
@@ -547,9 +602,11 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
     from the unchanged iterate, so a fit whose polish is never accepted
     ends with the plain ADMM weights.
 
-    Raises Infeasible when the residual stays above fit_tol at the
-    iteration cap; atoms whose fitted weight is below _PRUNE_TOL are
-    dropped.  ``seed`` draws the initial weights.
+    Raises Infeasible unless the final weights meet fit_tol with a unit
+    defect of at most 1e-8 (a NaN residual meets neither), in particular
+    when the residual stays above fit_tol at the iteration cap; atoms
+    whose fitted weight is below _PRUNE_TOL are dropped.  ``seed`` draws
+    the initial weights.
     """
     if not grid:
         raise GridEmptyError("empty atom grid")
@@ -583,7 +640,7 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
                 break
 
     resid, unit_def = defects(z)
-    if resid > fit_tol or unit_def > 1e-8:
+    if not (resid <= fit_tol and unit_def <= 1e-8):
         raise InfeasibleError(
             f"fit residual {resid:.6e} (unit defect {unit_def:.1e}) "
             f"did not reach fit_tol {fit_tol:.1e} within {_MAX_ITER} iterations",

@@ -173,6 +173,28 @@ def test_fit_infeasible_raises(monkeypatch):
     assert 1 <= len(calls) <= 10
 
 
+def test_fit_refuses_non_finite_iterate(monkeypatch):
+    """A NaN residual passes no comparison, so the verdict is written as a
+    test that the residual and the unit defect are small: a non-finite
+    iterate at the last check makes the fit raise Infeasible."""
+    from dilatekit import measures
+
+    admm = measures._admm
+
+    def poisoned(*args):
+        for it, z in admm(*args):
+            if it == 3 * measures._CHECK_EVERY:  # not a polish check
+                yield it, np.where(np.arange(z.size) == 0, np.nan, z)
+                return
+            yield it, z
+
+    monkeypatch.setattr(measures, "_admm", poisoned)
+    table = dk.MomentTable(dim=1, nu=1, values={(1,): np.array([[1.5]])})
+    with pytest.raises(InfeasibleError) as exc:
+        dk.fit_matrix_measure(table, dk.circle_grid(32))
+    assert np.isnan(exc.value.residual)
+
+
 def _qcommute_pair(rng):
     """The demo pair T2 T1 = -T1 T2 at lattice phases, turned by a unitary."""
     w = random_unitary(rng, 2)
@@ -427,10 +449,14 @@ def _random_measure(name):
     elif name == "annulus":
         t = np.diag([0.7, 0.8]) + 0.05 * complex_gaussian(rng, (2, 2))
         table, grid = dk.laurent_moments(t, 3), dk.annulus_grid(8, 0.5)
-    else:
+    elif name == "clock_mixed":
         table = dk.qcommuting_moments(0.5 * np.diag([1.0, -1.0]),
                                       np.array([[0.0, 0.5], [0.0, 0.0]]), 2)
         grid = dk.clock_phase_grid(1, 2, 3) + dk.clock_phase_grid(0, 1, 3)
+    else:
+        # a symmetric table on points inside the circle, where z^-n != conj(z^n)
+        t = random_contraction(rng, 2, 0.5)
+        table, grid = dk.circle_moments(t, 1.0, 3), dk.circle_grid(8, 0.9)
     d = table.dim
     weights = [random_psd(rng, a.block_size(d)) / len(grid) for a in grid]
     mu = dk.AtomicMeasure(dim=d, index_rule=table.index_rule,
@@ -438,37 +464,49 @@ def _random_measure(name):
     return table, grid, weights, mu
 
 
-@pytest.mark.parametrize("name", ["torus", "annulus", "clock_mixed"])
+@pytest.mark.parametrize("name", ["torus", "annulus", "clock_mixed", "off_circle"])
 def test_fit_system_matches_measure(name):
     """A z and C z of _fit_system are the moments and the mass of the measure
-    whose weights z stacks, as AtomicMeasure's own loops compute them."""
-    from dilatekit.measures import _fit_system
+    whose weights z stacks, as AtomicMeasure's own loops compute them.  A
+    symmetric table on unit-modulus points or unitary irreps keeps the rows
+    of its canonical indices, scaled by sqrt 2; the annulus table and points
+    off the circle keep every nonzero index.  Either way |A z - t| is the
+    residual over all nonzero indices."""
+    from dilatekit.measures import (_atom_groups, _canonical_indices, _fit_system,
+                                    _herm_to_cvec, _words)
 
     table, grid, weights, mu = _random_measure(name)
     d = table.dim
     a_mat, t_vec, c_mat, c_vec = _fit_system(table, grid)
     z = np.concatenate([dk.hvec(w) for w in weights])
-    indices = [idx for idx in table.indices() if any(idx)]
-    assert any(i < 0 for idx in indices for i in idx)
+    nonzero = [idx for idx in table.indices() if any(idx)]
+    assert any(i < 0 for idx in nonzero for i in idx)
+    assert table.symmetric == (name != "annulus")
+    if name in ("torus", "clock_mixed"):
+        indices, scale = _canonical_indices(table), np.sqrt(2.0)
+        assert 2 * len(indices) == len(nonzero)
+    else:
+        indices, scale = nonzero, 1.0
     rows = (a_mat @ z).reshape(len(indices), 2, d, d)
     targets = t_vec.reshape(len(indices), 2, d, d)
     for idx, row, target in zip(indices, rows, targets):
-        m = mu.moment(idx)
+        m = scale * mu.moment(idx)
         assert np.linalg.norm(row[0] + 1j * row[1] - m) <= 1e-13
-        assert np.array_equal(target[0] + 1j * target[1], table.value(idx))
+        assert np.array_equal(target[0] + 1j * target[1], scale * table.value(idx))
+    resid = np.sqrt(sum(np.linalg.norm(mu.moment(idx) - table.value(idx)) ** 2
+                        for idx in nonzero))
+    assert abs(np.linalg.norm(a_mat @ z - t_vec) - resid) <= 1e-13
     assert np.linalg.norm(c_mat @ z - dk.hvec(mu.unit_matrix())) <= 1e-13
     assert np.array_equal(c_vec, dk.hvec(np.eye(d, dtype=complex)))
     # bit for bit the einsum of every basis weight with every word
-    from dilatekit.measures import _atom_groups, _herm_to_cvec, _words
-
     for kind, m, pos, cols in _atom_groups(grid, d):
         basis = _herm_to_cvec(m).T.reshape(m * m, m // d, d, m // d, d)
         words = _words([grid[j] for j in pos], indices, table.index_rule)
         g = "tpsq" if kind is dk.PointAtom else "tqsp"
         block = np.einsum(f"aist,k{g}->ipqak", words, basis)
         unit = dk.hvec(np.einsum(f"k{g.replace('t', 's')}->kpq", basis)).T
-        _assert_bits(a_mat[:, cols], np.stack([block.real, block.imag], axis=1).reshape(
-            t_vec.size, cols.size))
+        want = np.stack([block.real, block.imag], axis=1).reshape(t_vec.size, cols.size)
+        _assert_bits(a_mat[:, cols], scale * want)
         _assert_bits(c_mat[:, cols], np.tile(unit, len(pos)))
 
 
@@ -618,17 +656,17 @@ def test_fit_matches_dense_kkt_reference(name):
                                       np.array([[0.0, 0.5], [0.0, 0.0]]), 1)
         grid = dk.clock_phase_grid(1, 2, 4) + dk.clock_phase_grid(0, 1, 4)
     else:
-        # commuting unitaries with spectrum on the lattice: thousands of
-        # iterations and most atoms pruned
+        # commuting unitaries with joint spectrum at two points of the
+        # lattice: thousands of iterations and most atoms pruned
         u = random_unitary(rng, 2)
-        spectra = np.exp(2j * np.pi * rng.integers(0, 6, size=(2, 2)) / 6)
-        table = dk.regular_moments([u @ np.diag(s) @ u.conj().T for s in spectra], 1)
-        grid = dk.torus_grid(6, 2)
-        # L_{-n} = L_n*: the rows at -n repeat those at n, so [A; C] is
-        # rank deficient
+        spectra = np.exp(2j * np.pi * np.array([[0, 1], [1, 2]]) / 3)
+        table = dk.regular_moments([u @ np.diag(s) @ u.conj().T for s in spectra], 2)
+        grid = dk.torus_grid(3, 2)
+        # on the 3-node lattice, indices that differ by a multiple of 3 have
+        # one word, so even the canonical rows of [A; C] are dependent
         a_mat, _, c_mat, _ = _fit_system(table, grid)
         w = np.vstack([a_mat, c_mat])
-        assert np.linalg.matrix_rank(w) < min(w.shape)
+        assert np.linalg.matrix_rank(w) < w.shape[0]
     d = table.dim
     sizes = [a.block_size(d) for a in grid]
 
@@ -896,6 +934,45 @@ def test_psd_project_stacks_match_single_and_fit_kernels():
         _assert_bits(dk.psd_project(mats), _ref_fit_projection(mats))
     with pytest.raises(dk.NonSquareError):
         dk.psd_project(np.zeros((4, 2, 3)))
+
+
+def test_screened_projection_matches_psd_project():
+    """The fit's projection reads each block's inertia from its LDL* pivots.
+    On stacks mixing positive definite, negative definite, indefinite,
+    exactly singular PSD and zero blocks it equals psd_project to 1e-13
+    relative; positive definite blocks keep their coordinates bit for bit
+    and negative definite ones become exactly 0."""
+    from dilatekit.measures import _project_hvec
+
+    rng = np.random.default_rng(139)
+    kinds = ["pd", "nd", "indefinite", "singular", "zero"] * 4
+    for m in range(1, 7):
+        mats = []
+        for kind in kinds:
+            lam = rng.uniform(0.1, 2.0, m) * 10.0 ** rng.integers(-3, 4)
+            if kind == "nd":
+                lam = -lam
+            elif kind == "indefinite":
+                lam[::2] *= -1.0
+            elif kind == "zero":
+                lam[:] = 0.0
+            q = random_unitary(rng, m)
+            a = (q * lam) @ q.conj().T
+            if kind == "singular":
+                j = rng.integers(m)
+                a = dk.psd_project(a)
+                a[j, :] = a[:, j] = 0.0
+            mats.append(a)
+        coords = dk.hvec(np.array(mats))
+        a = dk.hunvec(coords, m)  # exactly Hermitian
+        got = _project_hvec(coords, m)
+        want = dk.psd_project(a)
+        for g, w, x in zip(dk.hunvec(got, m), want, a):
+            assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(x)
+        kind = np.array(kinds)
+        assert np.array_equal(got[kind == "pd"].view(np.uint64),
+                              coords[kind == "pd"].view(np.uint64))
+        assert not got[kind == "nd"].any()
 
 
 def test_back_half_eigh_calls_per_group(monkeypatch):
