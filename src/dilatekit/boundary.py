@@ -246,7 +246,7 @@ def quadrature_measure(t, curve: BoundaryCurve, nodes: int,
     _, zetas, dzetas = curve.sample(nodes)
     w = 2.0 * np.pi / nodes
     weights = psd_project(w * _densities(t, zetas, dzetas), tol)
-    atoms = [PointAtom(point=[zeta], weight=p) for zeta, p in zip(zetas, weights)]
+    atoms = PointAtom._stack(zetas, weights)
     # normalized() records the defect it removes
     return AtomicMeasure(dim=t.shape[0], atoms=atoms).normalized(tol)
 

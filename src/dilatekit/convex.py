@@ -42,6 +42,14 @@ __all__ = [
 ]
 
 
+def _unchecked(cls, **fields):
+    """An instance of the dataclass cls with the given fields, skipping
+    __post_init__: for slices of a stack its caller has checked whole."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass
 class MatrixPoint:
     """A point in a matrix convex set: nvars square coordinates at one level.
@@ -57,26 +65,45 @@ class MatrixPoint:
     label: object = None
 
     def __post_init__(self):
+        self.coords = self._check_stack([self.coords], self.selfadjoint)[0]
+
+    @staticmethod
+    def _check_stack(stack, selfadjoint: bool) -> np.ndarray:
+        """The coordinates of a stack of points as one complex128 array
+        (points, nvars, k, k), after every check of a single point: each
+        point has at least one coordinate, every coordinate is a finite
+        2-d array, all are square of one level, and a selfadjoint point's
+        coordinates are Hermitian to 1e-10 times their norm (at least 1).
+        """
         try:
-            c = np.asarray(self.coords, dtype=np.complex128)
+            c = np.asarray(stack, dtype=np.complex128)
         except ValueError:  # ragged: the coordinates' shapes differ
             c = np.empty(0)
-        if not len(self.coords):
-            raise DimensionMismatchError("a matrix point needs at least one coordinate")
-        if c.ndim != 3:  # not one stack: find the fault coordinate by coordinate
-            each = [np.asarray(x, dtype=np.complex128) for x in self.coords]
+        if c.ndim != 4 or not c.shape[1]:  # not one stack: find the fault point by point
+            if not all(len(coords) for coords in stack):
+                raise DimensionMismatchError("a matrix point needs at least one coordinate")
+            each = [np.asarray(x, dtype=np.complex128) for coords in stack for x in coords]
             if any(x.ndim != 2 for x in each):
                 raise ShapeMismatchError("every coordinate must be a 2-d array")
-            c = np.concatenate([x.ravel() for x in each])
+            c = np.concatenate([np.empty(0)] + [x.ravel() for x in each])
         if not np.all(np.isfinite(c)):
             raise ShapeMismatchError("matrix contains NaN or Inf entries")
-        if c.ndim != 3 or c.shape[1] != c.shape[2]:
+        if c.ndim != 4 or c.shape[2] != c.shape[3]:
             raise DimensionMismatchError("coordinates must be square, one level")
-        if self.selfadjoint:
-            defect = np.linalg.norm(c - c.conj().swapaxes(1, 2), axis=(1, 2))
-            if np.any(defect > 1e-10 * np.maximum(np.linalg.norm(c, axis=(1, 2)), 1.0)):
+        if selfadjoint:
+            defect = np.linalg.norm(c - c.conj().swapaxes(2, 3), axis=(2, 3))
+            if np.any(defect > 1e-10 * np.maximum(np.linalg.norm(c, axis=(2, 3)), 1.0)):
                 raise NotHermitianError("selfadjoint point has a non-Hermitian coordinate")
-        self.coords = c
+        return c
+
+    @classmethod
+    def _stack(cls, coords, selfadjoint: bool = False, labels=None) -> list:
+        """One point per slice of the stack coords (points, nvars, k, k),
+        labelled in order by ``labels``; the stack is checked once, whole."""
+        c = cls._check_stack(coords, selfadjoint)
+        labels = [None] * len(c) if labels is None else labels
+        return [_unchecked(cls, coords=x, selfadjoint=selfadjoint, label=label)
+                for x, label in zip(c, labels)]
 
     @property
     def level(self) -> int:

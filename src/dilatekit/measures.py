@@ -8,7 +8,10 @@ Every operation walks the atoms as groups of one kind and block size,
 each group one stack: one batched eigh splits a group's weights into
 rank-one pieces by numerical_rank_factor's rule for both kinds (a weight
 below -psd_tol raises NotPSD), and the fit projects whole stacks onto
-the PSD cone, screening each block's inertia before any eigh.
+the PSD cone, screening each block's inertia before any eigh.  Stacks
+the library computes (grids, quadrature and fitted weights, the
+combination view's points) are checked once per group, under the same
+rules as a single PointAtom, IrrepAtom or MatrixPoint.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .convex import MatrixConvexCombination, MatrixPoint, _svd
+from .convex import MatrixConvexCombination, MatrixPoint, _svd, _unchecked
 from .errors import (
     DimensionMismatchError,
     GridEmptyError,
@@ -81,6 +84,24 @@ def laurent_scalar(idx, z):
     return out[()]
 
 
+def _check_weights(weights):
+    """A stack of atom weights as complex128 (atoms, m, m), or None, after
+    asmatrix's checks of each weight: a 2-d array with finite entries."""
+    if weights is None:
+        return None
+    w = np.asarray(weights, dtype=np.complex128)
+    if w.ndim != 3:
+        raise ShapeMismatchError(f"expected a 2-d array, got ndim={w.ndim - 1}")
+    if not np.all(np.isfinite(w)):
+        raise ShapeMismatchError("matrix contains NaN or Inf entries")
+    return w
+
+
+def _one_weight(weight):
+    """A single atom's weight as a stack of one for _check_stack."""
+    return None if weight is None else np.asarray(weight, dtype=np.complex128)[None]
+
+
 @dataclass
 class PointAtom:
     """A point of C^nu with a PSD d x d weight (None until fitted)."""
@@ -89,9 +110,25 @@ class PointAtom:
     weight: np.ndarray | None = None
 
     def __post_init__(self):
-        self.point = np.atleast_1d(np.asarray(self.point, dtype=np.complex128))
-        if self.weight is not None:
-            self.weight = asmatrix(self.weight)
+        point = np.atleast_1d(np.asarray(self.point, dtype=np.complex128))
+        points, weights = self._check_stack(point[None], _one_weight(self.weight))
+        self.point, self.weight = points[0], None if weights is None else weights[0]
+
+    @staticmethod
+    def _check_stack(points, weights):
+        """A stack of points (atoms, nu) and of weights (atoms, m, m) or None,
+        as complex128, after every check of a single atom."""
+        points = np.asarray(points, dtype=np.complex128)
+        return points[:, None] if points.ndim == 1 else points, _check_weights(weights)
+
+    @classmethod
+    def _stack(cls, points, weights=None) -> list:
+        """One atom per row of the stack points (atoms, nu), or per entry of
+        a stack of scalar points, weighted by the matching slice of the
+        stack weights (atoms, m, m), or unweighted; checked once, whole."""
+        points, weights = cls._check_stack(points, weights)
+        weights = [None] * len(points) if weights is None else weights
+        return [_unchecked(cls, point=p, weight=w) for p, w in zip(points, weights)]
 
     @property
     def nu(self) -> int:
@@ -120,13 +157,45 @@ class IrrepAtom:
     scale_pairs: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.generators = [asmatrix(g) for g in self.generators]
-        b = self.generators[0].shape[0]
-        for g in self.generators:
-            if g.shape != (b, b):
-                raise DimensionMismatchError("generator images must share one size")
-        if self.weight is not None:
-            self.weight = asmatrix(self.weight)
+        gens, weights = self._check_stack([list(self.generators)],
+                                          _one_weight(self.weight))
+        self.generators = list(gens[0])
+        self.weight = None if weights is None else weights[0]
+
+    @staticmethod
+    def _check_stack(generators, weights):
+        """A stack of generator images (atoms, images, b, b) and of weights
+        (atoms, m, m) or None, as complex128, after every check of a single
+        atom: at least one image, each a finite 2-d array, all b x b."""
+        try:
+            gens = np.asarray(generators, dtype=np.complex128)
+        except ValueError:  # ragged: the images' shapes differ
+            gens = None
+        if gens is None or gens.ndim != 4 or not gens.shape[1]:
+            # not one stack: find the fault image by image
+            if not all(len(images) for images in generators):
+                raise DimensionMismatchError("an irrep needs at least one generator image")
+            for images in generators:
+                for g in images:
+                    asmatrix(g)
+            raise DimensionMismatchError("generator images must share one size")
+        if not np.all(np.isfinite(gens)):
+            raise ShapeMismatchError("matrix contains NaN or Inf entries")
+        if gens.shape[2] != gens.shape[3]:
+            raise DimensionMismatchError("generator images must share one size")
+        return gens, _check_weights(weights)
+
+    @classmethod
+    def _stack(cls, generators, weights=None, scale_pairs=None) -> list:
+        """One atom per slice of the stack generators (atoms, images, b, b),
+        weighted by the matching slice of the stack weights (atoms, m, m),
+        or unweighted, with a copy of its entry of ``scale_pairs``; checked
+        once, whole."""
+        gens, weights = cls._check_stack(generators, weights)
+        weights = [None] * len(gens) if weights is None else weights
+        scale_pairs = [[]] * len(gens) if scale_pairs is None else scale_pairs
+        return [_unchecked(cls, generators=list(g), weight=w, scale_pairs=list(pairs))
+                for g, w, pairs in zip(gens, weights, scale_pairs)]
 
     @property
     def rep_dim(self) -> int:
@@ -138,6 +207,19 @@ class IrrepAtom:
     def with_weight(self, weight) -> "IrrepAtom":
         return IrrepAtom(self.generators, weight,
                          scale_pairs=list(self.scale_pairs))
+
+
+def _reweight(atoms: list, kind, pos, weights):
+    """with_weight, in place, for the atoms of one kind at positions pos
+    and the stack of their new weights (atoms, m, m), checked once, whole."""
+    group = [atoms[j] for j in pos]
+    if kind is PointAtom:
+        group = PointAtom._stack([a.point for a in group], weights)
+    else:
+        group = IrrepAtom._stack([a.generators for a in group], weights,
+                                 [a.scale_pairs for a in group])
+    for j, a in zip(pos, group):
+        atoms[j] = a
 
 
 @dataclass
@@ -217,14 +299,20 @@ class AtomicMeasure:
             g4 = weights.reshape(-1, m // d, d, m // d, d)
             w = r @ weights @ r if kind is PointAtom else np.einsum(
                 "asPtQ,Pp,Qq->asptq", g4, r, r.conj())
-            for j, wj in zip(pos, herm_part(w.reshape(-1, m, m))):
-                atoms[j] = atoms[j].with_weight(wj)
+            _reweight(atoms, kind, pos, herm_part(w.reshape(-1, m, m)))
         return replace(self, atoms=atoms, defect=defect)
 
     def pruned(self, prune_tol: float) -> "AtomicMeasure":
-        atoms = [a for a in self.atoms
-                 if a.weight is not None
-                 and np.linalg.norm(a.weight) >= prune_tol]
+        """The weighted atoms whose weight has Frobenius norm at least
+        prune_tol, in order, from one norm call per weight shape (one per
+        (kind, block size) group of a fitted measure)."""
+        shapes = [None if a.weight is None else a.weight.shape for a in self.atoms]
+        keep = np.zeros(len(self.atoms), dtype=bool)
+        for shape in dict.fromkeys(shapes).keys() - {None}:
+            pos = [j for j, s in enumerate(shapes) if s == shape]
+            weights = np.stack([self.atoms[j].weight for j in pos])
+            keep[pos] = np.linalg.norm(weights, axis=(1, 2)) >= prune_tol
+        atoms = [a for a, k in zip(self.atoms, keep) if k]
         if not atoms:
             raise GridEmptyError("pruning removed every atom")
         return replace(self, atoms=atoms)
@@ -232,17 +320,15 @@ class AtomicMeasure:
 
 def circle_grid(nodes: int, radius: float = 1.0) -> list:
     """Equispaced points on a circle |z| = radius."""
-    return [PointAtom(point=[radius * np.exp(2j * np.pi * j / nodes)])
-            for j in range(nodes)]
+    return PointAtom._stack([radius * np.exp(2j * np.pi * j / nodes)
+                             for j in range(nodes)])
 
 
 def torus_grid(nodes: int, nu: int) -> list:
     """The nodes^nu lattice of roots of unity on the nu-torus."""
     roots = [np.exp(2j * np.pi * j / nodes) for j in range(nodes)]
-    atoms = []
-    for idx in np.ndindex(*([nodes] * nu)):
-        atoms.append(PointAtom(point=[roots[i] for i in idx]))
-    return atoms
+    return PointAtom._stack([[roots[i] for i in idx]
+                             for idx in np.ndindex(*([nodes] * nu))])
 
 
 def annulus_grid(nodes: int, r: float) -> list:
@@ -259,6 +345,16 @@ def clock_shift_irrep(a: int, b: int, theta=(0.0, 0.0)) -> IrrepAtom:
     with X the cyclic downshift satisfy U2 U1 = q U1 U2 for
     q = exp(2 pi i a / b), exactly up to roundoff in the roots of unity.
     """
+    q, clock, shift = _clock_shift(a, b)
+    t1, t2 = float(theta[0]), float(theta[1])
+    return IrrepAtom(
+        generators=[np.exp(1j * t1) * clock, np.exp(1j * t2) * shift],
+        scale_pairs=[(0, 1, q)],
+    )
+
+
+def _clock_shift(a: int, b: int):
+    """q = exp(2 pi i a / b), diag(1, q, ..., q^{b-1}) and the cyclic downshift."""
     if not (isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))):
         raise ShapeMismatchError(
             "rotation parameter must be rational: integers a, b required "
@@ -271,18 +367,17 @@ def clock_shift_irrep(a: int, b: int, theta=(0.0, 0.0)) -> IrrepAtom:
     shift = np.zeros((b, b), dtype=np.complex128)
     for j in range(b):
         shift[(j - 1) % b, j] = 1.0
-    t1, t2 = float(theta[0]), float(theta[1])
-    return IrrepAtom(
-        generators=[np.exp(1j * t1) * clock, np.exp(1j * t2) * shift],
-        scale_pairs=[(0, 1, q)],
-    )
+    return q, clock, shift
 
 
 def clock_phase_grid(a: int, b: int, nodes: int) -> list:
     """Clock-shift irreps over the nodes x nodes lattice of phase pairs."""
     step = 2.0 * np.pi / nodes
-    return [clock_shift_irrep(a, b, (step * i, step * j))
-            for i in range(nodes) for j in range(nodes)]
+    q, clock, shift = _clock_shift(a, b)
+    return IrrepAtom._stack(
+        [[np.exp(1j * (step * i)) * clock, np.exp(1j * (step * j)) * shift]
+         for i in range(nodes) for j in range(nodes)],
+        scale_pairs=[[(0, 1, q)]] * nodes ** 2)
 
 
 # ADMM settings of fit_matrix_measure: iteration cap, the one fixed
@@ -646,8 +741,9 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
             f"did not reach fit_tol {fit_tol:.1e} within {_MAX_ITER} iterations",
             residual=resid,
         )
-    blocks = np.split(z, np.cumsum(sizes ** 2)[:-1])
-    atoms = [a.with_weight(hunvec(v, m)) for a, v, m in zip(grid, blocks, sizes)]
+    atoms = list(grid)
+    for kind, m, pos, cols in groups:
+        _reweight(atoms, kind, pos, hunvec(z[cols].reshape(-1, m * m), m))
     mu = AtomicMeasure(dim=d, atoms=atoms, defect=unit_def, fit_residual=resid,
                        index_rule=targets.index_rule)
     return mu.pruned(_PRUNE_TOL)
@@ -740,10 +836,10 @@ def measure_to_combination(mu: AtomicMeasure, table: MomentTable,
         words = _words([mu.atoms[j] for j in pos], indices, mu.index_rule)
         parts = np.stack([herm_part(words), herm_part(-1j * words)], axis=2)
         pieces, counts = _pieces(kind, weights, d, tol)
-        for j, coords, own in zip(pos.tolist(), parts,
-                                  np.split(pieces, np.cumsum(counts)[:-1])):
-            point = MatrixPoint(coords=coords.reshape(-1, *words.shape[2:]),
-                                selfadjoint=True, label=j)
+        points = MatrixPoint._stack(parts.reshape(len(pos), -1, *words.shape[2:]),
+                                    selfadjoint=True, labels=pos.tolist())
+        for j, point, own in zip(pos.tolist(), points,
+                                 np.split(pieces, np.cumsum(counts)[:-1])):
             terms[j] = [(gamma, point) for gamma in own]
     return MatrixConvexCombination(n=d, terms=[t for ts in terms for t in ts])
 
@@ -769,6 +865,5 @@ def combination_to_measure(comb: MatrixConvexCombination, mu: AtomicMeasure
              else g.reshape(len(g), -1, 1) * g.reshape(len(g), 1, -1).conj())
         acc = np.zeros((len(pos), m, m), dtype=np.complex128)
         np.add.at(acc, np.searchsorted(pos, slot[sel]), w)
-        for j, wj in zip(pos, herm_part(acc)):
-            atoms[j] = atoms[j].with_weight(wj)
+        _reweight(atoms, kind, pos, herm_part(acc))
     return replace(mu, atoms=atoms)

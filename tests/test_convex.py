@@ -314,7 +314,7 @@ def test_decompose_irreducible_svd_fallback(monkeypatch):
 NAN = float("nan")
 
 
-@pytest.mark.parametrize("coords, selfadjoint, error", [
+_POINT_CASES = [
     ([], False, dk.DimensionMismatchError),
     (np.zeros((0, 2, 2)), False, dk.DimensionMismatchError),
     ([np.ones((2, 3))], False, dk.DimensionMismatchError),
@@ -340,14 +340,47 @@ NAN = float("nan")
     ([np.array([[0.0, 1.0], [0.0, 0.0]])], False, None),
     ((np.eye(2), 1j * np.eye(2)), False, None),
     ([[[1.0, 2.0], [2.0, 3.0]]], True, None),
-])
+]
+
+
+_POINT_MESSAGES = {
+    dk.DimensionMismatchError: ("a matrix point needs at least one coordinate",
+                                "coordinates must be square, one level"),
+    dk.ShapeMismatchError: ("every coordinate must be a 2-d array",
+                            "matrix contains NaN or Inf entries"),
+    dk.NotHermitianError: ("selfadjoint point has a non-Hermitian coordinate",),
+}
+
+
+class _ViaStack:
+    """A case's coordinates, to be built by MatrixPoint._stack as a stack of one."""
+
+    def __init__(self, coords):
+        self.coords = coords
+
+
+@pytest.mark.parametrize("coords, selfadjoint, error", _POINT_CASES + [
+    pytest.param(_ViaStack(c), sa, err, id=f"stack-coords{i}-{sa}-{getattr(err, '__name__', err)}")
+    for i, (c, sa, err) in enumerate(_POINT_CASES)])
 def test_matrix_point_validation(coords, selfadjoint, error):
+    """Every case, built one at a time and as a stack of one: the stack's
+    single check raises the constructor's exception type and message."""
+    if isinstance(coords, _ViaStack):
+        coords = coords.coords
+        build = lambda: dk.MatrixPoint._stack([coords], selfadjoint)[0]  # noqa: E731
+    else:
+        build = lambda: dk.MatrixPoint(coords, selfadjoint=selfadjoint)  # noqa: E731
     if error is None:
-        p = dk.MatrixPoint(coords, selfadjoint=selfadjoint)
+        p = build()
         assert p.nvars == len(coords)
+        assert p.coords.dtype == np.complex128 and p.coords.ndim == 3
         return
-    with pytest.raises(error):
+    with pytest.raises(error) as got:
+        build()
+    with pytest.raises(error) as one:
         dk.MatrixPoint(coords, selfadjoint=selfadjoint)
+    assert type(got.value) is type(one.value)
+    assert str(got.value) == str(one.value) in _POINT_MESSAGES[error]
 
 
 def test_combination_validation_errors():

@@ -379,6 +379,127 @@ def test_pruned_drops_null_atoms():
         dk.PointAtom(point=[-1.0], weight=np.array([[1e-12]])),
     ])
     assert len(mu.pruned(1e-9).atoms) == 1
+    # interleaved groups of two kinds and block sizes, and an unweighted
+    # atom: the kept atoms are the originals, in their order
+    atoms = dk.clock_phase_grid(1, 2, 2) + dk.circle_grid(3)
+    atoms = [atoms[j] for j in (0, 4, 1, 5, 2, 6, 3)]
+    for a, scale in zip(atoms, [1.0, 1e-12, 1e-10, 2e-9, 0.5, None, 1e-9]):
+        if scale is not None:
+            a.weight = scale * np.eye(a.block_size(2)) / np.sqrt(a.block_size(2))
+    kept = dk.AtomicMeasure(dim=2, atoms=atoms).pruned(1e-9).atoms
+    assert [id(a) for a in kept] == [id(atoms[j]) for j in (0, 3, 4, 6)]
+    with pytest.raises(dk.GridEmptyError, match="pruning removed every atom"):
+        dk.AtomicMeasure(dim=2, atoms=atoms).pruned(2.0)
+
+
+_NAN_WEIGHT = np.array([[1.0, np.nan], [0.0, 1.0]])
+_INF_WEIGHT = np.array([[np.inf, 0.0], [0.0, 1.0]])
+_GEN = np.eye(2)
+
+
+# (kind, images, weight, error, message): images are a point for PointAtom
+# and generator images for IrrepAtom; the weight fits d = 1 for an irrep
+_ATOM_CASES = [
+    ("point", [0.5], _NAN_WEIGHT, ShapeMismatchError, "matrix contains NaN or Inf entries"),
+    ("point", [0.5], _INF_WEIGHT, ShapeMismatchError, "matrix contains NaN or Inf entries"),
+    ("point", [0.5], np.ones(2), ShapeMismatchError, "expected a 2-d array, got ndim=1"),
+    ("point", [0.5, 1j], np.eye(2), None, None),
+    ("point", [0.5], None, None, None),
+    ("irrep", [_GEN, _GEN], _NAN_WEIGHT, ShapeMismatchError,
+     "matrix contains NaN or Inf entries"),
+    ("irrep", [_GEN], _INF_WEIGHT, ShapeMismatchError, "matrix contains NaN or Inf entries"),
+    ("irrep", [_GEN, np.eye(3)], None, dk.DimensionMismatchError,
+     "generator images must share one size"),
+    ("irrep", [_GEN, np.eye(3)], np.eye(2), dk.DimensionMismatchError,
+     "generator images must share one size"),
+    ("irrep", [np.ones((2, 3))], None, dk.DimensionMismatchError,
+     "generator images must share one size"),
+    ("irrep", [_GEN, np.array([[np.nan, 0.0], [0.0, 1.0]])], None, ShapeMismatchError,
+     "matrix contains NaN or Inf entries"),
+    ("irrep", [np.array([[np.inf]]), _GEN], None, ShapeMismatchError,
+     "matrix contains NaN or Inf entries"),
+    ("irrep", [_GEN, np.ones(2)], None, ShapeMismatchError, "expected a 2-d array, got ndim=1"),
+    ("irrep", [], None, dk.DimensionMismatchError, "an irrep needs at least one generator image"),
+    ("irrep", [_GEN, -_GEN], np.eye(2), None, None),
+]
+
+
+@pytest.mark.parametrize("via", ["object", "stack"])
+@pytest.mark.parametrize("kind, images, weight, error, message", _ATOM_CASES)
+def test_atom_validation(kind, images, weight, error, message, via):
+    """PointAtom and IrrepAtom raise one exception type and message whether
+    built one at a time or by the private stack constructor (a stack of
+    one), and a fault in the last atom of a longer stack is found too."""
+    cls = dk.PointAtom if kind == "point" else dk.IrrepAtom
+
+    def build(n):
+        if via == "object":
+            return [cls(images, weight)]
+        return cls._stack([images] * n, None if weight is None else [weight] * n)
+
+    if error is None:
+        for n in (1, 3):
+            for a in build(n):
+                assert a.weight is None or a.weight.dtype == np.complex128
+        return
+    with pytest.raises(error) as one:
+        build(1)
+    assert str(one.value) == message
+    if via == "stack" and weight is not None and not np.isfinite(weight).all():
+        good = np.eye(weight.shape[0])
+        with pytest.raises(error, match="NaN or Inf"):
+            cls._stack([images] * 3, [good, good, weight])
+
+
+def test_stack_constructors_match_one_at_a_time():
+    """Objects built from a stack carry the bits of objects built one at a
+    time: coords, point, weight, generators and scale_pairs."""
+    from dilatekit.measures import _clock_shift
+
+    rng = np.random.default_rng(211)
+    c = complex_gaussian(rng, (5, 3, 2, 2))
+    c = c + np.swapaxes(c.conj(), 2, 3)
+    for selfadjoint in (True, False):
+        points = dk.MatrixPoint._stack(c, selfadjoint, labels=list(range(5)))
+        for j, (p, x) in enumerate(zip(points, c)):
+            one = dk.MatrixPoint(list(x), selfadjoint=selfadjoint, label=j)
+            _assert_bits(p.coords, one.coords)
+            assert (p.selfadjoint, p.label) == (one.selfadjoint, one.label)
+    pts = complex_gaussian(rng, (6, 2))
+    weights = np.stack([random_psd(rng, 3) for _ in range(6)])
+    for a, z, w in zip(dk.PointAtom._stack(pts, weights), pts, weights):
+        one = dk.PointAtom(point=list(z), weight=w)
+        _assert_bits(a.point, one.point)
+        _assert_bits(a.weight, one.weight)
+    # the grids, against the one-at-a-time formulas they replace
+    for got, want in [
+        (dk.circle_grid(7, 0.8), [[0.8 * np.exp(2j * np.pi * j / 7)] for j in range(7)]),
+        (dk.torus_grid(3, 2), [[np.exp(2j * np.pi * i / 3), np.exp(2j * np.pi * j / 3)]
+                               for i in range(3) for j in range(3)]),
+    ]:
+        assert len(got) == len(want)
+        for a, z in zip(got, want):
+            one = dk.PointAtom(point=z)
+            _assert_bits(a.point, one.point)
+            assert a.weight is None
+    step = 2.0 * np.pi / 3
+    grid = dk.clock_phase_grid(1, 3, 3)
+    ones = [dk.clock_shift_irrep(1, 3, (step * i, step * j))
+            for i in range(3) for j in range(3)]
+    weights = np.stack([random_psd(rng, 6) for _ in grid])
+    stacked = dk.IrrepAtom._stack([a.generators for a in grid], weights,
+                                  [a.scale_pairs for a in grid])
+    for a, b, one, w in zip(grid, stacked, ones, weights):
+        assert len(a.generators) == len(one.generators) == 2
+        for g, h, k in zip(a.generators, b.generators, one.generators):
+            _assert_bits(g, k)
+            _assert_bits(h, k)
+        assert a.scale_pairs == b.scale_pairs == one.scale_pairs == [(0, 1, _clock_shift(1, 3)[0])]
+        _assert_bits(b.weight, one.with_weight(w).weight)
+    # each atom owns its lists: changing one leaves the others alone
+    grid[0].scale_pairs.append((1, 0, 1.0))
+    grid[0].generators.pop()
+    assert all(len(a.scale_pairs) == 1 and len(a.generators) == 2 for a in grid[1:])
 
 
 def test_irrep_contribution_matches_pure_states():

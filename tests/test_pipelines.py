@@ -6,6 +6,7 @@ verification passed, dimension slack nonnegative, reduction inside the
 d^2 (dim S + 1) budget, and final residual tracking the fit residual.
 """
 
+import collections
 import tracemalloc
 
 import numpy as np
@@ -113,6 +114,49 @@ def interior_torus_data(rng, d):
     w = random_unitary(rng, d)
     zs = rng.uniform(0.0, 0.5, size=(2, d)) * np.exp(2j * np.pi * rng.random((2, d)))
     return [w @ np.diag(z) @ w.conj().T for z in zs]
+
+
+def _count_validations(monkeypatch):
+    """Count per-object constructions (__post_init__) and stack checks
+    (_check_stack) of MatrixPoint, PointAtom and IrrepAtom."""
+    counts = collections.Counter()
+    for cls in (dk.MatrixPoint, dk.PointAtom, dk.IrrepAtom):
+        def post_init(self, _orig=cls.__post_init__, _name=cls.__name__):
+            counts[_name + " object"] += 1
+            _orig(self)
+
+        def checked(*args, _orig=cls._check_stack, _name=cls.__name__):
+            counts[_name + " check"] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(cls, "__post_init__", post_init)
+        monkeypatch.setattr(cls, "_check_stack", staticmethod(checked))
+    return counts
+
+
+def test_measure_path_validates_per_group_not_per_atom(monkeypatch):
+    """On the measure path every stack the library computes is checked
+    once: the number of validations depends on the (kind, block size)
+    groups, here one per measure, and not on the number of atoms."""
+    counts = _count_validations(monkeypatch)
+    rng = np.random.default_rng(31)
+    t = random_contraction(rng, 2, 0.5)
+    ts = interior_torus_data(rng, 2)
+    curve = dk.BoundaryCurve.ellipse(1.0, 0.6)
+    runs = {}
+    for size in (1, 2):
+        counts.clear()
+        assert dk.dilate_boundary(t, curve, order=2, nodes=64 * size).passed
+        boundary = dict(counts)
+        counts.clear()
+        assert dk.dilate_regular(ts, order=1, nodes=4 + 2 * size).passed
+        runs[size] = boundary, dict(counts)
+    assert runs[1] == runs[2]
+    for per_call in runs[1]:
+        # quadrature, normalization, combination view and its reassembly;
+        # grid, fit output, normalization, combination view and reassembly
+        assert sum(per_call.values()) <= 5
+        assert not any(name.endswith(" object") for name in per_call)
 
 
 @pytest.mark.parametrize("seed", [1, 8, 14, 18])
