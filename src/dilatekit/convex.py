@@ -119,7 +119,9 @@ class MatrixConvexCombination:
     """Terms (gamma_j, x_j) with sum gamma_j* gamma_j = I_n.
 
     Each coefficient is converted to a complex128 array once; one pass
-    over all of them rejects NaN/Inf entries.
+    over all of them rejects NaN/Inf entries, and one pass over the
+    terms' shapes checks every point's nvars and every coefficient's
+    shape.
     """
 
     n: int
@@ -130,27 +132,32 @@ class MatrixConvexCombination:
         points = [point for _, point in self.terms]
         if gammas and not np.isfinite(np.concatenate([g.ravel() for g in gammas])).all():
             raise ShapeMismatchError("matrix contains NaN or Inf entries")
-        for gamma, point in zip(gammas, points):
-            if point.nvars != points[0].nvars:
+        # one pass: each term's (nvars, level) + coefficient shape, then the
+        # first term of a faulty shape names its first failed check
+        shapes = [p.coords.shape[:2] + g.shape for g, p in zip(gammas, points)]
+        nvars = shapes[0][0] if shapes else 0
+        bad = min((shapes.index(s) for s in dict.fromkeys(shapes)
+                   if s[0] != nvars or s[2:] != (s[1], self.n)), default=None)
+        if bad is not None:
+            gamma, point = gammas[bad], points[bad]
+            if point.nvars != nvars:
                 raise DimensionMismatchError(
                     "every point needs the same number of coordinates")
             if gamma.ndim != 2:
                 raise ShapeMismatchError(f"expected a 2-d array, got ndim={gamma.ndim}")
-            if gamma.shape != (point.level, self.n):
-                raise DimensionMismatchError(
-                    f"coefficient shape {gamma.shape} does not match "
-                    f"point level {point.level} and target level {self.n}"
-                )
+            raise DimensionMismatchError(
+                f"coefficient shape {gamma.shape} does not match "
+                f"point level {point.level} and target level {self.n}"
+            )
         self.terms = list(zip(gammas, points))
 
     def _levels(self):
         """(term indices, coefficients stacked (terms, k, n)) for each point
         level k, levels in order of first use."""
-        groups: dict = {}
-        for j, (_, point) in enumerate(self.terms):
-            groups.setdefault(point.level, []).append(j)
-        for idx in groups.values():
-            yield idx, np.stack([self.terms[j][0] for j in idx])
+        levels = np.array([point.coords.shape[1] for _, point in self.terms], dtype=int)
+        for level in dict.fromkeys(levels.tolist()):
+            idx = np.flatnonzero(levels == level)
+            yield idx, np.array([self.terms[j][0] for j in idx.tolist()])
 
     def defect(self) -> float:
         s = np.zeros((self.n, self.n), dtype=np.complex128)

@@ -20,6 +20,7 @@ import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 
 from .convex import MatrixConvexCombination, MatrixPoint, _svd, _unchecked
 from .errors import (
@@ -469,7 +470,9 @@ def _pieces(kind, weights: np.ndarray, d: int, tol: Tolerances):
 
 
 def _fit_system(targets: MomentTable, grid: list):
-    """The linear data of the fit: moments A z = t and unit mass C z = c.
+    """The linear data of the fit: moments A z = t and unit mass C z = c,
+    stacked as B z = [t; c] with B = [A; C]; returns B, [t; c] and the
+    number k of rows of A.
 
     z stacks hvec of every atom's weight block in grid order.  The rows
     of A z at an index n hold the real, then the imaginary parts of the
@@ -495,17 +498,18 @@ def _fit_system(targets: MomentTable, grid: list):
     vals = np.array([targets.value(indices[i]) for i in keep]).reshape(-1, d, d)
     t_vec = scale * np.stack([vals.real, vals.imag], axis=1).ravel()
     ncols = sum(a.block_size(d) ** 2 for a in grid)
-    a_mat = np.empty((t_vec.size, ncols))
-    c_mat = np.empty((d * d, ncols))
+    k = t_vec.size
+    b_mat = np.empty((k + d * d, ncols))
+    a_mat, c_mat = b_mat[:k], b_mat[k:]
     for (kind, m, pos, cols), w in zip(groups, words):
         # basis[k] is the k-th hvec basis matrix of C^m, a weight
         basis = _herm_to_cvec(m).T.reshape(m * m, m, m)
         # block[i, p, q, a, k]: atom a's basis weight k contracted at index i
         block = _contract(kind, basis, d, w[:, keep][:, None]).transpose(2, 3, 4, 0, 1)
         a_mat[:, cols] = scale * np.stack([block.real, block.imag], axis=1).reshape(
-            t_vec.size, cols.size)
+            k, cols.size)
         c_mat[:, cols] = np.tile(hvec(_contract(kind, basis, d)).T, len(pos))
-    return a_mat, t_vec, c_mat, hvec(np.eye(d, dtype=np.complex128))
+    return b_mat, np.concatenate([t_vec, hvec(np.eye(d, dtype=np.complex128))]), k
 
 
 def _adjoint_closed(words: np.ndarray, neg: list) -> bool:
@@ -545,44 +549,43 @@ def _project_hvec(coords: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _admm(a_mat, t_vec, c_mat, c_vec, groups, z):
+def _x_step(b_mat, rhs, k):
+    """The x-step of the fit's ADMM as a function of v = z - u: the x that
+    minimises |A x - t|^2 / 2 + _RHO |x - v|^2 / 2 subject to C x = c,
+    for the moment rows A = b_mat[:k] and the mass rows C = b_mat[k:].
+
+    Its KKT system is solved in closed form (Boyd et al. 2011, sec.
+    4.2.4): x = v + B^T mu, where (B B^T + _RHO diag(I_k, 0)) mu =
+    [t; c] - B v with B = [A; C].  That matrix is positive definite for
+    every nonempty grid, whatever the rank of A: mu^T M mu = |B^T mu|^2 +
+    _RHO |mu_A|^2, and C has full row rank.  So it is inverted once, from
+    one Cholesky factorization, and the x-step costs three matrix-vector
+    products.  The multiplier of the mass rows is -_RHO mu_C.
+    """
+    gram = b_mat @ b_mat.T
+    gram[np.arange(k), np.arange(k)] += _RHO
+    chol, info = scipy.linalg.lapack.dpotrf(gram)
+    if info == 0:
+        inv, info = scipy.linalg.lapack.dpotri(chol)
+    if info != 0:
+        raise ShapeMismatchError(
+            f"the fit's x-step matrix is not positive definite (LAPACK info {info})")
+    inv = np.triu(inv) + np.triu(inv, 1).T  # dpotri fills the upper triangle
+    mu0 = inv @ rhs
+    return lambda v: v + b_mat.T @ (mu0 - inv @ (b_mat @ v))
+
+
+def _admm(b_mat, rhs, k, groups, z):
     """The plain ADMM iteration of the fit, started from the weights z, with
     the one fixed penalty _RHO.
 
     Yields (it, z) at every residual check, every _CHECK_EVERY iterations.
-
-    The x-step only moves the part of z - u in the row space of the moment
-    and mass maps [A; C], so it is solved once, as an affine map, in the
-    coordinates of an orthonormal basis of that row space (Boyd et al.
-    2011, sec. 4.2.4); an iteration costs three small matrix-vector
-    products and one PSD projection per (kind, block size) group, which
-    sends only its blocks that are neither positive nor negative definite
-    through eigh (_project_hvec).  A non-finite iterate raises
-    ShapeMismatch.
+    An iteration is one x-step (_x_step: three matrix-vector products)
+    and one PSD projection per (kind, block size) group, which sends only
+    its blocks that are neither positive nor negative definite through
+    eigh (_project_hvec).  A non-finite iterate raises ShapeMismatch.
     """
-    d2, ncols = c_mat.shape
-    # the rows of Q are an orthonormal basis of the row space of [A; C].
-    # With w = Q v the x-step is x = v + Q^T (y - w), where y solves the
-    # constrained least squares in the k coordinates of the basis,
-    # min |A_q y - t|^2 + rho |y - w|^2 subject to C_q y = c.
-    _, s, basis = _svd(np.vstack([a_mat, c_mat]), full_matrices=False)
-    basis = basis[:np.count_nonzero(s > 1e-12 * s[0])]
-    k = basis.shape[0]
-    a_q, c_q = a_mat @ basis.T, c_mat @ basis.T
-    gram = a_q.T @ a_q
-    # y - w = G w + y0 is the KKT solve of [-A_q^T A_q w + A_q^T t; -C_q w + c],
-    # one solve for its w part G and its constant part y0
-    kkt = np.zeros((k + d2, k + d2))
-    kkt[:k, :k] = gram + _RHO * np.eye(k)
-    kkt[:k, k:] = c_q.T
-    kkt[k:, :k] = c_q
-    rhs = np.zeros((k + d2, k + 1))
-    rhs[:k, :k] = -gram
-    rhs[k:, :k] = -c_q
-    rhs[:k, k] = a_q.T @ t_vec
-    rhs[k:, k] = c_vec
-    sol = np.linalg.solve(kkt, rhs)[:k]
-    g_mat, y0 = sol[:, :k], sol[:, k]
+    x_step = _x_step(b_mat, rhs, k)
 
     def project_blocks(v):
         if not np.all(np.isfinite(v)):
@@ -592,10 +595,9 @@ def _admm(a_mat, t_vec, c_mat, c_vec, groups, z):
             out[cols] = _project_hvec(v[cols].reshape(-1, m * m), m).ravel()
         return out
 
-    u = np.zeros(ncols)
+    u = np.zeros_like(z)
     for it in range(1, _MAX_ITER + 1):
-        v = z - u
-        x = v + basis.T @ (g_mat @ (basis @ v) + y0)
+        x = x_step(z - u)
         z = project_blocks(x + u)
         u = u + x - z
         if it % _CHECK_EVERY == 0:
@@ -610,7 +612,7 @@ def _cut_lstsq(mat, rhs, scale):
     return vt[keep].T @ ((u[:, keep].T @ rhs) / sv[keep]), vt[keep]
 
 
-def _polish(a_mat, t_vec, c_mat, c_vec, groups, z):
+def _polish(b_mat, rhs, k, groups, z):
     """The fit solved on the face of the PSD cone that the weights z lie on.
 
     Atom j's face is W_j = U_j S_j U_j* over Hermitian S_j, where U_j holds
@@ -627,7 +629,6 @@ def _polish(a_mat, t_vec, c_mat, c_vec, groups, z):
     faces = [np.linalg.eigh(hunvec(z[cols].reshape(-1, m * m), m))
              for _, m, _, cols in groups]
     lmax = max(float(lam.max()) for lam, _ in faces)
-    a_c = np.vstack([a_mat, c_mat])
     rots, masks, face_parts, s_parts = [], [], [], []
     for (_, m, _, cols), (lam, q) in zip(groups, faces):
         basis = _herm_to_cvec(m).T.reshape(m * m, m, m)
@@ -639,20 +640,20 @@ def _polish(a_mat, t_vec, c_mat, c_vec, groups, z):
         # the face keeps the coordinates whose E_k lives on kept x kept
         mask = ~np.any((basis != 0) & ~on[:, None], axis=(2, 3))
         n_atoms = len(lam)
-        a_c_rot = np.swapaxes(a_c[:, cols].reshape(-1, n_atoms, m * m), 0, 1) @ rot
+        b_rot = np.swapaxes(b_mat[:, cols].reshape(-1, n_atoms, m * m), 0, 1) @ rot
         rots.append(rot)
         masks.append(mask)
-        face_parts.append(np.swapaxes(a_c_rot, 0, 1)[:, mask])
+        face_parts.append(np.swapaxes(b_rot, 0, 1)[:, mask])
         s_parts.append((z[cols].reshape(n_atoms, 1, m * m) @ rot)[:, 0][mask])
-    a_face, c_face = np.split(np.hstack(face_parts), [len(t_vec)])
+    a_face, c_face = np.split(np.hstack(face_parts), [k])
     s = np.concatenate(s_parts)
-    step, rows = _cut_lstsq(c_face, c_vec - c_face @ s, np.linalg.norm(c_face))
+    step, rows = _cut_lstsq(c_face, rhs[k:] - c_face @ s, np.linalg.norm(c_face))
     s += step
     # off the row space of C M the constraint holds whatever the step; the
     # cut is relative to A M itself, since what is left of it there may be
     # roundoff alone
     a_off = a_face - (a_face @ rows.T) @ rows
-    s += _cut_lstsq(a_off, t_vec - a_face @ s, np.linalg.norm(a_face))[0]
+    s += _cut_lstsq(a_off, rhs[:k] - a_face @ s, np.linalg.norm(a_face))[0]
     out = np.empty_like(z)
     pieces = np.split(s, np.cumsum([np.count_nonzero(mask) for mask in masks])[:-1])
     for (_, m, _, cols), rot, mask, piece in zip(groups, rots, masks, pieces):
@@ -673,7 +674,9 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
     PSD weights subject to the exact unit constraint at index 0, by ADMM
     splitting between the PSD cone (block by block, each block's inertia
     screened by its LDL* pivots before any eigh) and the constrained
-    least-squares step (see _admm) over the rows of _fit_system.  Every
+    least-squares step over the rows of _fit_system, solved in closed form
+    from one Cholesky factorization of the Gram matrix of [A; C] made
+    before the first iteration (see _x_step).  Every
     25 iterations the fit stops when the residual is at most 0.9 fit_tol
     and the unit defect at most 1e-9.
 
@@ -706,15 +709,14 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
     if not grid:
         raise GridEmptyError("empty atom grid")
     d = targets.dim
-    system = _fit_system(targets, grid)
-    a_mat, t_vec, c_mat, c_vec = system
+    system = b_mat, rhs, k = _fit_system(targets, grid)
     sizes = np.array([a.block_size(d) for a in grid])
     groups = list(_atom_groups(grid, d))
     fit_tol = tol.fit_tol
 
     def defects(w):
-        return (float(np.linalg.norm(a_mat @ w - t_vec)),
-                float(np.linalg.norm(c_mat @ w - c_vec)))
+        gap = b_mat @ w - rhs
+        return float(np.linalg.norm(gap[:k])), float(np.linalg.norm(gap[k:]))
 
     def stops(w, limit):
         resid, unit_def = defects(w)
@@ -723,7 +725,7 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
     # each weight starts at a random multiple of hvec(I_m), which is
     # C^T hvec(I_d) block by block
     weights = (0.5 + 0.5 * np.random.default_rng(seed).random(len(grid))) / len(grid)
-    z = np.repeat(weights, sizes ** 2) * (c_mat.T @ c_vec)
+    z = np.repeat(weights, sizes ** 2) * (b_mat[k:].T @ rhs[k:])
     for it, z in _admm(*system, groups, z):
         if stops(z, 0.9 * fit_tol):
             break

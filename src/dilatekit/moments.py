@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NotCommutingError,
+    NotContainedError,
     NotPSDError,
     ResolventSingularError,
     ShapeMismatchError,
@@ -37,6 +38,12 @@ __all__ = [
 
 
 _COMMUTE_TOL = 1e-10
+
+
+def _require_order(n_max: int):
+    """Refuse a truncation below the first moments."""
+    if n_max < 1:
+        raise ShapeMismatchError("need at least first-order moments")
 
 
 @dataclass
@@ -139,8 +146,7 @@ def circle_moments(t, rho: float, n_max: int) -> MomentTable:
         raise DimensionMismatchError("operator must be square")
     if rho <= 0:
         raise ShapeMismatchError(f"rho must be positive, got {rho}")
-    if n_max < 1:
-        raise ShapeMismatchError("need at least first-order moments")
+    _require_order(n_max)
     d = t.shape[0]
     values = {}
     power = np.eye(d, dtype=np.complex128)
@@ -160,8 +166,7 @@ def regular_moments(ts, n_max: int) -> MomentTable:
     ts = [asmatrix(t) for t in ts]
     if not ts:
         raise DimensionMismatchError("need at least one operator")
-    if n_max < 1:
-        raise ShapeMismatchError("need at least first-order moments")
+    _require_order(n_max)
     d = ts[0].shape[0]
     for t in ts:
         if t.shape != (d, d):
@@ -195,6 +200,7 @@ def qcommuting_moments(t1, t2, n_max: int) -> MomentTable:
     t2 = asmatrix(t2)
     if t1.shape != t2.shape or t1.shape[0] != t1.shape[1]:
         raise DimensionMismatchError("need two square operators of one size")
+    _require_order(n_max)
     values = {}
     for n in range(n_max + 1):
         for m in range(n_max + 1):
@@ -210,11 +216,19 @@ def laurent_moments(t, n_max: int) -> MomentTable:
 
     Negative indices are genuine inverse powers, not adjoints, so the
     table is not conjugate-closed; this is the moment data for boundary
-    measures on an annulus.
+    measures on an annulus.  An operator that is singular to working
+    precision (smallest singular value at most d eps times the largest)
+    has 0 in its spectrum, outside every annulus: NotContained.
     """
     t = asmatrix(t)
     if t.shape[0] != t.shape[1]:
         raise DimensionMismatchError("operator must be square")
+    _require_order(n_max)
+    s = np.linalg.svd(t, compute_uv=False)
+    if s.size and s[-1] <= s.size * np.finfo(float).eps * s[0]:
+        raise NotContainedError(
+            f"operator is singular to working precision (smallest singular value "
+            f"{s[-1]:.3e}, largest {s[0]:.3e}): 0 lies in its spectrum, outside the annulus")
     tinv = np.linalg.inv(t)
     d = t.shape[0]
     values = {}

@@ -38,6 +38,7 @@ from .moments import (
     _COMMUTE_TOL,
     Dilation,
     MomentTable,
+    _require_order,
     circle_moments,
     laurent_moments,
     qcommuting_moments,
@@ -158,6 +159,7 @@ def dilate_boundary(t, curve: BoundaryCurve, order: int = 4,
     """
     t = asmatrix(t)
     d = t.shape[0]
+    _require_order(order)
     mu = quadrature_measure(t, curve, nodes, tol)
     _, zetas, _ = curve.sample(nodes)
     powers = np.arange(1, order + 1)

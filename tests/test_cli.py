@@ -68,6 +68,19 @@ def test_not_psd_exit_2(tmp_path, capsys):
     assert "refused:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t", [[[0.5, 1.0], [0.0, 0.0]], [[0.7, 0.0], [0.0, 1e-300]]],
+                         ids=["singular", "nearly_singular"])
+def test_singular_annulus_operator_exit_2(tmp_path, capsys, t):
+    """0 in the spectrum is a refusal of the data: one line, exit 2."""
+    inp = write_operator(tmp_path / "t.json", np.array(t))
+    code = main(["dilate-annulus", "--input", inp, "--output", str(tmp_path / "x"),
+                 "--curve", "annulus:0.5", "--order", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and err.count("\n") == 1
+    assert "0 lies in its spectrum" in err
+
+
 def test_missing_input_exit_3(tmp_path, capsys):
     code = main(["dilate-circle", "--input", str(tmp_path / "nope.json"),
                  "--output", str(tmp_path / "x"), "--order", "1"])

@@ -383,6 +383,56 @@ def test_matrix_point_validation(coords, selfadjoint, error):
     assert str(got.value) == str(one.value) in _POINT_MESSAGES[error]
 
 
+def _ref_combination_error(n, terms):
+    """The error of the per-term check loop MatrixConvexCombination once ran
+    after its finiteness check, or None."""
+    gammas = [np.asarray(g, dtype=np.complex128) for g, _ in terms]
+    points = [p for _, p in terms]
+    for gamma, point in zip(gammas, points):
+        if point.nvars != points[0].nvars:
+            return dk.DimensionMismatchError(
+                "every point needs the same number of coordinates")
+        if gamma.ndim != 2:
+            return dk.ShapeMismatchError(f"expected a 2-d array, got ndim={gamma.ndim}")
+        if gamma.shape != (point.level, n):
+            return dk.DimensionMismatchError(
+                f"coefficient shape {gamma.shape} does not match "
+                f"point level {point.level} and target level {n}")
+    return None
+
+
+def test_combination_checks_match_per_term_loop():
+    """One pass over the terms' shapes names the fault of the first faulty
+    term, as the per-term loop did, whatever faults follow it; _levels
+    groups and stacks the coefficients as a per-term loop does, bit for bit."""
+    rng = np.random.default_rng(149)
+    good = random_combination(rng, 2, 2, 12, selfadjoint=True).terms
+    p3 = random_point(rng, 2, 3, selfadjoint=True)  # three coordinates
+    p1 = random_point(rng, 1, 2, selfadjoint=True)
+    shape = (np.ones((1, 3)), p1)
+    nvars = (np.ones((2, 2)), p3)
+    stack = (np.ones((1, 1, 2)), p1)
+    level = (np.ones((2, 2)), p1)
+    for faults in ((shape, nvars), (nvars, shape), (stack, level), (level, stack),
+                   (nvars,), (shape,), (stack,), (level,)):
+        for at in (0, 5, 12):
+            terms = good[:at] + list(faults) + good[at:]
+            want = _ref_combination_error(2, terms)
+            with pytest.raises(type(want)) as got:
+                dk.MatrixConvexCombination(n=2, terms=terms)
+            assert type(got.value) is type(want) and str(got.value) == str(want)
+    c = dk.MatrixConvexCombination(n=2, terms=[(g.tolist(), p) for g, p in good])
+    groups = {}
+    for j, (_, point) in enumerate(good):
+        groups.setdefault(point.level, []).append(j)
+    levels = list(c._levels())
+    assert len(levels) == len(groups) > 1
+    for (idx, beta), want in zip(levels, groups.values()):
+        assert [int(j) for j in idx] == want
+        assert beta.dtype == np.complex128
+        assert np.array_equal(beta, np.stack([good[j][0] for j in want]))
+
+
 def test_combination_validation_errors():
     p = dk.MatrixPoint([np.eye(2)], selfadjoint=True)
     bad = dk.MatrixConvexCombination(n=2, terms=[(0.5 * np.eye(2), p)])

@@ -213,8 +213,9 @@ def test_polish_rejects_non_psd_face_solution(monkeypatch):
     table = dk.qcommuting_moments(*_qcommute_pair(np.random.default_rng(127)), 1)
     grid = dk.clock_phase_grid(1, 2, 8)
     system, groups, z = _fit_start(table, grid)
+    b_mat, rhs, k = system
     _, z = next(_admm(*system, groups, z))
-    assert np.linalg.norm(system[0] @ z - system[1]) > dk.DEFAULT_TOL.fit_tol
+    assert np.linalg.norm(b_mat[:k] @ z - rhs[:k]) > dk.DEFAULT_TOL.fit_tol
     assert _polish(*system, groups, z) is None
     calls = _count_polish(monkeypatch)
     mu = dk.fit_matrix_measure(table, grid)
@@ -561,6 +562,12 @@ def test_words_match_scalar_loops():
         _words([dk.PointAtom(point=[0.0])], [(-1,)], "laurent")
 
 
+def _split_system(system):
+    """A, t, C and c of the fit's stacked system B = [A; C], [t; c]."""
+    b_mat, rhs, k = system
+    return b_mat[:k], rhs[:k], b_mat[k:], rhs[k:]
+
+
 def _random_measure(name):
     """A table and a measure of random full-rank weights on a grid of its kind."""
     rng = np.random.default_rng(107)
@@ -598,7 +605,7 @@ def test_fit_system_matches_measure(name):
 
     table, grid, weights, mu = _random_measure(name)
     d = table.dim
-    a_mat, t_vec, c_mat, c_vec = _fit_system(table, grid)
+    a_mat, t_vec, c_mat, c_vec = _split_system(_fit_system(table, grid))
     z = np.concatenate([dk.hvec(w) for w in weights])
     nonzero = [idx for idx in table.indices() if any(idx)]
     assert any(i < 0 for idx in nonzero for i in idx)
@@ -688,27 +695,39 @@ def test_irrep_measure_combination_roundtrip():
         assert np.linalg.norm(slim.moment(idx) - mu.moment(idx)) <= 1e-9
 
 
+def _dense_x_step(system):
+    """The x-step of the fit's ADMM from the dense (ncols + d^2) KKT system
+    [A^T A + rho I, C^T; C, 0] [x; nu] = [A^T t + rho v; c], LU-factored once."""
+    import scipy.linalg
+
+    from dilatekit.measures import _RHO
+
+    a_mat, t_vec, c_mat, c_vec = _split_system(system)
+    ncols, d2 = a_mat.shape[1], c_mat.shape[0]
+    kkt = np.zeros((ncols + d2, ncols + d2))
+    kkt[:ncols, :ncols] = a_mat.T @ a_mat + _RHO * np.eye(ncols)
+    kkt[:ncols, ncols:] = c_mat.T
+    kkt[ncols:, :ncols] = c_mat
+    lu = scipy.linalg.lu_factor(kkt)
+    atb = a_mat.T @ t_vec
+
+    def x_step(v):
+        return scipy.linalg.lu_solve(lu, np.concatenate([atb + _RHO * v, c_vec]))[:ncols]
+
+    return x_step
+
+
 def _dense_kkt_fit(targets, grid, seed=0):
     """Reference ADMM whose x-step solves the dense (ncols + d^2) KKT system.
 
     Same seed, fixed penalty and stopping rule as fit_matrix_measure;
     returns the stacked weights before pruning.
     """
-    import scipy.linalg
+    from dilatekit.measures import _CHECK_EVERY, _MAX_ITER, _herm_to_cvec
 
-    from dilatekit.measures import (_CHECK_EVERY, _MAX_ITER, _RHO, _atom_groups,
-                                    _fit_system, _herm_to_cvec)
-
-    d = targets.dim
-    a_mat, t_vec, c_mat, c_vec = _fit_system(targets, grid)
-    ncols = a_mat.shape[1]
-    sizes = np.array([a.block_size(d) for a in grid])
-    groups = list(_atom_groups(grid, d))
-    kkt = np.zeros((ncols + d * d, ncols + d * d))
-    kkt[:ncols, :ncols] = a_mat.T @ a_mat + _RHO * np.eye(ncols)
-    kkt[:ncols, ncols:] = c_mat.T
-    kkt[ncols:, :ncols] = c_mat
-    lu = scipy.linalg.lu_factor(kkt)
+    system, groups, z = _fit_start(targets, grid, seed)
+    a_mat, t_vec, c_mat, c_vec = _split_system(system)
+    x_step = _dense_x_step(system)
 
     def project_blocks(v):
         out = np.empty_like(v)
@@ -719,15 +738,9 @@ def _dense_kkt_fit(targets, grid, seed=0):
             out[cols] = (blocks.reshape(-1, m * m) @ phi.conj()).real.reshape(-1)
         return out
 
-    weights = (0.5 + 0.5 * np.random.default_rng(seed).random(len(grid))) / len(grid)
-    z = np.repeat(weights, sizes ** 2) * (c_mat.T @ c_vec)
-    u = np.zeros(ncols)
-    rhs = np.empty(ncols + d * d)
-    rhs[ncols:] = c_vec
-    atb = a_mat.T @ t_vec
+    u = np.zeros_like(z)
     for it in range(1, _MAX_ITER + 1):
-        rhs[:ncols] = atb + _RHO * (z - u)
-        x = scipy.linalg.lu_solve(lu, rhs)[:ncols]
+        x = x_step(z - u)
         z = project_blocks(x + u)
         u = u + x - z
         if it % _CHECK_EVERY == 0:
@@ -738,15 +751,75 @@ def _dense_kkt_fit(targets, grid, seed=0):
     return z
 
 
+def _kkt_case(name):
+    """A table and a grid for the checks against the dense KKT reference."""
+    rng = np.random.default_rng(113)
+    if name == "clock_mixed":
+        table = dk.qcommuting_moments(0.5 * np.diag([1.0, -1.0]),
+                                      np.array([[0.0, 0.5], [0.0, 0.0]]), 1)
+        return table, dk.clock_phase_grid(1, 2, 4) + dk.clock_phase_grid(0, 1, 4)
+    if name == "torus_8":
+        t = random_contraction(rng, 2, 0.5)
+        return dk.regular_moments([t, t @ t], 2), dk.torus_grid(8, 2)
+    if name == "annulus":
+        # normal data with spectrum inside the annulus r = 0.2: the inner
+        # circle's rows at index -3 are 125 times the outer circle's
+        w = random_unitary(rng, 2)
+        return (dk.laurent_moments(w @ np.diag([0.5, 0.6j]) @ w.conj().T, 3),
+                dk.annulus_grid(8, 0.2))
+    # commuting unitaries with joint spectrum at two points of the lattice:
+    # thousands of iterations and most atoms pruned
+    u = random_unitary(rng, 2)
+    spectra = np.exp(2j * np.pi * np.array([[0, 1], [1, 2]]) / 3)
+    return (dk.regular_moments([u @ np.diag(s) @ u.conj().T for s in spectra], 2),
+            dk.torus_grid(3, 2))
+
+
+@pytest.mark.parametrize("name", ["torus_8", "torus_3", "clock_mixed", "annulus"])
+def test_x_step_matches_dense_kkt_solve(name):
+    """One x-step of _admm, x = v + B^T mu from the Cholesky-inverted
+    B B^T + rho diag(I, 0), is the x of the dense KKT solve to 1e-12
+    relative, also where [A; C] is rank-deficient (the 3-node torus
+    lattice) and on the r = 0.2 annulus."""
+    from dilatekit.measures import _fit_system, _x_step
+
+    table, grid = _kkt_case(name)
+    system = _fit_system(table, grid)
+    b_mat = system[0]
+    if name == "torus_3":
+        assert np.linalg.matrix_rank(b_mat) < b_mat.shape[0]
+    want, got = _dense_x_step(system), _x_step(*system)
+    for v in np.random.default_rng(139).standard_normal((3, b_mat.shape[1])):
+        assert np.linalg.norm(got(v) - want(v)) <= 1e-12 * np.linalg.norm(want(v))
+
+
+def test_admm_setup_takes_no_svd(monkeypatch):
+    """The x-step is set up from one Cholesky factorization: no SVD runs
+    before the first check, not even on the rank-deficient 3-node torus."""
+    from dilatekit import measures
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD in the ADMM set-up")
+
+    starts = [_fit_start(*_kkt_case(name)) for name in ("torus_3", "annulus")]
+    monkeypatch.setattr(measures, "_svd", no_svd)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(measures.scipy.linalg, "svd", no_svd)
+    for system, groups, z in starts:
+        it, _ = next(measures._admm(*system, groups, z))
+        assert it == measures._CHECK_EVERY
+
+
 def _fit_start(targets, grid, seed=0):
     """fit_matrix_measure's linear system, atom groups and seeded start."""
     from dilatekit.measures import _atom_groups, _fit_system
 
     d = targets.dim
     system = _fit_system(targets, grid)
+    _, _, c_mat, c_vec = _split_system(system)
     sizes = np.array([a.block_size(d) for a in grid])
     weights = (0.5 + 0.5 * np.random.default_rng(seed).random(len(grid))) / len(grid)
-    z = np.repeat(weights, sizes ** 2) * (system[2].T @ system[3])
+    z = np.repeat(weights, sizes ** 2) * (c_mat.T @ c_vec)
     return system, list(_atom_groups(grid, d)), z
 
 
@@ -756,7 +829,7 @@ def _plain_fit(targets, grid, seed=0):
     from dilatekit.measures import _admm
 
     system, groups, z = _fit_start(targets, grid, seed)
-    a_mat, t_vec, c_mat, c_vec = system
+    a_mat, t_vec, c_mat, c_vec = _split_system(system)
     for _, z in _admm(*system, groups, z):
         if (np.linalg.norm(a_mat @ z - t_vec) <= 0.9 * dk.DEFAULT_TOL.fit_tol
                 and np.linalg.norm(c_mat @ z - c_vec) <= 1e-9):
@@ -764,29 +837,18 @@ def _plain_fit(targets, grid, seed=0):
     return z
 
 
-@pytest.mark.parametrize("name", ["torus", "clock_mixed"])
+@pytest.mark.parametrize("name", ["torus", "clock_mixed", "annulus"])
 def test_fit_matches_dense_kkt_reference(name):
-    """The row-space x-step reproduces the dense KKT ADMM: the same atoms
+    """The closed-form x-step reproduces the dense KKT ADMM: the same atoms
     survive pruning, with weights equal to roundoff.  The polished fit
     keeps those atoms and meets the table within fit_tol."""
     from dilatekit.measures import _PRUNE_TOL, _fit_system
 
-    rng = np.random.default_rng(113)
-    if name == "clock_mixed":
-        table = dk.qcommuting_moments(0.5 * np.diag([1.0, -1.0]),
-                                      np.array([[0.0, 0.5], [0.0, 0.0]]), 1)
-        grid = dk.clock_phase_grid(1, 2, 4) + dk.clock_phase_grid(0, 1, 4)
-    else:
-        # commuting unitaries with joint spectrum at two points of the
-        # lattice: thousands of iterations and most atoms pruned
-        u = random_unitary(rng, 2)
-        spectra = np.exp(2j * np.pi * np.array([[0, 1], [1, 2]]) / 3)
-        table = dk.regular_moments([u @ np.diag(s) @ u.conj().T for s in spectra], 2)
-        grid = dk.torus_grid(3, 2)
+    table, grid = _kkt_case("torus_3" if name == "torus" else name)
+    if name == "torus":
         # on the 3-node lattice, indices that differ by a multiple of 3 have
         # one word, so even the canonical rows of [A; C] are dependent
-        a_mat, _, c_mat, _ = _fit_system(table, grid)
-        w = np.vstack([a_mat, c_mat])
+        w = _fit_system(table, grid)[0]
         assert np.linalg.matrix_rank(w) < w.shape[0]
     d = table.dim
     sizes = [a.block_size(d) for a in grid]

@@ -106,6 +106,18 @@ def test_laurent_moments_honest_inverses():
     assert abs(table.value((-1,))[0, 0] - np.conj(z)) > 1.0
 
 
+@pytest.mark.parametrize("t", [
+    [[0.5, 1.0], [0.0, 0.0]],  # singular: a LinAlgError from inv
+    [[0.7, 0.0], [0.0, 1e-300]],  # an inverse of 1e300: infinite moments
+    [[0.0, 0.0], [0.0, 0.0]],
+], ids=["singular", "nearly_singular", "zero"])
+def test_laurent_moments_refuse_singular_operator(t):
+    """0 in the spectrum (to working precision) lies outside every annulus:
+    NotContained before any inverse is taken."""
+    with pytest.raises(dk.NotContainedError, match="0 lies in its spectrum"):
+        dk.laurent_moments(t, 1)
+
+
 def test_gns_property_suite():
     rng = np.random.default_rng(61)
     for _ in range(12):

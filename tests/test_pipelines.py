@@ -109,6 +109,32 @@ def test_boundary_rejects_uncontained():
         dk.dilate_boundary(2.0 * np.eye(2), curve, order=2, nodes=64)
 
 
+@pytest.mark.parametrize("pipeline", ["circle", "regular", "boundary", "annulus",
+                                      "qcommute"])
+def test_order_zero_refused_up_front(pipeline, monkeypatch):
+    """order < 1 raises the moment constructors' ShapeMismatch before any
+    GNS, quadrature or fit work is done."""
+    from dilatekit import pipelines
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the order check")
+
+    for name in ("toeplitz_gns_unitary", "quadrature_measure", "fit_matrix_measure"):
+        monkeypatch.setattr(pipelines, name, no_work)
+    t = np.diag([0.5, 0.3])
+    call = {
+        "circle": lambda: dk.dilate_circle(t, order=0),
+        "regular": lambda: dk.dilate_regular([t, t @ t], order=0),
+        "boundary": lambda: dk.dilate_boundary(t, dk.BoundaryCurve.disc(1.0), order=0),
+        "annulus": lambda: dk.dilate_annulus(t, 0.2, order=0),
+        "qcommute": lambda: dk.dilate_qcommute(np.diag([0.5, -0.5]),
+                                               np.array([[0.0, 0.5], [0.0, 0.0]]),
+                                               1, 2, order=0),
+    }[pipeline]
+    with pytest.raises(dk.ShapeMismatchError, match="need at least first-order moments"):
+        call()
+
+
 def interior_torus_data(rng, d):
     """Commuting normal strict contractions."""
     w = random_unitary(rng, d)
