@@ -25,10 +25,10 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _hvec_herm_into,
     asmatrix,
     herm_eig,
     herm_part,
-    hvec,
     inv_sqrt_psd,
 )
 
@@ -208,13 +208,18 @@ def _lift_terms(c: MatrixConvexCombination):
         gh = np.swapaxes(gamma.conj(), -1, -2)
         t[idx] = tg
         alpha[idx] = gh @ gamma
-        value[idx] = gh[:, None] @ x @ gamma[:, None]
+        if idx.size == m:  # one level: the products go straight into the stack
+            np.matmul(gh[:, None] @ x, gamma[:, None], out=value)
+        else:
+            value[idx] = gh[:, None] @ x @ gamma[:, None]
         for j, g in zip(idx, gamma):
             gammas[j] = g
     _require_unit(float(np.linalg.norm(np.einsum("j,jkl->kl", t, alpha) - np.eye(n))),
                   1e-10)
     kept = np.flatnonzero(t > 0.0)
-    return kept, t[kept], [gammas[j] for j in kept], alpha[kept], value[kept]
+    # no copies of the stacks when every term is kept
+    sel = kept if kept.size < m else slice(None)
+    return kept, t[kept], [gammas[j] for j in kept], alpha[sel], value[sel]
 
 
 def _unlift(n: int, w, gammas, alpha, points, tol: Tolerances = DEFAULT_TOL
@@ -269,15 +274,20 @@ def _lift_columns(alpha, value, selfadjoint: bool) -> np.ndarray:
     otherwise) and a final 1, so that A t = A t' says two weightings
     have the same barycenter and the same total weight.
     """
-    m = alpha.shape[0]
-    parts = [hvec(herm_part(alpha))]
+    m, nvars, n, _ = value.shape
+    nn = n * n
+    out = np.empty((m, nn * (nvars if selfadjoint else 2 * nvars) + nn + 1))
+    _hvec_herm_into(alpha, out[:, :nn])
+    # the coordinate block, viewed one value coordinate at a time
+    parts = out[:, nn:-1].reshape(m, nvars, -1)
     if selfadjoint:
-        parts.append(hvec(herm_part(value)).reshape(m, -1))
+        _hvec_herm_into(value, parts)
     else:
-        flat = value.reshape(m, value.shape[1], -1)
-        parts.append(np.concatenate([flat.real, flat.imag], axis=2).reshape(m, -1))
-    parts.append(np.ones((m, 1)))
-    return np.concatenate(parts, axis=1).T
+        flat = value.reshape(m, nvars, nn)
+        parts[:, :, :nn] = flat.real
+        parts[:, :, nn:] = flat.imag
+    out[:, -1] = 1.0
+    return out.T
 
 
 def _svd(a: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
@@ -296,7 +306,87 @@ def _rank(s: np.ndarray) -> int:
     return int(np.count_nonzero(s > 1e-11 * max(s[0], 1.0)))
 
 
+# A tableau entry below this fraction of its column's largest is not an
+# eligible pivot: pivoting on it would scale the tableau by its inverse.
+_PIVOT_TOL = 1e-8
+
+
 def _sweep(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Eliminate terms until the columns of ``a`` with nonzero weight are
+    linearly independent, keeping ``a @ t``; returns the new weights,
+    zero for retired terms.
+
+    One values-only SVD gives the rank of the columns, with the
+    reduction's cutoff.  Independent columns are returned as they are.
+    When the rank equals the number of rows, one pass of the tableau
+    sweep (:func:`_tableau_sweep`) leaves at most ``rank`` terms;
+    otherwise the null-basis sweep (:func:`_null_sweep`) runs.
+    """
+    if t.size <= 1:
+        return t.copy()
+    rank = _rank(_svd(a, compute_uv=False))
+    if rank >= t.size:
+        return t.copy()
+    if rank < a.shape[0]:
+        return _null_sweep(a, t)
+    return _tableau_sweep(a, t)
+
+
+def _tableau_sweep(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """One simplex-style pass over the columns of a full-row-rank ``a``.
+
+    A column-pivoted QR, a P = Q [R11 R12], picks ``rank`` basic columns,
+    and X = R11^-1 R12 writes every other column in that basis
+    (Golub & Van Loan, Matrix Computations, 5.4).  The non-basic columns
+    are then taken once each, in index order.  Moving weight from
+    non-basic column j onto the basis along its tableau column x keeps
+    ``a @ t``; the move stops when j retires (its weight reaches zero) or
+    when a basic weight reaches zero first (the min-ratio test, ties to
+    the earlier basis position), and then j enters the basis in that
+    basic's place and the tableau columns still to come are pivoted.  A
+    tableau entry below ``_PIVOT_TOL`` times its column's largest is not
+    an eligible pivot.  Every non-basic column is either retired or
+    swapped for a retired basic, so the pass leaves at most ``rank``
+    terms, and no direction is renormalized.  Weights are clipped at
+    zero after each move, which drops the roundoff below zero.
+    """
+    rank = a.shape[0]
+    # LAPACK's column-pivoted QR; numpy has none
+    qr, jpvt = scipy.linalg.lapack.dgeqp3(a)[:2]
+    piv = jpvt - 1
+    basic = piv[:rank].copy()
+    order = np.argsort(piv[rank:], kind="stable")
+    nonbasic = piv[rank:][order]
+    # row m of xt is the tableau column of nonbasic[m]: a_j = a_basic @ xt[m]
+    xt = np.linalg.solve(np.triu(qr[:, :rank]), qr[:, rank:][:, order]).T.copy()
+    tb = t[basic].copy()
+    ratios = np.empty(rank)
+    for m, j in enumerate(nonbasic.tolist()):
+        col = xt[m]
+        tj = t[j]
+        step = tb + tj * col  # the weights if j retires
+        if step.min() < 0.0:  # a basic weight would pass zero: min-ratio test
+            eligible = col < -_PIVOT_TOL * np.abs(col).max()
+            ratios.fill(np.inf)
+            np.divide(tb, -col, out=ratios, where=eligible)
+            i = int(np.argmin(ratios))
+            theta = ratios[i]
+            if theta < tj:  # the basic at i retires and j takes its place
+                step = tb + theta * col
+                step[i] = tj - theta
+                basic[i] = j
+                rest = xt[m + 1:]
+                lead = rest[:, i] / col[i]
+                rest -= lead[:, None] * col
+                rest[:, i] = lead
+            np.maximum(step, 0.0, out=step)
+        tb = step
+    out = np.zeros_like(t)
+    out[basic] = tb
+    return out
+
+
+def _null_sweep(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Null-basis elimination on the columns of ``a`` until they are
     linearly independent; returns the new weights, zero for retired terms.
 
@@ -366,39 +456,51 @@ def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TO
 
     The combination is lifted to weighted points in the affine space of
     trace-normalized pairs, where classical Caratheodory elimination
-    applies: while the lifted vectors are affinely dependent, shift the
-    weights along a dependence direction until the smallest ratio
-    t_j / c_j hits zero (ties take the smallest index) and drop the
+    applies: while the lifted vectors are affinely dependent, move weight
+    along a dependence until a term's weight reaches zero, and drop the
     vanished terms.  Surviving points are original points; only the
     coefficients are rescaled.  The output length is at most
     n^2 (2d + 1), or n^2 (d + 1) when every point is selfadjoint.
 
+    Rank and rows.  A QR of the transposed lifted matrix, a^T = Q R,
+    leaves the small square R^T, which has the singular values and left
+    singular vectors of a.  Its SVD gives the rank r, with the sweep's
+    cutoff, and the r leading left singular vectors U_r; the elimination
+    then works on the r rows U_r^T a, so no SVD ever runs on all lifted
+    columns.
+
     The elimination runs on a merge tree (recombination, Litterer & Lyons
-    2012).  One SVD of all lifted columns gives their rank r, with the
-    sweep's own cutoff.  While more than 2r terms are alive, they are
-    split in index order into 2r groups, and the groups' mass-weighted
-    means are swept with the group masses as weights.  Every term of a
+    2012).  While more than 2r terms are alive, they are split in index
+    order into 2r groups, and the groups' mass-weighted means are swept
+    (:func:`_sweep`) with the group masses as weights.  Every term of a
     group is rescaled by the group's new mass over its old one, so the
-    groups the sweep retires drop out whole; a sweep retires at least
-    half of the groups, so each level about halves the alive terms and
-    the SVDs stay 2r columns wide.  A level that retires nothing ends the
-    tree early.  One sweep over the remaining terms then makes them
-    independent.  The partition follows index order, so the output is
-    deterministic.
+    groups the sweep retires drop out whole; a sweep leaves at most r
+    groups, so each level about halves the alive terms and every level
+    works on 2r columns.  A level that retires nothing ends the tree
+    early.  One sweep over the remaining terms then makes them
+    independent.  The partition and the sweeps' pivot rules follow index
+    order, so the output is deterministic.
 
     Finally the survivors' weights are re-solved by least squares against
-    the original barycenter; the solution replaces the swept weights when
-    it is strictly positive and meets the barycenter more closely.
-    Survivors whose rescaled alphas average more than 1e-9 from I are
-    refused with NotNormalizedError, not renormalized.
+    the original barycenter of the full lifted columns; the solution
+    replaces the swept weights when it is strictly positive and meets the
+    barycenter more closely.  Survivors whose rescaled alphas average
+    more than 1e-9 from I are refused with NotNormalizedError, not
+    renormalized.
     """
     kept, t, gammas, alpha, value = _lift_terms(c)
     if not kept.size:
         raise ZeroCoefficientError("combination has no nonzero terms")
     points = [c.terms[j][1] for j in kept]
     a = _lift_columns(alpha, value, all(p.selfadjoint for p in points))
+    del value  # the largest stack; only its lift is used from here on
     target = a @ t
-    groups = 2 * _rank(_svd(a, compute_uv=False))
+    # a = R^T Q^T, so the small square R^T has the singular values and the
+    # left singular vectors of a: its rank r and its r leading rows
+    u, s, _ = _svd(np.linalg.qr(a.T, mode="r").T, full_matrices=False)
+    r = _rank(s)
+    rows = u[:, :r].T @ a
+    groups = 2 * r
     alive = np.arange(t.size)
     while alive.size > groups:
         # np.array_split's partition of the alive terms, in index order
@@ -407,13 +509,13 @@ def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TO
         starts = np.cumsum(sizes) - sizes
         ta = t[alive]
         mass = np.add.reduceat(ta, starts)
-        means = np.add.reduceat(a[:, alive] * ta, starts, axis=1) / mass
+        means = np.add.reduceat(rows[:, alive] * ta, starts, axis=1) / mass
         new_mass = _sweep(means, mass)
         if np.all(new_mass > 0.0):
             break
         t[alive] = ta * np.repeat(new_mass / mass, sizes)
         alive = alive[t[alive] > 0.0]
-    t[alive] = _sweep(a[:, alive], t[alive])
+    t[alive] = _sweep(rows[:, alive], t[alive])
     alive = alive[t[alive] > 0.0]
     ta = t[alive]
     cols = a[:, alive]

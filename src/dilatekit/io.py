@@ -24,6 +24,7 @@ Wire formats:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -173,8 +174,28 @@ def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
         raise MalformedInputError(
             f"{where}: data length {len(data)} does not match {rows}x{cols}"
         )
-    flat = [_decode_complex(v, where) for v in data]
-    return np.array(flat, dtype=np.complex128).reshape(rows, cols)
+    pairs = _float_pairs(data)
+    if pairs is None:  # name the first bad entry, as one entry at a time
+        pairs = np.array([_decode_complex(v, where) for v in data], dtype=np.complex128)
+    elif not np.isfinite(pairs).all():
+        raise MalformedInputError(f"{where}: non-finite complex entry")
+    return pairs.reshape(rows, cols)
+
+
+def _float_pairs(data):
+    """The [re, im] pairs of data as one complex128 array when every entry
+    is a pair of Python ints and floats, else None.  The conversion is
+    float() of each number, as in _decode_complex; an integer beyond the
+    double range gives None."""
+    try:
+        if set(map(len, data)) != {2}:
+            return None
+        flat = list(itertools.chain.from_iterable(data))
+        if not set(map(type, flat)) <= {int, float}:
+            return None
+        return np.array(flat, dtype=np.float64).view(np.complex128)
+    except (TypeError, OverflowError):  # an unsized entry; an integer too large
+        return None
 
 
 def encode_table(table: MomentTable) -> dict:

@@ -212,13 +212,30 @@ def hvec(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h)
     n = h.shape[-1]
     rows, cols = _upper_indices(n)
-    upper = h[..., rows, cols]
-    s = np.sqrt(2.0)
     out = np.empty(h.shape[:-2] + (n * n,), dtype=np.float64)
-    out[..., :n] = np.diagonal(h, axis1=-2, axis2=-1).real
+    _hvec_into(out, np.diagonal(h, axis1=-2, axis2=-1), h[..., rows, cols])
+    return out
+
+
+def _hvec_herm_into(h: np.ndarray, out: np.ndarray):
+    """Write hvec(herm_part(h)) into ``out``, bit for bit, from the diagonal
+    and the two strict triangles of h: the Hermitian part of the whole
+    stack is never formed."""
+    rows, cols = _upper_indices(h.shape[-1])
+    upper = h[..., rows, cols]
+    upper += h[..., cols, rows].conj()
+    upper *= 0.5
+    _hvec_into(out, np.diagonal(h, axis1=-2, axis2=-1), upper)
+
+
+def _hvec_into(out: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+    """The hvec layout: the real diagonal, then sqrt(2) (Re, Im) pairs of
+    the strict upper triangle."""
+    n = diag.shape[-1]
+    s = np.sqrt(2.0)
+    out[..., :n] = diag.real
     out[..., n::2] = s * upper.real
     out[..., n + 1::2] = s * upper.imag
-    return out
 
 
 def hunvec(v: np.ndarray, n: int) -> np.ndarray:

@@ -46,6 +46,26 @@ def _require_order(n_max: int):
         raise ShapeMismatchError("need at least first-order moments")
 
 
+# Powers may leave the double range; the constructors refuse such moments
+# by name (_finite_moments) instead of warning.
+_OVERFLOW_SILENCED = np.errstate(over="ignore", invalid="ignore")
+
+
+def _finite_moments(values: dict) -> dict:
+    """The computed moments, refused when a power left the double range.
+
+    The constructors compute their powers under _OVERFLOW_SILENCED, and
+    this check names the lowest order (then the first index) whose
+    moment has an infinite or NaN entry.
+    """
+    if np.isfinite(np.array(list(values.values()))).all():
+        return values
+    bad = [idx for idx, val in values.items() if not np.isfinite(val).all()]
+    order, idx = min((max(abs(i) for i in idx), idx) for idx in bad)
+    raise ShapeMismatchError(
+        f"the moment at index {idx} (order {order}) overflows the double range")
+
+
 @dataclass
 class MomentTable:
     """Finite table of prescribed matrix moments.
@@ -135,6 +155,7 @@ class Dilation:
         return self.v.conj().T @ word @ self.v
 
 
+@_OVERFLOW_SILENCED
 def circle_moments(t, rho: float, n_max: int) -> MomentTable:
     """Moments L_k = rho^{-1} T^k, k = 1..n_max, of a single operator.
 
@@ -153,9 +174,10 @@ def circle_moments(t, rho: float, n_max: int) -> MomentTable:
     for k in range(1, n_max + 1):
         power = power @ t
         values[(k,)] = power / rho
-    return MomentTable(dim=d, nu=1, values=values, symmetric=True)
+    return MomentTable(dim=d, nu=1, values=_finite_moments(values), symmetric=True)
 
 
+@_OVERFLOW_SILENCED
 def regular_moments(ts, n_max: int) -> MomentTable:
     """Regular moments T(n) = (T*)^{n^-} T^{n^+} of a commuting tuple.
 
@@ -173,6 +195,8 @@ def regular_moments(ts, n_max: int) -> MomentTable:
             raise DimensionMismatchError("operators must share one square shape")
     for i in range(len(ts)):
         for j in range(i + 1, len(ts)):
+            # a product beyond the double range gives a NaN defect, which
+            # passes here: the moments it enters are refused below
             defect = np.linalg.norm(ts[i] @ ts[j] - ts[j] @ ts[i])
             if defect > _COMMUTE_TOL:
                 raise NotCommutingError(
@@ -191,9 +215,10 @@ def regular_moments(ts, n_max: int) -> MomentTable:
             if ni > 0:
                 acc = acc @ np.linalg.matrix_power(ts[i], ni)
         values[n] = acc
-    return MomentTable(dim=d, nu=nu, values=values, symmetric=True)
+    return MomentTable(dim=d, nu=nu, values=_finite_moments(values), symmetric=True)
 
 
+@_OVERFLOW_SILENCED
 def qcommuting_moments(t1, t2, n_max: int) -> MomentTable:
     """Ordered moments T1^n T2^m (0 <= n, m <= n_max) and their adjoints."""
     t1 = asmatrix(t1)
@@ -207,10 +232,11 @@ def qcommuting_moments(t1, t2, n_max: int) -> MomentTable:
             w = np.linalg.matrix_power(t1, n) @ np.linalg.matrix_power(t2, m)
             values[(n, m)] = w
             values[(-n, -m)] = w.conj().T
-    return MomentTable(dim=t1.shape[0], nu=2, values=values, symmetric=True,
-                       index_rule="ordered")
+    return MomentTable(dim=t1.shape[0], nu=2, values=_finite_moments(values),
+                       symmetric=True, index_rule="ordered")
 
 
+@_OVERFLOW_SILENCED
 def laurent_moments(t, n_max: int) -> MomentTable:
     """Two-sided power moments T^n, |n| <= n_max, of an invertible operator.
 
@@ -239,7 +265,7 @@ def laurent_moments(t, n_max: int) -> MomentTable:
         neg = neg @ tinv
         values[(k,)] = pos
         values[(-k,)] = neg
-    return MomentTable(dim=d, nu=1, values=values, symmetric=False)
+    return MomentTable(dim=d, nu=1, values=_finite_moments(values), symmetric=False)
 
 
 def toeplitz_kernel(table: MomentTable) -> np.ndarray:

@@ -81,6 +81,19 @@ def test_singular_annulus_operator_exit_2(tmp_path, capsys, t):
     assert "0 lies in its spectrum" in err
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_overflowing_annulus_moments_exit_2(tmp_path, capsys, scale):
+    """Order-2 moments beyond the double range are a refusal of the data:
+    one line naming the overflow and the order, exit 2, no warning."""
+    inp = write_operator(tmp_path / "t.json", scale * np.eye(2))
+    code = main(["dilate-annulus", "--input", inp, "--output", str(tmp_path / "x"),
+                 "--curve", "annulus:0.5", "--order", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and err.count("\n") == 1
+    assert "(order 2) overflows the double range" in err
+
+
 def test_missing_input_exit_3(tmp_path, capsys):
     code = main(["dilate-circle", "--input", str(tmp_path / "nope.json"),
                  "--output", str(tmp_path / "x"), "--order", "1"])

@@ -5,6 +5,7 @@ import pytest
 
 import dilatekit as dk
 from dilatekit import convex
+from dilatekit.linalg import herm_part, hvec
 from dilatekit import (
     InvalidCombinationError,
     NotNormalizedError,
@@ -62,6 +63,21 @@ def test_lift_unlift_roundtrip():
                 assert np.linalg.norm(xa - xb) <= 1e-10
 
 
+def test_lift_drops_zero_terms():
+    """A zero coefficient is dropped from the lift: the kept terms' stacks
+    are those of the combination without it, at one level and at two."""
+    rng = np.random.default_rng(167)
+    for level_max in (1, 2):
+        c = random_combination(rng, 2, 2, 6, False, level_max=level_max)
+        zero = (np.zeros_like(c.terms[2][0]), c.terms[2][1])
+        padded = dk.MatrixConvexCombination(n=2, terms=c.terms[:2] + [zero] + c.terms[2:])
+        kept, weights, _, alpha, value = convex._lift_terms(padded)
+        assert kept.tolist() == [0, 1, 3, 4, 5, 6]
+        _, w0, _, alpha0, value0 = convex._lift_terms(c)
+        assert np.array_equal(weights, w0)
+        assert np.array_equal(alpha, alpha0) and np.array_equal(value, value0)
+
+
 def test_unlift_refuses_alpha_drift():
     # the reduction's last gate: weights whose alphas average more than
     # 1e-9 away from I are refused, not renormalized away
@@ -83,6 +99,25 @@ def lifted_rank(c):
     _, _, _, alpha, value = convex._lift_terms(c)
     selfadjoint = all(p.selfadjoint for _, p in c.terms)
     return int(np.linalg.matrix_rank(convex._lift_columns(alpha, value, selfadjoint)))
+
+
+def test_lift_columns_match_concatenated_parts():
+    """The lifted columns, written in place, are bit for bit the stacked
+    hvec of the alphas' Hermitian parts, then the values' coordinates
+    (hvec of their Hermitian parts, or real and imaginary parts of every
+    entry), then a row of ones."""
+    rng = np.random.default_rng(157)
+    for selfadjoint in (True, False):
+        c = random_combination(rng, 3, 2, 30, selfadjoint, level_max=2)
+        _, _, _, alpha, value = convex._lift_terms(c)
+        m = alpha.shape[0]
+        if selfadjoint:
+            coords = hvec(herm_part(value)).reshape(m, -1)
+        else:
+            flat = value.reshape(m, value.shape[1], -1)
+            coords = np.concatenate([flat.real, flat.imag], axis=2).reshape(m, -1)
+        want = np.concatenate([hvec(herm_part(alpha)), coords, np.ones((m, 1))], axis=1).T
+        assert np.array_equal(convex._lift_columns(alpha, value, selfadjoint), want)
 
 
 # survivor counts of a single whole-support sweep on the trials below;
@@ -212,6 +247,162 @@ def test_caratheodory_svd_fallback(monkeypatch):
     assert len(red.terms) == expected
     assert barycenter_gap(red, c) <= 1e-12
     assert red.defect() <= 1e-10
+
+
+def _reference_sweep(a, t):
+    """The null-basis sweep the tableau sweep replaced, kept as the
+    reference: one SVD per pass, one term retired per null direction, the
+    remaining directions Gaussian-updated and renormalized, and a
+    direction needing a multiplier above 1e8 deferred to the next pass."""
+    t = t.copy()
+    alive = np.arange(t.size)
+    while alive.size > 1:
+        _, s, vh = convex._svd(a[:, alive])
+        rank = convex._rank(s)
+        if rank >= alive.size:
+            break
+        basis = np.array(vh[rank:], dtype=np.float64, order="C")
+        ta = t[alive]
+        free = np.ones(alive.size, dtype=bool)
+        ratios = np.empty(alive.size)
+        for row in range(basis.shape[0]):
+            cdir = basis[row]
+            hi, lo = cdir.max(), -cdir.min()
+            peak = max(hi, lo)
+            if peak <= 1e-14:
+                continue
+            if hi < lo:
+                np.negative(cdir, out=cdir)
+            pos = (cdir > 1e-12 * peak) & free
+            if not pos.any():
+                continue
+            ratios.fill(np.inf)
+            np.divide(ta, cdir, out=ratios, where=pos)
+            pivot = int(np.argmin(ratios))
+            ta -= ratios[pivot] * cdir
+            np.maximum(ta, 0.0, out=ta)
+            free[pivot] = False
+            rest = basis[row + 1:]
+            lam = rest[:, pivot] / cdir[pivot]
+            bad = np.abs(lam) > 1e8
+            lam[bad] = 0.0
+            rest -= lam[:, None] * cdir
+            norms = np.sqrt(np.einsum("ij,ij->i", rest, rest))
+            norms[bad | (norms <= 1e-12)] = np.inf
+            rest /= norms[:, None]
+        ta[~free] = 0.0
+        t[alive] = ta
+        alive = alive[ta > 0.0]
+        if np.count_nonzero(free) == rank:
+            break
+    return t
+
+
+def lifted_like(rng, rows, rank, width, duplicates=0, zeros=0):
+    """A rows x width matrix of rank ``rank`` whose last row is ones, as in
+    the lifted columns, with some columns repeated and some set to zero."""
+    z = np.vstack([rng.normal(size=(rank - 1, width)), np.ones(width)])
+    mix = np.vstack([rng.normal(size=(rows - 1, rank)), np.eye(rank)[-1]])
+    a = mix @ z
+    picks = rng.choice(width, size=2 * duplicates + zeros, replace=False)
+    for src, dst in zip(picks[:duplicates], picks[duplicates:2 * duplicates]):
+        a[:, dst] = a[:, src]
+    a[:, picks[2 * duplicates:]] = 0.0
+    return a
+
+
+def counting(monkeypatch, name):
+    """Count the calls of convex.<name>, which still runs."""
+    calls = []
+    real = getattr(convex, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(convex, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("rows, rank, width", [
+    (6, 6, 13), (12, 12, 24), (24, 24, 48), (45, 45, 90), (45, 45, 63),
+    (9, 5, 20), (30, 21, 60)])
+def test_sweep_keeps_rank_terms_and_barycenter(rows, rank, width, monkeypatch):
+    """On full-row-rank matrices the one-pass tableau sweep runs, and on
+    rank-deficient rows the null-basis sweep; either way at most rank
+    nonnegative terms stay, a @ t holds to 1e-12, and no more terms stay
+    than with the reference sweep."""
+    tableau = counting(monkeypatch, "_tableau_sweep")
+    null = counting(monkeypatch, "_null_sweep")
+    rng = np.random.default_rng(rows * 1000 + width)
+    for trial in range(12):
+        a = lifted_like(rng, rows, rank, width, duplicates=trial % 3, zeros=trial % 2)
+        t = rng.uniform(0.1, 1.0, size=width)
+        got = convex._sweep(a, t)
+        want = _reference_sweep(a, t)
+        kept = np.count_nonzero(got)
+        assert np.all(got >= 0.0)
+        assert kept <= rank
+        assert kept <= np.count_nonzero(want)
+        assert np.linalg.norm(a @ got - a @ t) <= 1e-12 * np.linalg.norm(a @ t)
+    assert (len(tableau), len(null)) == ((12, 0) if rows == rank else (0, 12))
+
+
+def test_tableau_ineligible_pivot_retires_the_column(monkeypatch):
+    """A basic whose tableau entry is below 1e-8 of its column's largest is
+    not a pivot, even when its weight would reach zero first: the
+    non-basic column retires instead, and the basic's weight is clipped."""
+    a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1e-10]])
+    t = np.array([1.0, 1e-12, 1.0])
+    tableau = counting(monkeypatch, "_tableau_sweep")
+    assert np.array_equal(convex._sweep(a, t), [2.0, 0.0, 0.0])
+    assert len(tableau) == 1
+    # with every negative entry eligible, column 2 enters in place of column 1
+    monkeypatch.setattr(convex, "_PIVOT_TOL", 0.0)
+    got = convex._sweep(a, t)
+    assert got[1] == 0.0 and got[0] > 0.0 and got[2] > 0.0
+    assert np.linalg.norm(a @ got - a @ t) <= 1e-15
+
+
+def test_reduction_takes_both_sweeps(monkeypatch):
+    """At 192 nodes the first tree level's group means hold whole nodes and
+    have rank below the compressed rows: that level takes the null-basis
+    sweep, the others the tableau sweep."""
+    c = boundary_combination(192)
+    tableau = counting(monkeypatch, "_tableau_sweep")
+    null = counting(monkeypatch, "_null_sweep")
+    red = dk.caratheodory_reduce(c)
+    assert null and tableau
+    assert barycenter_gap(red, c) <= 1e-13
+    assert len(red.terms) <= lifted_rank(c)
+
+
+def test_boundary_reduction_takes_no_wide_svd(monkeypatch):
+    """A d=3 dilate_boundary reduces on rank-compressed rows: no SVD in the
+    reduction, with or without singular vectors, runs on an array wider
+    than 2r columns, where r is the lifted rank (a rank SVD of all
+    3 * nodes lifted columns would be)."""
+    from dilatekit import pipelines
+    shapes, ranks = [], []
+    real_svd, real_reduce = convex._svd, pipelines.caratheodory_reduce
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    def reduce(comb, tol):
+        ranks.append(lifted_rank(comb))
+        return real_reduce(comb, tol)
+
+    monkeypatch.setattr(convex, "_svd", recording_svd)
+    monkeypatch.setattr(pipelines, "caratheodory_reduce", reduce)
+    rng = np.random.default_rng(61)
+    t = complex_gaussian(rng, (3, 3))
+    t *= 0.5 / np.linalg.norm(t, 2)
+    result = dk.dilate_boundary(t, dk.BoundaryCurve.ellipse(1.0, 0.6), order=4, nodes=192)
+    assert result.passed
+    assert ranks == [45] and shapes
+    assert max(width for _, width in shapes) <= 2 * ranks[0]
 
 
 def test_compress_to_surjective():

@@ -553,6 +553,24 @@ def test_decode_matrix_entries(data, want):
     assert _decoded(data) == want
 
 
+def test_decode_matrix_matches_per_entry_reference():
+    """A large pair list decodes as one array, bit for bit as the per-entry
+    decoder gives each entry: floats, the edge doubles, integers (large and
+    small, and -0 which JSON reads as the integer 0) and -0.0."""
+    from dilatekit import io
+    rng = np.random.default_rng(163)
+    numbers = (rng.normal(size=600) * 10.0 ** rng.integers(-300, 300, size=600)).tolist()
+    numbers += EDGE_FLOATS + [0, -0, 7, -(2**63), 2**64 + 1, 2**1000 + 1, -(10**300)]
+    data = [[numbers[i], numbers[j]] for i, j in rng.integers(0, len(numbers), (4000, 2))]
+    text = dump_json({"rows": 40, "cols": 100, "data": data})
+    for obj in ({"rows": 40, "cols": 100, "data": data}, json.loads(text)):
+        got = decode_matrix(obj, "m")
+        want = np.array([io._decode_complex(v, "m") for v in obj["data"]]).reshape(40, 100)
+        assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+    assert decode_matrix(json.loads('{"rows": 1, "cols": 1, "data": [[-0, -0.0]]}'))[
+        0, 0].real.hex() == "0x0.0p+0"
+
+
 def test_decode_matrix_huge_integer_is_malformed():
     with pytest.raises(MalformedInputError, match=r"^m: non-finite complex entry$"):
         decode_matrix({"rows": 1, "cols": 1, "data": [[10**400, 0]]}, "m")

@@ -118,6 +118,30 @@ def test_laurent_moments_refuse_singular_operator(t):
         dk.laurent_moments(t, 1)
 
 
+OVERFLOWS = [
+    (lambda: dk.laurent_moments(np.diag([1e-200, 1e-200]), 2), (-2,)),
+    (lambda: dk.laurent_moments(1e200 * np.eye(2), 2), (2,)),
+    (lambda: dk.laurent_moments(np.diag([1e-120, 2e-120]), 3), (-3,)),
+    (lambda: dk.circle_moments(1e200 * np.eye(2), 1.0, 2), (2,)),
+    (lambda: dk.circle_moments(0.5 * np.eye(2), 1e-320, 1), (1,)),
+    (lambda: dk.regular_moments([1e200 * np.eye(2), 0.5 * np.eye(2)], 2), (-2, -2)),
+    (lambda: dk.regular_moments([1e200 * np.eye(2), 1e200 * np.eye(2)], 1), (-1, -1)),
+    (lambda: dk.qcommuting_moments(1e200 * np.eye(2), np.eye(2), 2), (-2, -2)),
+]
+
+
+@pytest.mark.parametrize("build, index", OVERFLOWS, ids=range(len(OVERFLOWS)))
+def test_moment_overflow_is_refused_by_name(build, index):
+    """Powers beyond the double range are refused by the constructor, naming
+    the lowest order that overflows, without a RuntimeWarning (which the
+    suite turns into an error)."""
+    order = max(abs(i) for i in index)
+    with pytest.raises(dk.ShapeMismatchError) as got:
+        build()
+    assert str(got.value) == (f"the moment at index {index} (order {order}) "
+                              "overflows the double range")
+
+
 def test_gns_property_suite():
     rng = np.random.default_rng(61)
     for _ in range(12):
