@@ -306,6 +306,19 @@ def _rank(s: np.ndarray) -> int:
     return int(np.count_nonzero(s > 1e-11 * max(s[0], 1.0)))
 
 
+def _row_basis(a: np.ndarray) -> np.ndarray:
+    """The r rows U_r^T a, of full row rank, that keep every linear
+    relation among the columns of ``a``: r is the rank of a with the
+    reduction's cutoff, and U_r holds its r leading left singular vectors.
+
+    A QR of the transpose, a^T = Q R, leaves the small square R^T, which
+    has the singular values and left singular vectors of a, so no SVD
+    runs on all the columns of a.
+    """
+    u, s, _ = _svd(np.linalg.qr(a.T, mode="r").T, full_matrices=False)
+    return u[:, :_rank(s)].T @ a
+
+
 # A tableau entry below this fraction of its column's largest is not an
 # eligible pivot: pivoting on it would scale the tableau by its inverse.
 _PIVOT_TOL = 1e-8
@@ -318,9 +331,10 @@ def _sweep(a: np.ndarray, t: np.ndarray) -> np.ndarray:
 
     One values-only SVD gives the rank of the columns, with the
     reduction's cutoff.  Independent columns are returned as they are.
-    When the rank equals the number of rows, one pass of the tableau
-    sweep (:func:`_tableau_sweep`) leaves at most ``rank`` terms;
-    otherwise the null-basis sweep (:func:`_null_sweep`) runs.
+    Rows of lower rank are first replaced by their row basis
+    (:func:`_row_basis`), which is of full row rank; one pass of the
+    tableau sweep (:func:`_tableau_sweep`) then leaves at most ``rank``
+    terms.  Singular vectors are computed only on those deficient rows.
     """
     if t.size <= 1:
         return t.copy()
@@ -328,7 +342,7 @@ def _sweep(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     if rank >= t.size:
         return t.copy()
     if rank < a.shape[0]:
-        return _null_sweep(a, t)
+        a = _row_basis(a)
     return _tableau_sweep(a, t)
 
 
@@ -386,70 +400,6 @@ def _tableau_sweep(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _null_sweep(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Null-basis elimination on the columns of ``a`` until they are
-    linearly independent; returns the new weights, zero for retired terms.
-
-    Each pass takes one SVD and sweeps its whole null basis: a dependence
-    direction retires (pins) one term, and the remaining basis vectors
-    are Gaussian-updated to vanish on the pinned column, so they stay
-    valid directions for the shrunken support.  A retired term stays at
-    zero: the roundoff that later directions leave on it is dropped, not
-    carried into the next pass.  A pass that leaves ``rank`` unpinned
-    terms has retired one per null direction; those terms are
-    independent, and the sweep ends without another SVD.  A pass that
-    skipped or deferred a direction leaves more and gets another pass.
-    """
-    t = t.copy()
-    alive = np.arange(t.size)
-    while alive.size > 1:
-        _, s, vh = _svd(a[:, alive])
-        rank = _rank(s)
-        if rank >= alive.size:
-            break
-        # rows contiguous: scipy's gesvd returns a Fortran-ordered vh, and
-        # numpy 2.4's in-place np.negative miscomputes rows 8 elements apart
-        basis = np.array(vh[rank:], dtype=np.float64, order="C")
-        ta = t[alive]
-        free = np.ones(alive.size, dtype=bool)
-        ratios = np.empty(alive.size)
-        for row in range(basis.shape[0]):
-            cdir = basis[row]
-            hi, lo = cdir.max(), -cdir.min()
-            peak = max(hi, lo)
-            if peak <= 1e-14:
-                continue
-            if hi < lo:
-                np.negative(cdir, out=cdir)
-            pos = cdir > 1e-12 * peak
-            pos &= free
-            if not pos.any():
-                continue
-            ratios.fill(np.inf)
-            np.divide(ta, cdir, out=ratios, where=pos)
-            pivot = int(np.argmin(ratios))
-            ta -= ratios[pivot] * cdir
-            np.maximum(ta, 0.0, out=ta)
-            free[pivot] = False
-            rest = basis[row + 1:]
-            lam = rest[:, pivot] / cdir[pivot]
-            # directions needing a huge multiplier lose too much
-            # accuracy; defer them to the next SVD pass instead.  Dividing
-            # by an infinite norm zeroes them, and rows left too short
-            bad = np.abs(lam) > 1e8
-            lam[bad] = 0.0
-            rest -= lam[:, None] * cdir
-            norms = np.sqrt(np.einsum("ij,ij->i", rest, rest))
-            norms[bad | (norms <= 1e-12)] = np.inf
-            rest /= norms[:, None]
-        ta[~free] = 0.0
-        t[alive] = ta
-        alive = alive[ta > 0.0]
-        if np.count_nonzero(free) == rank:  # every null direction retired a term
-            break
-    return t
-
-
 def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TOL
                         ) -> MatrixConvexCombination:
     """Prune a matrix convex combination to affinely independent terms.
@@ -462,12 +412,13 @@ def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TO
     coefficients are rescaled.  The output length is at most
     n^2 (2d + 1), or n^2 (d + 1) when every point is selfadjoint.
 
-    Rank and rows.  A QR of the transposed lifted matrix, a^T = Q R,
-    leaves the small square R^T, which has the singular values and left
-    singular vectors of a.  Its SVD gives the rank r, with the sweep's
-    cutoff, and the r leading left singular vectors U_r; the elimination
-    then works on the r rows U_r^T a, so no SVD ever runs on all lifted
-    columns.
+    Rank and rows.  The row basis of the lifted matrix
+    (:func:`_row_basis`) gives its rank r, with the sweep's cutoff, and r
+    rows U_r^T a from the SVD of the small square factor of a QR of a^T;
+    the elimination then works on those r rows, so no SVD ever runs on
+    all lifted columns.  A tree level whose group means have lower rank
+    takes the row basis of those means in turn, so every level is
+    reduced by the one tableau pass.
 
     The elimination runs on a merge tree (recombination, Litterer & Lyons
     2012).  While more than 2r terms are alive, they are split in index
@@ -495,11 +446,8 @@ def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TO
     a = _lift_columns(alpha, value, all(p.selfadjoint for p in points))
     del value  # the largest stack; only its lift is used from here on
     target = a @ t
-    # a = R^T Q^T, so the small square R^T has the singular values and the
-    # left singular vectors of a: its rank r and its r leading rows
-    u, s, _ = _svd(np.linalg.qr(a.T, mode="r").T, full_matrices=False)
-    r = _rank(s)
-    rows = u[:, :r].T @ a
+    rows = _row_basis(a)
+    r = rows.shape[0]
     groups = 2 * r
     alive = np.arange(t.size)
     while alive.size > groups:

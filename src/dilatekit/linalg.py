@@ -80,6 +80,23 @@ def asmatrix(a) -> np.ndarray:
     return m
 
 
+def _norm(a: np.ndarray) -> float:
+    """The Frobenius norm of a vector or matrix, without overflow.
+
+    The plain ``np.linalg.norm`` is taken first, so every finite norm
+    keeps its bits; only when it is not finite are the entries scaled
+    by the largest of their absolute values and the norm taken again.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if np.isfinite(norm):
+        return norm
+    peak = float(np.max(np.abs(a)))
+    if not 0.0 < peak < np.inf:  # an infinite or NaN entry
+        return norm
+    return peak * float(np.linalg.norm(a / peak))
+
+
 def herm_part(a: np.ndarray) -> np.ndarray:
     """(A + A*) / 2, matrix by matrix over any leading stack axes."""
     return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))

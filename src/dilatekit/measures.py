@@ -35,6 +35,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _norm,
     _psd_floor,
     _rank_one_split,
     asmatrix,
@@ -716,7 +717,7 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
 
     def defects(w):
         gap = b_mat @ w - rhs
-        return float(np.linalg.norm(gap[:k])), float(np.linalg.norm(gap[k:]))
+        return _norm(gap[:k]), _norm(gap[k:])
 
     def stops(w, limit):
         resid, unit_def = defects(w)

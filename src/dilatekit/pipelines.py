@@ -23,7 +23,7 @@ import numpy as np
 from .boundary import BoundaryCurve, cauchy_transform, quadrature_measure
 from .convex import caratheodory_reduce
 from .errors import DimensionMismatchError, NotCommutingError
-from .linalg import DEFAULT_TOL, Tolerances, asmatrix
+from .linalg import DEFAULT_TOL, Tolerances, _norm, asmatrix
 from .measures import (
     AtomicMeasure,
     annulus_grid,
@@ -210,8 +210,8 @@ def dilate_qcommute(t1, t2, a: int, b: int, order: int = 1, nodes: int = 8,
     # grid construction also enforces integer a, b
     grid = clock_phase_grid(a, b, nodes)
     q = np.exp(2j * np.pi * a / b)
-    scale = max(1.0, float(np.linalg.norm(t1) * np.linalg.norm(t2)))
-    defect = float(np.linalg.norm(t2 @ t1 - q * (t1 @ t2)))
+    scale = max(1.0, _norm(t1) * _norm(t2))
+    defect = _norm(t2 @ t1 - q * (t1 @ t2))
     if defect > _COMMUTE_TOL * scale:
         raise NotCommutingError(
             f"pair is not q-commuting for a/b = {a}/{b} (defect {defect:.3e})"

@@ -193,9 +193,9 @@ def reduce_counting_svds(c, monkeypatch):
 
 def tree_svd_bound(c):
     # one SVD for the rank, then each tree level halves the alive terms
-    # with one sweep over 2 rank group means, which usually costs one SVD,
-    # and one final sweep.  The slack allows for sweeps that defer an
-    # ill-conditioned direction and need a second SVD.  The blocked sweep
+    # with one sweep over 2 rank group means, which costs one values-only
+    # SVD, and one final sweep.  The slack allows for a level whose means
+    # have lower rank and take the row basis's SVD too.  The blocked sweep
     # the tree replaced made one SVD per 32 terms: 13 for 384 terms, 97
     # for 3072.
     return math.ceil(math.log2(len(c.terms) / lifted_rank(c))) + 3
@@ -229,24 +229,30 @@ def test_caratheodory_tree_scaling(monkeypatch):
         assert np.array_equal(b1, b2)
 
 
-def test_caratheodory_svd_fallback(monkeypatch):
+@pytest.mark.parametrize("source", ["random", "boundary"])
+def test_caratheodory_svd_fallback(source, monkeypatch):
     # numpy's divide-and-conquer SVD can fail to converge; the reduction then
     # retries with LAPACK gesvd and the result is an equally valid reduction.
-    # The 80 terms are more than twice the lifted rank, so the rank SVD and
-    # at least one tree level take the fallback too.
-    rng = np.random.default_rng(59)
-    c = random_combination(rng, 2, 2, 80, True)
+    # Both inputs have more than twice the lifted rank in terms, so the rank
+    # SVD and at least one tree level take the fallback too; at 192 nodes a
+    # level of lower rank takes its row basis on the fallback as well.
+    if source == "random":
+        c = random_combination(np.random.default_rng(59), 2, 2, 80, True)
+    else:
+        c = boundary_combination(192)
     assert len(c.terms) > 2 * lifted_rank(c)
     expected = len(dk.caratheodory_reduce(c).terms)
 
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
+    row_bases = counting(monkeypatch, "_row_basis")
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     red = dk.caratheodory_reduce(c)
     assert len(red.terms) == expected
     assert barycenter_gap(red, c) <= 1e-12
     assert red.defect() <= 1e-10
+    assert len(row_bases) >= (2 if source == "boundary" else 1)
 
 
 def _reference_sweep(a, t):
@@ -328,12 +334,12 @@ def counting(monkeypatch, name):
     (6, 6, 13), (12, 12, 24), (24, 24, 48), (45, 45, 90), (45, 45, 63),
     (9, 5, 20), (30, 21, 60)])
 def test_sweep_keeps_rank_terms_and_barycenter(rows, rank, width, monkeypatch):
-    """On full-row-rank matrices the one-pass tableau sweep runs, and on
-    rank-deficient rows the null-basis sweep; either way at most rank
-    nonnegative terms stay, a @ t holds to 1e-12, and no more terms stay
-    than with the reference sweep."""
+    """Every sweep runs the one-pass tableau, on rank-deficient rows after
+    their row basis, and only there; at most rank nonnegative terms stay,
+    a @ t holds to 1e-12, and no more terms stay than with the reference
+    sweep."""
     tableau = counting(monkeypatch, "_tableau_sweep")
-    null = counting(monkeypatch, "_null_sweep")
+    row_basis = counting(monkeypatch, "_row_basis")
     rng = np.random.default_rng(rows * 1000 + width)
     for trial in range(12):
         a = lifted_like(rng, rows, rank, width, duplicates=trial % 3, zeros=trial % 2)
@@ -345,7 +351,8 @@ def test_sweep_keeps_rank_terms_and_barycenter(rows, rank, width, monkeypatch):
         assert kept <= rank
         assert kept <= np.count_nonzero(want)
         assert np.linalg.norm(a @ got - a @ t) <= 1e-12 * np.linalg.norm(a @ t)
-    assert (len(tableau), len(null)) == ((12, 0) if rows == rank else (0, 12))
+    assert len(tableau) == 12
+    assert len(row_basis) == (0 if rows == rank else 12)
 
 
 def test_tableau_ineligible_pivot_retires_the_column(monkeypatch):
@@ -364,15 +371,16 @@ def test_tableau_ineligible_pivot_retires_the_column(monkeypatch):
     assert np.linalg.norm(a @ got - a @ t) <= 1e-15
 
 
-def test_reduction_takes_both_sweeps(monkeypatch):
+def test_rank_deficient_level_takes_the_row_basis(monkeypatch):
     """At 192 nodes the first tree level's group means hold whole nodes and
-    have rank below the compressed rows: that level takes the null-basis
-    sweep, the others the tableau sweep."""
+    have rank below the compressed rows: after the row basis of all 576
+    lifted columns, that 45 x 90 level takes a row basis of its own before
+    its tableau pass."""
     c = boundary_combination(192)
-    tableau = counting(monkeypatch, "_tableau_sweep")
-    null = counting(monkeypatch, "_null_sweep")
+    row_bases = counting(monkeypatch, "_row_basis")
     red = dk.caratheodory_reduce(c)
-    assert null and tableau
+    assert row_bases[0] == (82, 576)
+    assert (45, 90) in row_bases[1:]
     assert barycenter_gap(red, c) <= 1e-13
     assert len(red.terms) <= lifted_rank(c)
 

@@ -8,6 +8,7 @@ from dilatekit import (
     ShapeMismatchError,
     Tolerances,
 )
+from dilatekit.linalg import _norm
 
 from conftest import complex_gaussian, random_psd
 
@@ -149,3 +150,14 @@ def test_hvec_stacked_matches_per_matrix():
                 assert v[i, j].tobytes() == ref.tobytes()
                 assert dk.hvec(h[i, j]).tobytes() == ref.tobytes()
                 assert dk.hunvec(ref, d).tobytes() == back[i, j].tobytes()
+
+
+def test_norm_keeps_finite_bits_and_scales_overflow():
+    rng = np.random.default_rng(67)
+    for a in (complex_gaussian(rng, (4, 3)), rng.normal(size=7), np.zeros((2, 2))):
+        assert _norm(a) == float(np.linalg.norm(a))
+    big = np.full((2, 2), 3e200 + 4e200j)
+    assert _norm(big) == pytest.approx(1e201)
+    assert _norm(np.array([1e200, -1e200])) == pytest.approx(np.sqrt(2.0) * 1e200)
+    assert np.isnan(_norm(np.array([np.nan, 1e200])))
+    assert _norm(np.array([np.inf, 1.0])) == np.inf

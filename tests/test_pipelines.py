@@ -135,6 +135,27 @@ def test_order_zero_refused_up_front(pipeline, monkeypatch):
         call()
 
 
+@pytest.mark.parametrize("pipeline, error", [
+    ("annulus", dk.InfeasibleError),
+    ("regular", dk.InfeasibleError),
+    ("qcommute", dk.NotCommutingError)])
+def test_overflowing_norms_refuse_without_warning(pipeline, error):
+    """Data of norm 1e200 has finite moments whose squared norms overflow.
+    The residual, scale and defect norms stay finite, so the refusal names
+    a finite residual or defect, and no overflow warning is raised (the
+    pytest configuration turns RuntimeWarning into an error).  The
+    q-commute pair fails its relation (T2 T1 = T1, not -T1 T2) before any
+    fit."""
+    big = 1e200 * np.eye(2)
+    call = {
+        "annulus": lambda: dk.dilate_annulus(big, 0.5, order=1),
+        "regular": lambda: dk.dilate_regular([big], order=1),
+        "qcommute": lambda: dk.dilate_qcommute(big, np.eye(2), a=1, b=2),
+    }[pipeline]
+    with pytest.raises(error, match=r"e\+200"):
+        call()
+
+
 def interior_torus_data(rng, d):
     """Commuting normal strict contractions."""
     w = random_unitary(rng, d)
