@@ -17,8 +17,9 @@ t2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 print(f"input relation defect: {np.linalg.norm(t2 @ t1 - q * t1 @ t2):.1e}")
 
 atom = dk.clock_shift_irrep(a, b)
-print("clock =", np.round(atom.generators[0], 6).tolist())
-print("shift =", np.round(atom.generators[1], 6).tolist())
+clock, shift = atom.images[0]
+print("clock =", np.round(clock, 6).tolist())
+print("shift =", np.round(shift, 6).tolist())
 
 res = dk.dilate_qcommute(t1, t2, a=a, b=b, order=1, nodes=8)
 u1, u2 = res.dilation.generators

@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .linalg import DEFAULT_TOL, Tolerances, asmatrix, herm_part, psd_project
-from .measures import AtomicMeasure, PointAtom
+from .measures import AtomicMeasure, Atoms
 
 __all__ = [
     "BoundaryCurve",
@@ -246,7 +246,7 @@ def quadrature_measure(t, curve: BoundaryCurve, nodes: int,
     _, zetas, dzetas = curve.sample(nodes)
     w = 2.0 * np.pi / nodes
     weights = psd_project(w * _densities(t, zetas, dzetas), tol)
-    atoms = PointAtom._stack(zetas, weights)
+    atoms = Atoms.from_points(zetas, weights)
     # normalized() records the defect it removes
     return AtomicMeasure(dim=t.shape[0], atoms=atoms).normalized(tol)
 

@@ -33,7 +33,7 @@ import numpy as np
 from .boundary import BoundaryCurve, RangeReport
 from .convex import MatrixConvexCombination, MatrixPoint
 from .errors import MalformedInputError
-from .measures import AtomicMeasure, IrrepAtom, PointAtom
+from .measures import AtomicMeasure, Atoms
 from .moments import Dilation, MomentTable
 from .verify import Relations
 
@@ -233,45 +233,55 @@ def decode_table(obj) -> MomentTable:
 
 
 def encode_measure(mu: AtomicMeasure) -> dict:
-    atoms = []
-    for a in mu.atoms:
-        if isinstance(a, PointAtom):
-            atoms.append({
+    """Atoms with 1 x 1 images and no relation are written as points, the
+    others as irreps, each irrep weight transposed into the Choi block on
+    C^b (x) C^d that the format holds."""
+    atoms = mu.atoms
+    point = atoms.rep_dim == 1 and not atoms.scale_pairs
+    out = []
+    for images, weight in zip(atoms.images, mu._weights()):
+        if point:
+            out.append({
                 "kind": "point",
-                "point": [[float(np.real(z)), float(np.imag(z))] for z in a.point],
-                "weight": encode_matrix(a.weight),
+                "point": [[float(np.real(z)), float(np.imag(z))] for z in images[:, 0, 0]],
+                "weight": encode_matrix(weight),
             })
         else:
-            atoms.append({
+            out.append({
                 "kind": "irrep",
-                "generators": [encode_matrix(g) for g in a.generators],
-                "weight": encode_matrix(a.weight),
+                "generators": [encode_matrix(g) for g in images],
+                "weight": encode_matrix(weight.T),
                 "scale_pairs": [
                     [int(i), int(j), [float(np.real(q)), float(np.imag(q))]]
-                    for (i, j, q) in a.scale_pairs
+                    for (i, j, q) in atoms.scale_pairs
                 ],
             })
     return {
         "dim": mu.dim,
-        "kind": mu.kind(),
+        "kind": "point" if point else "irrep",
         "index_rule": mu.index_rule,
         "defect": float(mu.defect),
         "fit_residual": None if mu.fit_residual is None else float(mu.fit_residual),
-        "atoms": atoms,
+        "atoms": out,
     }
 
 
 def decode_measure(obj) -> AtomicMeasure:
+    """The measure's atoms as one stack: they must share a kind, a
+    generator count, an image size and a relation, and each weight must be
+    (b dim) x (b dim)."""
     dim = _want(obj, "dim", int, "measure")
     atoms_obj = _want(obj, "atoms", list, "measure")
-    atoms = []
+    if not atoms_obj:
+        raise MalformedInputError("measure: no atoms")
+    kinds, images, weights, relations = set(), [], [], []
     for a in atoms_obj:
         kind = _want(a, "kind", str, "atom")
         weight = decode_matrix(_want(a, "weight", dict, "atom"), "atom weight")
         if kind == "point":
             pt = [_decode_complex(z, "atom point")
                   for z in _want(a, "point", list, "atom")]
-            atoms.append(PointAtom(point=pt, weight=weight))
+            gens, pairs = np.reshape(np.array(pt, dtype=np.complex128), (-1, 1, 1)), []
         elif kind == "irrep":
             gens = [decode_matrix(g, "irrep generator")
                     for g in _want(a, "generators", list, "atom")]
@@ -279,14 +289,32 @@ def decode_measure(obj) -> AtomicMeasure:
             if any(max(i, j) >= len(gens) for i, j, _ in pairs):
                 raise MalformedInputError(
                     f"atom: scale pair index beyond its {len(gens)} generators")
-            atoms.append(IrrepAtom(generators=gens, weight=weight,
-                                   scale_pairs=pairs))
+            weight = weight.T
         else:
             raise MalformedInputError(f"unknown atom kind {kind!r}")
+        kinds.add(kind)
+        images.append(gens)
+        weights.append(weight)
+        relations.append(pairs)
+    if len(kinds) > 1:
+        raise MalformedInputError("measure: atoms of more than one kind")
+    if len({len(gens) for gens in images}) > 1:
+        raise MalformedInputError("measure: atoms with different generator counts")
+    sizes = {g.shape for gens in images for g in gens}
+    if len(sizes) > 1 or any(r != c for r, c in sizes):
+        raise MalformedInputError("measure: generator images of more than one size")
+    if any(pairs != relations[0] for pairs in relations):
+        raise MalformedInputError("measure: atoms with different relations")
+    m = dim * next(iter(sizes), (1,))[0]
+    for j, w in enumerate(weights):
+        if w.shape != (m, m):
+            raise MalformedInputError(
+                f"measure: atom {j} weight is {w.shape[0]}x{w.shape[1]}, not {m}x{m}")
     fit_residual = obj.get("fit_residual")
     try:
         return AtomicMeasure(
-            dim=dim, atoms=atoms, defect=float(obj.get("defect", 0.0)),
+            dim=dim, atoms=Atoms(images, weights, relations[0]),
+            defect=float(obj.get("defect", 0.0)),
             fit_residual=None if fit_residual is None else float(fit_residual),
             index_rule=obj.get("index_rule", "laurent"),
         )

@@ -136,12 +136,12 @@ def _psd_floor(lam: np.ndarray, tol: Tolerances) -> np.ndarray:
     return -tol.psd_tol * np.maximum(scale, 1e-300)
 
 
-def _rank_one_split(lam: np.ndarray, q: np.ndarray, tol: Tolerances, rows: bool = True):
+def _rank_one_split(lam: np.ndarray, q: np.ndarray, tol: Tolerances):
     """Rank-one pieces of a stack of Hermitian matrices, given their batched
-    eigh, by numerical_rank_factor's rule: matrix by matrix, the pieces
-    (pieces, m) of the eigenvalues above rank_tol * lambda_max, largest
-    first, and the count per matrix.  ``rows`` gives the phase-normalized
-    rows of W with M = W* W, else the vectors g with M = sum g g*."""
+    eigh, by numerical_rank_factor's rule: matrix by matrix, the
+    phase-normalized rows (pieces, m) of W with M = W* W, one per
+    eigenvalue above rank_tol * lambda_max, largest first, and the count
+    per matrix."""
     lmax = lam[:, -1]
     floor = _psd_floor(lam, tol)
     bad = lam[:, 0] < floor
@@ -152,12 +152,10 @@ def _rank_one_split(lam: np.ndarray, q: np.ndarray, tol: Tolerances, rows: bool 
                           min_eig=float(lam[j, 0]))
     lam, vecs = lam[:, ::-1], np.swapaxes(q, 1, 2)[:, ::-1]
     keep = (lam > tol.rank_tol * lmax[:, None]) & (lmax > 0)[:, None]
-    pieces = np.sqrt(lam[keep])[:, None] * (vecs[keep].conj() if rows else vecs[keep])
-    if rows:
-        # each row's largest entry real >= 0, whatever phases eigh chose
-        piv = pieces[np.arange(len(pieces)), np.argmax(np.abs(pieces), axis=1)]
-        pieces = pieces * (np.abs(piv) / piv)[:, None]
-    return pieces, keep.sum(1)
+    pieces = np.sqrt(lam[keep])[:, None] * vecs[keep].conj()
+    # each row's largest entry real >= 0, whatever phases eigh chose
+    piv = pieces[np.arange(len(pieces)), np.argmax(np.abs(pieces), axis=1)]
+    return pieces * (np.abs(piv) / piv)[:, None], keep.sum(1)
 
 
 def numerical_rank_factor(m, tol: Tolerances = DEFAULT_TOL):

@@ -1,17 +1,22 @@
 """Atomic matrix measures: fitting, normalization, and Naimark assembly.
 
-A measure is a finite list of atoms, each either a point z with a PSD
-matrix weight (commutative case) or a finite-dimensional unitary
-representation with a PSD Choi block (q-commuting case).  Moments of the
-measure are linear in the weights, which is what the fitter exploits.
-Every operation walks the atoms as groups of one kind and block size,
-each group one stack: one batched eigh splits a group's weights into
-rank-one pieces by numerical_rank_factor's rule for both kinds (a weight
-below -psd_tol raises NotPSD), and the fit projects whole stacks onto
-the PSD cone, screening each block's inertia before any eigh.  Stacks
-the library computes (grids, quadrature and fitted weights, the
-combination view's points) are checked once per group, under the same
-rules as a single PointAtom, IrrepAtom or MatrixPoint.
+A measure is one stack of atoms, Atoms: each atom is a representation
+by nu generator images of one size b x b, weighted by a PSD (b d) x (b d)
+matrix G.  G is read as b x b blocks G_st of size d x d, and the atom's
+moment at an index n is sum_st w_n_st G_st, for the word w_n the index
+denotes.  A point z of C^nu (a character: a point of the torus, the
+annulus or a boundary curve) is the atom with b = 1 and images
+z[:, None, None], whose moment is z^n G; the q-commuting case takes the
+b-dimensional clock-and-shift irreps.  Moments are linear in the
+weights, which is what the fitter exploits.
+
+Every operation takes the stack whole: one batched eigh splits the
+weights into rank-one pieces by numerical_rank_factor's rule, G = sum
+r* r with each row r reshaped (b, d) into gamma, so the moment is
+sum gamma* w_n gamma (a weight below -psd_tol raises NotPSD); the fit
+projects the whole stack onto the PSD cone, screening each block's
+inertia before any eigh.  A stack is checked once, whole, when it is
+built; its slices are not checked again.
 """
 
 from __future__ import annotations
@@ -47,8 +52,7 @@ from .linalg import (
 from .moments import Dilation, MomentTable, _word_walk
 
 __all__ = [
-    "PointAtom",
-    "IrrepAtom",
+    "Atoms",
     "AtomicMeasure",
     "circle_grid",
     "torus_grid",
@@ -86,159 +90,112 @@ def laurent_scalar(idx, z):
     return out[()]
 
 
-def _check_weights(weights):
+def _check_weights(weights, atoms: int):
     """A stack of atom weights as complex128 (atoms, m, m), or None, after
     asmatrix's checks of each weight: a 2-d array with finite entries."""
     if weights is None:
         return None
-    w = np.asarray(weights, dtype=np.complex128)
+    try:
+        w = np.asarray(weights, dtype=np.complex128)
+    except ValueError:  # ragged: the weights' shapes differ
+        raise ShapeMismatchError("atom weights must share one size") from None
     if w.ndim != 3:
         raise ShapeMismatchError(f"expected a 2-d array, got ndim={w.ndim - 1}")
+    if len(w) != atoms:
+        raise ShapeMismatchError(f"{len(w)} weights for {atoms} atoms")
     if not np.all(np.isfinite(w)):
         raise ShapeMismatchError("matrix contains NaN or Inf entries")
     return w
 
 
-def _one_weight(weight):
-    """A single atom's weight as a stack of one for _check_stack."""
-    return None if weight is None else np.asarray(weight, dtype=np.complex128)[None]
-
-
 @dataclass
-class PointAtom:
-    """A point of C^nu with a PSD d x d weight (None until fitted)."""
+class Atoms:
+    """A stack of atoms: generator images (atoms, nu, b, b), weights
+    (atoms, m, m) or None until fitted, and one list of exchange relations
+    ``scale_pairs`` for every atom, (i, j, q) meaning G_j G_i = q G_i G_j,
+    used by validation and verification.
 
-    point: np.ndarray
-    weight: np.ndarray | None = None
-
-    def __post_init__(self):
-        point = np.atleast_1d(np.asarray(self.point, dtype=np.complex128))
-        points, weights = self._check_stack(point[None], _one_weight(self.weight))
-        self.point, self.weight = points[0], None if weights is None else weights[0]
-
-    @staticmethod
-    def _check_stack(points, weights):
-        """A stack of points (atoms, nu) and of weights (atoms, m, m) or None,
-        as complex128, after every check of a single atom."""
-        points = np.asarray(points, dtype=np.complex128)
-        return points[:, None] if points.ndim == 1 else points, _check_weights(weights)
-
-    @classmethod
-    def _stack(cls, points, weights=None) -> list:
-        """One atom per row of the stack points (atoms, nu), or per entry of
-        a stack of scalar points, weighted by the matching slice of the
-        stack weights (atoms, m, m), or unweighted; checked once, whole."""
-        points, weights = cls._check_stack(points, weights)
-        weights = [None] * len(points) if weights is None else weights
-        return [_unchecked(cls, point=p, weight=w) for p, w in zip(points, weights)]
-
-    @property
-    def nu(self) -> int:
-        return self.point.size
-
-    def block_size(self, dim: int) -> int:
-        return dim
-
-    def with_weight(self, weight) -> "PointAtom":
-        return PointAtom(self.point, weight)
-
-
-@dataclass
-class IrrepAtom:
-    """A representation by unitary generator images, weighted by a Choi block.
-
-    The Choi block G lives on C^b tensor C^d (row-major pairing); its
-    rank-one pieces are the coefficient matrices gamma: C^d -> C^b of the
-    matrix convex combination the atom encodes.  ``scale_pairs`` records
-    exchange relations (i, j, q) meaning G_j G_i = q G_i G_j, used by
-    validation and verification.
+    In a measure of dimension d each weight is (b d) x (b d), read as b x b
+    blocks G_st of size d x d (see the module docstring).  The stack is
+    checked once, whole, when built: at least one image, each a finite
+    2-d array, all b x b, and finite weights.  Indexing and iteration give
+    stacks of the atoms selected, unchecked, as slices of a checked stack.
     """
 
-    generators: list
-    weight: np.ndarray | None = None
+    images: np.ndarray
+    weights: np.ndarray | None = None
     scale_pairs: list = field(default_factory=list)
 
     def __post_init__(self):
-        gens, weights = self._check_stack([list(self.generators)],
-                                          _one_weight(self.weight))
-        self.generators = list(gens[0])
-        self.weight = None if weights is None else weights[0]
-
-    @staticmethod
-    def _check_stack(generators, weights):
-        """A stack of generator images (atoms, images, b, b) and of weights
-        (atoms, m, m) or None, as complex128, after every check of a single
-        atom: at least one image, each a finite 2-d array, all b x b."""
         try:
-            gens = np.asarray(generators, dtype=np.complex128)
+            images = np.asarray(self.images, dtype=np.complex128)
         except ValueError:  # ragged: the images' shapes differ
-            gens = None
-        if gens is None or gens.ndim != 4 or not gens.shape[1]:
+            images = None
+        if images is None or images.ndim != 4 or not images.shape[1]:
             # not one stack: find the fault image by image
-            if not all(len(images) for images in generators):
+            if not all(len(atom) for atom in self.images):
                 raise DimensionMismatchError("an irrep needs at least one generator image")
-            for images in generators:
-                for g in images:
+            for atom in self.images:
+                for g in atom:
                     asmatrix(g)
             raise DimensionMismatchError("generator images must share one size")
-        if not np.all(np.isfinite(gens)):
+        if not np.all(np.isfinite(images)):
             raise ShapeMismatchError("matrix contains NaN or Inf entries")
-        if gens.shape[2] != gens.shape[3]:
+        if images.shape[2] != images.shape[3]:
             raise DimensionMismatchError("generator images must share one size")
-        return gens, _check_weights(weights)
+        self.images = images
+        self.weights = _check_weights(self.weights, len(images))
+        self.scale_pairs = list(self.scale_pairs)
 
     @classmethod
-    def _stack(cls, generators, weights=None, scale_pairs=None) -> list:
-        """One atom per slice of the stack generators (atoms, images, b, b),
-        weighted by the matching slice of the stack weights (atoms, m, m),
-        or unweighted, with a copy of its entry of ``scale_pairs``; checked
-        once, whole."""
-        gens, weights = cls._check_stack(generators, weights)
-        weights = [None] * len(gens) if weights is None else weights
-        scale_pairs = [[]] * len(gens) if scale_pairs is None else scale_pairs
-        return [_unchecked(cls, generators=list(g), weight=w, scale_pairs=list(pairs))
-                for g, w, pairs in zip(gens, weights, scale_pairs)]
+    def from_points(cls, points, weights=None) -> "Atoms":
+        """The atoms with b = 1 at the rows of the stack points (atoms, nu),
+        or at the entries of a stack of scalar points."""
+        z = np.asarray(points, dtype=np.complex128)
+        z = z[:, None] if z.ndim == 1 else z
+        return cls(z[:, :, None, None], weights)
+
+    def __len__(self) -> int:
+        return len(self.images)
+
+    def __getitem__(self, key) -> "Atoms":
+        if isinstance(key, (int, np.integer)):
+            j = range(len(self))[key]
+            key = slice(j, j + 1)
+        return _unchecked(Atoms, images=self.images[key],
+                          weights=None if self.weights is None else self.weights[key],
+                          scale_pairs=list(self.scale_pairs))
 
     @property
     def rep_dim(self) -> int:
-        return self.generators[0].shape[0]
+        return self.images.shape[2]
 
     def block_size(self, dim: int) -> int:
         return self.rep_dim * dim
 
-    def with_weight(self, weight) -> "IrrepAtom":
-        return IrrepAtom(self.generators, weight,
-                         scale_pairs=list(self.scale_pairs))
-
-
-def _reweight(atoms: list, kind, pos, weights):
-    """with_weight, in place, for the atoms of one kind at positions pos
-    and the stack of their new weights (atoms, m, m), checked once, whole."""
-    group = [atoms[j] for j in pos]
-    if kind is PointAtom:
-        group = PointAtom._stack([a.point for a in group], weights)
-    else:
-        group = IrrepAtom._stack([a.generators for a in group], weights,
-                                 [a.scale_pairs for a in group])
-    for j, a in zip(pos, group):
-        atoms[j] = a
+    def with_weights(self, weights) -> "Atoms":
+        return Atoms(self.images, weights, self.scale_pairs)
 
 
 @dataclass
 class AtomicMeasure:
-    """Finitely many weighted atoms, normalized to unit total mass."""
+    """Finitely many weighted atoms, one stack, normalized to unit total mass."""
 
     dim: int
-    atoms: list
+    atoms: Atoms
     defect: float = 0.0
     fit_residual: float | None = None
     index_rule: str = "laurent"
 
-    def kind(self) -> str:
-        kinds = {type(a).__name__ for a in self.atoms}
-        if len(kinds) > 1:
-            raise ShapeMismatchError(f"mixed atom kinds in one measure: {kinds}")
-        return "irrep" if kinds == {"IrrepAtom"} else "point"
+    def _weights(self) -> np.ndarray:
+        """The atoms' weights (atoms, m, m), m the block size, or
+        ShapeMismatch: all atoms share one weight shape, so the first
+        atom is at fault whenever any is."""
+        m = self.atoms.block_size(self.dim)
+        w = self.atoms.weights
+        if w is None or w.shape[1:] != (m, m):
+            raise ShapeMismatchError(f"atom 0 has no {m} x {m} weight")
+        return w
 
     def unit_matrix(self) -> np.ndarray:
         return self._moments(None)
@@ -249,44 +206,43 @@ class AtomicMeasure:
     def _moments(self, indices) -> np.ndarray:
         """The moments (indices, d, d), or the mass if indices is None, as
         running sums over the atoms in order (bits as the per-atom loop)."""
+        weights = self._weights()
+        words = None if indices is None else _words(self.atoms, indices, self.index_rule)
         d = self.dim
         shape = (d, d) if indices is None else (len(indices), d, d)
         terms = np.zeros((len(self.atoms) + 1,) + shape, dtype=np.complex128)
-        for kind, _, pos, weights in _weight_groups(self.atoms, d):
-            words = None if indices is None else _words(
-                [self.atoms[j] for j in pos], indices, self.index_rule)
-            terms[pos + 1] = _contract(kind, weights, d, words)
+        terms[1:] = _contract(weights, d, words)
         return np.cumsum(terms, axis=0)[-1]
 
     def validate(self, tol: Tolerances = DEFAULT_TOL):
-        for kind, _, pos, weights in _weight_groups(self.atoms, self.dim):
-            lam = np.linalg.eigvalsh(herm_part(weights))
-            bad = lam[:, 0] < _psd_floor(lam, tol)
-            if bad.any():
-                raise NonPSDWeightError(f"atom {pos[np.argmax(bad)]} weight has "
-                                        f"eigenvalue {lam[bad][0, 0]:.3e} below "
-                                        f"-psd_tol * max|eigenvalue|")
-            if kind is PointAtom:
-                continue
-            # gens[a, i]: image i of atom a; a row (a, i, j, q) of p: a relation
-            gens = np.array([self.atoms[j].generators for j in pos])
-            unit = gens.conj().swapaxes(2, 3) @ gens - np.eye(gens.shape[-1])
-            if np.any(np.linalg.norm(unit, axis=(2, 3)) > 1e-10):
-                raise NotIsometricError("irrep generator image not unitary")
-            p = np.reshape([(a, *pair) for a, j in enumerate(pos)
-                            for pair in self.atoms[j].scale_pairs], (-1, 4))
-            a, i, j = p[:, :3].real.astype(int).T
-            gi, gj = gens[a, i], gens[a, j]
-            if np.any(np.linalg.norm(gj @ gi - p[:, 3, None, None] * (gi @ gj),
-                                     axis=(1, 2)) > 1e-10):
+        """Every weight PSD by the one rule; a stack that declares exchange
+        relations must have unitary images that satisfy them (a point of
+        the annulus or a curve is not unitary and declares none)."""
+        lam = np.linalg.eigvalsh(herm_part(self._weights()))
+        bad = lam[:, 0] < _psd_floor(lam, tol)
+        if bad.any():
+            raise NonPSDWeightError(f"atom {np.argmax(bad)} weight has "
+                                    f"eigenvalue {lam[bad][0, 0]:.3e} below "
+                                    f"-psd_tol * max|eigenvalue|")
+        if not self.atoms.scale_pairs:
+            return
+        # gens[a, i]: image i of atom a
+        gens = self.atoms.images
+        unit = gens.conj().swapaxes(2, 3) @ gens - np.eye(gens.shape[-1])
+        if np.any(np.linalg.norm(unit, axis=(2, 3)) > 1e-10):
+            raise NotIsometricError("irrep generator image not unitary")
+        for i, j, q in self.atoms.scale_pairs:
+            gi, gj = gens[:, i], gens[:, j]
+            if np.any(np.linalg.norm(gj @ gi - q * (gi @ gj), axis=(1, 2)) > 1e-10):
                 raise ShapeMismatchError(
                     "irrep generators violate the declared exchange relation")
 
     def normalized(self, tol: Tolerances = DEFAULT_TOL) -> "AtomicMeasure":
         """Congruence-rescale the weights so the total mass is exactly I.
 
-        P_j -> S^{-1/2} P_j S^{-1/2} with S the current unit matrix; this
-        preserves positive semidefiniteness, unlike an additive shift.
+        G_st -> S^{-1/2} G_st S^{-1/2}, block by block, with S the current
+        unit matrix; this preserves positive semidefiniteness, unlike an
+        additive shift.
         """
         s = self.unit_matrix()
         defect = float(np.linalg.norm(s - np.eye(self.dim)))
@@ -295,53 +251,51 @@ class AtomicMeasure:
             raise NotNormalizedError(
                 f"measure mass defect {defect:.3e} too large to renormalize"
             )
-        r, d, atoms = inv_sqrt_psd(s, tol), self.dim, list(self.atoms)
-        for kind, m, pos, weights in _weight_groups(self.atoms, d):
-            # the irrep contraction reads the d legs transposed
-            g4 = weights.reshape(-1, m // d, d, m // d, d)
-            w = r @ weights @ r if kind is PointAtom else np.einsum(
-                "asPtQ,Pp,Qq->asptq", g4, r, r.conj())
-            _reweight(atoms, kind, pos, herm_part(w.reshape(-1, m, m)))
-        return replace(self, atoms=atoms, defect=defect)
+        r = np.kron(np.eye(self.atoms.rep_dim), inv_sqrt_psd(s, tol))
+        weights = herm_part(r @ self._weights() @ r)
+        return replace(self, atoms=self.atoms.with_weights(weights), defect=defect)
 
     def pruned(self, prune_tol: float) -> "AtomicMeasure":
-        """The weighted atoms whose weight has Frobenius norm at least
-        prune_tol, in order, from one norm call per weight shape (one per
-        (kind, block size) group of a fitted measure)."""
-        shapes = [None if a.weight is None else a.weight.shape for a in self.atoms]
-        keep = np.zeros(len(self.atoms), dtype=bool)
-        for shape in dict.fromkeys(shapes).keys() - {None}:
-            pos = [j for j, s in enumerate(shapes) if s == shape]
-            weights = np.stack([self.atoms[j].weight for j in pos])
-            keep[pos] = np.linalg.norm(weights, axis=(1, 2)) >= prune_tol
-        atoms = [a for a, k in zip(self.atoms, keep) if k]
-        if not atoms:
+        """The atoms whose weight has Frobenius norm at least prune_tol, in
+        order, from one norm call."""
+        keep = np.linalg.norm(self._weights(), axis=(1, 2)) >= prune_tol
+        if not keep.any():
             raise GridEmptyError("pruning removed every atom")
-        return replace(self, atoms=atoms)
+        return replace(self, atoms=self.atoms[keep])
 
 
-def circle_grid(nodes: int, radius: float = 1.0) -> list:
+def _require_nodes(nodes: int):
+    if nodes < 1:
+        raise ShapeMismatchError(f"need at least one grid node, got {nodes}")
+
+
+def _circle(nodes: int, radius: float) -> list:
+    _require_nodes(nodes)
+    return [radius * np.exp(2j * np.pi * j / nodes) for j in range(nodes)]
+
+
+def circle_grid(nodes: int, radius: float = 1.0) -> Atoms:
     """Equispaced points on a circle |z| = radius."""
-    return PointAtom._stack([radius * np.exp(2j * np.pi * j / nodes)
-                             for j in range(nodes)])
+    return Atoms.from_points(_circle(nodes, radius))
 
 
-def torus_grid(nodes: int, nu: int) -> list:
+def torus_grid(nodes: int, nu: int) -> Atoms:
     """The nodes^nu lattice of roots of unity on the nu-torus."""
+    _require_nodes(nodes)
     roots = [np.exp(2j * np.pi * j / nodes) for j in range(nodes)]
-    return PointAtom._stack([[roots[i] for i in idx]
-                             for idx in np.ndindex(*([nodes] * nu))])
+    return Atoms.from_points([[roots[i] for i in idx]
+                              for idx in np.ndindex(*([nodes] * nu))])
 
 
-def annulus_grid(nodes: int, r: float) -> list:
+def annulus_grid(nodes: int, r: float) -> Atoms:
     """Equispaced points on both boundary circles of the annulus r <= |z| <= 1."""
     if not 0.0 < r < 1.0:
         raise ShapeMismatchError(f"annulus radius must lie in (0, 1), got {r}")
-    return circle_grid(nodes, 1.0) + circle_grid(nodes, r)
+    return Atoms.from_points(_circle(nodes, 1.0) + _circle(nodes, r))
 
 
-def clock_shift_irrep(a: int, b: int, theta=(0.0, 0.0)) -> IrrepAtom:
-    """The b-dimensional clock-and-shift pair at phases theta.
+def clock_shift_irrep(a: int, b: int, theta=(0.0, 0.0)) -> Atoms:
+    """The b-dimensional clock-and-shift pair at phases theta, one atom.
 
     U1 = e^{i theta_1} diag(1, q, ..., q^{b-1}) and U2 = e^{i theta_2} X
     with X the cyclic downshift satisfy U2 U1 = q U1 U2 for
@@ -349,10 +303,8 @@ def clock_shift_irrep(a: int, b: int, theta=(0.0, 0.0)) -> IrrepAtom:
     """
     q, clock, shift = _clock_shift(a, b)
     t1, t2 = float(theta[0]), float(theta[1])
-    return IrrepAtom(
-        generators=[np.exp(1j * t1) * clock, np.exp(1j * t2) * shift],
-        scale_pairs=[(0, 1, q)],
-    )
+    return Atoms([[np.exp(1j * t1) * clock, np.exp(1j * t2) * shift]],
+                 scale_pairs=[(0, 1, q)])
 
 
 def _clock_shift(a: int, b: int):
@@ -372,14 +324,14 @@ def _clock_shift(a: int, b: int):
     return q, clock, shift
 
 
-def clock_phase_grid(a: int, b: int, nodes: int) -> list:
+def clock_phase_grid(a: int, b: int, nodes: int) -> Atoms:
     """Clock-shift irreps over the nodes x nodes lattice of phase pairs."""
+    _require_nodes(nodes)
     step = 2.0 * np.pi / nodes
     q, clock, shift = _clock_shift(a, b)
-    return IrrepAtom._stack(
-        [[np.exp(1j * (step * i)) * clock, np.exp(1j * (step * j)) * shift]
-         for i in range(nodes) for j in range(nodes)],
-        scale_pairs=[[(0, 1, q)]] * nodes ** 2)
+    return Atoms([[np.exp(1j * (step * i)) * clock, np.exp(1j * (step * j)) * shift]
+                  for i in range(nodes) for j in range(nodes)],
+                 scale_pairs=[(0, 1, q)])
 
 
 # ADMM settings of fit_matrix_measure: iteration cap, the one fixed
@@ -408,69 +360,51 @@ def _herm_to_cvec(m: int) -> np.ndarray:
     return phi
 
 
-def _words(atoms: list, indices: list, rule: str) -> np.ndarray:
-    """Every atom's words at every index, complex (atoms, indices, b, b).
-
-    The atoms are all points or all irreps of one rep_dim: 1 x 1 Laurent
-    monomials, or the generators' words under ``rule`` from one walk.
-    """
-    if isinstance(atoms[0], PointAtom):
-        pts = np.array([a.point for a in atoms])
-        b, words = 1, (laurent_scalar(idx, pts)[:, None, None] for idx in indices)
+def _words(atoms: Atoms, indices: list, rule: str) -> np.ndarray:
+    """Every atom's words at every index, complex (atoms, indices, b, b):
+    1 x 1 images as Laurent monomials (laurent_scalar), others as the
+    generators' words under ``rule`` from one walk."""
+    n, _, b, _ = atoms.images.shape
+    if b == 1:
+        # the walk's matrix products would round differently, and the
+        # dilation's rank follows roundoff
+        pts = atoms.images[:, :, 0, 0]
+        words = (laurent_scalar(idx, pts)[:, None, None] for idx in indices)
     else:
-        gens = [np.stack(g) for g in zip(*(a.generators for a in atoms))]
-        b, words = atoms[0].rep_dim, _word_walk(indices, gens, rule)
-    out = np.empty((len(atoms), len(indices), b, b), dtype=np.complex128)
+        words = _word_walk(indices, list(atoms.images.swapaxes(0, 1)), rule)
+    out = np.empty((n, len(indices), b, b), dtype=np.complex128)
     for i, w in enumerate(words):
         out[:, i] = w
     return out
 
 
-def _atom_groups(atoms: list, d: int):
-    """(kind, m, positions, columns) for the atoms of each kind and block
-    size m; an atom's m^2 columns are its hvec block in the stacked weights."""
-    keys = [(type(a), a.block_size(d)) for a in atoms]
-    offsets = np.cumsum([0] + [m * m for _, m in keys])
-    for kind, m in dict.fromkeys(keys):
-        pos = np.array([j for j, key in enumerate(keys) if key == (kind, m)])
-        yield kind, m, pos, (offsets[pos][:, None] + np.arange(m * m)).ravel()
-
-
-def _weight_groups(atoms: list, d: int):
-    """_atom_groups with each group's weights stacked (atoms, m, m)."""
-    for j, a in enumerate(atoms):
-        m = a.block_size(d)
-        if a.weight is None or a.weight.shape != (m, m):
-            raise ShapeMismatchError(f"atom {j} has no {m} x {m} weight")
-    for kind, m, pos, _ in _atom_groups(atoms, d):
-        yield kind, m, pos, np.stack([atoms[j].weight for j in pos])
-
-
-def _contract(kind, weights: np.ndarray, d: int, words=None) -> np.ndarray:
+def _contract(weights: np.ndarray, d: int, words=None) -> np.ndarray:
     """Weights (..., m, m) contracted with their words (..., indices, b, b)
-    into (..., indices, d, d), or with the identity into (..., d, d): a
-    point scales its weight by the word, e G; an irrep contracts its Choi
-    block G as (b, d, b, d), sum_{s,t} w_st G_{(t,q),(s,p)}."""
-    g4 = weights.reshape(weights.shape[:-2] + (weights.shape[-1] // d, d) * 2)
-    if kind is PointAtom:
-        g = g4[..., 0, :, 0, :]
-        if words is not None:
-            g = words[..., 0, 0, None, None] * g[..., None, :, :]
-        return 0.0 + g  # a sum from zero, as einsum's: a -0 product reads +0
-    if words is None:
-        return np.einsum("...sqsp->...pq", g4)
-    return np.einsum("...ist,...tqsp->...ipq", words, g4)
+    into (..., indices, d, d), or with the identity into (..., d, d): each
+    weight read as b x b blocks G_st of size d x d gives sum_st w_st G_st,
+    summed from zero term by term, so at b = 1 it is 0 + w G (a -0
+    product reads +0)."""
+    b = weights.shape[-1] // d
+    g4 = weights.reshape(weights.shape[:-2] + (b, d, b, d))
+    out = 0.0
+    for s in range(b):
+        for t in range(b):
+            if words is not None:
+                out = out + words[..., s, t, None, None] * g4[..., None, s, :, t, :]
+            elif s == t:
+                out = out + g4[..., s, :, t, :]
+    return out
 
 
-def _pieces(kind, weights: np.ndarray, d: int, tol: Tolerances):
-    """Rank-one pieces (pieces, b, d) of a group's weights, and the count per
-    atom: a point's P = sum gamma* gamma, an irrep's G = sum vec(gamma) vec(gamma)*."""
+def _pieces(weights: np.ndarray, d: int, tol: Tolerances):
+    """Rank-one pieces (pieces, b, d) of the weights, atom by atom, and the
+    count per atom: the rows r of G = sum r* r, each reshaped (b, d)."""
     lam, q = np.linalg.eigh(herm_part(weights))
-    flat, counts = _rank_one_split(lam, q, tol, rows=kind is PointAtom)
+    flat, counts = _rank_one_split(lam, q, tol)
     return flat.reshape(len(flat), -1, d), counts
 
 
-def _fit_system(targets: MomentTable, grid: list):
+def _fit_system(targets: MomentTable, grid: Atoms):
     """The linear data of the fit: moments A z = t and unit mass C z = c,
     stacked as B z = [t; c] with B = [A; C]; returns B, [t; c] and the
     number k of rows of A.
@@ -486,30 +420,25 @@ def _fit_system(targets: MomentTable, grid: list):
     """
     d = targets.dim
     indices = [idx for idx in targets.indices() if any(i != 0 for i in idx)]
-    groups = list(_atom_groups(grid, d))
-    words = [_words([grid[j] for j in pos], indices, targets.index_rule)
-             for _, _, pos, _ in groups]
+    words = _words(grid, indices, targets.index_rule)
     keep, scale = list(range(len(indices))), 1.0
     if targets.symmetric:
         at = {idx: i for i, idx in enumerate(indices)}
         neg = [at[tuple(-i for i in idx)] for idx in indices]
-        if all(_adjoint_closed(w, neg) for w in words):
+        if _adjoint_closed(words, neg):
             keep = [at[idx] for idx in _canonical_indices(targets)]
             scale = np.sqrt(2.0)
     vals = np.array([targets.value(indices[i]) for i in keep]).reshape(-1, d, d)
     t_vec = scale * np.stack([vals.real, vals.imag], axis=1).ravel()
-    ncols = sum(a.block_size(d) ** 2 for a in grid)
+    m = grid.block_size(d)
     k = t_vec.size
-    b_mat = np.empty((k + d * d, ncols))
-    a_mat, c_mat = b_mat[:k], b_mat[k:]
-    for (kind, m, pos, cols), w in zip(groups, words):
-        # basis[k] is the k-th hvec basis matrix of C^m, a weight
-        basis = _herm_to_cvec(m).T.reshape(m * m, m, m)
-        # block[i, p, q, a, k]: atom a's basis weight k contracted at index i
-        block = _contract(kind, basis, d, w[:, keep][:, None]).transpose(2, 3, 4, 0, 1)
-        a_mat[:, cols] = scale * np.stack([block.real, block.imag], axis=1).reshape(
-            k, cols.size)
-        c_mat[:, cols] = np.tile(hvec(_contract(kind, basis, d)).T, len(pos))
+    b_mat = np.empty((k + d * d, len(grid) * m * m))
+    # basis[k] is the k-th hvec basis matrix of C^m, a weight
+    basis = _herm_to_cvec(m).T.reshape(m * m, m, m)
+    # block[i, p, q, a, k]: atom a's basis weight k contracted at index i
+    block = _contract(basis, d, words[:, keep][:, None]).transpose(2, 3, 4, 0, 1)
+    b_mat[:k] = scale * np.stack([block.real, block.imag], axis=1).reshape(k, -1)
+    b_mat[k:] = np.tile(hvec(_contract(basis, d)).T, len(grid))
     return b_mat, np.concatenate([t_vec, hvec(np.eye(d, dtype=np.complex128))]), k
 
 
@@ -576,25 +505,22 @@ def _x_step(b_mat, rhs, k):
     return lambda v: v + b_mat.T @ (mu0 - inv @ (b_mat @ v))
 
 
-def _admm(b_mat, rhs, k, groups, z):
-    """The plain ADMM iteration of the fit, started from the weights z, with
-    the one fixed penalty _RHO.
+def _admm(b_mat, rhs, k, m, z):
+    """The plain ADMM iteration of the fit, started from the weights z of
+    block size m, with the one fixed penalty _RHO.
 
     Yields (it, z) at every residual check, every _CHECK_EVERY iterations.
     An iteration is one x-step (_x_step: three matrix-vector products)
-    and one PSD projection per (kind, block size) group, which sends only
-    its blocks that are neither positive nor negative definite through
-    eigh (_project_hvec).  A non-finite iterate raises ShapeMismatch.
+    and one PSD projection of the stack of blocks, which sends only the
+    blocks that are neither positive nor negative definite through eigh
+    (_project_hvec).  A non-finite iterate raises ShapeMismatch.
     """
     x_step = _x_step(b_mat, rhs, k)
 
     def project_blocks(v):
         if not np.all(np.isfinite(v)):
             raise ShapeMismatchError("matrix contains NaN or Inf entries")
-        out = np.empty_like(v)
-        for _, m, _, cols in groups:
-            out[cols] = _project_hvec(v[cols].reshape(-1, m * m), m).ravel()
-        return out
+        return _project_hvec(v.reshape(-1, m * m), m).ravel()
 
     u = np.zeros_like(z)
     for it in range(1, _MAX_ITER + 1):
@@ -613,8 +539,9 @@ def _cut_lstsq(mat, rhs, scale):
     return vt[keep].T @ ((u[:, keep].T @ rhs) / sv[keep]), vt[keep]
 
 
-def _polish(b_mat, rhs, k, groups, z):
-    """The fit solved on the face of the PSD cone that the weights z lie on.
+def _polish(b_mat, rhs, k, m, z):
+    """The fit solved on the face of the PSD cone that the weights z, of
+    block size m, lie on.
 
     Atom j's face is W_j = U_j S_j U_j* over Hermitian S_j, where U_j holds
     the eigenvectors of its weight whose eigenvalue exceeds _FACE_TOL times
@@ -627,27 +554,20 @@ def _polish(b_mat, rhs, k, groups, z):
     formed.  Returns M s, or None when some S_j has an eigenvalue below
     -1e-12.
     """
-    faces = [np.linalg.eigh(hunvec(z[cols].reshape(-1, m * m), m))
-             for _, m, _, cols in groups]
-    lmax = max(float(lam.max()) for lam, _ in faces)
-    rots, masks, face_parts, s_parts = [], [], [], []
-    for (_, m, _, cols), (lam, q) in zip(groups, faces):
-        basis = _herm_to_cvec(m).T.reshape(m * m, m, m)
-        # rot[a, :, k] = hvec(q_a E_k q_a*) for the k-th hvec basis matrix
-        # E_k: an orthonormal basis of atom a's weights in its eigenbasis
-        rot = np.swapaxes(hvec(q[:, None] @ basis @ q[:, None].conj().swapaxes(2, 3)), 1, 2)
-        keep = lam > _FACE_TOL * lmax
-        on = keep[:, :, None] & keep[:, None, :]
-        # the face keeps the coordinates whose E_k lives on kept x kept
-        mask = ~np.any((basis != 0) & ~on[:, None], axis=(2, 3))
-        n_atoms = len(lam)
-        b_rot = np.swapaxes(b_mat[:, cols].reshape(-1, n_atoms, m * m), 0, 1) @ rot
-        rots.append(rot)
-        masks.append(mask)
-        face_parts.append(np.swapaxes(b_rot, 0, 1)[:, mask])
-        s_parts.append((z[cols].reshape(n_atoms, 1, m * m) @ rot)[:, 0][mask])
-    a_face, c_face = np.split(np.hstack(face_parts), [k])
-    s = np.concatenate(s_parts)
+    lam, q = np.linalg.eigh(hunvec(z.reshape(-1, m * m), m))
+    lmax = float(lam.max())
+    basis = _herm_to_cvec(m).T.reshape(m * m, m, m)
+    # rot[a, :, k] = hvec(q_a E_k q_a*) for the k-th hvec basis matrix
+    # E_k: an orthonormal basis of atom a's weights in its eigenbasis
+    rot = np.swapaxes(hvec(q[:, None] @ basis @ q[:, None].conj().swapaxes(2, 3)), 1, 2)
+    keep = lam > _FACE_TOL * lmax
+    on = keep[:, :, None] & keep[:, None, :]
+    # the face keeps the coordinates whose E_k lives on kept x kept
+    mask = ~np.any((basis != 0) & ~on[:, None], axis=(2, 3))
+    n_atoms = len(lam)
+    b_rot = np.swapaxes(b_mat.reshape(-1, n_atoms, m * m), 0, 1) @ rot
+    a_face, c_face = np.split(np.swapaxes(b_rot, 0, 1)[:, mask], [k])
+    s = (z.reshape(n_atoms, 1, m * m) @ rot)[:, 0][mask]
     step, rows = _cut_lstsq(c_face, rhs[k:] - c_face @ s, np.linalg.norm(c_face))
     s += step
     # off the row space of C M the constraint holds whatever the step; the
@@ -655,18 +575,14 @@ def _polish(b_mat, rhs, k, groups, z):
     # roundoff alone
     a_off = a_face - (a_face @ rows.T) @ rows
     s += _cut_lstsq(a_off, rhs[:k] - a_face @ s, np.linalg.norm(a_face))[0]
-    out = np.empty_like(z)
-    pieces = np.split(s, np.cumsum([np.count_nonzero(mask) for mask in masks])[:-1])
-    for (_, m, _, cols), rot, mask, piece in zip(groups, rots, masks, pieces):
-        coords = np.zeros(mask.shape)
-        coords[mask] = piece
-        if np.linalg.eigvalsh(hunvec(coords, m))[:, 0].min() < -1e-12:
-            return None
-        out[cols] = (rot @ coords[:, :, None]).ravel()
-    return out
+    coords = np.zeros(mask.shape)
+    coords[mask] = s
+    if np.linalg.eigvalsh(hunvec(coords, m))[:, 0].min() < -1e-12:
+        return None
+    return (rot @ coords[:, :, None]).ravel()
 
 
-def fit_matrix_measure(targets: MomentTable, grid: list,
+def fit_matrix_measure(targets: MomentTable, grid: Atoms,
                        tol: Tolerances = DEFAULT_TOL,
                        seed: int = 0) -> AtomicMeasure:
     """Fit PSD atom weights on a fixed grid to prescribed moments.
@@ -711,8 +627,7 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
         raise GridEmptyError("empty atom grid")
     d = targets.dim
     system = b_mat, rhs, k = _fit_system(targets, grid)
-    sizes = np.array([a.block_size(d) for a in grid])
-    groups = list(_atom_groups(grid, d))
+    m = grid.block_size(d)
     fit_tol = tol.fit_tol
 
     def defects(w):
@@ -726,13 +641,13 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
     # each weight starts at a random multiple of hvec(I_m), which is
     # C^T hvec(I_d) block by block
     weights = (0.5 + 0.5 * np.random.default_rng(seed).random(len(grid))) / len(grid)
-    z = np.repeat(weights, sizes ** 2) * (b_mat[k:].T @ rhs[k:])
-    for it, z in _admm(*system, groups, z):
+    z = np.repeat(weights, m * m) * (b_mat[k:].T @ rhs[k:])
+    for it, z in _admm(*system, m, z):
         if stops(z, 0.9 * fit_tol):
             break
         check = it // _CHECK_EVERY
         if check & (check - 1) == 0:
-            polished = _polish(*system, groups, z)
+            polished = _polish(*system, m, z)
             if polished is not None and stops(polished, _POLISH_RESIDUAL * fit_tol):
                 z = polished
                 break
@@ -744,9 +659,7 @@ def fit_matrix_measure(targets: MomentTable, grid: list,
             f"did not reach fit_tol {fit_tol:.1e} within {_MAX_ITER} iterations",
             residual=resid,
         )
-    atoms = list(grid)
-    for kind, m, pos, cols in groups:
-        _reweight(atoms, kind, pos, hunvec(z[cols].reshape(-1, m * m), m))
+    atoms = grid.with_weights(hunvec(z.reshape(-1, m * m), m))
     mu = AtomicMeasure(dim=d, atoms=atoms, defect=unit_def, fit_residual=resid,
                        index_rule=targets.index_rule)
     return mu.pruned(_PRUNE_TOL)
@@ -756,12 +669,12 @@ def assemble_atomic_dilation(mu: AtomicMeasure, indices=None,
                              tol: Tolerances = DEFAULT_TOL) -> Dilation:
     """Build the explicit dilation carried by an atomic measure.
 
-    Point atoms contribute rank(P_j) dimensions each: factor
-    P_j = F_j* F_j, stack the F_j into the isometry V, and take diagonal
-    generators, z_{j,i} on the rows of atom j.  Irrep atoms contribute one
-    b-dimensional block per rank-one piece of the Choi weight, with the
-    generator images on the diagonal.  Compressions V* w V then equal
-    the measure's moments exactly (up to factorization roundoff).
+    Each rank-one piece gamma (b x d) of an atom's weight contributes b
+    dimensions: V stacks the pieces, and each generator carries the
+    atom's b x b image on the piece's diagonal block, so a point atom
+    contributes rank(G) dimensions with z on the diagonal.  Compressions
+    V* w V = sum gamma* w gamma then equal the measure's moments exactly
+    (up to factorization roundoff).
     """
     mu.validate(tol)
     unit_defect = float(np.linalg.norm(mu.unit_matrix() - np.eye(mu.dim)))
@@ -771,32 +684,16 @@ def assemble_atomic_dilation(mu: AtomicMeasure, indices=None,
             "call .normalized() first"
         )
     d = mu.dim
-    point = mu.kind() == "point"
-    # per group: the rows of V, each row's atom, and each rank-one piece's images
-    rows, owners, images = [], [], []
-    for kind, m, pos, weights in _weight_groups(mu.atoms, d):
-        pieces, counts = _pieces(kind, weights, d, tol)
-        rows.append(pieces.reshape(-1, d))
-        owners.append(np.repeat(pos, counts * (m // d)))
-        images.append(np.repeat([mu.atoms[j].point if point else mu.atoms[j].generators
-                                 for j in pos], counts, axis=0))
-    owner = np.concatenate(owners)
-    if not owner.size:
+    pieces, counts = _pieces(mu._weights(), d, tol)
+    if not len(pieces):
         raise GridEmptyError("measure has no mass to assemble")
-    order = np.argsort(owner, kind="stable")  # rows of V in atom order
-    v = np.concatenate(rows)[order]
-    space = v.shape[0]
-    if point:
-        # one group: generator i is diagonal, z_{j,i} on the rows of atom j
-        gens = [np.diag(z) for z in images[0][order].T]
-    else:
-        # each piece's b x b generator images on the diagonal
-        gens, start = np.zeros((images[0].shape[1], space, space), complex), 0
-        for img in images:
-            idx = start + np.arange(img.shape[0] * img.shape[-1]).reshape(len(img), -1)
-            gens[:, idx[:, :, None], idx[:, None, :]] = np.swapaxes(img, 0, 1)
-            start += idx.size
-        gens = list(gens[:, order][:, :, order])
+    v = pieces.reshape(-1, d)
+    images = np.repeat(mu.atoms.images, counts, axis=0)  # each piece's images
+    n, nu, b, _ = images.shape
+    gens = np.zeros((nu, n * b, n * b), dtype=np.complex128)
+    idx = np.arange(n * b).reshape(n, b)
+    gens[:, idx[:, :, None], idx[:, None, :]] = np.swapaxes(images, 0, 1)
+    gens = list(gens)
     residuals = {"unit_defect": unit_defect}
     if indices is not None:
         # the measure's own moments use honest Laurent powers, so
@@ -806,8 +703,8 @@ def assemble_atomic_dilation(mu: AtomicMeasure, indices=None,
         residuals["moment_vs_measure"] = max(
             (float(np.linalg.norm(v.conj().T @ w - m))
              for w, m in zip(words, mu._moments(indices))), default=0.0)
-    return Dilation(v=v, generators=gens, space_dim=space,
-                    provenance="naimark" if point else "naimark-irrep",
+    return Dilation(v=v, generators=gens, space_dim=v.shape[0],
+                    provenance="naimark" if b == 1 else "naimark-irrep",
                     residuals=residuals)
 
 
@@ -833,40 +730,32 @@ def measure_to_combination(mu: AtomicMeasure, table: MomentTable,
     for reassembly.
     """
     d = mu.dim
-    indices = _canonical_indices(table)
-    terms = [None] * len(mu.atoms)
-    for kind, _, pos, weights in _weight_groups(mu.atoms, d):
-        words = _words([mu.atoms[j] for j in pos], indices, mu.index_rule)
-        parts = np.stack([herm_part(words), herm_part(-1j * words)], axis=2)
-        pieces, counts = _pieces(kind, weights, d, tol)
-        points = MatrixPoint._stack(parts.reshape(len(pos), -1, *words.shape[2:]),
-                                    selfadjoint=True, labels=pos.tolist())
-        for j, point, own in zip(pos.tolist(), points,
-                                 np.split(pieces, np.cumsum(counts)[:-1])):
-            terms[j] = [(gamma, point) for gamma in own]
-    return MatrixConvexCombination(n=d, terms=[t for ts in terms for t in ts])
+    weights = mu._weights()
+    words = _words(mu.atoms, _canonical_indices(table), mu.index_rule)
+    parts = np.stack([herm_part(words), herm_part(-1j * words)], axis=2)
+    pieces, counts = _pieces(weights, d, tol)
+    n = len(mu.atoms)
+    points = MatrixPoint._stack(parts.reshape(n, -1, *words.shape[2:]),
+                                selfadjoint=True, labels=list(range(n)))
+    owner = np.repeat(np.arange(n), counts)
+    return MatrixConvexCombination(n=d, terms=[(gamma, points[j])
+                                               for gamma, j in zip(pieces, owner)])
 
 
 def combination_to_measure(comb: MatrixConvexCombination, mu: AtomicMeasure
                            ) -> AtomicMeasure:
     """Reassemble a measure from a (reduced) combination of its atoms.
 
-    Term labels index into the original measure's grid; coefficients
-    gamma accumulate as gamma* gamma (point weights) or rank-one Choi
-    blocks vec(gamma) vec(gamma)* (irrep weights), in term order.
+    Term labels index into the original measure's grid; each coefficient
+    gamma, raveled into a row r, adds the rank-one weight r* r to its
+    atom, in term order.
     """
     labels = [point.label for _, point in comb.terms]
     if any(j is None or not (0 <= j < len(mu.atoms)) for j in labels):
         raise ShapeMismatchError("combination term does not label a grid atom")
     kept = sorted(set(labels))
-    atoms = [mu.atoms[j] for j in kept]
-    slot = np.searchsorted(kept, labels)  # term t belongs to atoms[slot[t]]
-    for kind, m, pos, _ in _atom_groups(atoms, mu.dim):
-        sel = np.flatnonzero(np.isin(slot, pos))
-        g = np.array([comb.terms[t][0] for t in sel])
-        w = (g.conj().swapaxes(1, 2) @ g if kind is PointAtom
-             else g.reshape(len(g), -1, 1) * g.reshape(len(g), 1, -1).conj())
-        acc = np.zeros((len(pos), m, m), dtype=np.complex128)
-        np.add.at(acc, np.searchsorted(pos, slot[sel]), w)
-        _reweight(atoms, kind, pos, herm_part(acc))
-    return replace(mu, atoms=atoms)
+    m = mu.atoms.block_size(mu.dim)
+    r = np.array([gamma for gamma, _ in comb.terms]).reshape(len(labels), 1, m)
+    acc = np.zeros((len(kept), m, m), dtype=np.complex128)
+    np.add.at(acc, np.searchsorted(kept, labels), r.conj().swapaxes(1, 2) @ r)
+    return replace(mu, atoms=mu.atoms[kept].with_weights(herm_part(acc)))

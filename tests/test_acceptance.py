@@ -273,8 +273,7 @@ def test_criterion_07_atomic_naimark(bank, capsys):
         ranks[0] = d  # total mass must be invertible to normalize
         weights = [random_psd(rng, d, r) for r in ranks]
         corr = dk.inv_sqrt_psd(sum(weights))
-        atoms = [dk.PointAtom(point=complex(z), weight=corr @ w @ corr)
-                 for z, w in zip(zs, weights)]
+        atoms = dk.Atoms.from_points(zs, [corr @ w @ corr for w in weights])
         mu = dk.AtomicMeasure(dim=d, atoms=atoms)
         indices = [(k,) for k in range(-2, 3)]
         dil = dk.assemble_atomic_dilation(mu, indices=indices)
@@ -283,8 +282,8 @@ def test_criterion_07_atomic_naimark(bank, capsys):
         iso = float(np.linalg.norm(dil.v.conj().T @ dil.v - eye))
         if iso > 1e-12:
             bad.append(f"#{i}: isometry defect {iso:.2e}")
-        ranks_sum = sum(int(np.linalg.matrix_rank(a.weight, tol=1e-10))
-                        for a in mu.atoms)
+        ranks_sum = sum(int(np.linalg.matrix_rank(w, tol=1e-10))
+                        for w in mu.atoms.weights)
         if dil.space_dim != ranks_sum:
             bad.append(f"#{i}: K={dil.space_dim} != sum ranks={ranks_sum}")
         for idx in indices:

@@ -82,7 +82,7 @@ def test_quadrature_measure_mass_and_placement():
     assert 0.0 <= mu.defect <= 1e-3
     _, zetas, _ = curve.sample(128)
     sampled = {complex(z) for z in zetas}
-    assert all(complex(a.point[0]) in sampled for a in mu.atoms)
+    assert all(complex(z) in sampled for z in mu.atoms.images[:, 0, 0, 0])
     with pytest.raises(NotContainedError):
         dk.quadrature_measure(10.0 * t, curve, 64)
 

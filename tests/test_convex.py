@@ -456,7 +456,7 @@ def test_irreducible_split_direct_sum():
 def test_irreducible_split_certifies_generating_coords():
     """Coordinates generating all of M_n have trivial commutant."""
     atom = dk.clock_shift_irrep(1, 3)
-    x = dk.MatrixPoint(atom.generators, selfadjoint=False)
+    x = dk.MatrixPoint(list(atom.images[0]), selfadjoint=False)
     assert algebra_dimension(x.coords) == 9
     assert dk.irreducible_split(x) is None
 

@@ -77,24 +77,95 @@ def test_table_roundtrip():
 
 def test_measure_roundtrip_both_kinds():
     rng = np.random.default_rng(137)
-    point_mu = dk.AtomicMeasure(dim=2, atoms=[
-        dk.PointAtom(point=[1j], weight=random_psd(rng, 2)),
-        dk.PointAtom(point=[-1.0], weight=random_psd(rng, 2)),
-    ], defect=1e-4, fit_residual=1e-9)
-    irrep = dk.clock_shift_irrep(1, 2)
-    irrep.weight = random_psd(rng, 4)
-    irrep_mu = dk.AtomicMeasure(dim=2, atoms=[irrep], index_rule="ordered")
+    point_mu = dk.AtomicMeasure(dim=2, atoms=dk.Atoms.from_points(
+        [[1j], [-1.0]], [random_psd(rng, 2), random_psd(rng, 2)]),
+        defect=1e-4, fit_residual=1e-9)
+    irrep = dk.clock_shift_irrep(1, 2).with_weights([random_psd(rng, 4)])
+    irrep_mu = dk.AtomicMeasure(dim=2, atoms=irrep, index_rule="ordered")
     for mu in (point_mu, irrep_mu):
         back = decode_measure(json.loads(dump_json(encode_measure(mu))))
         assert back.dim == mu.dim and back.index_rule == mu.index_rule
-        assert back.kind() == mu.kind()
+        assert np.array_equal(back.atoms.images, mu.atoms.images)
         assert len(back.atoms) == len(mu.atoms)
-        for a, b in zip(mu.atoms, back.atoms):
-            assert np.array_equal(a.weight, b.weight)
-        if mu.kind() == "irrep":
-            assert back.atoms[0].scale_pairs == mu.atoms[0].scale_pairs
+        for a, b in zip(mu.atoms.weights, back.atoms.weights):
+            assert np.array_equal(a, b)
+        assert back.atoms.scale_pairs == mu.atoms.scale_pairs
         assert back.defect == mu.defect
         assert back.fit_residual == mu.fit_residual
+
+
+def _wire_measures():
+    """A point measure and a clock-shift measure with exact weights; the
+    clock-shift weights are not symmetric, so their orientation shows."""
+    w1 = np.array([[0.5, 0.25j], [-0.25j, 0.375]])
+    w2 = np.array([[0.5, -0.25j], [0.25j, 0.625]])
+    point_mu = dk.AtomicMeasure(dim=2, atoms=dk.Atoms.from_points([[1j], [-1.0]], [w1, w2]),
+                                defect=1e-4, fit_residual=1e-9)
+    g = np.eye(4, dtype=complex) / 4.0
+    g[0, 3], g[3, 0] = 0.125j, -0.125j
+    g[1, 2], g[2, 1] = 0.0625 + 0.125j, 0.0625 - 0.125j
+    first, second = dk.clock_shift_irrep(1, 2), dk.clock_shift_irrep(1, 2, (0.5 * np.pi, 0.0))
+    # the format holds the Choi block on C^b (x) C^d: the transpose of G
+    atoms = dk.Atoms(np.concatenate([first.images, second.images]),
+                     [(s * g).T for s in (1.0, 0.5)], first.scale_pairs)
+    return point_mu, dk.AtomicMeasure(dim=2, atoms=atoms, index_rule="ordered")
+
+
+def test_measure_wire_format_is_pinned():
+    """encode_measure writes the bytes it wrote when points and irreps were
+    two atom classes: per-atom kinds, points, generators, relations and
+    the Choi orientation of irrep weights."""
+    import hashlib
+
+    digests = ["6b5351dd620de4b703592c527c82adea0ad743d1a8704533e56bf6240bbed161",
+               "844d9a6c7e6d22356a0eca15f45294db66623183f5a5d25e26840ea314735558"]
+    for mu, digest in zip(_wire_measures(), digests):
+        text = dump_json(encode_measure(mu))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        back = decode_measure(json.loads(text))
+        assert np.array_equal(back.atoms.images, mu.atoms.images)
+        assert np.array_equal(back.atoms.weights, mu.atoms.weights)
+        assert back.atoms.scale_pairs == mu.atoms.scale_pairs
+
+
+def test_decode_measure_refuses_atoms_that_do_not_stack():
+    """A measure is read as one stack of atoms: atoms of two kinds, image
+    sizes, generator counts or relations, or a weight of the wrong size,
+    are refused as malformed when read."""
+    point_mu, clock_mu = _wire_measures()
+    points, clocks = encode_measure(point_mu), encode_measure(clock_mu)
+
+    def refused(obj, match):
+        with pytest.raises(MalformedInputError, match=match):
+            decode_measure(obj)
+
+    mixed = json.loads(dump_json(points))
+    mixed["atoms"][1] = clocks["atoms"][1]
+    refused(mixed, "more than one kind")
+    wide = json.loads(dump_json(points))
+    wide["atoms"][1]["point"].append([0.5, 0.0])
+    refused(wide, "different generator counts")
+    three = json.loads(dump_json(clocks))
+    three["atoms"][1]["generators"].append(encode_matrix(np.eye(2)))
+    three["atoms"][1]["scale_pairs"] = three["atoms"][0]["scale_pairs"]
+    refused(json.loads(dump_json(three)), "different generator counts")
+    big = json.loads(dump_json(encode_measure(dk.AtomicMeasure(
+        dim=2, atoms=dk.clock_shift_irrep(1, 3).with_weights([np.eye(6) / 3.0]),
+        index_rule="ordered"))))
+    sizes = json.loads(dump_json(clocks))
+    sizes["atoms"][1] = big["atoms"][0]
+    refused(sizes, "more than one size")
+    square = json.loads(dump_json(clocks))
+    square["atoms"][1]["generators"][1] = encode_matrix(np.ones((2, 3)))
+    refused(json.loads(dump_json(square)), "more than one size")
+    relation = json.loads(dump_json(clocks))
+    relation["atoms"][1]["scale_pairs"] = []
+    refused(relation, "different relations")
+    for obj, size in ((points, 3), (clocks, 2)):
+        bad = json.loads(dump_json(obj))
+        bad["atoms"][1]["weight"] = json.loads(dump_json(encode_matrix(np.eye(size))))
+        refused(bad, f"atom 1 weight is {size}x{size}, not")
+    refused({"dim": 2, "atoms": []}, "no atoms")
 
 
 def test_dilation_roundtrip():
@@ -172,9 +243,8 @@ def test_decode_errors_are_malformed():
     with pytest.raises(MalformedInputError, match="index_rule"):
         decode_table({"dim": 1, "nu": 1, "index_rule": "sideways",
                       "entries": []})
-    irrep = dk.clock_shift_irrep(1, 2)
-    irrep.weight = np.eye(4) / 2.0
-    obj = encode_measure(dk.AtomicMeasure(dim=2, atoms=[irrep],
+    irrep = dk.clock_shift_irrep(1, 2).with_weights([np.eye(4) / 2.0])
+    obj = encode_measure(dk.AtomicMeasure(dim=2, atoms=irrep,
                                           index_rule="ordered"))
     for pair in ([0, 2, [1.0, 0.0]], [-1, 0, [1.0, 0.0]], ["0", 1, [1.0, 0.0]],
                  [0, 1]):

@@ -21,8 +21,7 @@ def normalized_point_measure(rng, d, points, ranks=None):
         weights.append(random_psd(rng, d, r))
     s = np.sum(weights, axis=0)
     c = dk.inv_sqrt_psd(s)
-    atoms = [dk.PointAtom(point=z, weight=c @ w @ c)
-             for z, w in zip(points, weights)]
+    atoms = dk.Atoms.from_points(points, [c @ w @ c for w in weights])
     return dk.AtomicMeasure(dim=d, atoms=atoms)
 
 
@@ -44,10 +43,7 @@ def test_laurent_scalar_frozen():
 def test_atomic_measure_moment_and_unit():
     w1 = np.array([[0.6]])
     w2 = np.array([[0.4]])
-    mu = dk.AtomicMeasure(dim=1, atoms=[
-        dk.PointAtom(point=[1.0], weight=w1),
-        dk.PointAtom(point=[-1.0], weight=w2),
-    ])
+    mu = dk.AtomicMeasure(dim=1, atoms=dk.Atoms.from_points([1.0, -1.0], [w1, w2]))
     assert np.allclose(mu.unit_matrix(), np.eye(1))
     assert mu.moment((1,))[0, 0] == pytest.approx(0.2)
     assert mu.moment((2,))[0, 0] == pytest.approx(1.0)
@@ -60,22 +56,19 @@ def test_normalized_congruence_repair():
     s = np.sum(weights, axis=0)
     c = dk.inv_sqrt_psd(s)
     drift = np.eye(2) + 0.01 * np.diag([1.0, -1.0])
-    mu = dk.AtomicMeasure(dim=2, atoms=[
-        dk.PointAtom(point=[np.exp(2j * np.pi * j / 5)],
-                     weight=drift @ c @ w @ c @ drift)
-        for j, w in enumerate(weights)
-    ])
+    mu = dk.AtomicMeasure(dim=2, atoms=dk.Atoms.from_points(
+        [np.exp(2j * np.pi * j / 5) for j in range(5)],
+        [drift @ c @ w @ c @ drift for w in weights]))
     assert np.linalg.norm(mu.unit_matrix() - np.eye(2)) > 1e-3
     fixed = mu.normalized()
     assert np.linalg.norm(fixed.unit_matrix() - np.eye(2)) <= 1e-12
     # weights stay PSD under the congruence
-    for a in fixed.atoms:
-        assert np.linalg.eigvalsh(a.weight)[0] >= -1e-12
+    for w in fixed.atoms.weights:
+        assert np.linalg.eigvalsh(w)[0] >= -1e-12
 
 
 def test_normalized_rejects_far_from_unit():
-    mu = dk.AtomicMeasure(dim=1, atoms=[
-        dk.PointAtom(point=[1.0], weight=np.array([[5.0]]))])
+    mu = dk.AtomicMeasure(dim=1, atoms=dk.Atoms.from_points([1.0], [[[5.0]]]))
     with pytest.raises(NotNormalizedError):
         mu.normalized()
 
@@ -83,7 +76,7 @@ def test_normalized_rejects_far_from_unit():
 def test_clock_shift_frozen():
     atom = dk.clock_shift_irrep(1, 3)
     q = np.exp(2j * np.pi / 3)
-    u1, u2 = atom.generators
+    u1, u2 = atom.images[0]
     assert np.allclose(u1, np.diag([1.0, q, q * q]))
     assert np.allclose(u2, np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]],
                                     dtype=complex))
@@ -96,14 +89,43 @@ def test_clock_shift_frozen():
 def test_grids():
     g = dk.circle_grid(8)
     assert len(g) == 8
-    assert all(abs(abs(a.point[0]) - 1.0) <= 1e-15 for a in g)
+    assert all(abs(abs(z) - 1.0) <= 1e-15 for z in g.images[:, 0, 0, 0])
     assert len(dk.torus_grid(5, 2)) == 25
     ag = dk.annulus_grid(6, 0.5)
-    radii = sorted({round(abs(a.point[0]), 12) for a in ag})
+    radii = sorted({round(abs(z), 12) for z in ag.images[:, 0, 0, 0]})
     assert radii == [0.5, 1.0] and len(ag) == 12
     with pytest.raises(ShapeMismatchError):
         dk.annulus_grid(6, 1.5)
     assert len(dk.clock_phase_grid(1, 2, 3)) == 9
+    # iteration gives each atom as a stack of one, with its block size
+    assert [a.block_size(2) for a in dk.clock_phase_grid(1, 2, 2)] == [4] * 4
+    assert [len(a) for a in ag] == [1] * 12
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: dk.circle_grid(n),
+    lambda n: dk.torus_grid(n, 2),
+    lambda n: dk.annulus_grid(n, 0.5),
+    lambda n: dk.clock_phase_grid(1, 2, n),
+    lambda n: dk.dilate_regular([np.zeros((1, 1))], order=1, nodes=n),
+    lambda n: dk.dilate_annulus(0.7 * np.eye(1), 0.5, order=1, nodes=n),
+    lambda n: dk.dilate_qcommute(np.eye(1), np.eye(1), 0, 1, nodes=n),
+], ids=["circle", "torus", "annulus", "clock", "regular", "annulus-pipeline",
+        "qcommute"])
+@pytest.mark.parametrize("nodes", [0, -1])
+def test_grids_refuse_fewer_than_one_node(build, nodes):
+    """Grid constructors, and the fitted pipelines through them, name a node
+    count below one instead of dividing by it or returning no atoms."""
+    with pytest.raises(ShapeMismatchError, match=f"need at least one grid node, got {nodes}"):
+        build(nodes)
+
+
+def test_mixed_block_sizes_are_refused():
+    """One stack holds one block size: images of b = 2 beside b = 1 are refused."""
+    images = list(dk.clock_phase_grid(1, 2, 2).images) + list(
+        dk.clock_phase_grid(0, 1, 2).images)
+    with pytest.raises(dk.DimensionMismatchError, match="generator images must share one size"):
+        dk.Atoms(images)
 
 
 def test_fit_matrix_measure_scalar_poisson():
@@ -114,8 +136,8 @@ def test_fit_matrix_measure_scalar_poisson():
     mu = dk.fit_matrix_measure(table, dk.circle_grid(24))
     assert mu.fit_residual <= dk.DEFAULT_TOL.fit_tol
     assert np.linalg.norm(mu.unit_matrix() - np.eye(1)) <= 1e-8
-    for a in mu.atoms:
-        assert np.linalg.eigvalsh(a.weight)[0] >= -dk.DEFAULT_TOL.psd_tol
+    for w in mu.atoms.weights:
+        assert np.linalg.eigvalsh(w)[0] >= -dk.DEFAULT_TOL.psd_tol
     for k in range(4):
         assert abs(mu.moment((k,))[0, 0] - r ** k) <= 1e-6
 
@@ -130,21 +152,6 @@ def test_fit_matrix_measure_matrix_targets():
     assert mu.fit_residual <= dk.DEFAULT_TOL.fit_tol
     for idx in table.indices():
         assert np.linalg.norm(mu.moment(idx) - table.value(idx)) <= 1e-6
-
-
-def test_fit_mixed_block_sizes():
-    # clock-shift irreps of q = -1 (blocks of 2d) beside characters (blocks
-    # of d) on one grid: the PSD projection runs once per block size.  The
-    # demo pair at half scale is interior data, so both kinds keep weight.
-    t1 = 0.5 * np.diag([1.0, -1.0])
-    t2 = np.array([[0.0, 0.5], [0.0, 0.0]])
-    table = dk.qcommuting_moments(t1, t2, 1)
-    grid = dk.clock_phase_grid(1, 2, 4) + dk.clock_phase_grid(0, 1, 4)
-    mu = dk.fit_matrix_measure(table, grid)
-    assert mu.fit_residual <= dk.DEFAULT_TOL.fit_tol
-    for a in mu.atoms:
-        assert np.linalg.eigvalsh(dk.herm_part(a.weight))[0] >= -dk.DEFAULT_TOL.psd_tol
-    assert {a.rep_dim for a in mu.atoms} == {1, 2}
 
 
 def _count_polish(monkeypatch):
@@ -212,17 +219,17 @@ def test_polish_rejects_non_psd_face_solution(monkeypatch):
 
     table = dk.qcommuting_moments(*_qcommute_pair(np.random.default_rng(127)), 1)
     grid = dk.clock_phase_grid(1, 2, 8)
-    system, groups, z = _fit_start(table, grid)
+    system, m, z = _fit_start(table, grid)
     b_mat, rhs, k = system
-    _, z = next(_admm(*system, groups, z))
+    _, z = next(_admm(*system, m, z))
     assert np.linalg.norm(b_mat[:k] @ z - rhs[:k]) > dk.DEFAULT_TOL.fit_tol
-    assert _polish(*system, groups, z) is None
+    assert _polish(*system, m, z) is None
     calls = _count_polish(monkeypatch)
     mu = dk.fit_matrix_measure(table, grid)
     assert calls[0] is False and calls[-1] is True
     assert mu.fit_residual <= 1e-3 * dk.DEFAULT_TOL.fit_tol
-    for a in mu.atoms:
-        assert np.linalg.eigvalsh(a.weight)[0] >= -1e-12
+    for w in mu.atoms.weights:
+        assert np.linalg.eigvalsh(w)[0] >= -1e-12
 
 
 def test_fixed_penalty_stops_qcommute_fit_at_400(monkeypatch):
@@ -271,9 +278,9 @@ def test_polish_stops_extremal_fit_at_first_check(monkeypatch):
     again = dk.fit_matrix_measure(table, dk.torus_grid(8, 2))
     assert calls == [True, True]
     assert len(again.atoms) == len(mu.atoms)
-    for a, b in zip(again.atoms, mu.atoms):
-        assert np.array_equal(a.point, b.point)
-        assert np.linalg.norm(a.weight - b.weight) <= 1e-12
+    assert np.array_equal(again.atoms.images, mu.atoms.images)
+    for a, b in zip(again.atoms.weights, mu.atoms.weights):
+        assert np.linalg.norm(a - b) <= 1e-12
 
 
 def test_assemble_point_dilation_exact():
@@ -285,8 +292,8 @@ def test_assemble_point_dilation_exact():
     dil = dk.assemble_atomic_dilation(mu, indices=[(k,) for k in range(-2, 3)])
     assert np.linalg.norm(dil.v.conj().T @ dil.v - np.eye(d)) <= 1e-12
     # space splits into one block of size rank(P_j) per atom
-    expected = sum(np.linalg.matrix_rank(a.weight, tol=1e-10)
-                   for a in mu.atoms)
+    expected = sum(np.linalg.matrix_rank(w, tol=1e-10)
+                   for w in mu.atoms.weights)
     assert dil.space_dim == expected
     assert dil.residuals["moment_vs_measure"] <= 1e-12
     # indices may come as any iterable, read once
@@ -299,7 +306,7 @@ def test_assemble_point_dilation_exact():
         assert np.linalg.norm(dil.compress(w) - mu.moment((k,))) <= 1e-12
     # spectrum sits exactly on the atom points
     eigs = {round(np.angle(z), 9) for z in np.linalg.eigvals(u)}
-    atom_angles = {round(np.angle(a.point[0]), 9) for a in mu.atoms}
+    atom_angles = {round(np.angle(z), 9) for z in mu.atoms.images[:, 0, 0, 0]}
     assert eigs == atom_angles
 
 
@@ -318,12 +325,11 @@ def test_assemble_irrep_dilation():
     rng = np.random.default_rng(89)
     b, d = 2, 2
     atoms = dk.clock_phase_grid(1, 2, 2)
-    # rank-one Choi weights outer(vec gamma) with sum gamma* gamma = I
+    # rank-one weights r* r, r = vec(gamma), with sum gamma* gamma = I
     gammas = [complex_gaussian(rng, (b, d)) for _ in atoms]
     c = dk.inv_sqrt_psd(np.sum([g.conj().T @ g for g in gammas], axis=0))
-    for atom, gamma in zip(atoms, gammas):
-        g = (gamma @ c).reshape(-1)
-        atom.weight = np.outer(g, g.conj())
+    rows = [(gamma @ c).reshape(-1) for gamma in gammas]
+    atoms = atoms.with_weights([np.outer(r.conj(), r) for r in rows])
     mu = dk.AtomicMeasure(dim=d, atoms=atoms, index_rule="ordered")
     assert np.linalg.norm(mu.unit_matrix() - np.eye(d)) <= 1e-12
     dil = dk.assemble_atomic_dilation(mu, indices=[(1, 0), (0, 1), (1, 1)])
@@ -336,8 +342,7 @@ def test_assemble_irrep_dilation():
 
 
 def test_assemble_requires_normalization():
-    mu = dk.AtomicMeasure(dim=1, atoms=[
-        dk.PointAtom(point=[1.0], weight=np.array([[0.9]]))])
+    mu = dk.AtomicMeasure(dim=1, atoms=dk.Atoms.from_points([1.0], [[[0.9]]]))
     with pytest.raises(NotNormalizedError):
         dk.assemble_atomic_dilation(mu)
 
@@ -375,20 +380,17 @@ def test_herm_to_cvec_columns():
 
 
 def test_pruned_drops_null_atoms():
-    mu = dk.AtomicMeasure(dim=1, atoms=[
-        dk.PointAtom(point=[1.0], weight=np.array([[1.0 - 1e-12]])),
-        dk.PointAtom(point=[-1.0], weight=np.array([[1e-12]])),
-    ])
+    mu = dk.AtomicMeasure(dim=1, atoms=dk.Atoms.from_points(
+        [1.0, -1.0], [[[1.0 - 1e-12]], [[1e-12]]]))
     assert len(mu.pruned(1e-9).atoms) == 1
-    # interleaved groups of two kinds and block sizes, and an unweighted
-    # atom: the kept atoms are the originals, in their order
-    atoms = dk.clock_phase_grid(1, 2, 2) + dk.circle_grid(3)
-    atoms = [atoms[j] for j in (0, 4, 1, 5, 2, 6, 3)]
-    for a, scale in zip(atoms, [1.0, 1e-12, 1e-10, 2e-9, 0.5, None, 1e-9]):
-        if scale is not None:
-            a.weight = scale * np.eye(a.block_size(2)) / np.sqrt(a.block_size(2))
+    # the kept atoms are the originals, in their order
+    atoms = dk.clock_phase_grid(1, 2, 3)[:7]
+    atoms = atoms.with_weights([scale * np.eye(4) / 2.0 for scale in
+                                [1.0, 1e-12, 1e-10, 2e-9, 0.5, 0.0, 1e-9]])
     kept = dk.AtomicMeasure(dim=2, atoms=atoms).pruned(1e-9).atoms
-    assert [id(a) for a in kept] == [id(atoms[j]) for j in (0, 3, 4, 6)]
+    _assert_bits(kept.images, atoms.images[[0, 3, 4, 6]])
+    _assert_bits(kept.weights, atoms.weights[[0, 3, 4, 6]])
+    assert kept.scale_pairs == atoms.scale_pairs
     with pytest.raises(dk.GridEmptyError, match="pruning removed every atom"):
         dk.AtomicMeasure(dim=2, atoms=atoms).pruned(2.0)
 
@@ -398,8 +400,9 @@ _INF_WEIGHT = np.array([[np.inf, 0.0], [0.0, 1.0]])
 _GEN = np.eye(2)
 
 
-# (kind, images, weight, error, message): images are a point for PointAtom
-# and generator images for IrrepAtom; the weight fits d = 1 for an irrep
+# (kind, images, weight, error, message): images are a point for
+# Atoms.from_points and generator images for Atoms; the weight fits d = 1
+# for b = 2
 _ATOM_CASES = [
     ("point", [0.5], _NAN_WEIGHT, ShapeMismatchError, "matrix contains NaN or Inf entries"),
     ("point", [0.5], _INF_WEIGHT, ShapeMismatchError, "matrix contains NaN or Inf entries"),
@@ -425,36 +428,39 @@ _ATOM_CASES = [
 ]
 
 
-@pytest.mark.parametrize("via", ["object", "stack"])
+@pytest.mark.parametrize("via", ["one", "stack"])
 @pytest.mark.parametrize("kind, images, weight, error, message", _ATOM_CASES)
 def test_atom_validation(kind, images, weight, error, message, via):
-    """PointAtom and IrrepAtom raise one exception type and message whether
-    built one at a time or by the private stack constructor (a stack of
-    one), and a fault in the last atom of a longer stack is found too."""
-    cls = dk.PointAtom if kind == "point" else dk.IrrepAtom
-
-    def build(n):
-        if via == "object":
-            return [cls(images, weight)]
-        return cls._stack([images] * n, None if weight is None else [weight] * n)
-
+    """Atoms raises one exception type and message for a stack of one atom
+    and for a stack of three, and a fault in the last atom of a stack is
+    found too."""
+    build = dk.Atoms.from_points if kind == "point" else dk.Atoms
+    n = 1 if via == "one" else 3
     if error is None:
-        for n in (1, 3):
-            for a in build(n):
-                assert a.weight is None or a.weight.dtype == np.complex128
+        atoms = build([images] * n, None if weight is None else [weight] * n)
+        assert len(atoms) == n
+        assert atoms.weights is None or atoms.weights.dtype == np.complex128
         return
     with pytest.raises(error) as one:
-        build(1)
+        build([images] * n, None if weight is None else [weight] * n)
     assert str(one.value) == message
     if via == "stack" and weight is not None and not np.isfinite(weight).all():
         good = np.eye(weight.shape[0])
         with pytest.raises(error, match="NaN or Inf"):
-            cls._stack([images] * 3, [good, good, weight])
+            build([images] * 3, [good, good, weight])
+
+
+def test_atoms_refuse_weights_that_do_not_stack():
+    """The weights are one stack, one per atom, of one size."""
+    with pytest.raises(ShapeMismatchError, match="atom weights must share one size"):
+        dk.circle_grid(2).with_weights([np.eye(1), np.eye(2)])
+    with pytest.raises(ShapeMismatchError, match="3 weights for 2 atoms"):
+        dk.circle_grid(2).with_weights([np.eye(1)] * 3)
 
 
 def test_stack_constructors_match_one_at_a_time():
-    """Objects built from a stack carry the bits of objects built one at a
-    time: coords, point, weight, generators and scale_pairs."""
+    """Stacks carry the bits of objects built one at a time: coords, images,
+    weights and scale_pairs."""
     from dilatekit.measures import _clock_shift
 
     rng = np.random.default_rng(211)
@@ -468,10 +474,12 @@ def test_stack_constructors_match_one_at_a_time():
             assert (p.selfadjoint, p.label) == (one.selfadjoint, one.label)
     pts = complex_gaussian(rng, (6, 2))
     weights = np.stack([random_psd(rng, 3) for _ in range(6)])
-    for a, z, w in zip(dk.PointAtom._stack(pts, weights), pts, weights):
-        one = dk.PointAtom(point=list(z), weight=w)
-        _assert_bits(a.point, one.point)
-        _assert_bits(a.weight, one.weight)
+    stacked = dk.Atoms.from_points(pts, weights)
+    for a, z, w in zip(stacked, pts, weights):
+        one = dk.Atoms.from_points([z], [w])
+        _assert_bits(a.images, one.images)
+        _assert_bits(a.weights, one.weights)
+        _assert_bits(a.images[0, :, 0, 0], z)
     # the grids, against the one-at-a-time formulas they replace
     for got, want in [
         (dk.circle_grid(7, 0.8), [[0.8 * np.exp(2j * np.pi * j / 7)] for j in range(7)]),
@@ -480,42 +488,66 @@ def test_stack_constructors_match_one_at_a_time():
     ]:
         assert len(got) == len(want)
         for a, z in zip(got, want):
-            one = dk.PointAtom(point=z)
-            _assert_bits(a.point, one.point)
-            assert a.weight is None
+            _assert_bits(a.images, dk.Atoms.from_points([z]).images)
+            assert a.weights is None
     step = 2.0 * np.pi / 3
     grid = dk.clock_phase_grid(1, 3, 3)
     ones = [dk.clock_shift_irrep(1, 3, (step * i, step * j))
             for i in range(3) for j in range(3)]
     weights = np.stack([random_psd(rng, 6) for _ in grid])
-    stacked = dk.IrrepAtom._stack([a.generators for a in grid], weights,
-                                  [a.scale_pairs for a in grid])
+    stacked = grid.with_weights(weights)
+    q = _clock_shift(1, 3)[0]
+    assert grid.scale_pairs == stacked.scale_pairs == [(0, 1, q)]
     for a, b, one, w in zip(grid, stacked, ones, weights):
-        assert len(a.generators) == len(one.generators) == 2
-        for g, h, k in zip(a.generators, b.generators, one.generators):
-            _assert_bits(g, k)
-            _assert_bits(h, k)
-        assert a.scale_pairs == b.scale_pairs == one.scale_pairs == [(0, 1, _clock_shift(1, 3)[0])]
-        _assert_bits(b.weight, one.with_weight(w).weight)
-    # each atom owns its lists: changing one leaves the others alone
+        assert a.images.shape == (1, 2, 3, 3)
+        _assert_bits(a.images, one.images)
+        _assert_bits(b.images, one.images)
+        assert a.scale_pairs == b.scale_pairs == one.scale_pairs == [(0, 1, q)]
+        _assert_bits(b.weights, one.with_weights([w]).weights)
+    # a slice owns its list of relations: changing it leaves the stack alone
     grid[0].scale_pairs.append((1, 0, 1.0))
-    grid[0].generators.pop()
-    assert all(len(a.scale_pairs) == 1 and len(a.generators) == 2 for a in grid[1:])
+    assert grid.scale_pairs == grid[1].scale_pairs == [(0, 1, q)]
 
 
 def test_irrep_contribution_matches_pure_states():
-    """Choi-weighted word contributions agree with a rank-one expansion."""
+    """Weighted word contributions agree with a rank-one expansion."""
     rng = np.random.default_rng(101)
     b, d = 3, 2
-    atom = dk.clock_shift_irrep(1, 3)
     g = complex_gaussian(rng, (b * d,))
-    atom.weight = np.outer(g, g.conj())
+    atom = dk.clock_shift_irrep(1, 3).with_weights([np.outer(g.conj(), g)])
     gamma = g.reshape(b, d)
-    w = dk.word_image((1, 1), atom.generators, rule="ordered")
+    w = dk.word_image((1, 1), list(atom.images[0]), rule="ordered")
     want = gamma.conj().T @ w @ gamma
-    mu = dk.AtomicMeasure(dim=d, atoms=[atom], index_rule="ordered")
+    mu = dk.AtomicMeasure(dim=d, atoms=atom, index_rule="ordered")
     got = mu.moment((1, 1))
     assert np.linalg.norm(got - want) <= 1e-12
+
+
+def test_one_weight_convention():
+    """A weight G = r* r of a b = 2 clock-shift atom has the piece
+    gamma = r.reshape(2, d): the moment at n is gamma* w_n(U) gamma, and the
+    assembled dilation compresses to it.  At b = 1 the moment is w G."""
+    rng = np.random.default_rng(223)
+    d = 2
+    gamma = random_unitary(rng, d)  # gamma* gamma = I: one atom of unit mass
+    r = gamma.reshape(-1)
+    atoms = dk.clock_shift_irrep(1, 2, (0.3, 1.1)).with_weights([np.outer(r.conj(), r)])
+    mu = dk.AtomicMeasure(dim=d, atoms=atoms, index_rule="ordered")
+    indices = [(1, 0), (0, 1), (1, 1), (2, 1), (-1, 0), (-1, -1)]
+    dil = dk.assemble_atomic_dilation(mu, indices=indices)
+    assert dil.space_dim == 2
+    for idx in indices:
+        w = dk.word_image(idx, list(atoms.images[0]), rule="ordered")
+        want = gamma.conj().T @ w @ gamma
+        assert np.linalg.norm(mu.moment(idx) - want) <= 1e-14
+        word = dk.word_image(idx, dil.generators, rule="ordered")
+        assert np.linalg.norm(dil.compress(word) - want) <= 1e-14
+    # b = 1: the moment is the point's monomial times its weight, bit for bit
+    w = random_psd(rng, d)
+    z = np.exp(0.7j)
+    point = dk.AtomicMeasure(dim=d, atoms=dk.Atoms.from_points([z], [w]))
+    for k in (-2, 1, 3):
+        _assert_bits(point.moment((k,)), 0.0 + dk.laurent_scalar((k,), [z]) * w)
 
 
 def _laurent_reference(idx, z):
@@ -539,27 +571,28 @@ def test_words_match_scalar_loops():
     point_grids = [
         (dk.annulus_grid(12, 0.5), idx1),
         (dk.torus_grid(6, 2), idx2),
-        ([dk.PointAtom(point=complex_gaussian(rng, 2)) for _ in range(20)], idx2),
-        ([dk.PointAtom(point=complex_gaussian(rng, 3)) for _ in range(20)], idx3),
+        (dk.Atoms.from_points([complex_gaussian(rng, 2) for _ in range(20)]), idx2),
+        (dk.Atoms.from_points([complex_gaussian(rng, 3) for _ in range(20)]), idx3),
     ]
     for grid, indices in point_grids:
         words = _words(grid, indices, "laurent")
-        want = np.array([[[[_laurent_reference(idx, a.point)]] for idx in indices]
-                         for a in grid])
+        points = grid.images[:, :, 0, 0]
+        want = np.array([[[[_laurent_reference(idx, z)]] for idx in indices]
+                         for z in points])
         assert words.shape == (len(grid), len(indices), 1, 1)
         assert np.array_equal(words.view(np.uint64), want.view(np.uint64))
-        single = np.array([dk.laurent_scalar(indices[-1], a.point) for a in grid])
+        single = np.array([dk.laurent_scalar(indices[-1], z) for z in points])
         assert np.array_equal(single.view(np.uint64),
                               want[:, -1, 0, 0].copy().view(np.uint64))
     ordered = [(i, j) for i in range(3) for j in range(3)] + [(-1, 0), (-1, -2)]
     for grid, indices, rule in [(dk.clock_phase_grid(1, 3, 3), ordered, "ordered"),
                                 (dk.clock_phase_grid(1, 2, 2), idx2, "laurent")]:
         words = _words(grid, indices, rule)
-        want = np.array([[dk.word_image(idx, a.generators, rule=rule)
-                          for idx in indices] for a in grid])
+        want = np.array([[dk.word_image(idx, list(images), rule=rule)
+                          for idx in indices] for images in grid.images])
         assert np.array_equal(words.view(np.uint64), want.view(np.uint64))
     with pytest.raises(ShapeMismatchError):
-        _words([dk.PointAtom(point=[0.0])], [(-1,)], "laurent")
+        _words(dk.Atoms.from_points([0.0]), [(-1,)], "laurent")
 
 
 def _split_system(system):
@@ -577,10 +610,10 @@ def _random_measure(name):
     elif name == "annulus":
         t = np.diag([0.7, 0.8]) + 0.05 * complex_gaussian(rng, (2, 2))
         table, grid = dk.laurent_moments(t, 3), dk.annulus_grid(8, 0.5)
-    elif name == "clock_mixed":
+    elif name == "clock":
         table = dk.qcommuting_moments(0.5 * np.diag([1.0, -1.0]),
                                       np.array([[0.0, 0.5], [0.0, 0.0]]), 2)
-        grid = dk.clock_phase_grid(1, 2, 3) + dk.clock_phase_grid(0, 1, 3)
+        grid = dk.clock_phase_grid(1, 2, 3)
     else:
         # a symmetric table on points inside the circle, where z^-n != conj(z^n)
         t = random_contraction(rng, 2, 0.5)
@@ -588,11 +621,11 @@ def _random_measure(name):
     d = table.dim
     weights = [random_psd(rng, a.block_size(d)) / len(grid) for a in grid]
     mu = dk.AtomicMeasure(dim=d, index_rule=table.index_rule,
-                          atoms=[a.with_weight(w) for a, w in zip(grid, weights)])
+                          atoms=grid.with_weights(weights))
     return table, grid, weights, mu
 
 
-@pytest.mark.parametrize("name", ["torus", "annulus", "clock_mixed", "off_circle"])
+@pytest.mark.parametrize("name", ["torus", "annulus", "clock", "off_circle"])
 def test_fit_system_matches_measure(name):
     """A z and C z of _fit_system are the moments and the mass of the measure
     whose weights z stacks, as AtomicMeasure's own loops compute them.  A
@@ -600,8 +633,7 @@ def test_fit_system_matches_measure(name):
     of its canonical indices, scaled by sqrt 2; the annulus table and points
     off the circle keep every nonzero index.  Either way |A z - t| is the
     residual over all nonzero indices."""
-    from dilatekit.measures import (_atom_groups, _canonical_indices, _fit_system,
-                                    _herm_to_cvec, _words)
+    from dilatekit.measures import _canonical_indices, _fit_system, _herm_to_cvec, _words
 
     table, grid, weights, mu = _random_measure(name)
     d = table.dim
@@ -610,7 +642,7 @@ def test_fit_system_matches_measure(name):
     nonzero = [idx for idx in table.indices() if any(idx)]
     assert any(i < 0 for idx in nonzero for i in idx)
     assert table.symmetric == (name != "annulus")
-    if name in ("torus", "clock_mixed"):
+    if name in ("torus", "clock"):
         indices, scale = _canonical_indices(table), np.sqrt(2.0)
         assert 2 * len(indices) == len(nonzero)
     else:
@@ -626,19 +658,23 @@ def test_fit_system_matches_measure(name):
     assert abs(np.linalg.norm(a_mat @ z - t_vec) - resid) <= 1e-13
     assert np.linalg.norm(c_mat @ z - dk.hvec(mu.unit_matrix())) <= 1e-13
     assert np.array_equal(c_vec, dk.hvec(np.eye(d, dtype=complex)))
-    # bit for bit the einsum of every basis weight with every word
-    for kind, m, pos, cols in _atom_groups(grid, d):
-        basis = _herm_to_cvec(m).T.reshape(m * m, m // d, d, m // d, d)
-        words = _words([grid[j] for j in pos], indices, table.index_rule)
-        g = "tpsq" if kind is dk.PointAtom else "tqsp"
-        block = np.einsum(f"aist,k{g}->ipqak", words, basis)
-        unit = dk.hvec(np.einsum(f"k{g.replace('t', 's')}->kpq", basis)).T
-        want = np.stack([block.real, block.imag], axis=1).reshape(t_vec.size, cols.size)
-        _assert_bits(a_mat[:, cols], scale * want)
-        _assert_bits(c_mat[:, cols], np.tile(unit, len(pos)))
+    # the einsum of every basis weight, read as blocks G_st, with every
+    # word: bit for bit at b = 1
+    m = grid.block_size(d)
+    basis = _herm_to_cvec(m).T.reshape(m * m, m // d, d, m // d, d)
+    words = _words(grid, indices, table.index_rule)
+    block = np.einsum("aist,ksptq->ipqak", words, basis)
+    unit = dk.hvec(np.einsum("kspsq->kpq", basis)).T
+    want = scale * np.stack([block.real, block.imag], axis=1).reshape(t_vec.size, -1)
+    if m == d:
+        _assert_bits(a_mat, want)
+        _assert_bits(c_mat, np.tile(unit, len(grid)))
+    else:
+        assert np.abs(a_mat - want).max() <= 1e-15 * np.abs(want).max()
+        assert np.abs(c_mat - np.tile(unit, len(grid))).max() <= 1e-15
 
 
-@pytest.mark.parametrize("name", ["torus", "annulus", "clock_mixed"])
+@pytest.mark.parametrize("name", ["torus", "annulus", "clock"])
 def test_combination_point_is_one_array_per_atom(name):
     """Each atom's point is one (2c, b, b) complex array for its c canonical
     indices, the very array every rank-one piece of the atom shares."""
@@ -663,13 +699,14 @@ def test_irrep_measure_combination_roundtrip():
     rng = np.random.default_rng(109)
     b, d = 2, 2
     atoms = dk.clock_phase_grid(1, 2, 3)
-    # two rank-one Choi pieces per atom with sum gamma* gamma = I
+    # two rank-one pieces r* r per atom, r = vec(gamma), with sum gamma* gamma = I
     gammas = [complex_gaussian(rng, (2, b, d)) for _ in atoms]
     c = dk.inv_sqrt_psd(sum(g.conj().T @ g for pair in gammas for g in pair))
-    for atom, pair in zip(atoms, gammas):
-        vecs = [(g @ c).reshape(-1) for g in pair]
-        atom.weight = sum(np.outer(v, v.conj()) for v in vecs)
-    mu = dk.AtomicMeasure(dim=d, atoms=atoms, index_rule="ordered")
+    weights = []
+    for pair in gammas:
+        rows = [(g @ c).reshape(-1) for g in pair]
+        weights.append(sum(np.outer(r.conj(), r) for r in rows))
+    mu = dk.AtomicMeasure(dim=d, atoms=atoms.with_weights(weights), index_rule="ordered")
     assert np.linalg.norm(mu.unit_matrix() - np.eye(d)) <= 1e-12
     values = {idx: mu.moment(idx) for idx in [(1, 0), (0, 1), (1, 1), (2, 1)]}
     table = dk.MomentTable(dim=d, nu=2, values=values, index_rule="ordered")
@@ -679,10 +716,10 @@ def test_irrep_measure_combination_roundtrip():
     canonical = [idx for idx in table.indices()
                  if any(idx) and next(i for i in idx if i != 0) > 0]
     for _, point in comb.terms:
-        atom = mu.atoms[point.label]
+        images = list(mu.atoms.images[point.label])
         assert len(point.coords) == 2 * len(canonical)
         for k, idx in enumerate(canonical):
-            w = dk.word_image(idx, atom.generators, rule="ordered")
+            w = dk.word_image(idx, images, rule="ordered")
             assert np.array_equal(point.coords[2 * k], dk.herm_part(w))
             assert np.array_equal(point.coords[2 * k + 1], dk.herm_part(-1j * w))
     back = dk.combination_to_measure(comb, mu)
@@ -725,18 +762,15 @@ def _dense_kkt_fit(targets, grid, seed=0):
     """
     from dilatekit.measures import _CHECK_EVERY, _MAX_ITER, _herm_to_cvec
 
-    system, groups, z = _fit_start(targets, grid, seed)
+    system, m, z = _fit_start(targets, grid, seed)
     a_mat, t_vec, c_mat, c_vec = _split_system(system)
     x_step = _dense_x_step(system)
+    phi = _herm_to_cvec(m)
 
     def project_blocks(v):
-        out = np.empty_like(v)
-        for _, m, _, cols in groups:
-            phi = _herm_to_cvec(m)
-            mats = (v[cols].reshape(-1, m * m) @ phi.T).reshape(-1, m, m)
-            blocks = _ref_fit_projection(mats)
-            out[cols] = (blocks.reshape(-1, m * m) @ phi.conj()).real.reshape(-1)
-        return out
+        mats = (v.reshape(-1, m * m) @ phi.T).reshape(-1, m, m)
+        blocks = _ref_fit_projection(mats)
+        return (blocks.reshape(-1, m * m) @ phi.conj()).real.reshape(-1)
 
     u = np.zeros_like(z)
     for it in range(1, _MAX_ITER + 1):
@@ -754,10 +788,10 @@ def _dense_kkt_fit(targets, grid, seed=0):
 def _kkt_case(name):
     """A table and a grid for the checks against the dense KKT reference."""
     rng = np.random.default_rng(113)
-    if name == "clock_mixed":
+    if name == "clock":
         table = dk.qcommuting_moments(0.5 * np.diag([1.0, -1.0]),
                                       np.array([[0.0, 0.5], [0.0, 0.0]]), 1)
-        return table, dk.clock_phase_grid(1, 2, 4) + dk.clock_phase_grid(0, 1, 4)
+        return table, dk.clock_phase_grid(1, 2, 4)
     if name == "torus_8":
         t = random_contraction(rng, 2, 0.5)
         return dk.regular_moments([t, t @ t], 2), dk.torus_grid(8, 2)
@@ -775,7 +809,7 @@ def _kkt_case(name):
             dk.torus_grid(3, 2))
 
 
-@pytest.mark.parametrize("name", ["torus_8", "torus_3", "clock_mixed", "annulus"])
+@pytest.mark.parametrize("name", ["torus_8", "torus_3", "clock", "annulus"])
 def test_x_step_matches_dense_kkt_solve(name):
     """One x-step of _admm, x = v + B^T mu from the Cholesky-inverted
     B B^T + rho diag(I, 0), is the x of the dense KKT solve to 1e-12
@@ -805,22 +839,21 @@ def test_admm_setup_takes_no_svd(monkeypatch):
     monkeypatch.setattr(measures, "_svd", no_svd)
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     monkeypatch.setattr(measures.scipy.linalg, "svd", no_svd)
-    for system, groups, z in starts:
-        it, _ = next(measures._admm(*system, groups, z))
+    for system, m, z in starts:
+        it, _ = next(measures._admm(*system, m, z))
         assert it == measures._CHECK_EVERY
 
 
 def _fit_start(targets, grid, seed=0):
-    """fit_matrix_measure's linear system, atom groups and seeded start."""
-    from dilatekit.measures import _atom_groups, _fit_system
+    """fit_matrix_measure's linear system, block size and seeded start."""
+    from dilatekit.measures import _fit_system
 
-    d = targets.dim
     system = _fit_system(targets, grid)
     _, _, c_mat, c_vec = _split_system(system)
-    sizes = np.array([a.block_size(d) for a in grid])
+    m = grid.block_size(targets.dim)
     weights = (0.5 + 0.5 * np.random.default_rng(seed).random(len(grid))) / len(grid)
-    z = np.repeat(weights, sizes ** 2) * (c_mat.T @ c_vec)
-    return system, list(_atom_groups(grid, d)), z
+    z = np.repeat(weights, m * m) * (c_mat.T @ c_vec)
+    return system, m, z
 
 
 def _plain_fit(targets, grid, seed=0):
@@ -828,16 +861,16 @@ def _plain_fit(targets, grid, seed=0):
     rule alone, without the face polish; the stacked weights before pruning."""
     from dilatekit.measures import _admm
 
-    system, groups, z = _fit_start(targets, grid, seed)
+    system, m, z = _fit_start(targets, grid, seed)
     a_mat, t_vec, c_mat, c_vec = _split_system(system)
-    for _, z in _admm(*system, groups, z):
+    for _, z in _admm(*system, m, z):
         if (np.linalg.norm(a_mat @ z - t_vec) <= 0.9 * dk.DEFAULT_TOL.fit_tol
                 and np.linalg.norm(c_mat @ z - c_vec) <= 1e-9):
             break
     return z
 
 
-@pytest.mark.parametrize("name", ["torus", "clock_mixed", "annulus"])
+@pytest.mark.parametrize("name", ["torus", "annulus"])
 def test_fit_matches_dense_kkt_reference(name):
     """The closed-form x-step reproduces the dense KKT ADMM: the same atoms
     survive pruning, with weights equal to roundoff.  The polished fit
@@ -850,13 +883,11 @@ def test_fit_matches_dense_kkt_reference(name):
         # one word, so even the canonical rows of [A; C] are dependent
         w = _fit_system(table, grid)[0]
         assert np.linalg.matrix_rank(w) < w.shape[0]
-    d = table.dim
-    sizes = [a.block_size(d) for a in grid]
+    m = grid.block_size(table.dim)
 
     def survivors(z):
-        blocks = np.split(z, np.cumsum(np.square(sizes))[:-1])
-        return [(j, dk.hunvec(v, m)) for j, (v, m) in enumerate(zip(blocks, sizes))
-                if np.linalg.norm(dk.hunvec(v, m)) >= _PRUNE_TOL]
+        return [(j, w) for j, w in enumerate(dk.hunvec(z.reshape(-1, m * m), m))
+                if np.linalg.norm(w) >= _PRUNE_TOL]
 
     want = survivors(_dense_kkt_fit(table, grid))
     got = survivors(_plain_fit(table, grid))
@@ -865,12 +896,7 @@ def test_fit_matches_dense_kkt_reference(name):
         assert np.linalg.norm(weight - ref) <= 1e-10
     mu = dk.fit_matrix_measure(table, grid)
     assert len(mu.atoms) == len(want)
-    for a, (j, _) in zip(mu.atoms, want):
-        if isinstance(a, dk.PointAtom):
-            assert np.array_equal(a.point, grid[j].point)
-        else:
-            assert all(np.array_equal(g, h)
-                       for g, h in zip(a.generators, grid[j].generators))
+    assert np.array_equal(mu.atoms.images, grid.images[[j for j, _ in want]])
     for idx in table.indices():
         assert np.linalg.norm(mu.moment(idx) - table.value(idx)) <= dk.DEFAULT_TOL.fit_tol
 
@@ -913,93 +939,69 @@ def _ref_rank_factor(m, tol=dk.DEFAULT_TOL):
     return w
 
 
-def _ref_choi_pieces(a, d, tol=dk.DEFAULT_TOL):
-    """Rank-one pieces of one irrep atom's Choi weight, top down."""
-    lam, q = np.linalg.eigh(dk.herm_part(a.weight))
-    lmax = max(float(lam[-1]), 0.0)
-    pieces = []
-    for k in range(lam.size - 1, -1, -1):
-        if lam[k] <= tol.rank_tol * lmax or lam[k] <= 0:
-            break
-        pieces.append(np.sqrt(lam[k]) * q[:, k].reshape(a.rep_dim, d))
-    return pieces
+def _ref_pieces(weight, d):
+    """Rank-one pieces gamma (b, d) of one weight: its rank factor's rows."""
+    f = _ref_rank_factor(dk.herm_part(weight))
+    return [row.reshape(-1, d) for row in f]
 
 
-def _ref_pieces(a, d):
-    if isinstance(a, dk.PointAtom):
-        f = _ref_rank_factor(dk.herm_part(a.weight))
-        return [f[k:k + 1] for k in range(f.shape[0])]
-    return _ref_choi_pieces(a, d)
+def _ref_word(images, idx, rule):
+    """One atom's word: a Laurent monomial at b = 1, else word_image."""
+    if images.shape[-1] == 1:
+        return np.array([[dk.laurent_scalar(idx, images[:, 0, 0])]])
+    return dk.word_image(idx, list(images), rule=rule)
 
 
-def _ref_g4(a, d):
-    b = a.block_size(d) // d
-    return a.weight.reshape(b, d, b, d)
+def _ref_blocks(weight, d):
+    b = weight.shape[0] // d
+    return b, weight.reshape(b, d, b, d)
 
 
 def _ref_unit_matrix(mu):
     s = np.zeros((mu.dim, mu.dim), dtype=np.complex128)
-    for a in mu.atoms:
-        if isinstance(a, dk.PointAtom):
-            s += a.weight
-        else:
-            s += np.einsum("sqsp->pq", _ref_g4(a, mu.dim))
+    for weight in mu.atoms.weights:
+        b, g4 = _ref_blocks(weight, mu.dim)
+        s += sum(g4[t, :, t, :] for t in range(b))
     return s
 
 
 def _ref_moment(mu, idx):
     m = np.zeros((mu.dim, mu.dim), dtype=np.complex128)
-    for a in mu.atoms:
-        if isinstance(a, dk.PointAtom):
-            m += dk.laurent_scalar(idx, a.point) * a.weight
-        else:
-            w = dk.word_image(idx, a.generators, rule=mu.index_rule)
-            m += np.einsum("st,tqsp->pq", w, _ref_g4(a, mu.dim))
+    for images, weight in zip(mu.atoms.images, mu.atoms.weights):
+        w = _ref_word(images, idx, mu.index_rule)
+        b, g4 = _ref_blocks(weight, mu.dim)
+        m += sum(w[s, t] * g4[s, :, t, :] for s in range(b) for t in range(b))
     return m
 
 
 def _ref_normalized_weights(mu):
     r = dk.inv_sqrt_psd(_ref_unit_matrix(mu))
     out = []
-    for a in mu.atoms:
-        if isinstance(a, dk.PointAtom):
-            w = r @ a.weight @ r
-        else:
-            g4 = np.einsum("sPtQ,Pp,Qq->sptq", _ref_g4(a, mu.dim), r, r.conj())
-            w = g4.reshape(a.weight.shape)
-        out.append(dk.herm_part(w))
+    for weight in mu.atoms.weights:
+        b = weight.shape[0] // mu.dim
+        k = r if b == 1 else np.kron(np.eye(b), r)
+        out.append(dk.herm_part(k @ weight @ k))
     return out
 
 
 def _ref_combination_weights(comb, mu):
     acc = {}
     for gamma, point in comb.terms:
-        if isinstance(mu.atoms[point.label], dk.PointAtom):
-            w = gamma.conj().T @ gamma
-        else:
-            g = gamma.reshape(-1)
-            w = np.outer(g, g.conj())
-        acc[point.label] = acc.get(point.label, 0) + w
+        row = gamma.reshape(1, -1)
+        acc[point.label] = acc.get(point.label, 0) + row.conj().T @ row
     return [dk.herm_part(w) for _, w in sorted(acc.items())]
 
 
 def _ref_assembly(mu):
-    """V and the generators of the Naimark dilation, block by block."""
+    """V and the generators of the Naimark dilation, piece by piece: each
+    piece's images on its diagonal block, every other entry +0."""
     import scipy.linalg
 
     v_blocks, gen_blocks = [], []
-    for a in mu.atoms:
-        pieces = _ref_pieces(a, mu.dim)
-        if isinstance(a, dk.PointAtom):
-            if pieces:
-                r = len(pieces)
-                v_blocks.append(np.vstack(pieces))
-                # z on the diagonal; every off-diagonal entry is +0
-                gen_blocks.append([np.diag(np.full(r, z, dtype=np.complex128))
-                                   for z in a.point])
-        else:
-            v_blocks.extend(pieces)
-            gen_blocks.extend([a.generators] * len(pieces))
+    for images, weight in zip(mu.atoms.images, mu.atoms.weights):
+        pieces = _ref_pieces(weight, mu.dim)
+        v_blocks.extend(pieces)
+        gen_blocks.extend([images] * len(pieces))
     gens = [scipy.linalg.block_diag(*(blocks[i] for blocks in gen_blocks))
             for i in range(len(gen_blocks[0]))]
     return np.vstack(v_blocks), gens
@@ -1026,7 +1028,7 @@ def _back_half_case(name):
         points = [[np.exp(2j * np.pi * j / 9)] for j in range(9)]
         raw = normalized_point_measure(rng, 2, points, ranks=[2, 1, 2, 1, 1, 2, 2, 1, 2])
         # a percent-level mass defect for normalized() to repair
-        raw = replace(raw, atoms=[a.with_weight(1.01 * a.weight) for a in raw.atoms])
+        raw = replace(raw, atoms=raw.atoms.with_weights(1.01 * raw.atoms.weights))
         table = dk.MomentTable(dim=2, nu=1, values={(k,): raw.moment((k,))
                                                     for k in range(1, 4)})
     elif name == "point_d3":
@@ -1034,61 +1036,46 @@ def _back_half_case(name):
         raw = dk.quadrature_measure(t, dk.BoundaryCurve.ellipse(1.0, 0.6), 192)
         table = dk.MomentTable(dim=3, nu=1, values={(k,): raw.moment((k,))
                                                     for k in range(1, 5)})
-    elif name == "irrep_b2":
-        atoms = dk.clock_phase_grid(1, 2, 3)
-        for a, rank in zip(atoms, [1, 2, 4, 3, 1, 2, 1, 4, 2]):
-            a.weight = random_psd(rng, 4, rank) / 20.0
-        raw = dk.AtomicMeasure(dim=2, atoms=atoms, index_rule="ordered")
-        raw = replace(raw, atoms=[a.with_weight(1.01 * w) for a, w in
-                                  zip(atoms, _ref_normalized_weights(raw))])
+    else:
+        grid = dk.clock_phase_grid(1, 2, 3)
+        weights = [random_psd(rng, 4, rank) / 20.0 for rank in [1, 2, 4, 3, 1, 2, 1, 4, 2]]
+        raw = dk.AtomicMeasure(dim=2, atoms=grid.with_weights(weights), index_rule="ordered")
+        raw = replace(raw, atoms=grid.with_weights(
+            1.01 * np.array(_ref_normalized_weights(raw))))
         table = dk.MomentTable(dim=2, nu=2, index_rule="ordered", values={
             idx: raw.moment(idx) for idx in [(1, 0), (0, 1), (1, 1), (2, 1)]})
-    else:
-        table = dk.qcommuting_moments(0.5 * np.diag([1.0, -1.0]),
-                                      np.array([[0.0, 0.5], [0.0, 0.0]]), 1)
-        grid = dk.clock_phase_grid(1, 2, 4) + dk.clock_phase_grid(0, 1, 4)
-        raw = dk.fit_matrix_measure(table, grid)
-        if name == "clock_mixed_shuffled":
-            # interleave the b = 1 and b = 2 groups
-            order = rng.permutation(len(raw.atoms))
-            raw = replace(raw, atoms=[raw.atoms[j] for j in order])
     return raw, table
 
 
-@pytest.mark.parametrize("name", ["point_d1", "point_d2", "point_d3", "irrep_b2",
-                                  "clock_mixed",
-                                  "clock_mixed_shuffled"])
+@pytest.mark.parametrize("name", ["point_d1", "point_d2", "point_d3", "irrep_b2"])
 def test_back_half_matches_per_atom_loops(name):
-    """The stacked group walk reproduces the per-atom loops bit for bit:
-    mass, moments, normalization, the rank-one split, the combination
-    view and back, and the Naimark assembly."""
-    from dilatekit.measures import _atom_groups
-
+    """The stacked walk reproduces the per-atom loops bit for bit: mass,
+    moments, normalization, the rank-one split, the combination view and
+    back, and the Naimark assembly."""
     raw, table = _back_half_case(name)
     d = raw.dim
     _assert_bits(raw.unit_matrix(), _ref_unit_matrix(raw))
     mu = raw.normalized()
-    for a, want in zip(mu.atoms, _ref_normalized_weights(raw)):
-        _assert_bits(a.weight, want)
-    assert len(list(_atom_groups(mu.atoms, d))) == (
-        2 if name.startswith("clock") else 1)
+    for w, want in zip(mu.atoms.weights, _ref_normalized_weights(raw)):
+        _assert_bits(w, want)
     indices = list(table.indices())
     for idx in indices:
         _assert_bits(mu.moment(idx), _ref_moment(mu, idx))
-    for a in mu.atoms:
-        if isinstance(a, dk.PointAtom):
-            f, r = dk.numerical_rank_factor(a.weight)
-            _assert_bits(f, _ref_rank_factor(dk.herm_part(a.weight)))
+    if mu.atoms.rep_dim == 1:
+        for w in mu.atoms.weights:
+            f, r = dk.numerical_rank_factor(w)
+            _assert_bits(f, _ref_rank_factor(dk.herm_part(w)))
     comb = dk.measure_to_combination(mu, table)
-    want = [(gamma, j) for j, a in enumerate(mu.atoms) for gamma in _ref_pieces(a, d)]
+    want = [(gamma, j) for j, w in enumerate(mu.atoms.weights)
+            for gamma in _ref_pieces(w, d)]
     assert len(comb.terms) == len(want)
     for (gamma, point), (ref, j) in zip(comb.terms, want):
         assert point.label == j
         _assert_bits(gamma, ref)
     reduced = dk.caratheodory_reduce(comb)
     slim = dk.combination_to_measure(reduced, mu)
-    for a, w in zip(slim.atoms, _ref_combination_weights(reduced, mu)):
-        _assert_bits(a.weight, w)
+    for got, w in zip(slim.atoms.weights, _ref_combination_weights(reduced, mu)):
+        _assert_bits(got, w)
     dil = dk.assemble_atomic_dilation(mu, indices=indices)
     v, gens = _ref_assembly(mu)
     _assert_bits(dil.v, v)
@@ -1101,7 +1088,7 @@ def test_back_half_matches_per_atom_loops(name):
 def test_psd_project_stacks_match_single_and_fit_kernels():
     """psd_project on a stack equals psd_project matrix by matrix, and the
     kernel the fit wrote out for its hvec stacks, bit for bit."""
-    from dilatekit.measures import _atom_groups, _herm_to_cvec
+    from dilatekit.measures import _herm_to_cvec
 
     rng = np.random.default_rng(131)
     for d, n in ((2, 40), (3, 64)):
@@ -1110,9 +1097,9 @@ def test_psd_project_stacks_match_single_and_fit_kernels():
         for got, m in zip(out, a):
             _assert_bits(got, _ref_psd_project(m))
         _assert_bits(dk.psd_project(a[0]), _ref_psd_project(a[0]))
-    grid = dk.clock_phase_grid(1, 2, 4) + dk.clock_phase_grid(0, 1, 4)
-    for _, m, _, cols in _atom_groups(grid, 2):
-        v = rng.normal(size=cols.size)
+    for grid in (dk.clock_phase_grid(1, 2, 4), dk.clock_phase_grid(0, 1, 4)):
+        m = grid.block_size(2)
+        v = rng.normal(size=len(grid) * m * m)
         mats = (v.reshape(-1, m * m) @ _herm_to_cvec(m).T).reshape(-1, m, m)
         _assert_bits(dk.psd_project(mats), _ref_fit_projection(mats))
     with pytest.raises(dk.NonSquareError):
@@ -1158,17 +1145,14 @@ def test_screened_projection_matches_psd_project():
         assert not got[kind == "nd"].any()
 
 
-def test_back_half_eigh_calls_per_group(monkeypatch):
+def test_back_half_takes_one_eigh_per_call(monkeypatch):
     """measure_to_combination and assemble_atomic_dilation split weights
-    with one batched eigh per atom group, not one per atom."""
-    from dilatekit.measures import _atom_groups
-
+    with one batched eigh each, not one per atom."""
     rng = np.random.default_rng(137)
     t = random_contraction(rng, 3, norm=0.4)
     mu = dk.quadrature_measure(t, dk.BoundaryCurve.ellipse(1.0, 0.6), 192)
     table = dk.MomentTable(dim=3, nu=1, values={(k,): mu.moment((k,))
                                                 for k in range(1, 5)})
-    groups = len(list(_atom_groups(mu.atoms, 3)))
     shapes = []
     eigh = np.linalg.eigh
 
@@ -1179,8 +1163,8 @@ def test_back_half_eigh_calls_per_group(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     dk.measure_to_combination(mu, table)
     dk.assemble_atomic_dilation(mu, indices=table.indices())
-    assert len(mu.atoms) == 192 and groups == 1
-    assert 1 <= len(shapes) <= 2 * groups
+    assert len(mu.atoms) == 192
+    assert len(shapes) == 2
     assert all(s == (192, 3, 3) for s in shapes)
 
 
@@ -1189,13 +1173,12 @@ def test_negative_weight_raises_for_both_kinds(kind):
     """One split rule: a weight with an eigenvalue below -psd_tol is NotPSD
     for an irrep's Choi block exactly as for a point's weight."""
     if kind == "irrep":
-        atoms = dk.clock_phase_grid(1, 2, 1)
-        atoms[0].weight = np.diag([1.0, -0.3])
+        atoms = dk.clock_phase_grid(1, 2, 1).with_weights([np.diag([1.0, -0.3])])
         mu = dk.AtomicMeasure(dim=1, atoms=atoms, index_rule="ordered")
         values = {idx: mu.moment(idx) for idx in [(1, 0), (0, 1)]}
         table = dk.MomentTable(dim=1, nu=2, values=values, index_rule="ordered")
     else:
-        atoms = [dk.PointAtom(point=[1j], weight=np.diag([1.0, -0.3]))]
+        atoms = dk.Atoms.from_points([1j], [np.diag([1.0, -0.3])])
         mu = dk.AtomicMeasure(dim=2, atoms=atoms)
         table = dk.MomentTable(dim=2, nu=1, values={(1,): mu.moment((1,))})
     # the negative part is 0.3 of a unit mass, not roundoff
@@ -1213,9 +1196,7 @@ def test_validate_and_assembly_share_one_psd_rule(scale, neg):
     other passes both.  diag(1e-3, -1e-11) once passed validate() and then
     raised NotPSD inside assemble_atomic_dilation."""
     w = scale * np.diag([1e-3, neg / scale])
-    mu = dk.AtomicMeasure(dim=2, atoms=[
-        dk.PointAtom(point=[1.0], weight=w),
-        dk.PointAtom(point=[-1.0], weight=np.eye(2) - w)])
+    mu = dk.AtomicMeasure(dim=2, atoms=dk.Atoms.from_points([1.0, -1.0], [w, np.eye(2) - w]))
     rejected = neg < -dk.DEFAULT_TOL.psd_tol * 1e-3 * scale
 
     def verdict(call):
@@ -1231,25 +1212,17 @@ def test_validate_and_assembly_share_one_psd_rule(scale, neg):
 
 
 def test_atoms_without_weight_raise():
-    """Every measure operation names the first atom that has no weight of
-    its block size; pruned() still drops such atoms."""
-    mu = dk.AtomicMeasure(dim=1, atoms=dk.circle_grid(4))
-    calls = [mu.unit_matrix, mu.normalized, lambda: mu.moment((1,)), mu.validate,
-             lambda: dk.assemble_atomic_dilation(mu),
-             lambda: dk.measure_to_combination(
-                 mu, dk.MomentTable(dim=1, nu=1, values={(1,): np.zeros((1, 1))}))]
-    for call in calls:
-        with pytest.raises(ShapeMismatchError, match="atom 0 has no 1 x 1 weight"):
-            call()
-    atoms = dk.circle_grid(4)
-    atoms[2].weight = np.array([[1.0]])
-    atoms[3].weight = np.eye(2)
-    mu = dk.AtomicMeasure(dim=1, atoms=atoms)
-    with pytest.raises(ShapeMismatchError, match="atom 0 "):
-        mu.unit_matrix()
-    with pytest.raises(ShapeMismatchError, match="atom 1 has no 1 x 1 weight"):
-        dk.AtomicMeasure(dim=1, atoms=atoms[2:]).unit_matrix()
-    assert len(mu.pruned(1e-9).atoms) == 2
+    """Every measure operation names atom 0 when the stack has no weights of
+    its block size: they are one stack, so the first atom is at fault."""
+    table = dk.MomentTable(dim=1, nu=1, values={(1,): np.zeros((1, 1))})
+    for atoms in (dk.circle_grid(4), dk.circle_grid(4).with_weights([np.eye(2)] * 4)):
+        mu = dk.AtomicMeasure(dim=1, atoms=atoms)
+        calls = [mu.unit_matrix, mu.normalized, lambda: mu.moment((1,)), mu.validate,
+                 lambda: mu.pruned(1e-9), lambda: dk.assemble_atomic_dilation(mu),
+                 lambda: dk.measure_to_combination(mu, table)]
+        for call in calls:
+            with pytest.raises(ShapeMismatchError, match="atom 0 has no 1 x 1 weight"):
+                call()
     irreps = dk.AtomicMeasure(dim=2, atoms=dk.clock_phase_grid(1, 2, 2),
                               index_rule="ordered")
     with pytest.raises(ShapeMismatchError, match="atom 0 has no 4 x 4 weight"):

@@ -164,27 +164,35 @@ def interior_torus_data(rng, d):
 
 
 def _count_validations(monkeypatch):
-    """Count per-object constructions (__post_init__) and stack checks
-    (_check_stack) of MatrixPoint, PointAtom and IrrepAtom."""
+    """Count the stack checks of Atoms (its __post_init__) and of MatrixPoint
+    (_check_stack), and MatrixPoint objects built one at a time."""
     counts = collections.Counter()
-    for cls in (dk.MatrixPoint, dk.PointAtom, dk.IrrepAtom):
-        def post_init(self, _orig=cls.__post_init__, _name=cls.__name__):
-            counts[_name + " object"] += 1
-            _orig(self)
+    atoms_init = dk.Atoms.__post_init__
+    point_init = dk.MatrixPoint.__post_init__
+    point_check = dk.MatrixPoint._check_stack
 
-        def checked(*args, _orig=cls._check_stack, _name=cls.__name__):
-            counts[_name + " check"] += 1
-            return _orig(*args)
+    def atoms_checked(self):
+        counts["Atoms check"] += 1
+        atoms_init(self)
 
-        monkeypatch.setattr(cls, "__post_init__", post_init)
-        monkeypatch.setattr(cls, "_check_stack", staticmethod(checked))
+    def post_init(self):
+        counts["MatrixPoint object"] += 1
+        point_init(self)
+
+    def checked(*args):
+        counts["MatrixPoint check"] += 1
+        return point_check(*args)
+
+    monkeypatch.setattr(dk.Atoms, "__post_init__", atoms_checked)
+    monkeypatch.setattr(dk.MatrixPoint, "__post_init__", post_init)
+    monkeypatch.setattr(dk.MatrixPoint, "_check_stack", staticmethod(checked))
     return counts
 
 
-def test_measure_path_validates_per_group_not_per_atom(monkeypatch):
+def test_measure_path_validates_per_stack_not_per_atom(monkeypatch):
     """On the measure path every stack the library computes is checked
-    once: the number of validations depends on the (kind, block size)
-    groups, here one per measure, and not on the number of atoms."""
+    once, whatever the number of atoms: each measure's atoms once, and
+    the combination view's points once."""
     counts = _count_validations(monkeypatch)
     rng = np.random.default_rng(31)
     t = random_contraction(rng, 2, 0.5)
@@ -199,11 +207,10 @@ def test_measure_path_validates_per_group_not_per_atom(monkeypatch):
         assert dk.dilate_regular(ts, order=1, nodes=4 + 2 * size).passed
         runs[size] = boundary, dict(counts)
     assert runs[1] == runs[2]
-    for per_call in runs[1]:
-        # quadrature, normalization, combination view and its reassembly;
-        # grid, fit output, normalization, combination view and reassembly
-        assert sum(per_call.values()) <= 5
-        assert not any(name.endswith(" object") for name in per_call)
+    # quadrature, normalization and reassembly; grid, fit output,
+    # normalization and reassembly; one combination view each
+    assert runs[1] == ({"Atoms check": 3, "MatrixPoint check": 1},
+                       {"Atoms check": 4, "MatrixPoint check": 1})
 
 
 @pytest.mark.parametrize("seed", [1, 8, 14, 18])

@@ -7,14 +7,16 @@
 The first form runs every case of ``bench/workloads.make_cases`` once per
 workload, seed and draw, with one BLAS thread as the benchmark uses, and
 writes one record per call: its label, K (the dilation's space
-dimension), whether it passed verification, and the sha256 of its
-``dump_json(encode_dilation(...))`` bytes.  A refused call records the
-error's class in place of K and the digest.  Run it on two checkouts to
+dimension), whether it passed verification, the verification's
+``max_moment_residual``, the number of reduced terms, and the sha256 of
+its ``dump_json(encode_dilation(...))`` bytes.  A refused call records
+the error's class in place of K and the digest.  Run it on two checkouts to
 compare them; the tool only reads ``bench/``.
 
 The second form prints, for each workload, the sum of K and the passed
-count on either side, every call whose K or verdict moved, and the count
-of calls whose dilation bytes differ.
+count on either side, every call whose K or verdict moved, every call
+whose residual moved by more than 1e-12, and the count of calls whose
+dilation bytes differ.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
+# a residual that moves by more than this is listed by --diff
+RESIDUAL_MOVE = 1e-12
 
 
 def _span(text: str) -> range:
@@ -54,11 +58,13 @@ def run(workloads, seeds, draws) -> list:
                     try:
                         result = case.call()
                     except dk.DilatekitError as exc:
-                        rec.update(K=None, passed=False, sha256=None,
-                                   error=type(exc).__name__)
+                        rec.update(K=None, passed=False, residual=None, terms=None,
+                                   sha256=None, error=type(exc).__name__)
                     else:
                         text = dump_json(encode_dilation(result.dilation))
                         rec.update(K=result.dilation.space_dim, passed=result.passed,
+                                   residual=result.verification.max_moment_residual,
+                                   terms=result.reduced_terms,
                                    sha256=hashlib.sha256(text.encode()).hexdigest())
                     records.append(rec)
     return records
@@ -91,6 +97,11 @@ def diff(old: list, new: list) -> str:
                 lines.append(f"  seed {k[1]} draw {k[2]} {a['label']}: "
                              f"K {a['K'] or a.get('error')} -> {b['K'] or b.get('error')}, "
                              f"passed {a['passed']} -> {b['passed']}")
+            ra, rb = a.get("residual"), b.get("residual")
+            if (ra is None) != (rb is None) or (
+                    ra is not None and abs(rb - ra) > RESIDUAL_MOVE):
+                lines.append(f"  seed {k[1]} draw {k[2]} {a['label']}: "
+                             f"residual {ra} -> {rb}")
         lines.append(f"  dilation bytes differ on {bytes_differ} of {len(keys)} calls")
     return "\n".join(lines)
 
