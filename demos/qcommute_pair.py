@@ -2,8 +2,10 @@
 
 T1 = diag(1, -1) and the Jordan block T2 satisfy T2 T1 = -T1 T2.  The
 dilation's candidate atoms are clock-and-shift pairs, the 2-dimensional
-irreducible representations of the relation, placed at lattice phases;
-the fitted measure keeps a handful of them.
+irreducible representations of the relation, at phases of the 8 x 8
+lattice.  Phases that differ by pi give equivalent pairs, so the fit
+takes one pair per class, the 16 at phases below pi, each standing for
+4 lattice pairs; the fitted measure keeps a handful of them.
 """
 
 import numpy as np

@@ -26,9 +26,9 @@ from .errors import DimensionMismatchError, NotCommutingError
 from .linalg import DEFAULT_TOL, Tolerances, _norm, asmatrix
 from .measures import (
     AtomicMeasure,
+    _phase_classes,
     annulus_grid,
     assemble_atomic_dilation,
-    clock_phase_grid,
     combination_to_measure,
     fit_matrix_measure,
     measure_to_combination,
@@ -196,10 +196,17 @@ def dilate_qcommute(t1, t2, a: int, b: int, order: int = 1, nodes: int = 8,
                     tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> PipelineResult:
     """q-commuting unitary pair matching the ordered moments T1^n T2^m.
 
-    q = exp(2 pi i a/b) with integer a, b; the candidate atoms are
-    clock-and-shift pairs at lattice phases, the b-dimensional
-    irreducible representations of the rational rotation relation.
-    Inputs violating T2 T1 = q T1 T2 are rejected up front.
+    q = exp(2 pi i a/b) with integer a, b, and with a/b in lowest terms
+    the candidate atoms are the b-dimensional irreducible representations
+    of the rational rotation relation, clock-and-shift pairs at phases of
+    the nodes x nodes lattice.  Since q depends only on a/b, (2, 4) gives
+    the dilation of (1, 2).  Pairs whose phases differ by multiples of
+    2 pi / b are unitarily equivalent, so with g = gcd(nodes, b) the fit
+    takes one pair per class, the (nodes/g)^2 pairs at the lowest phases,
+    and counts each for its g^2 lattice pairs (fit_matrix_measure's
+    class_size): the same feasible set as the whole lattice from a
+    g^2-th of its atoms.  Inputs violating T2 T1 = q T1 T2 are rejected
+    up front.
     """
     t1 = asmatrix(t1)
     t2 = asmatrix(t2)
@@ -207,8 +214,8 @@ def dilate_qcommute(t1, t2, a: int, b: int, order: int = 1, nodes: int = 8,
         raise DimensionMismatchError(
             "q-commuting pair needs two square matrices of one size, got "
             f"{t1.shape} and {t2.shape}")
-    # grid construction also enforces integer a, b
-    grid = clock_phase_grid(a, b, nodes)
+    # grid construction also enforces integer a, b and nodes >= 1
+    grid, class_size = _phase_classes(a, b, nodes)
     q = np.exp(2j * np.pi * a / b)
     scale = max(1.0, _norm(t1) * _norm(t2))
     defect = _norm(t2 @ t1 - q * (t1 @ t2))
@@ -217,6 +224,7 @@ def dilate_qcommute(t1, t2, a: int, b: int, order: int = 1, nodes: int = 8,
             f"pair is not q-commuting for a/b = {a}/{b} (defect {defect:.3e})"
         )
     table = qcommuting_moments(t1, t2, order)
-    mu = fit_matrix_measure(table, grid, tol, seed).normalized(tol)
+    mu = fit_matrix_measure(table, grid, tol, seed,
+                            class_size=class_size).normalized(tol)
     return _measure_result(mu, table, Relations.exchange_pair(q), tol, 1e-6,
-                           2 * (order + 1) ** 2 - 1, sub_rank=b)
+                           2 * (order + 1) ** 2 - 1, sub_rank=grid.rep_dim)

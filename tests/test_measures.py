@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -233,9 +236,11 @@ def test_polish_rejects_non_psd_face_solution(monkeypatch):
 
 
 def test_fixed_penalty_stops_qcommute_fit_at_400(monkeypatch):
-    """The demo q-commute pair on clock_phase_grid(1, 2, 8), order 1: with
-    one fixed penalty the polish at check 16 (iteration 400) is accepted,
-    and the dilation keeps the 8 dimensions of the pair's clock atoms."""
+    """The demo q-commute pair at nodes 8, order 1, fitted on one
+    clock-shift irrep per class of clock_phase_grid(1, 2, 8): with one
+    fixed penalty, scaled by the class size, the polish at check 16
+    (iteration 400) is accepted, and the dilation takes 6 dimensions,
+    three b = 2 pieces."""
     from dilatekit import measures
 
     checks = []
@@ -253,7 +258,7 @@ def test_fixed_penalty_stops_qcommute_fit_at_400(monkeypatch):
     assert checks[-1] <= 400
     assert 1 <= len(calls) <= 5 and calls[-1] is True
     assert result.passed
-    assert result.dilation.space_dim == 8
+    assert result.dilation.space_dim == 6
 
 
 def test_polish_stops_extremal_fit_at_first_check(monkeypatch):
@@ -281,6 +286,111 @@ def test_polish_stops_extremal_fit_at_first_check(monkeypatch):
     assert np.array_equal(again.atoms.images, mu.atoms.images)
     for a, b in zip(again.atoms.weights, mu.atoms.weights):
         assert np.linalg.norm(a - b) <= 1e-12
+
+
+def _class_conjugators(a, b, nodes):
+    """For each atom of clock_phase_grid(a, b, nodes): its class's atom in
+    _phase_classes and a unitary V = clock^k shift^l with atom = V rep V*
+    to 1e-14, or None when no such V exists."""
+    from dilatekit.measures import _phase_classes
+
+    reps, _ = _phase_classes(a, b, nodes)
+    n = math.isqrt(len(reps))
+    clock, shift = dk.clock_shift_irrep(a, b).images[0]
+    vs = [np.linalg.matrix_power(clock, k) @ np.linalg.matrix_power(shift, l)
+          for k in range(b) for l in range(b)]
+    out = []
+    for at, atom in enumerate(dk.clock_phase_grid(a, b, nodes).images):
+        i, j = divmod(at, nodes)
+        r = (i % n) * n + j % n
+        v = next((v for v in vs if np.abs(
+            v @ reps.images[r] @ v.conj().T - atom).max() <= 1e-14), None)
+        out.append((r, v))
+    return out
+
+
+@pytest.mark.parametrize("a, b, nodes", [(1, 2, 8), (1, 3, 6), (2, 5, 10), (1, 4, 6)])
+def test_phase_classes_are_unitary_orbits(a, b, nodes):
+    """Every lattice atom is its class atom conjugated by clock^k shift^l,
+    each class atom stands for g^2 lattice atoms, g = gcd(nodes, b), and
+    the class atoms' central characters (U1^b, U2^b) are pairwise distinct."""
+    from dilatekit.measures import _phase_classes
+
+    reps, size = _phase_classes(a, b, nodes)
+    g = math.gcd(nodes, b)
+    assert size == g * g and len(reps) * size == nodes ** 2
+    assert reps.scale_pairs == dk.clock_phase_grid(a, b, nodes).scale_pairs
+    owners = _class_conjugators(a, b, nodes)
+    assert all(v is not None for _, v in owners)
+    assert np.bincount([r for r, _ in owners]).tolist() == [size] * len(reps)
+    chars = []
+    for u1, u2 in reps.images:
+        c1, c2 = np.linalg.matrix_power(u1, b), np.linalg.matrix_power(u2, b)
+        assert np.abs(c1 - c1[0, 0] * np.eye(b)).max() <= 1e-14
+        assert np.abs(c2 - c2[0, 0] * np.eye(b)).max() <= 1e-14
+        chars.append((c1[0, 0], c2[0, 0]))
+    chars = np.array(chars)
+    gaps = np.abs(chars[:, None] - chars[None]).max(axis=2)
+    assert gaps[~np.eye(len(chars), dtype=bool)].min() > 0.1
+
+
+def test_class_fit_is_the_lattice_iteration_on_class_weights():
+    """ADMM on the whole clock_phase_grid(1, 2, 8), started from weights
+    spread evenly over each class (a class weight W over g^2 = 4 atoms,
+    conjugated into each atom's frame: (V-bar x I) W (V^T x I) / 4), keeps
+    every moment of the class measure and stays spread so: after 25
+    iterations it is the iterate of ADMM on the class atoms at penalty
+    _RHO / 4, and not the one at _RHO."""
+    from dilatekit.linalg import hunvec, hvec
+    from dilatekit.measures import _RHO, _admm, _fit_system, _phase_classes
+
+    table = dk.qcommuting_moments(*_qcommute_pair(np.random.default_rng(137)), 1)
+    reps, size = _phase_classes(1, 2, 8)
+    lattice = dk.clock_phase_grid(1, 2, 8)
+    owners = _class_conjugators(1, 2, 8)
+    d, m = table.dim, reps.block_size(table.dim)
+
+    def spread(z):
+        w = hunvec(z.reshape(-1, m * m), m)
+        return np.concatenate([hvec(np.kron(v.conj(), np.eye(d)) @ w[r]
+                                    @ np.kron(v.T, np.eye(d))) / size
+                               for r, v in owners])
+
+    system, _, z = _fit_start(table, reps, seed=5)
+    whole = dk.AtomicMeasure(d, lattice.with_weights(hunvec(spread(z).reshape(-1, m * m), m)))
+    part = dk.AtomicMeasure(d, reps.with_weights(hunvec(z.reshape(-1, m * m), m)))
+    for idx in table.indices():
+        assert np.abs(whole.moment(idx) - part.moment(idx)).max() <= 1e-14
+    lattice_system = _fit_system(table, lattice)
+    _, want = next(_admm(*lattice_system, m, spread(z)))
+    for rho, close in ((_RHO / size, True), (_RHO, False)):
+        _, got = next(_admm(*system, m, z, rho))
+        gap = np.linalg.norm(spread(got) - want) / np.linalg.norm(want)
+        assert bool(gap <= 1e-12) is close, gap
+
+
+def test_class_fit_matches_lattice_fit():
+    """On the demo q-commute pair, the fit on one atom per class with
+    class_size 4 and the fit on the whole lattice both succeed, and their
+    normalized measures agree on every moment within fit_tol."""
+    from dilatekit.measures import _phase_classes
+
+    table = dk.qcommuting_moments(*_qcommute_pair(np.random.default_rng(137)), 1)
+    reps, size = _phase_classes(1, 2, 8)
+    tol = dk.DEFAULT_TOL
+    part = dk.fit_matrix_measure(table, reps, tol, class_size=size).normalized(tol)
+    whole = dk.fit_matrix_measure(table, dk.clock_phase_grid(1, 2, 8), tol).normalized(tol)
+    assert len(part.atoms) <= len(reps)
+    for idx in table.indices():
+        assert np.linalg.norm(part.moment(idx) - whole.moment(idx)) <= tol.fit_tol
+        assert np.linalg.norm(part.moment(idx) - table.value(idx)) <= tol.fit_tol
+
+
+@pytest.mark.parametrize("size", [0, -4, 2.0, None])
+def test_fit_refuses_bad_class_size(size):
+    table = dk.MomentTable(dim=1, nu=1, values={(1,): np.array([[0.5]])})
+    with pytest.raises(ShapeMismatchError, match="class_size must be a positive integer"):
+        dk.fit_matrix_measure(table, dk.circle_grid(4), class_size=size)
 
 
 def test_assemble_point_dilation_exact():
@@ -448,6 +558,22 @@ def test_atom_validation(kind, images, weight, error, message, via):
         good = np.eye(weight.shape[0])
         with pytest.raises(error, match="NaN or Inf"):
             build([images] * 3, [good, good, weight])
+
+
+@pytest.mark.parametrize("pair", [(0, 5, -1), (2, 0, -1), (0, -1, -1), (0.0, 1, -1),
+                                  (0, 1), (0, 1, -1, 1)])
+def test_atoms_refuse_relations_beyond_their_images(pair):
+    """A relation (i, j, q) must name two of the stack's generators: the
+    stack refuses it when built, so validate and assembly never index past
+    the images or fail to unpack it."""
+    images = dk.clock_shift_irrep(1, 2).images
+    message = f"relation {pair!r} is not (i, j, q) with i, j among the 2 generator images"
+    with pytest.raises(dk.DimensionMismatchError, match=re.escape(message)):
+        dk.Atoms(images, [np.eye(2) / 2], [pair])
+    good = dk.Atoms(images, [np.eye(2) / 2], [(1, 0, -1)])
+    dk.AtomicMeasure(dim=1, atoms=good).validate()
+    with pytest.raises(dk.DimensionMismatchError, match=re.escape(message)):
+        dk.Atoms(images, scale_pairs=[(0, 1, -1), pair])
 
 
 def test_atoms_refuse_weights_that_do_not_stack():

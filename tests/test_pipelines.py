@@ -306,6 +306,23 @@ def test_qcommute_pipeline_contract():
     final_tracks_fit(result)
 
 
+@pytest.mark.parametrize("a, b", [(2, 4), (3, 6)])
+def test_qcommute_fits_a_over_b_in_lowest_terms(a, b):
+    """q depends only on a/b: (2, 4) and (3, 6) give the dilation of
+    (1, 2) bit for bit, on 2 x 2 irreps with the bound at sub_rank 2."""
+    q = np.exp(2j * np.pi / 2)
+    t1 = 0.5 * np.diag([1.0, q])
+    t2 = 0.5 * np.array([[0.0, 1.0], [0.0, 0.0]])
+    want = dk.dilate_qcommute(t1, t2, a=1, b=2, order=1, nodes=8)
+    got = dk.dilate_qcommute(t1, t2, a=a, b=b, order=1, nodes=8)
+    assert got.passed
+    assert got.measure.atoms.rep_dim == 2
+    assert got.dimensions.bound == want.dimensions.bound
+    assert np.array_equal(got.dilation.v, want.dilation.v)
+    assert all(np.array_equal(g, h) for g, h in
+               zip(got.dilation.generators, want.dilation.generators))
+
+
 def test_qcommute_rejects_wrong_relation():
     t1 = 0.5 * np.eye(2)
     t2 = 0.5 * np.eye(2)

@@ -1,8 +1,8 @@
 """K per benchmark call, and the difference between two such tables.
 
     python tools/k_table.py --out k.json [--workloads boundary,fitted]
-                            [--seeds 1-6] [--draws 0-2]
-    python tools/k_table.py --diff parent.json change.json
+                            [--seeds 1-6] [--draws 0-2] [--label SUBSTR]
+    python tools/k_table.py --diff parent.json change.json [--label SUBSTR]
 
 The first form runs every case of ``bench/workloads.make_cases`` once per
 workload, seed and draw, with one BLAS thread as the benchmark uses, and
@@ -10,13 +10,16 @@ writes one record per call: its label, K (the dilation's space
 dimension), whether it passed verification, the verification's
 ``max_moment_residual``, the number of reduced terms, and the sha256 of
 its ``dump_json(encode_dilation(...))`` bytes.  A refused call records
-the error's class in place of K and the digest.  Run it on two checkouts to
-compare them; the tool only reads ``bench/``.
+the error's class in place of K and the digest.  ``--label`` runs only the
+cases whose label contains SUBSTR (``--label qcommute``, say), keeping
+their case numbers.  Run it on two checkouts to compare them; the tool
+only reads ``bench/``.
 
 The second form prints, for each workload, the sum of K and the passed
 count on either side, every call whose K or verdict moved, every call
 whose residual moved by more than 1e-12, and the count of calls whose
-dilation bytes differ.
+dilation bytes differ; with ``--label`` it compares only the calls whose
+label contains SUBSTR.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ def _span(text: str) -> range:
     return range(int(lo), int(hi or lo) + 1)
 
 
-def run(workloads, seeds, draws) -> list:
+def run(workloads, seeds, draws, label="") -> list:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import dilatekit as dk
     from dilatekit.io import dump_json, encode_dilation
@@ -53,6 +56,8 @@ def run(workloads, seeds, draws) -> list:
         for seed in seeds:
             for draw in draws:
                 for index, case in enumerate(make_cases(workload, seed, draw)):
+                    if label not in case.label:
+                        continue
                     rec = {"workload": workload, "seed": seed, "draw": draw,
                            "case": index, "label": case.label}
                     try:
@@ -111,15 +116,19 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", default="boundary,fitted")
     parser.add_argument("--seeds", default="1-6", help="e.g. 1-6 or 7")
     parser.add_argument("--draws", default="0-2", help="e.g. 0-2 or 0")
+    parser.add_argument("--label", default="", metavar="SUBSTR",
+                        help="only the cases whose label contains SUBSTR")
     parser.add_argument("--out", help="write the table here (default: stdout)")
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
                         help="compare two tables instead of running")
     args = parser.parse_args(argv)
     if args.diff:
-        old, new = (json.loads(Path(p).read_text()) for p in args.diff)
+        old, new = ([rec for rec in json.loads(Path(p).read_text())
+                     if args.label in rec["label"]] for p in args.diff)
         print(diff(old, new))
         return 0
-    records = run(args.workloads.split(","), _span(args.seeds), _span(args.draws))
+    records = run(args.workloads.split(","), _span(args.seeds), _span(args.draws),
+                  args.label)
     text = json.dumps(records, indent=1) + "\n"
     if args.out:
         Path(args.out).write_text(text)
