@@ -2,9 +2,11 @@
 
 A random 3x3 operator is scaled until its numerical range sits at margin
 0.05 inside the ellipse with semiaxes (1.0, 0.6).  The boundary density
-is PSD along the curve, its quadrature is an atomic measure, and the
-assembled normal operator N on the ellipse reproduces the skew
-compressions
+is PSD along the curve, and its trapezoid quadrature is an atomic
+measure.  On an ellipse the pipeline replaces that measure by its Szego
+quadrature, which has the same moments on (order + 1) d = 15 atoms, so
+K stays 15 at every node count.  The assembled normal operator N on the
+ellipse reproduces the skew compressions
 
     T^k + ((C conj(zeta^k))(T))* = 2 V* N^k V
 

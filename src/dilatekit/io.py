@@ -118,10 +118,16 @@ def write_json(path, obj):
         fh.write(dump_json(obj))
 
 
+def _parse_int(text: str):
+    """JSON integers as int, except "-0", which dump_json writes for the
+    float -0.0 and which reads back as -0.0, sign bit and all."""
+    return -0.0 if text == "-0" else int(text)
+
+
 def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_parse_int)
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

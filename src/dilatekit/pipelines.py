@@ -1,10 +1,10 @@
 """End-to-end dilation pipelines.
 
 Each pipeline takes raw operator input, produces the moment data it must
-match, constructs an explicit dilation (GNS for single-operator circle
-data, fit + reduce + assemble for everything on a grid), and returns the
-dilation together with an independent verification report and the
-dimension accounting.
+match, constructs an explicit dilation (GNS for one-variable circle and
+regular data, fit + reduce + assemble for everything on a grid), and
+returns the dilation together with an independent verification report
+and the dimension accounting.
 
 The fitted pipelines share one shape: fit PSD atom weights on a grid,
 view the fitted measure as a matrix convex combination of its pure
@@ -16,9 +16,10 @@ the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from .boundary import BoundaryCurve, cauchy_transform, quadrature_measure
 from .convex import caratheodory_reduce
@@ -26,7 +27,9 @@ from .errors import DimensionMismatchError, NotCommutingError
 from .linalg import DEFAULT_TOL, Tolerances, _norm, asmatrix
 from .measures import (
     AtomicMeasure,
+    Atoms,
     _phase_classes,
+    _require_nodes,
     annulus_grid,
     assemble_atomic_dilation,
     combination_to_measure,
@@ -68,8 +71,10 @@ class PipelineResult:
     """A constructed dilation bundled with its evidence.
 
     ``measure`` is the reduced atomic measure behind the dilation (None
-    for the GNS route, which never forms one); ``reduced_terms`` counts
-    the matrix convex combination terms that survived reduction.
+    for the GNS routes of dilate_circle and one-variable dilate_regular,
+    which never form one; the Szego quadrature measure for dilate_boundary
+    on a disc or an ellipse); ``reduced_terms`` counts the matrix convex
+    combination terms that survived reduction.
     """
 
     dilation: Dilation
@@ -113,11 +118,15 @@ def dilate_circle(t, order: int, rho: float = 1.0,
     the block Toeplitz kernel gates feasibility (NotPSD when the data
     admits no such dilation at this truncation).
     """
-    t = asmatrix(t)
-    table = circle_moments(t, rho, order)
+    return _gns_result(circle_moments(asmatrix(t), rho, order), tol)
+
+
+def _gns_result(table: MomentTable, tol: Tolerances) -> PipelineResult:
+    """The unitary GNS dilation of a conjugate-closed one-variable table,
+    verified as one commuting unitary."""
     dil = toeplitz_gns_unitary(table, tol)
     report = verify_dilation(dil, table, Relations.commuting(1), tol)
-    dims = dimension_report(dil, t.shape[0], 2 * order + 1)
+    dims = dimension_report(dil, table.dim, 2 * table.order() + 1)
     return PipelineResult(dilation=dil, targets=table, verification=report,
                           dimensions=dims)
 
@@ -127,12 +136,22 @@ def dilate_regular(ts, order: int, nodes: int = 12,
                    seed: int = 0) -> PipelineResult:
     """Commuting unitary tuple matching the regular moments of ``ts``.
 
-    The measure is fitted on the nodes^nu torus lattice, so moment data
-    forcing off-grid atoms (e.g. a unitary with off-lattice spectrum) is
-    reported Infeasible rather than approximated silently.  ``seed``
-    draws the fit's initial weights.
+    For two or more operators the measure is fitted on the nodes^nu
+    torus lattice, so moment data forcing off-grid atoms (e.g. a unitary
+    with off-lattice spectrum) is reported Infeasible rather than
+    approximated silently.  ``seed`` draws the fit's initial weights.
+
+    One operator's regular moments are its circle moments, so at nu = 1
+    the unitary comes from the Szego recursion (toeplitz_gns_unitary), as
+    in dilate_circle: no grid, no fit, K <= (order + 1) d, and every
+    contraction passes, a unitary with off-lattice spectrum included.
+    ``nodes`` and ``seed`` then have no effect, though nodes < 1 is still
+    refused up front.
     """
+    _require_nodes(nodes)
     table = regular_moments(ts, order)
+    if table.nu == 1:
+        return _gns_result(table, tol)
     grid = torus_grid(nodes, table.nu)
     mu = fit_matrix_measure(table, grid, tol, seed).normalized(tol)
     return _measure_result(mu, table, Relations.commuting(table.nu), tol,
@@ -156,12 +175,29 @@ def dilate_boundary(t, curve: BoundaryCurve, order: int = 4,
     oint z^k (z - T)^{-1} dz, and the verification residual carries that
     quadrature error on top of reduction and assembly error.  Coarse node
     counts can fail the 1e-5 moment check on quadrature error alone.
+
+    Two routes lead from the trapezoid measure to N.  On a sampled curve
+    its nodes * d rank-one terms are Caratheodory-reduced and assembled.
+    On a disc or an ellipse, zeta(theta) = alpha e^{i theta} + beta
+    e^{-i theta} with alpha = (a + b)/2 and beta = (a - b)/2, so zeta^k
+    and conj(zeta)^k are trigonometric polynomials of degree k, and the
+    measure's trigonometric moments c_j = sum_l e^{i j theta_l} W_l,
+    |j| <= order, fix every moment the table checks.  The Szego
+    recursion (toeplitz_gns_unitary) turns them into a unitary U with
+    V* U^j V = c_j on K <= (order + 1) d dimensions, and U's spectral
+    measure, its eigenvalues e^{i theta_k} with weights (V* z_k)(V* z_k)*,
+    is their Szego quadrature (Jones, Njastad & Thron 1989, Bull. LMS
+    21).  Its atoms zeta(theta_k) on the curve replace the trapezoid
+    nodes, and ``measure`` is that measure, on which reduction has
+    nothing left to remove.  It has the trapezoid measure's moments to
+    roundoff, so the quadrature error, and the residual, are unchanged.
+    The dilation's provenance names the route, "szego-naimark".
     """
     t = asmatrix(t)
     d = t.shape[0]
     _require_order(order)
     mu = quadrature_measure(t, curve, nodes, tol)
-    _, zetas, _ = curve.sample(nodes)
+    thetas, zetas, _ = curve.sample(nodes)
     powers = np.arange(1, order + 1)
     cks = cauchy_transform(zetas[None, :] ** powers[:, None], curve, t)
     values = {}
@@ -171,7 +207,31 @@ def dilate_boundary(t, curve: BoundaryCurve, order: int = 4,
         values[(int(k),)] = (power + ck.conj().T) / 2.0
     table = MomentTable(dim=d, nu=1, values=values, symmetric=True)
     relations = Relations(rule="laurent", unitary=False, negatives="adjoint")
-    return _measure_result(mu, table, relations, tol, 1e-5, 2 * order + 1)
+    if curve.kind not in ("disc", "ellipse"):
+        return _measure_result(mu, table, relations, tol, 1e-5, 2 * order + 1)
+    mu = _szego_measure(mu, thetas, curve, order, tol)
+    result = _measure_result(mu, table, relations, tol, 1e-5, 2 * order + 1)
+    result.dilation.provenance = "szego-naimark"
+    return result
+
+
+def _szego_measure(mu: AtomicMeasure, thetas: np.ndarray, curve: BoundaryCurve,
+                   order: int, tol: Tolerances) -> AtomicMeasure:
+    """The Szego quadrature of a measure on a disc or an ellipse, whose
+    atoms sit at curve.point(thetas): the spectral measure of the GNS
+    unitary of its trigonometric moments up to ``order``, carried onto
+    the curve.  A complex Schur form of the unitary is diagonal to
+    roundoff; each eigenvalue is put on the circle by its angle."""
+    trig = np.exp(1j * np.outer(np.arange(1, order + 1), thetas))
+    moments = np.tensordot(trig, mu.atoms.weights, axes=1)
+    table = MomentTable(dim=mu.dim, nu=1, symmetric=True,
+                        values={(j,): c for j, c in enumerate(moments, 1)})
+    u = toeplitz_gns_unitary(table, tol).generators[0]
+    tri, z = scipy.linalg.schur(u, output="complex")
+    y = z[:mu.dim].T  # V* z_k, one row per eigenvector
+    weights = y[:, :, None] * y.conj()[:, None, :]
+    atoms = Atoms.from_points(curve.point(np.angle(np.diag(tri))), weights)
+    return replace(mu, atoms=atoms)
 
 
 def dilate_annulus(t, inner_radius: float, order: int = 3, nodes: int = 64,

@@ -278,6 +278,21 @@ def test_read_json_errors(tmp_path):
         read_json(tmp_path / "missing.json")
 
 
+def test_read_json_keeps_signed_zero(tmp_path):
+    """dump_json writes -0.0 as "-0"; read_json reads it back as -0.0, so a
+    file round trip is byte-identical, and every other integer stays int."""
+    m = np.array([[complex(-0.0, -0.25)]])
+    p = tmp_path / "m.json"
+    write_json(p, encode_matrix(m))
+    back = decode_matrix(read_json(p))
+    assert back.tobytes() == m.tobytes()
+    assert dump_json(encode_matrix(back)) == p.read_text()
+    p.write_text('[0, -0, 7, -7, 0.0, -0.0]')
+    got = read_json(p)
+    assert [type(x) for x in got] == [int, float, int, int, float, float]
+    assert [math.copysign(1.0, x) for x in got] == [1, -1, 1, -1, 1, -1]
+
+
 def test_write_json_bytes_stable(tmp_path):
     obj = encode_matrix(np.array([[1.0 / 3.0, 2.0]]))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -92,8 +92,10 @@ def test_boundary_pipeline_contract():
 
 @pytest.mark.parametrize("seed", [0, 5, 6, 59])
 def test_boundary_d2_256_nodes(seed):
-    # 512 terms to reduce; at seeds 5, 6 and 59 the whole-support sweep
-    # drifted the alpha average off the identity (NotNormalizedError)
+    # on the closed-form ellipse these draws take the Szego route; their
+    # 512-term reduction (where the whole-support sweep once drifted the
+    # alpha average off the identity) runs in
+    # test_boundary_sampled_reduction_shapes
     rng = np.random.default_rng([seed, 3])
     curve = dk.BoundaryCurve.ellipse(1.0, 0.6)
     t = random_contraction(rng, 2, 0.5)
@@ -107,6 +109,95 @@ def test_boundary_rejects_uncontained():
     curve = dk.BoundaryCurve.disc(1.0)
     with pytest.raises(dk.NotContainedError):
         dk.dilate_boundary(2.0 * np.eye(2), curve, order=2, nodes=64)
+
+
+def _on_curve(curve, z):
+    """How far points lie off a disc or an ellipse, radially."""
+    if curve.kind == "disc":
+        return np.abs(np.abs(z) - curve.params["radius"])
+    a, b = curve.params["a"], curve.params["b"]
+    return np.abs(np.hypot(z.real / a, z.imag / b) - 1.0)
+
+
+@pytest.mark.parametrize("curve", [dk.BoundaryCurve.disc(1.0),
+                                   dk.BoundaryCurve.ellipse(1.0, 0.6)],
+                         ids=["disc", "ellipse"])
+@pytest.mark.parametrize("d, nodes, order", [(2, 128, 4), (3, 128, 4), (3, 192, 4),
+                                             (2, 6, 6), (2, 6, 8)])
+def test_boundary_szego_route(curve, d, nodes, order):
+    """On a disc or an ellipse the trapezoid measure is replaced by its Szego
+    quadrature: K <= (order + 1) d, with equality once the nodes outnumber
+    the order, N normal with its eigenvalues on the curve, and the
+    trapezoid measure's moments kept to roundoff.  With nodes <= order the
+    quadrature error fails verification, as it does on the trapezoid path."""
+    t = random_contraction(np.random.default_rng([71, d, nodes]), d, 0.3)
+    result = dk.dilate_boundary(t, curve, order=order, nodes=nodes)
+    k = result.dilation.space_dim
+    assert k == (order + 1) * d if nodes > order else k <= nodes * d
+    assert result.passed == (nodes > order)
+    assert result.dilation.provenance == "szego-naimark"
+    assert len(result.measure.atoms) == result.reduced_terms == k
+    n = result.dilation.generators[0]
+    assert np.linalg.norm(n @ n.conj().T - n.conj().T @ n) <= 1e-13
+    assert np.max(_on_curve(curve, np.linalg.eigvals(n))) <= 1e-12
+    trapezoid = dk.quadrature_measure(t, curve, nodes)
+    for j in range(order + 1):
+        assert np.linalg.norm(result.measure.moment((j,))
+                              - trapezoid.moment((j,))) <= 1e-13
+
+
+@pytest.mark.parametrize("d, nodes, k", [(2, 128, 24), (3, 128, 45), (3, 192, 45)])
+def test_boundary_sampled_ellipse_keeps_trapezoid_path(d, nodes, k):
+    """The ellipse given by its samples reduces the trapezoid measure, with
+    the K that the closed-form ellipse had before the Szego route."""
+    ellipse = dk.BoundaryCurve.ellipse(1.0, 0.6)
+    curve = dk.BoundaryCurve.sampled(*ellipse.sample(nodes), convex=True)
+    t = random_contraction(np.random.default_rng([71, d, nodes]), d, 0.5)
+    result = dk.dilate_boundary(t, curve, order=4, nodes=nodes)
+    assert result.passed and result.dilation.provenance == "naimark"
+    assert result.dilation.space_dim == result.reduced_terms == k
+
+
+@pytest.mark.parametrize("key, d, nodes", [
+    ([seed, 3], 2, 256) for seed in (0, 5, 6, 59)] + [
+    ([4242, draw], d, nodes) for draw in range(3)
+    for d, nodes in ((2, 192), (2, 256), (3, 256))])
+def test_boundary_sampled_reduction_shapes(key, d, nodes):
+    """The draws and shapes of test_boundary_d2_256_nodes and
+    test_boundary_left_out_shapes, where reduction once drifted or its SVD
+    failed to converge, on the trapezoid path that the sampled ellipse
+    keeps: 384 to 768 terms to reduce."""
+    ellipse = dk.BoundaryCurve.ellipse(1.0, 0.6)
+    curve = dk.BoundaryCurve.sampled(*ellipse.sample(nodes), convex=True)
+    t = random_contraction(np.random.default_rng(key), d, 0.5)
+    result = dk.dilate_boundary(t, curve, order=4, nodes=nodes)
+    assert result.passed
+    assert result.dilation.space_dim == result.reduced_terms <= d * d * (2 * 4 + 2)
+    assert np.linalg.norm(result.measure.unit_matrix() - np.eye(d)) <= 1e-12
+
+
+def test_regular_one_operator_takes_the_gns_route(monkeypatch):
+    """One operator's regular moments are its circle moments: no grid and no
+    fit, so a unitary with off-lattice spectrum passes, K is at most
+    (order + 1) d, and nodes and seed change nothing."""
+    from dilatekit import io, pipelines
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("one-variable regular data was fitted")
+
+    monkeypatch.setattr(pipelines, "fit_matrix_measure", no_fit)
+    u = np.diag(np.exp([0.1j, 2.0j]))
+    for t, k in ((u, 2), (0.99 * u, 6)):
+        result = dk.dilate_regular([t], order=2)
+        assert result.passed and result.dilation.space_dim == k
+        assert result.dilation.provenance == "gns" and result.measure is None
+    t = random_contraction(np.random.default_rng(3), 3, 0.9)
+    result = dk.dilate_regular([t], order=3)
+    assert result.passed and result.dilation.space_dim == 12
+    assert result.dimensions.slack >= 0
+    other = dk.dilate_regular([t], order=3, nodes=5, seed=4)
+    assert (io.dump_json(io.encode_dilation(other.dilation))
+            == io.dump_json(io.encode_dilation(result.dilation)))
 
 
 @pytest.mark.parametrize("pipeline", ["circle", "regular", "boundary", "annulus",
@@ -138,6 +229,7 @@ def test_order_zero_refused_up_front(pipeline, monkeypatch):
 @pytest.mark.parametrize("pipeline, error", [
     ("annulus", dk.InfeasibleError),
     ("regular", dk.InfeasibleError),
+    ("regular-one", dk.NotPSDError),
     ("qcommute", dk.NotCommutingError)])
 def test_overflowing_norms_refuse_without_warning(pipeline, error):
     """Data of norm 1e200 has finite moments whose squared norms overflow.
@@ -145,11 +237,13 @@ def test_overflowing_norms_refuse_without_warning(pipeline, error):
     a finite residual or defect, and no overflow warning is raised (the
     pytest configuration turns RuntimeWarning into an error).  The
     q-commute pair fails its relation (T2 T1 = T1, not -T1 T2) before any
-    fit."""
+    fit.  One regular operator takes the GNS route, whose first Verblunsky
+    coefficient has norm 1e200; a pair is fitted."""
     big = 1e200 * np.eye(2)
     call = {
         "annulus": lambda: dk.dilate_annulus(big, 0.5, order=1),
-        "regular": lambda: dk.dilate_regular([big], order=1),
+        "regular": lambda: dk.dilate_regular([big, np.eye(2)], order=1, nodes=4),
+        "regular-one": lambda: dk.dilate_regular([big], order=1),
         "qcommute": lambda: dk.dilate_qcommute(big, np.eye(2), a=1, b=2),
     }[pipeline]
     with pytest.raises(error, match=r"e\+200"):
@@ -207,9 +301,9 @@ def test_measure_path_validates_per_stack_not_per_atom(monkeypatch):
         assert dk.dilate_regular(ts, order=1, nodes=4 + 2 * size).passed
         runs[size] = boundary, dict(counts)
     assert runs[1] == runs[2]
-    # quadrature, normalization and reassembly; grid, fit output,
-    # normalization and reassembly; one combination view each
-    assert runs[1] == ({"Atoms check": 3, "MatrixPoint check": 1},
+    # quadrature, normalization, the Szego measure and reassembly; grid,
+    # fit output, normalization and reassembly; one combination view each
+    assert runs[1] == ({"Atoms check": 4, "MatrixPoint check": 1},
                        {"Atoms check": 4, "MatrixPoint check": 1})
 
 

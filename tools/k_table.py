@@ -2,6 +2,7 @@
 
     python tools/k_table.py --out k.json [--workloads boundary,fitted]
                             [--seeds 1-6] [--draws 0-2] [--label SUBSTR]
+                            [--sampled]
     python tools/k_table.py --diff parent.json change.json [--label SUBSTR]
 
 The first form runs every case of ``bench/workloads.make_cases`` once per
@@ -12,8 +13,13 @@ dimension), whether it passed verification, the verification's
 its ``dump_json(encode_dilation(...))`` bytes.  A refused call records
 the error's class in place of K and the digest.  ``--label`` runs only the
 cases whose label contains SUBSTR (``--label qcommute``, say), keeping
-their case numbers.  Run it on two checkouts to compare them; the tool
-only reads ``bench/``.
+their case numbers.  ``--sampled`` gives each ``boundary`` case its curve
+as ``BoundaryCurve.sampled`` at the case's node count, with the same
+points and derivatives, so the call takes the trapezoid path that the
+closed-form disc and ellipse no longer take: its table, diffed against
+a plain table of a checkout from before the Szego route, should show
+every call byte-identical.  Run it on two checkouts to compare them;
+the tool only reads ``bench/``.
 
 The second form prints, for each workload, the sum of K and the passed
 count on either side, every call whose K or verdict moved, every call
@@ -45,7 +51,7 @@ def _span(text: str) -> range:
     return range(int(lo), int(hi or lo) + 1)
 
 
-def run(workloads, seeds, draws, label="") -> list:
+def run(workloads, seeds, draws, label="", sampled=False) -> list:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import dilatekit as dk
     from dilatekit.io import dump_json, encode_dilation
@@ -58,6 +64,10 @@ def run(workloads, seeds, draws, label="") -> list:
                 for index, case in enumerate(make_cases(workload, seed, draw)):
                     if label not in case.label:
                         continue
+                    if sampled and case.kind == "boundary":
+                        t, curve = case.args
+                        samples = curve.sample(case.kwargs["nodes"])
+                        case.args = (t, dk.BoundaryCurve.sampled(*samples, convex=True))
                     rec = {"workload": workload, "seed": seed, "draw": draw,
                            "case": index, "label": case.label}
                     try:
@@ -118,6 +128,8 @@ def main(argv=None) -> int:
     parser.add_argument("--draws", default="0-2", help="e.g. 0-2 or 0")
     parser.add_argument("--label", default="", metavar="SUBSTR",
                         help="only the cases whose label contains SUBSTR")
+    parser.add_argument("--sampled", action="store_true",
+                        help="give boundary cases their curve by its samples")
     parser.add_argument("--out", help="write the table here (default: stdout)")
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
                         help="compare two tables instead of running")
@@ -128,7 +140,7 @@ def main(argv=None) -> int:
         print(diff(old, new))
         return 0
     records = run(args.workloads.split(","), _span(args.seeds), _span(args.draws),
-                  args.label)
+                  args.label, args.sampled)
     text = json.dumps(records, indent=1) + "\n"
     if args.out:
         Path(args.out).write_text(text)
