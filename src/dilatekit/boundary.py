@@ -7,6 +7,17 @@ convex curve, the boundary density
 
 integrates to the identity and its trapezoid discretization yields an
 atomic measure whose Naimark assembly is an explicit normal dilation.
+
+Under that containment every question the measure asks of a matrix
+stack usually has the answer "yes": W(T) is inside at every sweep
+angle, every resolvent is well conditioned (sigma_min(zeta - T) >=
+dist(zeta, W(T))), and every density is positive definite.  A "yes" is
+certified without a decomposition: a Hermitian matrix whose unpivoted
+LDL* pivots are all positive is positive definite (Sylvester's law of
+inertia, linalg._ldl_pivots), and ||M||_F ||M^{-1}||_F bounds cond_2(M)
+from above.  Only the matrices these screens leave undecided go through
+the batched eigh or SVD that decides them, so every verdict and error
+message is that of the decomposition, up to ties within roundoff.
 """
 
 from __future__ import annotations
@@ -18,10 +29,18 @@ import numpy as np
 from .errors import (
     NonConvexCurveError,
     NotContainedError,
+    NotNormalizedError,
     ResolventSingularError,
     ShapeMismatchError,
 )
-from .linalg import DEFAULT_TOL, Tolerances, asmatrix, herm_part, psd_project
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerances,
+    _ldl_pivots,
+    asmatrix,
+    herm_part,
+    psd_project,
+)
 from .measures import AtomicMeasure, Atoms
 
 __all__ = [
@@ -152,6 +171,20 @@ class RangeReport:
     radius: float
 
 
+def _sweep(t, angles: int):
+    """The checked operator, the uniform sweep angles and the stack of
+    Hermitian parts Re(e^{-i theta} T), one per angle."""
+    t = asmatrix(t)
+    if t.shape[0] != t.shape[1]:
+        raise ShapeMismatchError("numerical range needs a square matrix")
+    if t.shape[0] == 0:
+        raise ShapeMismatchError("numerical range of an empty matrix")
+    if angles < 3:
+        raise ShapeMismatchError("need at least 3 sweep angles")
+    thetas = 2.0 * np.pi * np.arange(angles) / angles
+    return t, thetas, herm_part(np.exp(-1j * thetas)[:, None, None] * t)
+
+
 def numerical_range(t, angles: int = 256) -> RangeReport:
     """Sweep the support function of the numerical range.
 
@@ -160,13 +193,8 @@ def numerical_range(t, angles: int = 256) -> RangeReport:
     radius is the maximum support value over the sweep.  All angles share
     one batched eigh.
     """
-    t = asmatrix(t)
-    if t.shape[0] != t.shape[1]:
-        raise ShapeMismatchError("numerical range needs a square matrix")
-    if angles < 3:
-        raise ShapeMismatchError("need at least 3 sweep angles")
-    thetas = 2.0 * np.pi * np.arange(angles) / angles
-    w, q = np.linalg.eigh(herm_part(np.exp(-1j * thetas)[:, None, None] * t))
+    t, thetas, sweep = _sweep(t, angles)
+    w, q = np.linalg.eigh(sweep)
     support = w[:, -1]
     xi = q[:, :, -1]
     points = np.sum(xi.conj() * (xi @ t.T), axis=1)
@@ -180,13 +208,27 @@ def contains_numerical_range(t, curve: BoundaryCurve, margin: float | None = Non
 
     Convex regions compare support functions: h_T(theta) <= h_curve(theta)
     - margin on the sweep.  Default margin is 2% of the region diameter.
+
+    h_T(theta) is the largest eigenvalue of H = Re(e^{-i theta} T), so an
+    angle is inside as soon as (h_curve(theta) - margin) I - H is positive
+    definite, which its LDL* pivots certify when they are all positive.
+    Only the angles that screen leaves undecided go through the batched
+    eigh of numerical_range and the comparison above, with the same bits.
     """
     if not curve.convex:
         raise NonConvexCurveError("containment test requires a convex curve")
     if margin is None:
         margin = 0.02 * curve.diameter()
-    report = numerical_range(t, angles=angles)
-    return bool(np.all(report.support <= curve.support(report.thetas) - margin))
+    t, thetas, sweep = _sweep(t, angles)
+    bound = curve.support(thetas) - margin
+    gap = -sweep
+    diag = np.arange(t.shape[0])
+    gap[:, diag, diag] += bound[:, None]
+    rest = ~(_ldl_pivots(gap) > 0).all(axis=1)
+    if not rest.any():
+        return True
+    support = np.linalg.eigh(sweep[rest])[0][:, -1]
+    return bool(np.all(support <= bound[rest]))
 
 
 _COND_CAP = 1e12
@@ -195,11 +237,25 @@ _COND_CAP = 1e12
 def _resolvents(t: np.ndarray, zetas) -> np.ndarray:
     """The stack of resolvents (zeta_j - T)^{-1}, one per node.
 
-    One batched SVD checks every condition number against _COND_CAP
-    and one batched inverse forms the stack.
+    One batched inverse forms the stack.  Since cond_2(M) <=
+    ||M||_F ||M^{-1}||_F, the stack is accepted when that bound is within
+    _COND_CAP at every node, and that never accepts a node the SVD rule
+    below would refuse.  When the inverse fails, or some node's bound
+    exceeds the cap (or is NaN), one batched SVD checks every condition
+    number against _COND_CAP, as the rule, and raises on the first node
+    over it.
     """
     zetas = np.asarray(zetas, dtype=np.complex128)
     m = zetas[:, None, None] * np.eye(t.shape[0]) - t
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.linalg.norm(m, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
+        if np.all(bound <= _COND_CAP):
+            return inv
     sv = np.linalg.svd(m, compute_uv=False)
     bad = (sv[:, -1] <= 0) | (sv[:, 0] > _COND_CAP * sv[:, -1])
     if np.any(bad):
@@ -227,6 +283,19 @@ def boundary_density(t, curve: BoundaryCurve, theta: float) -> np.ndarray:
                       [curve.derivative(theta)])[0]
 
 
+def _project_densities(mats: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """psd_project of a stack of Hermitian matrices, screened: a finite
+    matrix whose LDL* pivots are all positive is positive definite, so it
+    is its own projection and is kept as it is; only the rest go through
+    psd_project."""
+    rest = ~((_ldl_pivots(mats) > 0).all(axis=1) & np.isfinite(mats).all(axis=(1, 2)))
+    if not rest.any():
+        return mats
+    out = mats.copy()
+    out[rest] = psd_project(mats[rest], tol)
+    return out
+
+
 def quadrature_measure(t, curve: BoundaryCurve, nodes: int,
                        tol: Tolerances = DEFAULT_TOL) -> AtomicMeasure:
     """Trapezoid discretization of the boundary measure as point atoms.
@@ -234,7 +303,14 @@ def quadrature_measure(t, curve: BoundaryCurve, nodes: int,
     Weights are w_j = 2 pi / nodes times the PSD projection of
     D(theta_j); the discretization defect || sum P_j - I || (order
     1/nodes^2 or better) is recorded, then removed exactly by the
-    measure's congruence normalization.
+    measure's congruence normalization.  A node count too coarse for
+    that repair raises NotNormalizedError naming the node count.
+
+    W(T) inside the curve makes every density positive definite, and
+    then the projection keeps w D(theta_j), which is Hermitian by
+    construction: the LDL* pivots of each density certify that, and only
+    the densities they leave undecided (semidefinite or indefinite) go
+    through psd_project's eigh.
     """
     if nodes < 1:
         raise ShapeMismatchError(f"need at least one quadrature node, got {nodes}")
@@ -245,10 +321,17 @@ def quadrature_measure(t, curve: BoundaryCurve, nodes: int,
         )
     _, zetas, dzetas = curve.sample(nodes)
     w = 2.0 * np.pi / nodes
-    weights = psd_project(w * _densities(t, zetas, dzetas), tol)
-    atoms = Atoms.from_points(zetas, weights)
-    # normalized() records the defect it removes
-    return AtomicMeasure(dim=t.shape[0], atoms=atoms).normalized(tol)
+    weights = _project_densities(w * _densities(t, zetas, dzetas), tol)
+    mu = AtomicMeasure(dim=t.shape[0], atoms=Atoms.from_points(zetas, weights))
+    try:
+        # normalized() records the defect it removes
+        return mu.normalized(tol)
+    except NotNormalizedError as exc:
+        defect = float(np.linalg.norm(mu.unit_matrix() - np.eye(mu.dim)))
+        raise NotNormalizedError(
+            f"trapezoid rule at {nodes} nodes misses unit mass by {defect:.3e}; "
+            "use more nodes"
+        ) from exc
 
 
 def _winding_inside(z: complex, pts: np.ndarray, diam: float) -> bool:

@@ -196,6 +196,27 @@ def psd_project(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return herm_part((q * w) @ np.swapaxes(q.conj(), -1, -2))
 
 
+def _ldl_pivots(mats: np.ndarray) -> np.ndarray:
+    """The unpivoted LDL* pivots of a stack of Hermitian matrices, shape
+    (stack, n), one elimination step at a time over the whole stack.
+
+    Only the lower triangle is read.  By Sylvester's law of inertia a
+    matrix whose pivots are all > 0 is positive definite and one whose
+    pivots are all < 0 is negative definite.  Anything else, a zero pivot
+    or a NaN one after it included, decides neither, so a caller sends
+    such a matrix to an eigensolver.
+    """
+    pivots = np.empty(mats.shape[:2])
+    schur = mats
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(mats.shape[-1]):
+            pivots[:, k] = schur[:, 0, 0].real
+            col = schur[:, 1:, 0]
+            schur = schur[:, 1:, 1:] - col[:, :, None] * (
+                col.conj() / pivots[:, k, None])[:, None, :]
+    return pivots
+
+
 def inv_sqrt_psd(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Inverse square root of a Hermitian positive definite matrix."""
     w, q = herm_eig(s, tol)

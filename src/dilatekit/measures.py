@@ -41,6 +41,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _ldl_pivots,
     _norm,
     _psd_floor,
     _rank_one_split,
@@ -491,22 +492,15 @@ def _project_hvec(coords: np.ndarray, m: int) -> np.ndarray:
     """The PSD projection of a stack of hvec coordinates (blocks, m^2).
 
     Each block's inertia is read from the signs of its unpivoted LDL*
-    pivots (Sylvester's law of inertia), one elimination step at a time
-    over the whole stack.  A positive definite block keeps its
-    coordinates bit for bit and a negative definite one becomes 0; the
-    rest, whose pivots change sign, vanish or are lost to overflow, go
-    through one batched eigh with the negative eigenvalues clipped.
+    pivots (Sylvester's law of inertia, _ldl_pivots).  A positive
+    definite block keeps its coordinates bit for bit and a negative
+    definite one becomes 0; the rest, whose pivots change sign, vanish or
+    are lost to overflow, go through one batched eigh with the negative
+    eigenvalues clipped.
     """
     phi = _herm_to_cvec(m)  # hvec coordinates to raveled matrices
     mats = (coords @ phi.T).reshape(-1, m, m)
-    pivots = np.empty(mats.shape[:2])
-    schur = mats
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(m):
-            pivots[:, k] = schur[:, 0, 0].real
-            col = schur[:, 1:, 0]
-            schur = schur[:, 1:, 1:] - col[:, :, None] * (
-                col.conj() / pivots[:, k, None])[:, None, :]
+    pivots = _ldl_pivots(mats)
     pos, neg = (pivots > 0).all(axis=1), (pivots < 0).all(axis=1)
     out = np.where(neg[:, None], 0.0, coords)
     rest = ~(pos | neg)

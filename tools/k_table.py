@@ -23,7 +23,8 @@ the tool only reads ``bench/``.
 
 The second form prints, for each workload, the sum of K and the passed
 count on either side, every call whose K or verdict moved, every call
-whose residual moved by more than 1e-12, and the count of calls whose
+whose residual moved by more than 1e-12, the largest residual move over
+the calls with a residual on both sides, and the count of calls whose
 dilation bytes differ; with ``--label`` it compares only the calls whose
 label contains SUBSTR.
 """
@@ -99,7 +100,7 @@ def diff(old: list, new: list) -> str:
         passed = [sum(rec["passed"] for rec in side) for side in sides]
         lines.append(f"{workload}: sum K {sums[0]} -> {sums[1]}, passed "
                      f"{passed[0]}/{len(sides[0])} -> {passed[1]}/{len(sides[1])}")
-        bytes_differ = 0
+        bytes_differ, largest_move = 0, 0.0
         for k in keys:
             a, b = before.get(k), after.get(k)
             if a is None or b is None:
@@ -113,10 +114,13 @@ def diff(old: list, new: list) -> str:
                              f"K {a['K'] or a.get('error')} -> {b['K'] or b.get('error')}, "
                              f"passed {a['passed']} -> {b['passed']}")
             ra, rb = a.get("residual"), b.get("residual")
+            if ra is not None and rb is not None:
+                largest_move = max(largest_move, abs(rb - ra))
             if (ra is None) != (rb is None) or (
                     ra is not None and abs(rb - ra) > RESIDUAL_MOVE):
                 lines.append(f"  seed {k[1]} draw {k[2]} {a['label']}: "
                              f"residual {ra} -> {rb}")
+        lines.append(f"  largest residual move {largest_move:.3e}")
         lines.append(f"  dilation bytes differ on {bytes_differ} of {len(keys)} calls")
     return "\n".join(lines)
 
