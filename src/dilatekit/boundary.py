@@ -93,6 +93,11 @@ class BoundaryCurve:
         derivs = np.asarray(derivs, dtype=np.complex128)
         if not (thetas.shape == points.shape == derivs.shape) or thetas.ndim != 1:
             raise ShapeMismatchError("sampled curve needs aligned 1-d sample arrays")
+        if not thetas.size:
+            raise ShapeMismatchError("sampled curve needs at least one sample")
+        for name, values in (("thetas", thetas), ("points", points), ("derivatives", derivs)):
+            if not np.isfinite(values).all():
+                raise ShapeMismatchError(f"sampled curve has non-finite {name}")
         step = 2.0 * np.pi / thetas.size
         if np.max(np.abs(thetas - step * np.arange(thetas.size))) > 1e-9:
             raise ShapeMismatchError("sampled curve must use uniform angles from 0")

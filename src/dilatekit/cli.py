@@ -74,16 +74,13 @@ def _build_parser() -> _Parser:
                                  "from finite moment data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output_required=True, residual=True, seed=False):
+    def common(p, output_required=True, residual=True):
         p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", required=output_required,
                        help="output path (prefix for dilation commands)")
         if residual:
             p.add_argument("--tol-residual", type=float, default=None,
                            dest="tol_residual", help="override residual_tol")
-        if seed:
-            p.add_argument("--seed", type=_above(-1), default=0,
-                           help="seed for fit initialization")
 
     p = sub.add_parser("dilate-circle", help="unitary rho-dilation via GNS")
     common(p)
@@ -93,7 +90,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("dilate-regular",
                        help="commuting unitaries from regular moments")
-    common(p, seed=True)
+    common(p)
     p.add_argument("--order", type=_above(0), required=True)
     p.add_argument("--nodes", type=_above(0), default=12,
                    help="torus lattice nodes per axis")
@@ -108,14 +105,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("dilate-annulus",
                        help="normal dilation on both annulus circles")
-    common(p, seed=True)
+    common(p)
     p.add_argument("--order", type=_above(0), default=3)
     p.add_argument("--nodes", type=_above(0), default=64)
     p.add_argument("--curve", required=True, help="annulus:r")
 
     p = sub.add_parser("dilate-qcommute",
                        help="q-commuting unitary pair, q = exp(2 pi i a/b)")
-    common(p, seed=True)
+    common(p)
     p.add_argument("--order", type=_above(0), default=1)
     p.add_argument("--nodes", type=_above(0), default=8,
                    help="phase lattice nodes per axis")
@@ -216,7 +213,7 @@ def _run(args) -> int:
     if cmd == "dilate-regular":
         ops = decode_operators(read_json(args.input))
         result = dilate_regular(ops, order=args.order, nodes=args.nodes,
-                                tol=tol, seed=args.seed)
+                                tol=tol)
         return _emit_dilation(args, result)
     if cmd == "dilate-boundary":
         curve = _parse_curve(args.curve)
@@ -228,16 +225,14 @@ def _run(args) -> int:
         if curve.kind != "annulus":
             raise MalformedInputError("dilate-annulus needs --curve annulus:r")
         result = dilate_annulus(_one_operator(args), curve.params["r"],
-                                order=args.order, nodes=args.nodes, tol=tol,
-                                seed=args.seed)
+                                order=args.order, nodes=args.nodes, tol=tol)
         return _emit_dilation(args, result)
     if cmd == "dilate-qcommute":
         ops = decode_operators(read_json(args.input))
         if len(ops) != 2:
             raise MalformedInputError("dilate-qcommute takes two input matrices")
         result = dilate_qcommute(ops[0], ops[1], a=args.a, b=args.b,
-                                 order=args.order, nodes=args.nodes, tol=tol,
-                                 seed=args.seed)
+                                 order=args.order, nodes=args.nodes, tol=tol)
         return _emit_dilation(args, result)
     if cmd == "reduce":
         comb = decode_combination(read_json(args.input))

@@ -615,8 +615,8 @@ def _polish(b_mat, rhs, k, m, z):
 
 
 def fit_matrix_measure(targets: MomentTable, grid: Atoms,
-                       tol: Tolerances = DEFAULT_TOL,
-                       seed: int = 0, *, class_size: int = 1) -> AtomicMeasure:
+                       tol: Tolerances = DEFAULT_TOL, *,
+                       class_size: int = 1) -> AtomicMeasure:
     """Fit PSD atom weights on a fixed grid to prescribed moments.
 
     Solves  min sum_{n != 0} || sum_j eval(n, j) P_j - L_n ||_F^2  over
@@ -629,7 +629,12 @@ def fit_matrix_measure(targets: MomentTable, grid: Atoms,
     25 iterations the fit stops when the residual is at most 0.9 fit_tol
     and the unit defect at most 1e-9.
 
-    When that test fails at a check whose number is a power of two
+    ADMM starts at z = u = 0: the first x-step is the regularized least
+    squares fit of the moment and mass rows, and a grid symmetry carrying
+    one table onto another (a lattice rotation, a swap of variables)
+    carries one fit onto the other, to roundoff.
+
+    When the stopping test fails at a check whose number is a power of two
     (iterations 25, 50, 100, 200, ...: at most 10 attempts in a fit), the
     iterate is polished on its identified face, as in OSQP's solution
     polishing (Stellato, Banjac, Goulart, Bemporad & Boyd 2020, *OSQP: an
@@ -652,8 +657,7 @@ def fit_matrix_measure(targets: MomentTable, grid: Atoms,
     Raises Infeasible unless the final weights meet fit_tol with a unit
     defect of at most 1e-8 (a NaN residual meets neither), in particular
     when the residual stays above fit_tol at the iteration cap; atoms
-    whose fitted weight is below _PRUNE_TOL are dropped.  ``seed`` draws
-    the initial weights.
+    whose fitted weight is below _PRUNE_TOL are dropped.
 
     ``class_size`` says that each atom stands for that many atoms of a
     larger grid, all unitarily equivalent to it (dilate_qcommute fits one
@@ -663,14 +667,14 @@ def fit_matrix_measure(targets: MomentTable, grid: Atoms,
     runs at penalty _RHO / class_size.  That is the larger grid's own
     iteration restricted to weights shared evenly by each class (each
     atom holding the class weight / class_size, conjugated into its
-    frame): in the class weights its columns are scaled by
-    sqrt(class_size), which is the same as dividing the penalty by
-    class_size (Boyd et al. 2011, sec. 3.4.1, on the role of the
+    frame, as at the zero start): in the class weights its columns are
+    scaled by sqrt(class_size), which is the same as dividing the penalty
+    by class_size (Boyd et al. 2011, sec. 3.4.1, on the role of the
     penalty).  The residual, the stopping test, the polish and pruning
     read the true weights, and neither the projection nor the polish
-    thresholds see the scale.  Unscaled, at penalty _RHO, the q-commute
-    fits of the benchmark take 800 to 2725 iterations on the class grid
-    where the scaled ones stop at 400.
+    thresholds see the scale.  Unscaled, the benchmark's q-commute pair
+    with T1 halved (20 draws) gives K 22 to 30 at 8 nodes, not 14 to 22,
+    and at 6 nodes 15 fits take 600 iterations, not 100 or 200.
     """
     if not grid:
         raise GridEmptyError("empty atom grid")
@@ -689,11 +693,7 @@ def fit_matrix_measure(targets: MomentTable, grid: Atoms,
         resid, unit_def = defects(w)
         return resid <= limit and unit_def <= 1e-9
 
-    # each weight starts at a random multiple of hvec(I_m), which is
-    # C^T hvec(I_d) block by block
-    weights = (0.5 + 0.5 * np.random.default_rng(seed).random(len(grid))) / len(grid)
-    z = np.repeat(weights, m * m) * (b_mat[k:].T @ rhs[k:])
-    for it, z in _admm(*system, m, z, _RHO / class_size):
+    for it, z in _admm(*system, m, np.zeros(b_mat.shape[1]), _RHO / class_size):
         if stops(z, 0.9 * fit_tol):
             break
         check = it // _CHECK_EVERY

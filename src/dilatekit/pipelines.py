@@ -132,28 +132,28 @@ def _gns_result(table: MomentTable, tol: Tolerances) -> PipelineResult:
 
 
 def dilate_regular(ts, order: int, nodes: int = 12,
-                   tol: Tolerances = DEFAULT_TOL,
-                   seed: int = 0) -> PipelineResult:
+                   tol: Tolerances = DEFAULT_TOL) -> PipelineResult:
     """Commuting unitary tuple matching the regular moments of ``ts``.
 
     For two or more operators the measure is fitted on the nodes^nu
     torus lattice, so moment data forcing off-grid atoms (e.g. a unitary
     with off-lattice spectrum) is reported Infeasible rather than
-    approximated silently.  ``seed`` draws the fit's initial weights.
+    approximated silently.  The fit starts at zero, so the dilation
+    depends on the data, ``nodes`` and ``tol`` alone.
 
     One operator's regular moments are its circle moments, so at nu = 1
     the unitary comes from the Szego recursion (toeplitz_gns_unitary), as
     in dilate_circle: no grid, no fit, K <= (order + 1) d, and every
     contraction passes, a unitary with off-lattice spectrum included.
-    ``nodes`` and ``seed`` then have no effect, though nodes < 1 is still
-    refused up front.
+    ``nodes`` then has no effect, though nodes < 1 is still refused up
+    front.
     """
     _require_nodes(nodes)
     table = regular_moments(ts, order)
     if table.nu == 1:
         return _gns_result(table, tol)
     grid = torus_grid(nodes, table.nu)
-    mu = fit_matrix_measure(table, grid, tol, seed).normalized(tol)
+    mu = fit_matrix_measure(table, grid, tol).normalized(tol)
     return _measure_result(mu, table, Relations.commuting(table.nu), tol,
                            1e-6, (2 * order + 1) ** table.nu)
 
@@ -235,8 +235,7 @@ def _szego_measure(mu: AtomicMeasure, thetas: np.ndarray, curve: BoundaryCurve,
 
 
 def dilate_annulus(t, inner_radius: float, order: int = 3, nodes: int = 64,
-                   tol: Tolerances = DEFAULT_TOL,
-                   seed: int = 0) -> PipelineResult:
+                   tol: Tolerances = DEFAULT_TOL) -> PipelineResult:
     """Normal dilation on the two boundary circles of an annulus.
 
     Matches genuine two-sided powers T^k, |k| <= order, of an invertible
@@ -247,13 +246,13 @@ def dilate_annulus(t, inner_radius: float, order: int = 3, nodes: int = 64,
     t = asmatrix(t)
     table = laurent_moments(t, order)
     grid = annulus_grid(nodes, inner_radius)
-    mu = fit_matrix_measure(table, grid, tol, seed).normalized(tol)
+    mu = fit_matrix_measure(table, grid, tol).normalized(tol)
     relations = Relations(rule="laurent", unitary=False, negatives="inverse")
     return _measure_result(mu, table, relations, tol, 1e-6, 4 * order + 1)
 
 
 def dilate_qcommute(t1, t2, a: int, b: int, order: int = 1, nodes: int = 8,
-                    tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> PipelineResult:
+                    tol: Tolerances = DEFAULT_TOL) -> PipelineResult:
     """q-commuting unitary pair matching the ordered moments T1^n T2^m.
 
     q = exp(2 pi i a/b) with integer a, b, and with a/b in lowest terms
@@ -265,8 +264,9 @@ def dilate_qcommute(t1, t2, a: int, b: int, order: int = 1, nodes: int = 8,
     takes one pair per class, the (nodes/g)^2 pairs at the lowest phases,
     and counts each for its g^2 lattice pairs (fit_matrix_measure's
     class_size): the same feasible set as the whole lattice from a
-    g^2-th of its atoms.  Inputs violating T2 T1 = q T1 T2 are rejected
-    up front.
+    g^2-th of its atoms.  The fit starts at zero, which is shared evenly
+    by each class, so it is the whole lattice's fit to roundoff.  Inputs
+    violating T2 T1 = q T1 T2 are rejected up front.
     """
     t1 = asmatrix(t1)
     t2 = asmatrix(t2)
@@ -284,7 +284,6 @@ def dilate_qcommute(t1, t2, a: int, b: int, order: int = 1, nodes: int = 8,
             f"pair is not q-commuting for a/b = {a}/{b} (defect {defect:.3e})"
         )
     table = qcommuting_moments(t1, t2, order)
-    mu = fit_matrix_measure(table, grid, tol, seed,
-                            class_size=class_size).normalized(tol)
+    mu = fit_matrix_measure(table, grid, tol, class_size=class_size).normalized(tol)
     return _measure_result(mu, table, Relations.exchange_pair(q), tol, 1e-6,
                            2 * (order + 1) ** 2 - 1, sub_rank=grid.rep_dim)

@@ -6,6 +6,7 @@ from dilatekit import (
     NonConvexCurveError,
     NotContainedError,
     ResolventSingularError,
+    ShapeMismatchError,
 )
 
 from conftest import complex_gaussian, random_contraction, random_unitary
@@ -166,6 +167,32 @@ def test_sampled_curve_roundtrip():
     sampled = dk.BoundaryCurve.sampled(th, pts, der, convex=True)
     th2, pts2, der2 = sampled.sample(32)
     assert np.allclose(pts, pts2) and np.allclose(der, der2)
+
+
+def _faulty_samples(fault):
+    """The 64-node disc's samples with one entry made non-finite, or none."""
+    th, pts, der = (a.copy() for a in dk.BoundaryCurve.disc(1.0).sample(64))
+    if fault == "empty":
+        return [], [], []
+    name, value = fault.split()
+    {"thetas": th, "points": pts, "derivatives": der}[name][5] = float(value)
+    return th, pts, der
+
+
+SAMPLE_FAULTS = [("empty", "at least one sample"),
+                 ("thetas nan", "non-finite thetas"),
+                 ("thetas inf", "non-finite thetas"),
+                 ("points nan", "non-finite points"),
+                 ("derivatives -inf", "non-finite derivatives")]
+
+
+@pytest.mark.parametrize("fault, message", SAMPLE_FAULTS)
+def test_sampled_curve_refuses_empty_and_non_finite_samples(fault, message):
+    """No sample set, or a NaN or infinite entry, is malformed input: a NaN
+    theta would pass the uniform-angle test (NaN > 1e-9 is False) and a
+    NaN point would be refused as if the range were not contained."""
+    with pytest.raises(ShapeMismatchError, match=message):
+        dk.BoundaryCurve.sampled(*_faulty_samples(fault), convex=True)
 
 
 def test_contains_numerical_range_screen_agrees_with_eigh():

@@ -134,9 +134,10 @@ def test_usage_errors_exit_3(tmp_path):
     ["numrange", "--nodes", "2"],
     ["numrange", "--threads", "2"],
     ["reduce", "--tol-residual", "1e-6"],
-    ["dilate-regular", "--order", "1", "--seed", "-1"],
-    ["dilate-annulus", "--curve", "annulus:0.5", "--seed", "-1"],
-    ["dilate-qcommute", "--a", "1", "--b", "2", "--seed", "-1"],
+    # the fit starts at zero: no fitted subcommand takes a seed
+    ["dilate-regular", "--order", "1", "--seed", "0"],
+    ["dilate-annulus", "--curve", "annulus:0.5", "--seed", "0"],
+    ["dilate-qcommute", "--a", "1", "--b", "2", "--seed", "0"],
 ])
 def test_bad_size_flags_exit_3(tmp_path, capsys, argv):
     inp = write_operator(tmp_path / "t.json", 0.3 * np.eye(2))
@@ -424,6 +425,15 @@ def test_curve_specs(tmp_path):
     spec.write_text(dump_json(encode_curve(dk.BoundaryCurve.ellipse(1.0, 0.7))),
                     encoding="utf-8")
     assert run("@" + str(spec)) == 0
+    # an empty or non-finite sampled curve is malformed input
+    samples = encode_curve(dk.BoundaryCurve.sampled(
+        *dk.BoundaryCurve.disc(1.0).sample(48), convex=True))
+    samples["samples"][7][0] = float("nan")
+    spec.write_text(json.dumps(samples), encoding="utf-8")
+    assert run("@" + str(spec)) == 3
+    samples["samples"] = []
+    spec.write_text(json.dumps(samples), encoding="utf-8")
+    assert run("@" + str(spec)) == 3
     # dilate-annulus insists on an annulus curve
     u = np.diag(np.exp(2j * np.pi * np.arange(2) / 7))
     inp2 = write_operator(tmp_path / "u.json", u)

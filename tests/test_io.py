@@ -197,6 +197,21 @@ def test_curve_roundtrip():
     assert back.kind == "sampled" and back.convex
 
 
+@pytest.mark.parametrize("theta, message", [(math.nan, "non-finite thetas"),
+                                            (None, "at least one sample")])
+def test_decode_curve_refuses_non_finite_and_empty_samples(theta, message):
+    """A NaN theta, which JSON text may spell NaN, and an empty sample list
+    are malformed curves, not a division by zero."""
+    obj = encode_curve(dk.BoundaryCurve.sampled(*dk.BoundaryCurve.disc(1.0).sample(16),
+                                                convex=True))
+    if theta is None:
+        obj["samples"] = []
+    else:
+        obj["samples"][3][0] = theta
+    with pytest.raises(MalformedInputError, match=f"bad curve: sampled curve .*{message}"):
+        decode_curve(json.loads(json.dumps(obj)))
+
+
 def test_combination_roundtrip():
     rng = np.random.default_rng(139)
     c = random_combination(rng, 2, 2, 5, False)

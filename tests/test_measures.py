@@ -173,6 +173,22 @@ def _count_polish(monkeypatch):
     return calls
 
 
+def _count_checks(monkeypatch):
+    """Record the iteration of every ADMM residual check the fit makes."""
+    from dilatekit import measures
+
+    checks = []
+    admm = measures._admm
+
+    def counted(*args):
+        for it, z in admm(*args):
+            checks.append(it)
+            yield it, z
+
+    monkeypatch.setattr(measures, "_admm", counted)
+    return checks
+
+
 def test_fit_infeasible_raises(monkeypatch):
     # the polish runs at checks 1, 2, 4, ..., 512 of the 800 a refusal makes
     calls = _count_polish(monkeypatch)
@@ -214,49 +230,37 @@ def _qcommute_pair(rng):
 
 
 def test_polish_rejects_non_psd_face_solution(monkeypatch):
-    """At the first check the q-commute face solve meets the moments but
-    leaves a face weight S_j with a negative eigenvalue: it is refused, and
-    the fit goes on to a PSD measure.  Later face solves are PSD, but the
-    fit waits for one that meets the moments to 1e-3 fit_tol."""
+    """From a seeded random start, at the first check the q-commute face
+    solve meets the moments but leaves a face weight S_j with a negative
+    eigenvalue: it is refused.  From the fit's own zero start the first
+    face solve, at iteration 25, is PSD and accepted."""
     from dilatekit.measures import _admm, _polish
 
     table = dk.qcommuting_moments(*_qcommute_pair(np.random.default_rng(127)), 1)
     grid = dk.clock_phase_grid(1, 2, 8)
-    system, m, z = _fit_start(table, grid)
+    system, m, z = _fit_start(table, grid, seed=0)
     b_mat, rhs, k = system
     _, z = next(_admm(*system, m, z))
     assert np.linalg.norm(b_mat[:k] @ z - rhs[:k]) > dk.DEFAULT_TOL.fit_tol
     assert _polish(*system, m, z) is None
-    calls = _count_polish(monkeypatch)
+    checks, calls = _count_checks(monkeypatch), _count_polish(monkeypatch)
     mu = dk.fit_matrix_measure(table, grid)
-    assert calls[0] is False and calls[-1] is True
+    assert checks == [25] and calls == [True]
     assert mu.fit_residual <= 1e-3 * dk.DEFAULT_TOL.fit_tol
     for w in mu.atoms.weights:
         assert np.linalg.eigvalsh(w)[0] >= -1e-12
 
 
-def test_fixed_penalty_stops_qcommute_fit_at_400(monkeypatch):
+def test_zero_start_stops_qcommute_fit_at_first_check(monkeypatch):
     """The demo q-commute pair at nodes 8, order 1, fitted on one
-    clock-shift irrep per class of clock_phase_grid(1, 2, 8): with one
-    fixed penalty, scaled by the class size, the polish at check 16
-    (iteration 400) is accepted, and the dilation takes 6 dimensions,
+    clock-shift irrep per class of clock_phase_grid(1, 2, 8) at the penalty
+    scaled by the class size: from the zero start the polish at the first
+    check (iteration 25) is accepted, and the dilation takes 6 dimensions,
     three b = 2 pieces."""
-    from dilatekit import measures
-
-    checks = []
-    admm = measures._admm
-
-    def counted(*args):
-        for it, z in admm(*args):
-            checks.append(it)
-            yield it, z
-
-    monkeypatch.setattr(measures, "_admm", counted)
-    calls = _count_polish(monkeypatch)
+    checks, calls = _count_checks(monkeypatch), _count_polish(monkeypatch)
     t1, t2 = _qcommute_pair(np.random.default_rng(137))
     result = dk.dilate_qcommute(t1, t2, 1, 2, order=1, nodes=8)
-    assert checks[-1] <= 400
-    assert 1 <= len(calls) <= 5 and calls[-1] is True
+    assert checks == [25] and calls == [True]
     assert result.passed
     assert result.dilation.space_dim == 6
 
@@ -369,21 +373,74 @@ def test_class_fit_is_the_lattice_iteration_on_class_weights():
         assert bool(gap <= 1e-12) is close, gap
 
 
+def _on_grid(mu, grid):
+    """The weights of a fitted measure at every atom of its grid, in grid
+    order, zero at the atoms pruned away."""
+    out = np.zeros((len(grid),) + mu.atoms.weights.shape[1:], dtype=np.complex128)
+    for image, w in zip(mu.atoms.images, mu.atoms.weights):
+        out[np.abs(grid.images - image).max(axis=(1, 2, 3)).argmin()] = w
+    return out
+
+
 def test_class_fit_matches_lattice_fit():
     """On the demo q-commute pair, the fit on one atom per class with
-    class_size 4 and the fit on the whole lattice both succeed, and their
-    normalized measures agree on every moment within fit_tol."""
+    class_size 4 and the fit on the whole lattice both succeed, and the
+    lattice fit is the class fit spread evenly over each class (the class
+    weight W over g^2 = 4 atoms, conjugated into each atom's frame) to
+    1e-12 relative to its largest weight: both start at zero, which the
+    spread keeps."""
     from dilatekit.measures import _phase_classes
 
     table = dk.qcommuting_moments(*_qcommute_pair(np.random.default_rng(137)), 1)
     reps, size = _phase_classes(1, 2, 8)
+    lattice = dk.clock_phase_grid(1, 2, 8)
     tol = dk.DEFAULT_TOL
     part = dk.fit_matrix_measure(table, reps, tol, class_size=size).normalized(tol)
-    whole = dk.fit_matrix_measure(table, dk.clock_phase_grid(1, 2, 8), tol).normalized(tol)
+    whole = dk.fit_matrix_measure(table, lattice, tol).normalized(tol)
     assert len(part.atoms) <= len(reps)
     for idx in table.indices():
-        assert np.linalg.norm(part.moment(idx) - whole.moment(idx)) <= tol.fit_tol
         assert np.linalg.norm(part.moment(idx) - table.value(idx)) <= tol.fit_tol
+    w, eye = _on_grid(part, reps), np.eye(table.dim)
+    spread = np.array([np.kron(v.conj(), eye) @ w[r] @ np.kron(v.T, eye) / size
+                       for r, v in _class_conjugators(1, 2, 8)])
+    got = _on_grid(whole, lattice)
+    assert np.abs(spread - got).max() <= 1e-12 * np.abs(got).max()
+
+
+def test_fit_is_covariant_under_grid_symmetries():
+    """The fit starts at zero, so the fitted measure is a function of the
+    table and the grid alone, and a symmetry of the grid that maps one
+    table onto another maps one fit onto the other, to 1e-12 relative to
+    the largest weight: d=3 interior torus data at 12 nodes under a swap
+    of the variables and under T1 -> e^{2 pi i/12} T1, and d=3 interior
+    annulus data at 32 nodes under T -> e^{2 pi i/32} T.  The torus
+    dilations keep K.  The annulus dilations are not compared: the
+    reduction meets the permuted terms in another order, and its
+    roundoff-level rank decision can move K by one there."""
+    rng = np.random.default_rng(157)
+    w = random_unitary(rng, 3)
+    zs = rng.uniform(0.0, 0.5, size=(2, 3)) * np.exp(2j * np.pi * rng.random((2, 3)))
+    t1, t2 = [w @ np.diag(z) @ w.conj().T for z in zs]
+    omega = np.exp(2j * np.pi / 12)
+    grid = dk.torus_grid(12, 2)
+    pairs = ([t1, t2], [t2, t1], [omega * t1, t2])
+    base, swapped, turned = (
+        _on_grid(dk.fit_matrix_measure(dk.regular_moments(ts, 1), grid), grid)
+        .reshape(12, 12, 3, 3) for ts in pairs)
+    scale = np.abs(base).max()
+    assert np.abs(swapped.swapaxes(0, 1) - base).max() <= 1e-12 * scale
+    assert np.abs(np.roll(turned, -1, axis=0) - base).max() <= 1e-12 * scale
+    ks = {dk.dilate_regular(ts, order=1, nodes=12).dilation.space_dim for ts in pairs}
+    assert len(ks) == 1
+
+    v = random_unitary(rng, 3)
+    t = v @ np.diag(rng.uniform(0.6, 0.9, size=3) * np.exp(2j * np.pi * rng.random(3))) \
+        @ v.conj().T
+    grid = dk.annulus_grid(32, 0.5)
+    base, turned = (
+        _on_grid(dk.fit_matrix_measure(dk.laurent_moments(x, 2), grid), grid)
+        .reshape(2, 32, 3, 3) for x in (t, np.exp(2j * np.pi / 32) * t))
+    assert np.abs(np.roll(turned, -1, axis=1) - base).max() <= 1e-12 * np.abs(base).max()
 
 
 @pytest.mark.parametrize("size", [0, -4, 2.0, None])
@@ -880,15 +937,15 @@ def _dense_x_step(system):
     return x_step
 
 
-def _dense_kkt_fit(targets, grid, seed=0):
+def _dense_kkt_fit(targets, grid):
     """Reference ADMM whose x-step solves the dense (ncols + d^2) KKT system.
 
-    Same seed, fixed penalty and stopping rule as fit_matrix_measure;
+    Same zero start, fixed penalty and stopping rule as fit_matrix_measure;
     returns the stacked weights before pruning.
     """
     from dilatekit.measures import _CHECK_EVERY, _MAX_ITER, _herm_to_cvec
 
-    system, m, z = _fit_start(targets, grid, seed)
+    system, m, z = _fit_start(targets, grid)
     a_mat, t_vec, c_mat, c_vec = _split_system(system)
     x_step = _dense_x_step(system)
     phi = _herm_to_cvec(m)
@@ -970,24 +1027,29 @@ def test_admm_setup_takes_no_svd(monkeypatch):
         assert it == measures._CHECK_EVERY
 
 
-def _fit_start(targets, grid, seed=0):
-    """fit_matrix_measure's linear system, block size and seeded start."""
+def _fit_start(targets, grid, seed=None):
+    """fit_matrix_measure's linear system, block size and start, z = 0.
+    With a seed, each weight starts instead at a random multiple of
+    hvec(I_m), which is C^T hvec(I_d) block by block: an iterate that no
+    grid symmetry maps to itself."""
     from dilatekit.measures import _fit_system
 
     system = _fit_system(targets, grid)
     _, _, c_mat, c_vec = _split_system(system)
     m = grid.block_size(targets.dim)
+    if seed is None:
+        return system, m, np.zeros(c_mat.shape[1])
     weights = (0.5 + 0.5 * np.random.default_rng(seed).random(len(grid))) / len(grid)
     z = np.repeat(weights, m * m) * (c_mat.T @ c_vec)
     return system, m, z
 
 
-def _plain_fit(targets, grid, seed=0):
+def _plain_fit(targets, grid):
     """fit_matrix_measure's plain ADMM iteration under the plain stopping
     rule alone, without the face polish; the stacked weights before pruning."""
     from dilatekit.measures import _admm
 
-    system, m, z = _fit_start(targets, grid, seed)
+    system, m, z = _fit_start(targets, grid)
     a_mat, t_vec, c_mat, c_vec = _split_system(system)
     for _, z in _admm(*system, m, z):
         if (np.linalg.norm(a_mat @ z - t_vec) <= 0.9 * dk.DEFAULT_TOL.fit_tol

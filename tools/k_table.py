@@ -10,23 +10,27 @@ workload, seed and draw, with one BLAS thread as the benchmark uses, and
 writes one record per call: its label, K (the dilation's space
 dimension), whether it passed verification, the verification's
 ``max_moment_residual``, the number of reduced terms, and the sha256 of
-its ``dump_json(encode_dilation(...))`` bytes.  A refused call records
-the error's class in place of K and the digest.  ``--label`` runs only the
-cases whose label contains SUBSTR (``--label qcommute``, say), keeping
-their case numbers.  ``--sampled`` gives each ``boundary`` case its curve
-as ``BoundaryCurve.sampled`` at the case's node count, with the same
-points and derivatives, so the call takes the trapezoid path that the
-closed-form disc and ellipse no longer take: its table, diffed against
-a plain table of a checkout from before the Szego route, should show
-every call byte-identical.  Run it on two checkouts to compare them;
-the tool only reads ``bench/``.
+its ``dump_json(encode_dilation(...))`` bytes; for a call that runs the
+fit, also the iteration of its last ADMM residual check and the number
+of face polishes it attempted (both None when the call does not fit;
+they are read by wrapping ``measures._admm`` and ``measures._polish``).
+A refused call records the error's class in place of K and the digest.
+``--label`` runs only the cases whose label contains SUBSTR (``--label
+qcommute``, say), keeping their case numbers.  ``--sampled`` gives each
+``boundary`` case its curve as ``BoundaryCurve.sampled`` at the case's
+node count, with the same points and derivatives, so the call takes the
+trapezoid path that the closed-form disc and ellipse no longer take: its
+table, diffed against a plain table of a checkout from before the Szego
+route, should show every call byte-identical.  Run it on two checkouts
+to compare them; the tool only reads ``bench/``.
 
 The second form prints, for each workload, the sum of K and the passed
 count on either side, every call whose K or verdict moved, every call
 whose residual moved by more than 1e-12, the largest residual move over
-the calls with a residual on both sides, and the count of calls whose
-dilation bytes differ; with ``--label`` it compares only the calls whose
-label contains SUBSTR.
+the calls with a residual on both sides, the count of calls whose
+dilation bytes differ, the sum of fit iterations per case label on either
+side, and every call whose iteration or polish count moved; with
+``--label`` it compares only the calls whose label contains SUBSTR.
 """
 
 from __future__ import annotations
@@ -55,9 +59,24 @@ def _span(text: str) -> range:
 def run(workloads, seeds, draws, label="", sampled=False) -> list:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import dilatekit as dk
+    from dilatekit import measures
     from dilatekit.io import dump_json, encode_dilation
     from workloads import make_cases
 
+    fit = {}
+    admm, polish = measures._admm, measures._polish
+
+    def counted_admm(*args):
+        fit["polishes"] = fit["polishes"] or 0
+        for it, z in admm(*args):
+            fit["iterations"] = it
+            yield it, z
+
+    def counted_polish(*args):
+        fit["polishes"] += 1
+        return polish(*args)
+
+    measures._admm, measures._polish = counted_admm, counted_polish
     records = []
     for workload in workloads:
         for seed in seeds:
@@ -71,6 +90,7 @@ def run(workloads, seeds, draws, label="", sampled=False) -> list:
                         case.args = (t, dk.BoundaryCurve.sampled(*samples, convex=True))
                     rec = {"workload": workload, "seed": seed, "draw": draw,
                            "case": index, "label": case.label}
+                    fit.update(iterations=None, polishes=None)
                     try:
                         result = case.call()
                     except dk.DilatekitError as exc:
@@ -82,6 +102,7 @@ def run(workloads, seeds, draws, label="", sampled=False) -> list:
                                    residual=result.verification.max_moment_residual,
                                    terms=result.reduced_terms,
                                    sha256=hashlib.sha256(text.encode()).hexdigest())
+                    rec.update(fit)
                     records.append(rec)
     return records
 
@@ -122,7 +143,35 @@ def diff(old: list, new: list) -> str:
                              f"residual {ra} -> {rb}")
         lines.append(f"  largest residual move {largest_move:.3e}")
         lines.append(f"  dilation bytes differ on {bytes_differ} of {len(keys)} calls")
+        lines.extend(_iteration_lines(keys, before, after))
     return "\n".join(lines)
+
+
+def _iteration_lines(keys, before, after) -> list:
+    """Fit iteration sums per case label, then every call whose last
+    ADMM check or polish count moved; tables without the counts read as
+    not fitting."""
+    sums = {}
+    moved = []
+    for k in keys:
+        a, b = before.get(k), after.get(k)
+        if a is None or b is None:
+            continue
+        counts = [(rec.get("iterations"), rec.get("polishes")) for rec in (a, b)]
+        if counts[0] == counts[1] == (None, None):
+            continue
+        total = sums.setdefault(a["label"], [0, 0])
+        total[0] += counts[0][0] or 0
+        total[1] += counts[1][0] or 0
+        if counts[0] != counts[1]:
+            moved.append(f"    seed {k[1]} draw {k[2]} {a['label']}: iterations "
+                         f"{counts[0][0]} -> {counts[1][0]}, polishes "
+                         f"{counts[0][1]} -> {counts[1][1]}")
+    lines = [f"  fit iterations {label}: {old} -> {new}"
+             for label, (old, new) in sums.items()]
+    if moved:
+        lines.append(f"  fit counts moved on {len(moved)} calls:")
+    return lines + moved
 
 
 def main(argv=None) -> int:
