@@ -70,14 +70,16 @@ class BoundaryCurve:
 
     @classmethod
     def disc(cls, radius: float = 1.0) -> "BoundaryCurve":
-        if radius <= 0:
-            raise ShapeMismatchError("disc radius must be positive")
+        if not 0 < radius < np.inf:
+            raise ShapeMismatchError(f"disc radius must be finite and positive, got {radius}")
         return cls(kind="disc", params={"radius": float(radius)})
 
     @classmethod
     def ellipse(cls, a: float, b: float) -> "BoundaryCurve":
-        if a <= 0 or b <= 0:
-            raise ShapeMismatchError("ellipse semi-axes must be positive")
+        for name, axis in (("a", a), ("b", b)):
+            if not 0 < axis < np.inf:
+                raise ShapeMismatchError(
+                    f"ellipse semi-axis {name} must be finite and positive, got {axis}")
         return cls(kind="ellipse", params={"a": float(a), "b": float(b)})
 
     @classmethod

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -58,11 +59,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _above(low, kind=int):
-    """An argparse type: a ``kind`` strictly greater than ``low``."""
+    """An argparse type: a finite ``kind`` strictly greater than ``low``."""
     def parse(text):
         value = kind(text)
-        if not value > low:
-            raise argparse.ArgumentTypeError(f"{text!r} is not above {low}")
+        if not low < value < math.inf:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number above {low}")
         return value
     parse.__name__ = kind.__name__
     return parse

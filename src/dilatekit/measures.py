@@ -61,35 +61,11 @@ __all__ = [
     "annulus_grid",
     "clock_shift_irrep",
     "clock_phase_grid",
-    "laurent_scalar",
     "fit_matrix_measure",
     "assemble_atomic_dilation",
     "measure_to_combination",
     "combination_to_measure",
 ]
-
-
-def laurent_scalar(idx, z):
-    """prod_i z_i^{n_i} with honest negative powers.
-
-    ``z`` is one point of C^nu or a stack (atoms, nu) of points, evaluated
-    point by point with the rounding of scalar complex arithmetic.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    re, im = np.ones(z.shape[:-1]), np.zeros(z.shape[:-1])
-    for zi, ni in zip(z.T, np.atleast_1d(idx)):
-        if ni == 0:
-            continue
-        if ni < 0 and (zi == 0).any():
-            raise ShapeMismatchError("negative power of a zero coordinate")
-        # numpy integer exponents take the scalar power routine (Python ints
-        # take a fast path for -1 and 2), and numpy's complex multiply loop
-        # fuses multiply-adds, so the product is spelled out
-        p = zi ** np.int64(ni)
-        re, im = re * p.real - im * p.imag, re * p.imag + im * p.real
-    out = np.empty(re.shape, dtype=np.complex128)
-    out.real, out.imag = re, im
-    return out[()]
 
 
 def _check_weights(weights, atoms: int):
@@ -400,17 +376,13 @@ def _herm_to_cvec(m: int) -> np.ndarray:
 
 
 def _words(atoms: Atoms, indices: list, rule: str) -> np.ndarray:
-    """Every atom's words at every index, complex (atoms, indices, b, b):
-    1 x 1 images as Laurent monomials (laurent_scalar), others as the
-    generators' words under ``rule`` from one walk."""
+    """Every atom's words at every index, complex (atoms, indices, b, b),
+    from one walk of the stacked images under ``rule``: negative Laurent
+    entries are inverse powers (one batched inv per generator), as in the
+    Naimark assembly, so a zero point to a negative power is
+    ResolventSingular; ordered words take adjoints."""
     n, _, b, _ = atoms.images.shape
-    if b == 1:
-        # the walk's matrix products would round differently, and the
-        # dilation's rank follows roundoff
-        pts = atoms.images[:, :, 0, 0]
-        words = (laurent_scalar(idx, pts)[:, None, None] for idx in indices)
-    else:
-        words = _word_walk(indices, list(atoms.images.swapaxes(0, 1)), rule)
+    words = _word_walk(indices, list(atoms.images.swapaxes(0, 1)), rule, "inverse")
     out = np.empty((n, len(indices), b, b), dtype=np.complex128)
     for i, w in enumerate(words):
         out[:, i] = w

@@ -10,6 +10,7 @@ tables store genuine negative powers instead and say so via the
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,7 +158,8 @@ class Dilation:
 
 @_OVERFLOW_SILENCED
 def circle_moments(t, rho: float, n_max: int) -> MomentTable:
-    """Moments L_k = rho^{-1} T^k, k = 1..n_max, of a single operator.
+    """Moments L_k = rho^{-1} T^k, k = 1..n_max, of a single operator,
+    from one walk of [T]; rho must be finite and positive.
 
     L_0 stays the identity regardless of rho; negative indices are filled
     with adjoints.
@@ -165,16 +167,13 @@ def circle_moments(t, rho: float, n_max: int) -> MomentTable:
     t = asmatrix(t)
     if t.shape[0] != t.shape[1]:
         raise DimensionMismatchError("operator must be square")
-    if rho <= 0:
-        raise ShapeMismatchError(f"rho must be positive, got {rho}")
+    if not 0 < rho < np.inf:
+        raise ShapeMismatchError(f"rho must be a finite positive number, got {rho}")
     _require_order(n_max)
-    d = t.shape[0]
-    values = {}
-    power = np.eye(d, dtype=np.complex128)
-    for k in range(1, n_max + 1):
-        power = power @ t
-        values[(k,)] = power / rho
-    return MomentTable(dim=d, nu=1, values=_finite_moments(values), symmetric=True)
+    indices = [(k,) for k in range(1, n_max + 1)]
+    values = {idx: w / rho for idx, w in zip(indices, _word_walk(indices, [t]))}
+    return MomentTable(dim=t.shape[0], nu=1, values=_finite_moments(values),
+                       symmetric=True)
 
 
 @_OVERFLOW_SILENCED
@@ -182,8 +181,10 @@ def regular_moments(ts, n_max: int) -> MomentTable:
     """Regular moments T(n) = (T*)^{n^-} T^{n^+} of a commuting tuple.
 
     n^+ and n^- are the entrywise positive and negative parts, so e.g.
-    T((1, -1)) = T_2* T_1.  Pairwise commutators above _COMMUTE_TOL
-    raise NotCommuting.
+    T((1, -1)) = T_2* T_1.  Each T(n) is the word at (n^-, n^+) in the
+    generators (T_1*, ..., T_nu*, T_1, ..., T_nu), from one walk, which
+    multiplies in generator order: the adjoints stand on the left.
+    Pairwise commutators above _COMMUTE_TOL raise NotCommuting.
     """
     ts = [asmatrix(t) for t in ts]
     if not ts:
@@ -203,42 +204,33 @@ def regular_moments(ts, n_max: int) -> MomentTable:
                     f"operators {i} and {j} do not commute (defect {defect:.3e})"
                 )
     nu = len(ts)
-    rng = range(-n_max, n_max + 1)
-    values = {}
-    for idx in np.ndindex(*([2 * n_max + 1] * nu)):
-        n = tuple(rng[i] for i in idx)
-        acc = np.eye(d, dtype=np.complex128)
-        for i, ni in enumerate(n):
-            if ni < 0:
-                acc = acc @ np.linalg.matrix_power(ts[i].conj().T, -ni)
-        for i, ni in enumerate(n):
-            if ni > 0:
-                acc = acc @ np.linalg.matrix_power(ts[i], ni)
-        values[n] = acc
-    return MomentTable(dim=d, nu=nu, values=_finite_moments(values), symmetric=True)
+    indices = list(itertools.product(range(-n_max, n_max + 1), repeat=nu))
+    split = [tuple(max(-i, 0) for i in n) + tuple(max(i, 0) for i in n) for n in indices]
+    words = _word_walk(split, [t.conj().T for t in ts] + ts)
+    return MomentTable(dim=d, nu=nu, values=_finite_moments(dict(zip(indices, words))),
+                       symmetric=True)
 
 
 @_OVERFLOW_SILENCED
 def qcommuting_moments(t1, t2, n_max: int) -> MomentTable:
-    """Ordered moments T1^n T2^m (0 <= n, m <= n_max) and their adjoints."""
+    """Ordered moments T1^n T2^m (0 <= n, m <= n_max) and their adjoints,
+    both halves from one walk under the "ordered" rule."""
     t1 = asmatrix(t1)
     t2 = asmatrix(t2)
     if t1.shape != t2.shape or t1.shape[0] != t1.shape[1]:
         raise DimensionMismatchError("need two square operators of one size")
     _require_order(n_max)
-    values = {}
-    for n in range(n_max + 1):
-        for m in range(n_max + 1):
-            w = np.linalg.matrix_power(t1, n) @ np.linalg.matrix_power(t2, m)
-            values[(n, m)] = w
-            values[(-n, -m)] = w.conj().T
-    return MomentTable(dim=t1.shape[0], nu=2, values=_finite_moments(values),
+    half = list(itertools.product(range(n_max + 1), repeat=2))
+    indices = half + [(-n, -m) for n, m in half if n or m]
+    words = _word_walk(indices, [t1, t2], "ordered")
+    return MomentTable(dim=t1.shape[0], nu=2, values=_finite_moments(dict(zip(indices, words))),
                        symmetric=True, index_rule="ordered")
 
 
 @_OVERFLOW_SILENCED
 def laurent_moments(t, n_max: int) -> MomentTable:
-    """Two-sided power moments T^n, |n| <= n_max, of an invertible operator.
+    """Two-sided power moments T^n, |n| <= n_max, of an invertible operator,
+    from one walk of [T] with inverse negatives.
 
     Negative indices are genuine inverse powers, not adjoints, so the
     table is not conjugate-closed; this is the moment data for boundary
@@ -255,23 +247,19 @@ def laurent_moments(t, n_max: int) -> MomentTable:
         raise NotContainedError(
             f"operator is singular to working precision (smallest singular value "
             f"{s[-1]:.3e}, largest {s[0]:.3e}): 0 lies in its spectrum, outside the annulus")
-    tinv = np.linalg.inv(t)
-    d = t.shape[0]
-    values = {}
-    pos = np.eye(d, dtype=np.complex128)
-    neg = np.eye(d, dtype=np.complex128)
-    for k in range(1, n_max + 1):
-        pos = pos @ t
-        neg = neg @ tinv
-        values[(k,)] = pos
-        values[(-k,)] = neg
-    return MomentTable(dim=d, nu=1, values=_finite_moments(values), symmetric=False)
+    indices = [(k,) for k in range(-n_max, n_max + 1) if k]
+    words = _word_walk(indices, [t], negatives="inverse")
+    return MomentTable(dim=t.shape[0], nu=1, values=_finite_moments(dict(zip(indices, words))),
+                       symmetric=False)
 
 
 def toeplitz_kernel(table: MomentTable) -> np.ndarray:
-    """The block Toeplitz matrix M = [L_{j-i}] of a one-variable table."""
+    """The block Toeplitz matrix M = [L_{j-i}] of a conjugate-closed
+    one-variable table (Hermitian, up to roundoff that herm_part removes)."""
     if table.nu != 1:
         raise ShapeMismatchError("block Toeplitz kernel needs a one-variable table")
+    if not table.symmetric:
+        raise ShapeMismatchError("block Toeplitz kernel needs a conjugate-closed table")
     n = table.order()
     d = table.dim
     m = np.empty(((n + 1) * d, (n + 1) * d), dtype=np.complex128)

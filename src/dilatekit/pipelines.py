@@ -28,6 +28,7 @@ from .linalg import DEFAULT_TOL, Tolerances, _norm, asmatrix
 from .measures import (
     AtomicMeasure,
     Atoms,
+    _canonical_indices,
     _phase_classes,
     _require_nodes,
     annulus_grid,
@@ -90,13 +91,15 @@ class PipelineResult:
 
 
 def _measure_result(mu: AtomicMeasure, table: MomentTable,
-                    relations: Relations, tol: Tolerances, moment_tol: float,
-                    dim_s: int, sub_rank: int = 1) -> PipelineResult:
+                    relations: Relations, tol: Tolerances,
+                    moment_tol: float) -> PipelineResult:
     """Common back half of the measure pipelines: reduce the measure as a
     combination of its pure atoms (the barycenter stays put), assemble the
     Naimark dilation, and verify it with moment residuals held to
     max(residual_tol, moment_tol).  The reduction returns unit mass to
-    within roundoff, so the reduced measure is not normalized again.
+    within roundoff, so the reduced measure is not normalized again.  The
+    dimension bound takes the operator system the table spans, 2 c + 1
+    for its c canonical indices, and the atoms' size as sub-rank.
     """
     comb = measure_to_combination(mu, table, tol)
     reduced = caratheodory_reduce(comb, tol)
@@ -104,7 +107,8 @@ def _measure_result(mu: AtomicMeasure, table: MomentTable,
     dil = assemble_atomic_dilation(slim, indices=table.indices(), tol=tol)
     report = verify_dilation(dil, table, relations, tol,
                              moment_tol=max(tol.residual_tol, moment_tol))
-    dims = dimension_report(dil, table.dim, dim_s, sub_rank=sub_rank)
+    dims = dimension_report(dil, table.dim, 2 * len(_canonical_indices(table)) + 1,
+                            sub_rank=slim.atoms.rep_dim)
     return PipelineResult(dilation=dil, targets=table, verification=report,
                           dimensions=dims, measure=slim,
                           reduced_terms=len(reduced.terms))
@@ -126,7 +130,7 @@ def _gns_result(table: MomentTable, tol: Tolerances) -> PipelineResult:
     verified as one commuting unitary."""
     dil = toeplitz_gns_unitary(table, tol)
     report = verify_dilation(dil, table, Relations.commuting(1), tol)
-    dims = dimension_report(dil, table.dim, 2 * table.order() + 1)
+    dims = dimension_report(dil, table.dim, 2 * len(_canonical_indices(table)) + 1)
     return PipelineResult(dilation=dil, targets=table, verification=report,
                           dimensions=dims)
 
@@ -154,8 +158,7 @@ def dilate_regular(ts, order: int, nodes: int = 12,
         return _gns_result(table, tol)
     grid = torus_grid(nodes, table.nu)
     mu = fit_matrix_measure(table, grid, tol).normalized(tol)
-    return _measure_result(mu, table, Relations.commuting(table.nu), tol,
-                           1e-6, (2 * order + 1) ** table.nu)
+    return _measure_result(mu, table, Relations.commuting(table.nu), tol, 1e-6)
 
 
 def dilate_boundary(t, curve: BoundaryCurve, order: int = 4,
@@ -194,23 +197,20 @@ def dilate_boundary(t, curve: BoundaryCurve, order: int = 4,
     The dilation's provenance names the route, "szego-naimark".
     """
     t = asmatrix(t)
-    d = t.shape[0]
     _require_order(order)
     mu = quadrature_measure(t, curve, nodes, tol)
     thetas, zetas, _ = curve.sample(nodes)
     powers = np.arange(1, order + 1)
     cks = cauchy_transform(zetas[None, :] ** powers[:, None], curve, t)
-    values = {}
-    power = np.eye(d, dtype=np.complex128)
-    for k, ck in zip(powers, cks):
-        power = power @ t
-        values[(int(k),)] = (power + ck.conj().T) / 2.0
-    table = MomentTable(dim=d, nu=1, values=values, symmetric=True)
+    exact = circle_moments(t, 1.0, order)
+    values = {(k,): (exact.value((k,)) + ck.conj().T) / 2.0
+              for k, ck in zip(range(1, order + 1), cks)}
+    table = MomentTable(dim=t.shape[0], nu=1, values=values, symmetric=True)
     relations = Relations(rule="laurent", unitary=False, negatives="adjoint")
     if curve.kind not in ("disc", "ellipse"):
-        return _measure_result(mu, table, relations, tol, 1e-5, 2 * order + 1)
+        return _measure_result(mu, table, relations, tol, 1e-5)
     mu = _szego_measure(mu, thetas, curve, order, tol)
-    result = _measure_result(mu, table, relations, tol, 1e-5, 2 * order + 1)
+    result = _measure_result(mu, table, relations, tol, 1e-5)
     result.dilation.provenance = "szego-naimark"
     return result
 
@@ -248,7 +248,7 @@ def dilate_annulus(t, inner_radius: float, order: int = 3, nodes: int = 64,
     grid = annulus_grid(nodes, inner_radius)
     mu = fit_matrix_measure(table, grid, tol).normalized(tol)
     relations = Relations(rule="laurent", unitary=False, negatives="inverse")
-    return _measure_result(mu, table, relations, tol, 1e-6, 4 * order + 1)
+    return _measure_result(mu, table, relations, tol, 1e-6)
 
 
 def dilate_qcommute(t1, t2, a: int, b: int, order: int = 1, nodes: int = 8,
@@ -285,5 +285,4 @@ def dilate_qcommute(t1, t2, a: int, b: int, order: int = 1, nodes: int = 8,
         )
     table = qcommuting_moments(t1, t2, order)
     mu = fit_matrix_measure(table, grid, tol, class_size=class_size).normalized(tol)
-    return _measure_result(mu, table, Relations.exchange_pair(q), tol, 1e-6,
-                           2 * (order + 1) ** 2 - 1, sub_rank=grid.rep_dim)
+    return _measure_result(mu, table, Relations.exchange_pair(q), tol, 1e-6)

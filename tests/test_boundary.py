@@ -161,6 +161,22 @@ def test_curve_parametrizations():
     assert ann.diameter() == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: dk.BoundaryCurve.disc(np.nan), "disc radius"),
+    (lambda: dk.BoundaryCurve.disc(np.inf), "disc radius"),
+    (lambda: dk.BoundaryCurve.disc(0.0), "disc radius"),
+    (lambda: dk.BoundaryCurve.ellipse(np.nan, 1.0), "ellipse semi-axis a"),
+    (lambda: dk.BoundaryCurve.ellipse(1.0, np.inf), "ellipse semi-axis b"),
+    (lambda: dk.BoundaryCurve.ellipse(1.0, -0.5), "ellipse semi-axis b"),
+], ids=["disc-nan", "disc-inf", "disc-zero", "ellipse-a-nan", "ellipse-b-inf",
+        "ellipse-b-negative"])
+def test_curve_parameters_must_be_finite_and_positive(build, name):
+    """A NaN or infinite radius or semi-axis is malformed input, refused by
+    name, not a curve that later fails to contain the numerical range."""
+    with pytest.raises(ShapeMismatchError, match=f"{name} must be finite and positive"):
+        build()
+
+
 def test_sampled_curve_roundtrip():
     base = dk.BoundaryCurve.ellipse(0.9, 0.5)
     th, pts, der = base.sample(32)

@@ -123,6 +123,8 @@ def test_usage_errors_exit_3(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["dilate-circle", "--order", "0"],
     ["dilate-circle", "--order", "2", "--rho", "-1"],
+    ["dilate-circle", "--order", "2", "--rho", "inf"],
+    ["dilate-circle", "--order", "2", "--rho", "nan"],
     ["dilate-circle", "--order", "2", "--seed", "1"],
     ["dilate-regular", "--order", "-1"],
     ["dilate-regular", "--order", "1", "--nodes", "0"],
@@ -439,6 +441,20 @@ def test_curve_specs(tmp_path):
     inp2 = write_operator(tmp_path / "u.json", u)
     assert main(["dilate-annulus", "--input", inp2,
                  "--output", str(tmp_path / "a"), "--curve", "disc:1.0"]) == 3
+
+
+@pytest.mark.parametrize("curve", ["disc:nan", "disc:inf", "ellipse:nan,1",
+                                   "ellipse:1,inf"])
+def test_non_finite_curve_parameters_exit_3(tmp_path, capsys, curve):
+    """A non-finite radius or semi-axis is malformed input (exit 3), not a
+    numerical range that fails to fit (exit 2)."""
+    inp = write_operator(tmp_path / "t.json", 0.3 * np.eye(2))
+    code = main(["dilate-boundary", "--input", inp, "--output", str(tmp_path / "c"),
+                 "--curve", curve])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "must be finite and positive" in err and "refused" not in err
+    assert not list(tmp_path.glob("c*"))
 
 
 def test_console_entry_point(tmp_path):

@@ -212,6 +212,17 @@ def test_decode_curve_refuses_non_finite_and_empty_samples(theta, message):
         decode_curve(json.loads(json.dumps(obj)))
 
 
+@pytest.mark.parametrize("obj, name", [
+    ({"kind": "disc", "params": {"radius": math.nan}}, "disc radius"),
+    ({"kind": "disc", "params": {"radius": math.inf}}, "disc radius"),
+    ({"kind": "ellipse", "params": {"a": math.nan, "b": 1.0}}, "ellipse semi-axis a"),
+    ({"kind": "ellipse", "params": {"a": 1.0, "b": math.inf}}, "ellipse semi-axis b"),
+])
+def test_decode_curve_refuses_non_finite_parameters(obj, name):
+    with pytest.raises(MalformedInputError, match=f"bad curve: {name} must be finite"):
+        decode_curve(json.loads(json.dumps(obj)))
+
+
 def test_combination_roundtrip():
     rng = np.random.default_rng(139)
     c = random_combination(rng, 2, 2, 5, False)

@@ -10,6 +10,7 @@ from dilatekit import (
     NonPSDWeightError,
     NotNormalizedError,
     NotPSDError,
+    ResolventSingularError,
     ShapeMismatchError,
 )
 
@@ -28,19 +29,32 @@ def normalized_point_measure(rng, d, points, ranks=None):
     return dk.AtomicMeasure(dim=d, atoms=atoms)
 
 
-def test_laurent_scalar_frozen():
-    assert dk.laurent_scalar((2,), 1j) == pytest.approx(-1.0)
-    assert dk.laurent_scalar((-1,), 2.0) == pytest.approx(0.5)
-    assert dk.laurent_scalar((1, -1), [2.0, 4.0]) == pytest.approx(0.5)
-    with pytest.raises(ShapeMismatchError):
-        dk.laurent_scalar((-1,), 0.0)
-    # only a negative power of a zero coordinate is undefined
+def test_point_words_frozen():
+    """A point's word is its Laurent monomial with honest negative powers;
+    only a negative power of a zero coordinate is undefined."""
+    from dilatekit.measures import _words
+
+    def word(idx, pts):
+        return _words(dk.Atoms.from_points(pts), [idx], "laurent")[:, 0, 0, 0]
+
+    assert word((2,), [1j]) == pytest.approx([-1.0])
+    assert word((-1,), [2.0]) == pytest.approx([0.5])
+    assert word((1, -1), [[2.0, 4.0]]) == pytest.approx([0.5])
     pts = [[0.0], [2.0]]
-    assert np.array_equal(dk.laurent_scalar((0,), pts), [1.0, 1.0])
-    assert np.array_equal(dk.laurent_scalar((1,), pts), [0.0, 2.0])
-    assert dk.laurent_scalar((1,), 0.0) == 0.0
-    with pytest.raises(ShapeMismatchError):
-        dk.laurent_scalar((-1,), pts)
+    assert np.array_equal(word((0,), pts), [1.0, 1.0])
+    assert np.array_equal(word((1,), pts), [0.0, 2.0])
+    with pytest.raises(ResolventSingularError, match="generator 0 is singular"):
+        word((-1,), pts)
+    with pytest.raises(ResolventSingularError, match="generator 0 is singular"):
+        word((-1,), [0.0])
+    # the measure reads its moments the same way
+    w = np.array([[0.5]])
+    mu = dk.AtomicMeasure(dim=1, atoms=dk.Atoms.from_points([[2.0, 4.0]], [w]))
+    assert mu.moment((1, -1))[0, 0] == pytest.approx(0.25)
+    zero = dk.AtomicMeasure(dim=1, atoms=dk.Atoms.from_points([0.0], [w]))
+    assert zero.moment((3,))[0, 0] == 0.0
+    with pytest.raises(ResolventSingularError, match="generator 0 is singular"):
+        zero.moment((-1,))
 
 
 def test_atomic_measure_moment_and_unit():
@@ -730,51 +744,36 @@ def test_one_weight_convention():
     z = np.exp(0.7j)
     point = dk.AtomicMeasure(dim=d, atoms=dk.Atoms.from_points([z], [w]))
     for k in (-2, 1, 3):
-        _assert_bits(point.moment((k,)), 0.0 + dk.laurent_scalar((k,), [z]) * w)
-
-
-def _laurent_reference(idx, z):
-    """The scalar loop laurent_scalar reproduces: Python complex products."""
-    acc = 1.0 + 0.0j
-    for zi, ni in zip(np.atleast_1d(z), np.atleast_1d(idx)):
-        if ni != 0:
-            acc *= zi ** int(ni)
-    return acc
+        word = dk.word_image((k,), [np.array([[z]])], negatives="inverse")[0, 0]
+        _assert_bits(point.moment((k,)), 0.0 + word * w)
 
 
 def test_words_match_scalar_loops():
-    """Stacked Laurent monomials and words equal the one-at-a-time loops
-    bit for bit."""
+    """Stacked words equal the per-atom word_image bit for bit, points and
+    irreps alike: negative Laurent entries are inverse powers."""
     from dilatekit.measures import _words
 
     rng = np.random.default_rng(103)
     idx1 = [(k,) for k in range(-6, 7)]
     idx2 = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
     idx3 = [(1, -2, 3), (-4, 0, 2), (2, 2, -1)]
-    point_grids = [
-        (dk.annulus_grid(12, 0.5), idx1),
-        (dk.torus_grid(6, 2), idx2),
-        (dk.Atoms.from_points([complex_gaussian(rng, 2) for _ in range(20)]), idx2),
-        (dk.Atoms.from_points([complex_gaussian(rng, 3) for _ in range(20)]), idx3),
-    ]
-    for grid, indices in point_grids:
-        words = _words(grid, indices, "laurent")
-        points = grid.images[:, :, 0, 0]
-        want = np.array([[[[_laurent_reference(idx, z)]] for idx in indices]
-                         for z in points])
-        assert words.shape == (len(grid), len(indices), 1, 1)
-        assert np.array_equal(words.view(np.uint64), want.view(np.uint64))
-        single = np.array([dk.laurent_scalar(indices[-1], z) for z in points])
-        assert np.array_equal(single.view(np.uint64),
-                              want[:, -1, 0, 0].copy().view(np.uint64))
     ordered = [(i, j) for i in range(3) for j in range(3)] + [(-1, 0), (-1, -2)]
-    for grid, indices, rule in [(dk.clock_phase_grid(1, 3, 3), ordered, "ordered"),
-                                (dk.clock_phase_grid(1, 2, 2), idx2, "laurent")]:
+    grids = [
+        (dk.annulus_grid(12, 0.5), idx1, "laurent"),
+        (dk.torus_grid(6, 2), idx2, "laurent"),
+        (dk.Atoms.from_points([complex_gaussian(rng, 2) for _ in range(20)]), idx2, "laurent"),
+        (dk.Atoms.from_points([complex_gaussian(rng, 3) for _ in range(20)]), idx3, "laurent"),
+        (dk.clock_phase_grid(1, 3, 3), ordered, "ordered"),
+        (dk.clock_phase_grid(1, 2, 2), idx2, "laurent"),
+    ]
+    for grid, indices, rule in grids:
         words = _words(grid, indices, rule)
-        want = np.array([[dk.word_image(idx, list(images), rule=rule)
+        b = grid.rep_dim
+        want = np.array([[dk.word_image(idx, list(images), rule=rule, negatives="inverse")
                           for idx in indices] for images in grid.images])
+        assert words.shape == (len(grid), len(indices), b, b)
         assert np.array_equal(words.view(np.uint64), want.view(np.uint64))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ResolventSingularError):
         _words(dk.Atoms.from_points([0.0]), [(-1,)], "laurent")
 
 
@@ -1134,10 +1133,9 @@ def _ref_pieces(weight, d):
 
 
 def _ref_word(images, idx, rule):
-    """One atom's word: a Laurent monomial at b = 1, else word_image."""
-    if images.shape[-1] == 1:
-        return np.array([[dk.laurent_scalar(idx, images[:, 0, 0])]])
-    return dk.word_image(idx, list(images), rule=rule)
+    """One atom's word, read as the measure reads it: negative Laurent
+    entries are inverse powers."""
+    return dk.word_image(idx, list(images), rule=rule, negatives="inverse")
 
 
 def _ref_blocks(weight, d):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -116,6 +117,89 @@ def test_laurent_moments_refuse_singular_operator(t):
     NotContained before any inverse is taken."""
     with pytest.raises(dk.NotContainedError, match="0 lies in its spectrum"):
         dk.laurent_moments(t, 1)
+
+
+def _power_loop_values(kind, ts, n_max, rho=1.0):
+    """The values each constructor stored when it formed its own powers,
+    one matrix_power or running product per index, before every table
+    came from one walk."""
+    d = ts[0].shape[0]
+    values = {}
+    if kind in ("circle", "laurent"):
+        t = ts[0]
+        pos = neg = np.eye(d, dtype=np.complex128)
+        for k in range(1, n_max + 1):
+            pos = pos @ t
+            values[(k,)] = pos / rho
+            if kind == "laurent":
+                neg = neg @ np.linalg.inv(t)
+                values[(-k,)] = neg
+    elif kind == "regular":
+        for n in itertools.product(range(-n_max, n_max + 1), repeat=len(ts)):
+            acc = np.eye(d, dtype=np.complex128)
+            for i, ni in enumerate(n):
+                if ni < 0:
+                    acc = acc @ np.linalg.matrix_power(ts[i].conj().T, -ni)
+            for i, ni in enumerate(n):
+                if ni > 0:
+                    acc = acc @ np.linalg.matrix_power(ts[i], ni)
+            values[n] = acc
+    else:
+        for n, m in itertools.product(range(n_max + 1), repeat=2):
+            w = np.linalg.matrix_power(ts[0], n) @ np.linalg.matrix_power(ts[1], m)
+            values[(n, m)] = w
+            values[(-n, -m)] = w.conj().T
+    return values
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_moment_constructors_match_power_loops(n_max):
+    """Each constructor's walk gives the values of the power loops it
+    replaced, to 1e-13 relative: circle at rho 1 and 2, a non-normal
+    commuting triple's regular moments (adjoints on the left), both halves
+    of an ordered non-commuting pair, and two-sided Laurent powers."""
+    rng = np.random.default_rng(131)
+    d = 3
+    t = random_contraction(rng, d, 0.9)
+    a = random_contraction(rng, d, 0.6)
+    triple = [a, a @ a, 0.5 * a + 0.2 * np.eye(d)]
+    pair = [random_contraction(rng, d, 0.8), random_contraction(rng, d, 0.7)]
+    inv = np.diag([0.7, 0.8j, -0.9]) + 0.05 * complex_gaussian(rng, (d, d))
+    cases = [
+        (dk.circle_moments(t, 1.0, n_max), _power_loop_values("circle", [t], n_max)),
+        (dk.circle_moments(t, 2.0, n_max), _power_loop_values("circle", [t], n_max, 2.0)),
+        (dk.regular_moments(triple, n_max), _power_loop_values("regular", triple, n_max)),
+        (dk.qcommuting_moments(*pair, n_max), _power_loop_values("ordered", pair, n_max)),
+        (dk.laurent_moments(inv, n_max), _power_loop_values("laurent", [inv], n_max)),
+    ]
+    for table, want in cases:
+        want.setdefault((0,) * table.nu, np.eye(d))
+        if table.symmetric:
+            for idx, w in list(want.items()):
+                want.setdefault(tuple(-i for i in idx), w.conj().T)
+        assert table.indices() == sorted(want)
+        for idx, ref in want.items():
+            gap = np.linalg.norm(table.value(idx) - ref)
+            assert gap <= 1e-13 * np.linalg.norm(ref), (table.index_rule, idx)
+
+
+@pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_rho_must_be_finite_and_positive(rho):
+    """A NaN rho is not an overflow, and an infinite one would make every
+    L_k zero: a dilation of nothing."""
+    with pytest.raises(ShapeMismatchError, match="rho must be a finite positive number"):
+        dk.circle_moments(0.5 * np.eye(2), rho, 2)
+    with pytest.raises(ShapeMismatchError, match="rho must be a finite positive number"):
+        dk.dilate_circle(0.5 * np.eye(2), order=2, rho=rho)
+
+
+def test_toeplitz_kernel_refuses_a_table_that_is_not_conjugate_closed():
+    """Annulus data store inverse powers at negative indices; the kernel
+    [L_{j-i}] of such a table is not Hermitian and is refused, not
+    symmetrized into another matrix."""
+    table = dk.laurent_moments(np.diag([0.7, 0.8j]), 2)
+    with pytest.raises(ShapeMismatchError, match="conjugate-closed"):
+        dk.toeplitz_kernel(table)
 
 
 OVERFLOWS = [
@@ -369,7 +453,8 @@ def test_word_walk_on_pipeline_outputs():
 
 
 def test_pipelines_form_no_word_powers(monkeypatch):
-    """GNS, assembly and verification evaluate words by the walk alone."""
+    """Moment tables, GNS, assembly and verification evaluate words by the
+    walk alone."""
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.matrix_power was called")
 
@@ -379,6 +464,10 @@ def test_pipelines_form_no_word_powers(monkeypatch):
     assert dk.dilate_annulus(np.diag([0.7, 0.8j]), 0.5, order=1, nodes=8).passed
     t = np.array([[0.2 + 0.1j, 0.3], [0.0, -0.25]])
     assert dk.dilate_boundary(t, dk.BoundaryCurve.disc(), order=2, nodes=32).passed
+    assert dk.dilate_regular([0.3 * np.eye(2), np.diag([0.2, -0.1])], order=1,
+                             nodes=4).passed
+    assert dk.dilate_qcommute(0.5 * np.diag([1.0, -1.0]), np.array([[0.0, 0.5], [0.0, 0.0]]),
+                              a=1, b=2, order=1, nodes=4).passed
 
 
 def test_malformed_readings_raise():

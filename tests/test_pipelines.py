@@ -438,3 +438,38 @@ def test_passed_is_conjunction():
     assert result.passed
     result.dimensions.ok = False
     assert not result.passed
+
+
+def test_dimension_bound_takes_the_operator_system_from_the_table():
+    """The operator system each pipeline hands the dimension bound is
+    2 c + 1 for the table's c canonical indices.  That is the size each
+    pipeline used to write out by hand, so the bound is unchanged."""
+    from dilatekit.measures import _canonical_indices
+
+    def size(table):
+        return 2 * len(_canonical_indices(table)) + 1
+
+    t = 0.3 * np.eye(2)
+    for order in (1, 2, 3):
+        assert size(dk.circle_moments(t, 1.0, order)) == 2 * order + 1
+        assert size(dk.laurent_moments(t, order)) == 4 * order + 1
+        assert size(dk.qcommuting_moments(t, t, order)) == 2 * (order + 1) ** 2 - 1
+        for nu in (2, 3):
+            assert size(dk.regular_moments([t] * nu, order)) == (2 * order + 1) ** nu
+    t = np.array([[0.2 + 0.1j, 0.3], [0.0, -0.25]])
+    d = 2
+    runs = [  # result, the size written out before, sub-rank
+        (dk.dilate_circle(t, order=3), 7, 1),
+        (dk.dilate_regular([t], order=2), 5, 1),
+        (dk.dilate_boundary(t, dk.BoundaryCurve.disc(), order=2, nodes=32), 5, 1),
+        (dk.dilate_boundary(t, dk.BoundaryCurve.sampled(
+            *dk.BoundaryCurve.ellipse(1.0, 0.8).sample(64), convex=True),
+            order=2, nodes=64), 5, 1),
+        (dk.dilate_regular([0.3 * np.eye(2), np.diag([0.2, -0.1])], order=1, nodes=4), 9, 1),
+        (dk.dilate_annulus(np.diag([0.7, 0.8j]), 0.5, order=1, nodes=8), 5, 1),
+        (dk.dilate_qcommute(0.5 * np.diag([1.0, -1.0]), np.array([[0.0, 0.5], [0.0, 0.0]]),
+                            a=1, b=2, order=1, nodes=4), 7, 2),
+    ]
+    for result, dim_s, sub_rank in runs:
+        assert result.passed
+        assert result.dimensions.bound == sub_rank ** 2 * d ** 3 * (dim_s + 1)
