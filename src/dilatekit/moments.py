@@ -122,7 +122,7 @@ class MomentTable:
                     self.values[neg] = val.conj().T
 
     def value(self, idx) -> np.ndarray:
-        idx = tuple(int(i) for i in np.atleast_1d(idx))
+        idx = _index_key(idx, self.values)
         if idx in self.values:
             return self.values[idx]
         neg = tuple(-i for i in idx)
@@ -298,6 +298,14 @@ def toeplitz_gns_unitary(table: MomentTable, tol: Tolerances = DEFAULT_TOL) -> D
     K = d + sum r_m, for exact data the rank of the block Toeplitz kernel;
     no defect is inverted, so unitary or norm-one data are handled.
 
+    Zero coefficients.  A coefficient with s_0 at or below rank_tol is
+    set to exactly 0 in the canonical gauge P = W = I, the same budget
+    as a thin defect.  Its Julia block is then the swap [[0, I], [I, 0]]
+    and phi, psi move by an exact shift, so rho = 1 data, whose later
+    coefficients come out of the recursion at roundoff, give Egervary's
+    coefficients (T, 0, ..., 0) and a U that is dense only in its first
+    two blocks.
+
     Refusal.  A coefficient of norm above 1 + psd_tol, or a moment the
     finished U misses by more than residual_tol where the kernel is not
     PSD, raises NotPSD naming the order, with the smallest eigenvalue of
@@ -318,6 +326,9 @@ def toeplitz_gns_unitary(table: MomentTable, tol: Tolerances = DEFAULT_TOL) -> D
         p, s, wh = np.linalg.svd(a)
         if r and s[0] > 1.0 + tol.psd_tol:
             raise _refusal(table, m + 1, f"Verblunsky coefficient of norm {s[0]:.6e}")
+        if r and s[0] <= tol.rank_tol:  # zero, in the canonical gauge
+            a, s = np.zeros_like(a), np.zeros(r)
+            p = wh = np.eye(r, dtype=np.complex128)
         defect = (1.0 - s) * (1.0 + s)
         keep = defect > tol.rank_tol
         if not keep.all():
@@ -399,6 +410,21 @@ def _refusal(table: MomentTable, order: int, why: str, lam=None) -> NotPSDError:
         f"block Toeplitz kernel min eigenvalue {lam[0]:.6e}", min_eig=float(lam[0]))
 
 
+def _index_key(idx, known: dict) -> tuple:
+    """``idx`` as the tuple of ints that names it.  ``known`` is keyed by
+    such tuples, and an index found there equals its key, so only a miss
+    is normalized: each entry of a tuple through int(), anything else
+    (a scalar, a list, an array) through np.atleast_1d first."""
+    try:
+        if idx in known:
+            return idx
+    except TypeError:  # unhashable, such as an array
+        pass
+    if type(idx) is tuple:
+        return tuple(map(int, idx))
+    return tuple(int(i) for i in np.atleast_1d(idx))
+
+
 def _word_walk(indices, generators, rule: str = "laurent",
                negatives: str = "adjoint", v=None) -> list:
     """w(G) v for each index, as word_image reads it (v defaults to the
@@ -423,8 +449,10 @@ def _word_walk(indices, generators, rule: str = "laurent",
 
     words = {(0,) * len(generators): v if v is not None
              else np.eye(generators[0].shape[-1], dtype=np.complex128)}
-    keys = [tuple(int(i) for i in np.atleast_1d(idx)) for idx in indices]
-    for idx in keys:
+    keys = []
+    for idx in indices:
+        idx = _index_key(idx, words)
+        keys.append(idx)
         if len(idx) != len(generators):
             raise DimensionMismatchError(
                 f"index {idx} has {len(idx)} entries for {len(generators)} generators")

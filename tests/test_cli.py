@@ -213,20 +213,21 @@ def test_qcommute_rejects_non_integer_ab(tmp_path):
 
 
 def test_tol_override_env(tmp_path, monkeypatch):
-    # a generic operator: its dilation meets the moments to roundoff, not
-    # exactly as the CMV dilation of a nilpotent Jordan block does
+    # numerical-radius data: its dilation meets the moments to roundoff,
+    # not exactly as the Egervary shift of rho = 1 data (coefficients
+    # (T, 0, 0), the last two exact zeros) does
     t = np.array([[0.3 + 0.1j, 0.2], [0.0, -0.4]])
     inp = write_operator(tmp_path / "t.json", t)
     # an absurd residual tolerance flips verification to failed: exit 4
     monkeypatch.setenv("DILATEKIT_TOL_OVERRIDE",
                        json.dumps({"residual_tol": 1e-300}))
-    code = main(["dilate-circle", "--input", inp,
+    code = main(["dilate-circle", "--input", inp, "--rho", "2",
                  "--output", str(tmp_path / "x"), "--order", "3"])
     assert code == 4
     report = json.loads((tmp_path / "x.report.json").read_text())
     assert report["verification"]["passed"] is False
     # explicit flag wins over the environment
-    code = main(["dilate-circle", "--input", inp,
+    code = main(["dilate-circle", "--input", inp, "--rho", "2",
                  "--output", str(tmp_path / "y"), "--order", "3",
                  "--tol-residual", "1e-8"])
     assert code == 0

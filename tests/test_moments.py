@@ -13,7 +13,7 @@ from dilatekit import (
     ShapeMismatchError,
 )
 from dilatekit.io import decode_dilation, dump_json, encode_dilation
-from dilatekit.moments import _word_walk
+from dilatekit.moments import _index_key, _word_walk
 
 from conftest import complex_gaussian, random_contraction, random_unitary
 
@@ -307,6 +307,62 @@ def test_gns_cmv_structure_and_wire():
     assert back.generators[0].tobytes() == u.tobytes()
 
 
+@pytest.mark.parametrize("d,order", [(8, 16), (8, 32), (1, 8), (2, 8), (3, 8), (4, 8)])
+def test_contraction_dilation_is_egervary_shift(d, order):
+    """rho = 1 data have Verblunsky coefficients (T, 0, ..., 0): every
+    coefficient after the first is an exact zero with the swap as its
+    Julia block, so U is Egervary's shift, dense only in its first two
+    blocks, in dilate_circle and in one-variable dilate_regular alike."""
+    t = random_contraction(np.random.default_rng([211, d, order]), d, norm=0.9)
+    k = (order + 1) * d
+    for result in (dk.dilate_circle(t, order=order), dk.dilate_regular([t], order)):
+        u = result.dilation.generators[0]
+        assert result.dilation.space_dim == k
+        assert np.count_nonzero(u) <= 4 * d * d + k
+        assert result.passed
+
+
+def _second_coefficient_table(c):
+    """Order-2 data of T = diag(0.6, -0.3i) whose second Verblunsky
+    coefficient has norm c: for diagonal data it is (L_2 - L_1^2)(I - L_1* L_1)^-1,
+    entry by entry."""
+    t = np.diag([0.6, -0.3j])
+    l2 = t @ t + c * (np.eye(2) - t.conj().T @ t)
+    return dk.MomentTable(dim=2, nu=1, values={(1,): t, (2,): l2})
+
+
+def test_small_coefficient_snaps_to_the_swap():
+    """A coefficient at most rank_tol in norm is set to zero with the
+    canonical gauge P = W = I, so its Julia block is the exact swap and U
+    is the one of the zero coefficient; ten times rank_tol is kept.
+    Both verify."""
+    rank_tol = dk.DEFAULT_TOL.rank_tol
+    shift = dk.toeplitz_gns_unitary(_second_coefficient_table(0.0)).generators[0]
+    snapped = _second_coefficient_table(0.5 * rank_tol)
+    kept = _second_coefficient_table(10 * rank_tol)
+    u_snapped = dk.toeplitz_gns_unitary(snapped).generators[0]
+    u_kept = dk.toeplitz_gns_unitary(kept).generators[0]
+    assert np.array_equal(u_snapped, shift)
+    assert not np.array_equal(u_kept, shift)
+    assert np.count_nonzero(u_kept) > np.count_nonzero(shift)
+    for table in (snapped, kept):
+        dil = dk.toeplitz_gns_unitary(table)
+        assert dil.space_dim == 6
+        assert dk.verify_dilation(dil, table, dk.Relations.commuting(1)).passed
+
+
+def test_gns_after_every_direction_is_dropped():
+    """Unitary data drop every direction at the first step, so later
+    steps have an empty coefficient (r = 0): U is T on K = d, up to the
+    roundoff the thin-defect rule moves the first coefficient by."""
+    t = random_unitary(np.random.default_rng(223), 3)
+    for order in (2, 4):
+        result = dk.dilate_circle(t, order=order)
+        assert result.dilation.space_dim == 3
+        assert np.allclose(result.dilation.generators[0], t, rtol=0, atol=1e-14)
+        assert result.passed
+
+
 def test_gns_refuses_inconsistent_degenerate_data():
     """A unitary first moment fixes every later one; a table that disagrees
     is refused at the order where its kernel stops being PSD, with the
@@ -345,6 +401,21 @@ def test_moment_table_api():
     with pytest.raises(KeyError):
         table.value((3,))
     assert table.indices() == sorted(table.values.keys())
+
+
+@pytest.mark.parametrize("idx", [(2,), (2.0,), (np.int64(2),), (2.7,), (np.float64(-2.5),),
+                                 (True,), 2, 2.0, np.int64(-1), np.array([2]), [3], (-3,)])
+def test_index_keys_keep_the_int_reading(idx):
+    """An index is looked up before it is normalized; hit or miss, it
+    names the moment and the word that int() of its entries names."""
+    want = tuple(int(i) for i in np.atleast_1d(idx))
+    missed = _index_key(idx, {})
+    assert missed == want and all(type(i) is int for i in missed)
+    t = np.array([[0.5, 0.1], [0.0, -0.3]])
+    table = dk.circle_moments(t, 1.0, 3)
+    assert _index_key(idx, table.values) == want
+    assert table.value(idx) is table.value(want)
+    assert np.array_equal(dk.word_image(idx, [t]), dk.word_image(want, [t]))
 
 
 def test_dilation_compress():

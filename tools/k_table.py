@@ -9,12 +9,13 @@ The first form runs every case of ``bench/workloads.make_cases`` once per
 workload, seed and draw, with one BLAS thread as the benchmark uses, and
 writes one record per call: its label, K (the dilation's space
 dimension), whether it passed verification, the verification's
-``max_moment_residual``, the number of reduced terms, and the sha256 of
-its ``dump_json(encode_dilation(...))`` bytes; for a call that runs the
-fit, also the iteration of its last ADMM residual check and the number
-of face polishes it attempted (both None when the call does not fit;
-they are read by wrapping ``measures._admm`` and ``measures._polish``).
-A refused call records the error's class in place of K and the digest.
+``max_moment_residual``, the number of reduced terms, and the sha256
+and the length of its ``dump_json(encode_dilation(...))`` bytes; for a
+call that runs the fit, also the iteration of its last ADMM residual
+check and the number of face polishes it attempted (both None when the
+call does not fit; they are read by wrapping ``measures._admm`` and
+``measures._polish``).  A refused call records the error's class in
+place of K, the digest and the length.
 ``--label`` runs only the cases whose label contains SUBSTR (``--label
 qcommute``, say), keeping their case numbers.  ``--sampled`` gives each
 ``boundary`` case its curve as ``BoundaryCurve.sampled`` at the case's
@@ -28,8 +29,9 @@ The second form prints, for each workload, the sum of K and the passed
 count on either side, every call whose K or verdict moved, every call
 whose residual moved by more than 1e-12, the largest residual move over
 the calls with a residual on both sides, the count of calls whose
-dilation bytes differ, the sum of fit iterations per case label on either
-side, and every call whose iteration or polish count moved; with
+dilation bytes differ and the sum of dilation bytes on either side,
+the sum of fit iterations per case label on either side, and every call
+whose iteration or polish count moved; with
 ``--label`` it compares only the calls whose label contains SUBSTR.
 """
 
@@ -95,13 +97,14 @@ def run(workloads, seeds, draws, label="", sampled=False) -> list:
                         result = case.call()
                     except dk.DilatekitError as exc:
                         rec.update(K=None, passed=False, residual=None, terms=None,
-                                   sha256=None, error=type(exc).__name__)
+                                   sha256=None, bytes=None, error=type(exc).__name__)
                     else:
-                        text = dump_json(encode_dilation(result.dilation))
+                        text = dump_json(encode_dilation(result.dilation)).encode()
                         rec.update(K=result.dilation.space_dim, passed=result.passed,
                                    residual=result.verification.max_moment_residual,
                                    terms=result.reduced_terms,
-                                   sha256=hashlib.sha256(text.encode()).hexdigest())
+                                   sha256=hashlib.sha256(text).hexdigest(),
+                                   bytes=len(text))
                     rec.update(fit)
                     records.append(rec)
     return records
@@ -118,6 +121,8 @@ def diff(old: list, new: list) -> str:
         keys = [k for k in dict.fromkeys(list(before) + list(after)) if k[0] == workload]
         sides = [[table[k] for k in keys if k in table] for table in (before, after)]
         sums = [sum(rec["K"] or 0 for rec in side) for side in sides]
+        # tables written before the byte count read as None
+        sizes = [sum(rec.get("bytes") or 0 for rec in side) for side in sides]
         passed = [sum(rec["passed"] for rec in side) for side in sides]
         lines.append(f"{workload}: sum K {sums[0]} -> {sums[1]}, passed "
                      f"{passed[0]}/{len(sides[0])} -> {passed[1]}/{len(sides[1])}")
@@ -142,7 +147,8 @@ def diff(old: list, new: list) -> str:
                 lines.append(f"  seed {k[1]} draw {k[2]} {a['label']}: "
                              f"residual {ra} -> {rb}")
         lines.append(f"  largest residual move {largest_move:.3e}")
-        lines.append(f"  dilation bytes differ on {bytes_differ} of {len(keys)} calls")
+        lines.append(f"  dilation bytes differ on {bytes_differ} of {len(keys)} calls, "
+                     f"sum {sizes[0]} -> {sizes[1]} B")
         lines.extend(_iteration_lines(keys, before, after))
     return "\n".join(lines)
 
