@@ -23,7 +23,7 @@ from .errors import (
     ResolventSingularError,
     ShapeMismatchError,
 )
-from .linalg import DEFAULT_TOL, Tolerances, _psd_floor, asmatrix, herm_part
+from .linalg import DEFAULT_TOL, Tolerances, _csr_if_sparse, _psd_floor, asmatrix, herm_part
 
 __all__ = [
     "MomentTable",
@@ -306,6 +306,14 @@ def toeplitz_gns_unitary(table: MomentTable, tol: Tolerances = DEFAULT_TOL) -> D
     coefficients (T, 0, ..., 0) and a U that is dense only in its first
     two blocks.
 
+    Self-check.  The finished U is walked on V to U^N V, and the largest
+    ||V* U^k V - L_k|| is reported as the residual "moment_max" beside
+    "shift_isometry", the largest unitarity defect of a Julia block.
+    The walk runs on U's nonzeros, through CSR, when K >= 128 and at most
+    K^2 / 16 entries are nonzero (linalg._csr_if_sparse): rho = 1 data
+    from K = 136 on.  Smaller or denser unitaries, rho = 2 data among
+    them, are walked dense.
+
     Refusal.  A coefficient of norm above 1 + psd_tol, or a moment the
     finished U misses by more than residual_tol where the kernel is not
     PSD, raises NotPSD naming the order, with the smallest eigenvalue of
@@ -317,44 +325,61 @@ def toeplitz_gns_unitary(table: MomentTable, tol: Tolerances = DEFAULT_TOL) -> D
     if n < 1:
         raise ShapeMismatchError("GNS construction needs moments of order 1 or more")
     d = table.dim
-    moments = np.concatenate([table.value((k,)) for k in range(1, n + 1)], axis=1)
-    fwd = bwd = np.eye(d, dtype=np.complex128)  # phi_m, psi_m over x_0..x_m, stacked
+    values = np.stack([table.value((k,)) for k in range(1, n + 1)])
+    moments = np.concatenate(values, axis=1)
+    # phi_m and psi_m, stacked over x_0..x_m, live in two zeroed buffers:
+    # ``up`` holds U phi_m (phi_m below a zero block) and ``back`` holds
+    # psi_m, each in its first r_m columns, with zeros below
+    up = np.zeros(((n + 2) * d, d), dtype=np.complex128)
+    back = np.zeros_like(up)
+    up[d:2 * d] = back[:d] = np.eye(d)
+    # Theta_m in the corner of an identity, so that every Julia block's
+    # unitarity defect keeps its norm in one stacked product
+    julia = np.tile(np.eye(2 * d, dtype=np.complex128), (n, 1, 1))
     thetas, sizes = [], [d]
     for m in range(n):
         r = sizes[-1]
-        a = bwd[:d].conj().T @ (moments[:, :(m + 1) * d] @ fwd)
+        phi, psi = up[:(m + 2) * d, :r], back[:(m + 2) * d, :r]
+        a = psi[:d].conj().T @ (moments[:, :(m + 1) * d] @ phi[d:])
         p, s, wh = np.linalg.svd(a)
         if r and s[0] > 1.0 + tol.psd_tol:
             raise _refusal(table, m + 1, f"Verblunsky coefficient of norm {s[0]:.6e}")
         if r and s[0] <= tol.rank_tol:  # zero, in the canonical gauge
-            a, s = np.zeros_like(a), np.zeros(r)
-            p = wh = np.eye(r, dtype=np.complex128)
+            theta = julia[m, :2 * r, :2 * r]
+            theta[:] = 0.0
+            theta[:r, r:] = theta[r:, :r] = np.eye(r)
+            thetas.append(theta)
+            sizes.append(r)
+            up[d:(m + 3) * d, :r] = phi  # phi_{m+1} = U phi_m, psi_{m+1} = psi_m
+            continue
         defect = (1.0 - s) * (1.0 + s)
         keep = defect > tol.rank_tol
         if not keep.all():
             a = a + (p[:, ~keep] * (1.0 - s[~keep])) @ wh[~keep]
-        q = np.sqrt(defect[keep])
-        p, wh, k = p[:, keep], wh[keep], len(q)
-        theta = np.empty((r + k, r + k), dtype=np.complex128)
+            defect, s, p, wh = defect[keep], s[keep], p[:, keep], wh[keep]
+        q = np.sqrt(defect)
+        k = len(q)
+        theta = julia[m, :r + k, :r + k]
         theta[:r, :r] = a
         theta[:r, r:] = p * q
         theta[r:, :r] = q[:, None] * wh
-        theta[r:, r:] = np.diag(-s[keep])
+        theta[r:, r:] = np.diag(-s)
         thetas.append(theta)
         sizes.append(k)
-        up = np.vstack([np.zeros((d, r)), fwd])  # U phi_m
-        back = np.vstack([bwd, np.zeros((d, r))])
-        fwd = (up - back @ a) @ (wh.conj().T / q)
-        bwd = (back - up @ a.conj().T) @ (p / q)
+        fwd = (phi - psi @ a) @ (wh.conj().T / q)
+        bwd = (psi - phi @ a.conj().T) @ (p / q)
+        up[d:(m + 3) * d, :k] = fwd
+        back[:(m + 2) * d, :k] = bwd
 
     off = np.cumsum([0] + sizes)
     big = int(off[-1])
     u = _cmv_product(thetas, sizes, off)
     v = np.zeros((big, d), dtype=np.complex128)
     v[:d] = np.eye(d)
-    shift = max(float(np.linalg.norm(t.conj().T @ t - np.eye(len(t)))) for t in thetas)
-    words = _word_walk([(k,) for k in range(1, n + 1)], [u], v=v)
-    resid = [float(np.linalg.norm(w[:d] - table.value((k,)))) for k, w in enumerate(words, 1)]
+    shift = float(np.linalg.norm(
+        np.swapaxes(julia.conj(), 1, 2) @ julia - np.eye(2 * d), axis=(1, 2)).max())
+    walk = _word_walk([(k,) for k in range(1, n + 1)], [_csr_if_sparse(u)], v=v)
+    resid = np.linalg.norm(np.stack([w[:d] for w in walk]) - values, axis=(1, 2)).tolist()
     miss = next((k for k, x in enumerate(resid, 1) if x > tol.residual_tol), None)
     if miss is not None:
         lam = _kernel_spectrum(table, miss)
@@ -431,7 +456,9 @@ def _word_walk(indices, generators, rule: str = "laurent",
     identity), from one memoized walk of the index lattice: W_n = B W_n',
     where B is the word's leftmost factor and n' is n without it.  B sits
     at the first nonzero entry, or at the last one of a nonpositive
-    ordered index; each generator is inverted at most once.
+    ordered index; each generator is inverted at most once.  A generator
+    may be a scipy.sparse matrix (see linalg._csr_if_sparse); its inverse
+    is taken from its dense form, and its words come out dense.
     """
     if rule not in ("laurent", "ordered"):
         raise ShapeMismatchError(f"unknown index rule {rule!r}")
@@ -439,10 +466,13 @@ def _word_walk(indices, generators, rule: str = "laurent",
     @functools.cache
     def factor(i, s):
         g = generators[i]
-        if s > 0 or rule == "ordered" or negatives == "adjoint":
-            return g if s > 0 else np.swapaxes(g.conj(), -1, -2)
+        dense = isinstance(g, np.ndarray)
+        if s > 0:
+            return g
+        if rule == "ordered" or negatives == "adjoint":
+            return np.swapaxes(g.conj(), -1, -2) if dense else g.conj().T
         try:
-            return np.linalg.inv(g)
+            return np.linalg.inv(g if dense else g.toarray())
         except np.linalg.LinAlgError as exc:
             raise ResolventSingularError(
                 f"generator {i} is singular: no inverse reading") from exc

@@ -127,10 +127,11 @@ def dilate_circle(t, order: int, rho: float = 1.0,
 
 def _gns_result(table: MomentTable, tol: Tolerances) -> PipelineResult:
     """The unitary GNS dilation of a conjugate-closed one-variable table,
-    verified as one commuting unitary."""
+    verified as one commuting unitary.  Its dimension is held to the
+    recursion's own bound, K = d + sum r_m <= (order + 1) d."""
     dil = toeplitz_gns_unitary(table, tol)
     report = verify_dilation(dil, table, Relations.commuting(1), tol)
-    dims = dimension_report(dil, table.dim, 2 * len(_canonical_indices(table)) + 1)
+    dims = DimensionReport.against(dil, (table.order() + 1) * table.dim)
     return PipelineResult(dilation=dil, targets=table, verification=report,
                           dimensions=dims)
 

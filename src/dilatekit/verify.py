@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances
+from .linalg import DEFAULT_TOL, Tolerances, _csr_if_sparse, _frobenius
 from .moments import Dilation, MomentTable, _word_walk
 
 __all__ = [
@@ -97,25 +97,35 @@ def verify_dilation(dil: Dilation, targets: MomentTable,
     compression at -n is taken as (V* w(n) V)* instead of walked.  That
     is an identity of the word semantics, not of the construction.
     Laurent indices of two or more generators, inverse negatives and a
-    -n whose mirror is not in the table are walked.  All compressions
-    and residual norms are taken as one stacked product and one norm.
+    -n whose mirror is not in the table are walked.  The compressions
+    are stacked, and all residual norms are taken as one norm.
+
+    Sparse generators.  A generator with K >= 128 and at most K^2 / 16
+    nonzero entries (linalg._csr_if_sparse), such as the rho = 1 circle
+    unitary from K = 136 on, is copied to CSR from the matrix given, and
+    its unitarity or normality defect, the scale-pair relation defects
+    and the word walk run on its nonzeros.  An inverse negative is taken
+    from the dense matrix.  Every other generator is used dense as
+    given.
     """
     if relations is None:
         relations = Relations.commuting(targets.nu, unitary=True)
     if moment_tol is None:
         moment_tol = tol.residual_tol
-    v, gens = dil.v, dil.generators
+    v = dil.v
+    gens = [_csr_if_sparse(g) for g in dil.generators]
     vh = v.conj().T
     iso = float(np.linalg.norm(vh @ v - np.eye(targets.dim)))
-    gen_defects = [float(np.linalg.norm(g.conj().T @ g - (
-        np.eye(g.shape[0]) if relations.unitary else g @ g.conj().T)))
+    gen_defects = [_frobenius(g.conj().T @ g - (
+        _identity_like(g) if relations.unitary else g @ g.conj().T))
         for g in gens]
-    rel_defects = [float(np.linalg.norm(gens[j] @ gens[i] - q * (gens[i] @ gens[j])))
+    rel_defects = [_frobenius(gens[j] @ gens[i] - q * (gens[i] @ gens[j]))
                    for i, j, q in relations.scale_pairs]
     indices = targets.indices()
     mirror = _mirrors(indices, len(gens), relations)
     walk = [idx for idx in indices if idx not in mirror]
-    walked = vh @ np.stack(_word_walk(walk, gens, relations.rule, relations.negatives, v))
+    walked = np.stack([vh @ w for w in _word_walk(walk, gens, relations.rule,
+                                                  relations.negatives, v)])
     row = {idx: k for k, idx in enumerate(walk)}
     comps = walked[[row[mirror.get(idx, idx)] for idx in indices]]
     flip = [k for k, idx in enumerate(indices) if idx in mirror]
@@ -143,6 +153,15 @@ def verify_dilation(dil: Dilation, targets: MomentTable,
     )
 
 
+def _identity_like(g):
+    """The identity of g's size, sparse when g is."""
+    if isinstance(g, np.ndarray):
+        return np.eye(g.shape[0])
+    import scipy.sparse
+
+    return scipy.sparse.eye_array(g.shape[0], format="csr")
+
+
 def _mirrors(indices, nu: int, relations: Relations) -> dict:
     """{-n: n} for each -n in ``indices`` whose word is the adjoint of
     the word at n, an index in ``indices`` too."""
@@ -165,6 +184,12 @@ class DimensionReport:
     slack: int
     ok: bool
 
+    @classmethod
+    def against(cls, dil: Dilation, bound: int) -> "DimensionReport":
+        """The dilation space held to ``bound``; slack is bound minus K."""
+        slack = bound - dil.space_dim
+        return cls(space_dim=dil.space_dim, bound=bound, slack=slack, ok=slack >= 0)
+
     def to_dict(self) -> dict:
         return {"space_dim": self.space_dim, "bound": self.bound,
                 "slack": self.slack, "ok": self.ok}
@@ -182,7 +207,4 @@ def dimension_report(dil: Dilation, dim_h: int, dim_s: int,
 
     dimensions.  Slack is bound minus the actual space dimension.
     """
-    bound = int(sub_rank ** 2 * dim_h ** 3 * (dim_s + 1))
-    slack = bound - dil.space_dim
-    return DimensionReport(space_dim=dil.space_dim, bound=bound,
-                           slack=slack, ok=slack >= 0)
+    return DimensionReport.against(dil, int(sub_rank ** 2 * dim_h ** 3 * (dim_s + 1)))

@@ -1,5 +1,7 @@
 import itertools
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from dilatekit import (
     ResolventSingularError,
     ShapeMismatchError,
 )
+from dilatekit import linalg
 from dilatekit.io import decode_dilation, dump_json, encode_dilation
 from dilatekit.moments import _index_key, _word_walk
 
@@ -320,6 +323,47 @@ def test_contraction_dilation_is_egervary_shift(d, order):
         assert result.dilation.space_dim == k
         assert np.count_nonzero(u) <= 4 * d * d + k
         assert result.passed
+
+
+@pytest.mark.parametrize("order,rho", [(16, 1.0), (32, 1.0), (32, 2.0)])
+def test_gns_self_check_on_the_nonzeros(monkeypatch, order, rho):
+    """At K >= 128 the rho = 1 unitary is walked through CSR in the self
+    check, and the rho = 2 one stays dense.  U and V keep their bits and
+    the residuals are the dense walk's to 1e-14."""
+    t = random_contraction(np.random.default_rng([233, order]), 8, norm=0.9)
+    table = dk.circle_moments(t, rho, order)
+    walked = []
+
+    def spy(indices, generators, *args, **kwargs):
+        walked.append(isinstance(generators[0], np.ndarray))
+        return _word_walk(indices, generators, *args, **kwargs)
+
+    monkeypatch.setattr(dk.moments, "_word_walk", spy)
+    ruled = dk.toeplitz_gns_unitary(table)
+    monkeypatch.setattr(linalg, "_CSR_MIN_DIM", 10 ** 9)
+    dense = dk.toeplitz_gns_unitary(table)
+    assert walked == [rho == 2.0, True]
+    assert ruled.space_dim == (order + 1) * 8
+    assert ruled.v.tobytes() == dense.v.tobytes()
+    assert ruled.generators[0].tobytes() == dense.generators[0].tobytes()
+    assert ruled.residuals.keys() == dense.residuals.keys()
+    for key, value in ruled.residuals.items():
+        assert abs(value - dense.residuals[key]) <= 1e-14
+
+
+def test_small_calls_never_import_scipy_sparse():
+    """scipy.sparse is imported only on the CSR path, which the small
+    calls of every route never take."""
+    code = (
+        "import sys, numpy as np, dilatekit as dk\n"
+        "t = np.array([[0.2, 0.5], [0.0, -0.3j]])\n"
+        "for rho in (1.0, 2.0):\n"
+        "    assert dk.dilate_circle(t, 8, rho=rho).passed\n"
+        "assert dk.dilate_regular([t], 4).passed\n"
+        "assert dk.dilate_boundary(t, dk.BoundaryCurve.ellipse(1.0, 0.8), nodes=64).passed\n"
+        "assert dk.dilate_annulus(np.diag([0.7, 0.8j]), 0.5, order=1, nodes=8).passed\n"
+        "assert 'scipy.sparse' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def _second_coefficient_table(c):

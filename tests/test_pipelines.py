@@ -441,9 +441,10 @@ def test_passed_is_conjunction():
 
 
 def test_dimension_bound_takes_the_operator_system_from_the_table():
-    """The operator system each pipeline hands the dimension bound is
-    2 c + 1 for the table's c canonical indices.  That is the size each
-    pipeline used to write out by hand, so the bound is unchanged."""
+    """The operator system each measure pipeline hands the dimension
+    bound is 2 c + 1 for the table's c canonical indices.  That is the
+    size each pipeline used to write out by hand, so the bound is
+    unchanged.  The GNS routes are held to (order + 1) d instead."""
     from dilatekit.measures import _canonical_indices
 
     def size(table):
@@ -458,9 +459,11 @@ def test_dimension_bound_takes_the_operator_system_from_the_table():
             assert size(dk.regular_moments([t] * nu, order)) == (2 * order + 1) ** nu
     t = np.array([[0.2 + 0.1j, 0.3], [0.0, -0.25]])
     d = 2
+    for result, order in ((dk.dilate_circle(t, order=3), 3),
+                          (dk.dilate_regular([t], order=2), 2)):
+        assert result.passed
+        assert result.dimensions.bound == (order + 1) * d
     runs = [  # result, the size written out before, sub-rank
-        (dk.dilate_circle(t, order=3), 7, 1),
-        (dk.dilate_regular([t], order=2), 5, 1),
         (dk.dilate_boundary(t, dk.BoundaryCurve.disc(), order=2, nodes=32), 5, 1),
         (dk.dilate_boundary(t, dk.BoundaryCurve.sampled(
             *dk.BoundaryCurve.ellipse(1.0, 0.8).sample(64), convex=True),
@@ -473,3 +476,21 @@ def test_dimension_bound_takes_the_operator_system_from_the_table():
     for result, dim_s, sub_rank in runs:
         assert result.passed
         assert result.dimensions.bound == sub_rank ** 2 * d ** 3 * (dim_s + 1)
+
+
+@pytest.mark.parametrize("d,order,rho", [(1, 1, 1.0), (2, 4, 2.0), (3, 5, 1.0), (8, 16, 1.0)])
+def test_gns_dimension_bound_is_the_recursion_bound(d, order, rho):
+    """dilate_circle and one-variable dilate_regular report K against
+    (order + 1) d, the bound of the Szego recursion (K = d + sum r_m),
+    and not against the subhomogeneity bound d^3 (2 c + 2)."""
+    rng = np.random.default_rng([31, d, order])
+    t = random_contraction(rng, d, norm=0.9)
+    for result in (dk.dilate_circle(t, order, rho=rho), dk.dilate_regular([t], order)):
+        dims = result.dimensions
+        assert dims.bound == (order + 1) * d
+        assert dims.slack == dims.bound - result.dilation.space_dim >= 0
+        assert dims.ok and result.passed
+    # a norm-one direction shrinks the later blocks, so K sits under the bound
+    u = random_unitary(rng, d)
+    dims = dk.dilate_circle(u @ np.diag([1.0] + [0.5] * (d - 1)), order).dimensions
+    assert dims.bound == (order + 1) * d and dims.slack == order

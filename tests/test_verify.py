@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import dilatekit as dk
-from dilatekit import verify
+from dilatekit import linalg, verify
+from dilatekit.cli import main
+from dilatekit.io import dump_json, encode_dilation, encode_table
 from dilatekit.moments import _word_walk
 
 from conftest import random_contraction, random_unitary
@@ -212,3 +216,150 @@ def test_inverse_negatives_and_lone_negatives_are_walked(monkeypatch):
                           symmetric=False)
     rep = dk.verify_dilation(dil, lone, dk.Relations(unitary=False))
     assert rep.passed and (-2,) in seen[-1]
+
+
+def _dense_and_csr(monkeypatch, dil, table, relations):
+    """verify_dilation's report with every generator used dense, then
+    with every generator walked through CSR."""
+    monkeypatch.setattr(linalg, "_CSR_MIN_DIM", 10 ** 9)
+    dense = dk.verify_dilation(dil, table, relations)
+    monkeypatch.setattr(linalg, "_CSR_MIN_DIM", 1)
+    monkeypatch.setattr(linalg, "_CSR_MAX_FILL", 1)
+    assert not any(isinstance(linalg._csr_if_sparse(g), np.ndarray) for g in dil.generators)
+    sparse = dk.verify_dilation(dil, table, relations)
+    monkeypatch.undo()
+    return dense, sparse
+
+
+def _assert_reports_agree(a, b, tol=1e-14):
+    assert a.passed == b.passed
+    assert a.moment_residuals.keys() == b.moment_residuals.keys()
+    pairs = [(a.isometry_defect, b.isometry_defect),
+             *zip(a.generator_defects, b.generator_defects),
+             *zip(a.relation_defects, b.relation_defects),
+             *((a.moment_residuals[i], b.moment_residuals[i]) for i in a.moment_residuals)]
+    assert len(a.generator_defects) == len(b.generator_defects)
+    assert len(a.relation_defects) == len(b.relation_defects)
+    assert max(abs(x - y) for x, y in pairs) <= tol
+
+
+def test_csr_rule_takes_only_large_sparse_complex_matrices():
+    """The rule: K >= _CSR_MIN_DIM and at most K^2 / _CSR_MAX_FILL
+    nonzero entries, on a square complex128 matrix; the CSR copy holds
+    the same numbers, a signed zero counting as zero."""
+    k = linalg._CSR_MIN_DIM
+    shift = np.roll(np.eye(k, dtype=complex), 1, axis=0)
+    shift[0, 0] = 1e-300j
+    shift[1, 1] = -0.0
+    csr = linalg._csr_if_sparse(shift)
+    assert not isinstance(csr, np.ndarray) and csr.nnz == k + 1
+    assert np.array_equal(csr.toarray(), shift)
+    small = shift[1:, 1:].copy()
+    assert linalg._csr_if_sparse(small) is small
+    real = shift.real.copy()
+    assert linalg._csr_if_sparse(real) is real
+    dense = shift.copy()
+    dense[:, :k // linalg._CSR_MAX_FILL] = 1.0
+    assert linalg._csr_if_sparse(dense) is dense
+    fortran = np.asfortranarray(shift)
+    assert np.array_equal(linalg._csr_if_sparse(fortran).toarray(), shift)
+
+
+def _gns_at(d, order, rho):
+    t = random_contraction(np.random.default_rng([31, d, order, int(rho)]), d, norm=0.9)
+    table = dk.circle_moments(t, rho, order)
+    return dk.toeplitz_gns_unitary(table), table
+
+
+@pytest.mark.parametrize("order,rho", [(16, 1.0), (32, 1.0), (16, 2.0), (32, 2.0)])
+def test_csr_and_dense_reports_agree(monkeypatch, order, rho):
+    """At K = 136 and K = 264, for rho = 1 and rho = 2 data alike, the
+    report walked through CSR equals the dense one to 1e-14."""
+    dil, table = _gns_at(8, order, rho)
+    assert dil.space_dim == (order + 1) * 8
+    u = dil.generators[0]  # rho = 2 unitaries are dense for the rule
+    assert isinstance(linalg._csr_if_sparse(u), np.ndarray) == (rho == 2.0)
+    dense, sparse = _dense_and_csr(monkeypatch, dil, table, dk.Relations.commuting(1))
+    assert dense.passed
+    _assert_reports_agree(dense, sparse)
+
+
+def test_csr_pair_walks_adjoints_and_relation_defects(monkeypatch):
+    """Two sparse generators, the K = 136 rho = 1 unitary and a diagonal
+    of phases, which do not commute: the walk of Laurent words in both,
+    negative ones through the CSR adjoint, the normality defects and the
+    false commuting relation give the dense report, the relation defect
+    to 1e-14 relative."""
+    dil, _ = _gns_at(8, 16, 1.0)
+    u = dil.generators[0]
+    phases = np.diag(np.exp(2j * np.pi * np.random.default_rng(239).random(len(u))))
+    gens = [u, phases]
+    indices = [idx for idx in itertools.product(range(-2, 3), repeat=2) if any(idx)]
+    table = dk.MomentTable(dim=8, nu=2, symmetric=False, values={
+        idx: dil.compress(dk.word_image(idx, gens)) for idx in indices})
+    pair = dk.Dilation(v=dil.v, generators=gens, space_dim=len(u), provenance="test")
+    relations = dk.Relations.commuting(2, unitary=False)
+    dense, sparse = _dense_and_csr(monkeypatch, pair, table, relations)
+    assert dense.max_moment_residual <= 1e-13 and dense.relation_defects[0] > 1.0
+    rel = dense.relation_defects[0]
+    assert abs(sparse.relation_defects[0] - rel) <= 1e-14 * rel
+    sparse.relation_defects = dense.relation_defects
+    _assert_reports_agree(dense, sparse)
+
+
+def test_csr_verify_catches_a_broken_unitary(monkeypatch):
+    """One structural zero of the K = 264 rho = 1 unitary set to 1e-6:
+    the rule still takes the CSR path, and verify fails there as it does
+    dense, with the same defects."""
+    dil, table = _gns_at(8, 32, 1.0)
+    u = dil.generators[0]
+    assert not isinstance(linalg._csr_if_sparse(u), np.ndarray)
+    assert u[-1, 0] == 0
+    u[-1, 0] = 1e-6
+    assert not isinstance(linalg._csr_if_sparse(u), np.ndarray)
+    sparse = dk.verify_dilation(dil, table, dk.Relations.commuting(1))
+    dense, _ = _dense_and_csr(monkeypatch, dil, table, dk.Relations.commuting(1))
+    assert not sparse.passed and not dense.passed
+    assert sparse.generator_defects[0] > 1e-6
+    _assert_reports_agree(dense, sparse)
+
+
+def test_inverse_negatives_above_the_cutoff(monkeypatch, tmp_path, capsys):
+    """Normal d = 8 annulus data, drawn as the benchmark's interior
+    annulus case draws them (default_rng([7, 8]), r = 0.5, order 2, 32
+    nodes), give a diagonal generator of K = 73 under one BLAS thread
+    (74 under two: the reduction's rank follows roundoff).  With the
+    cutoff lowered to 64, so that the generator takes the CSR path,
+    verify reads the inverse negatives from the dense matrix: the case
+    passes, its residuals are the dense path's to 1e-14, and the CLI
+    exits 0 on its bundle.  A singular generator still exits 3 with the
+    dense path's message."""
+    d, rng = 8, np.random.default_rng([7, 8])
+    w, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    spectrum = rng.uniform(0.6, 0.9, size=d) * np.exp(2j * np.pi * rng.random(d))
+    result = dk.dilate_annulus(w @ np.diag(spectrum) @ w.conj().T, 0.5, order=2, nodes=32)
+    dil, table = result.dilation, result.targets
+    n = dil.generators[0]
+    assert result.passed and dil.space_dim >= 64
+    assert np.array_equal(n, np.diag(np.diag(n)))
+    relations = dk.Relations(rule="laurent", unitary=False, negatives="inverse")
+    dense = dk.verify_dilation(dil, table, relations)
+    monkeypatch.setattr(linalg, "_CSR_MIN_DIM", 64)
+    assert not isinstance(linalg._csr_if_sparse(n), np.ndarray)
+    sparse = dk.verify_dilation(dil, table, relations)
+    assert sparse.passed
+    _assert_reports_agree(dense, sparse)
+
+    def run(dilation):
+        bundle = {"dilation": encode_dilation(dilation), "targets": encode_table(table),
+                  "relations": {"rule": "laurent", "unitary": False, "negatives": "inverse"}}
+        path = tmp_path / "bundle.json"
+        path.write_text(dump_json(bundle), encoding="utf-8")
+        return main(["verify", "--input", str(path)]), capsys.readouterr().err
+
+    assert run(dil)[0] == 0
+    n[0, 0] = 0.0
+    code, message = run(dil)
+    monkeypatch.setattr(linalg, "_CSR_MIN_DIM", 10 ** 9)
+    assert code == 3 and run(dil) == (3, message)
+    assert "generator 0 is singular: no inverse reading" in message

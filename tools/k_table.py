@@ -1,6 +1,6 @@
 """K per benchmark call, and the difference between two such tables.
 
-    python tools/k_table.py --out k.json [--workloads boundary,fitted]
+    python tools/k_table.py --out k.json [--workloads boundary,fitted,circle]
                             [--seeds 1-6] [--draws 0-2] [--label SUBSTR]
                             [--sampled]
     python tools/k_table.py --diff parent.json change.json [--label SUBSTR]
@@ -182,7 +182,7 @@ def _iteration_lines(keys, before, after) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workloads", default="boundary,fitted")
+    parser.add_argument("--workloads", default="boundary,fitted,circle")
     parser.add_argument("--seeds", default="1-6", help="e.g. 1-6 or 7")
     parser.add_argument("--draws", default="0-2", help="e.g. 0-2 or 0")
     parser.add_argument("--label", default="", metavar="SUBSTR",
