@@ -290,33 +290,38 @@ def _lift_columns(alpha, value, selfadjoint: bool) -> np.ndarray:
     return out.T
 
 
-def _svd(a: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
-    """The SVD (u, s, vh), or s alone without ``compute_uv``, retrying
-    LAPACK's gesvd when the default divide-and-conquer driver fails to
-    converge."""
+def _svd(a: np.ndarray, full_matrices: bool = True):
+    """The SVD (u, s, vh), retrying LAPACK's gesvd when the default
+    divide-and-conquer driver fails to converge: for the commutant basis
+    and the fit's polish; the reduction decides its ranks without it."""
     try:
-        return np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+        return np.linalg.svd(a, full_matrices=full_matrices)
     except np.linalg.LinAlgError:
-        return scipy.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv,
-                                lapack_driver="gesvd")
+        return scipy.linalg.svd(a, full_matrices=full_matrices, lapack_driver="gesvd")
 
 
 def _rank(s: np.ndarray) -> int:
-    """Numerical rank from singular values: the reduction's one cutoff."""
+    """Numerical rank from a nonincreasing sequence of magnitudes, the
+    largest first (the |R diagonal| of a column-pivoted QR): the
+    reduction's one cutoff."""
     return int(np.count_nonzero(s > 1e-11 * max(s[0], 1.0)))
 
 
-def _row_basis(a: np.ndarray) -> np.ndarray:
-    """The r rows U_r^T a, of full row rank, that keep every linear
-    relation among the columns of ``a``: r is the rank of a with the
-    reduction's cutoff, and U_r holds its r leading left singular vectors.
+def _pivoted_qr(a: np.ndarray):
+    """LAPACK's column-pivoted QR, a P = Q R (numpy has none): the array
+    holding R in its upper triangle, the column order P (0-based) and
+    the rank of ``a`` read from the R diagonal with :func:`_rank`
+    (Chan 1987, Rank revealing QR factorizations)."""
+    qr, jpvt = scipy.linalg.lapack.dgeqp3(a)[:2]
+    return qr, jpvt - 1, _rank(np.abs(np.diagonal(qr)))
 
-    A QR of the transpose, a^T = Q R, leaves the small square R^T, which
-    has the singular values and left singular vectors of a, so no SVD
-    runs on all the columns of a.
-    """
-    u, s, _ = _svd(np.linalg.qr(a.T, mode="r").T, full_matrices=False)
-    return u[:, :_rank(s)].T @ a
+
+def _row_basis(a: np.ndarray) -> np.ndarray:
+    """The r rows of ``a`` that keep every linear relation among its
+    columns, in index order: the first r pivots of one column-pivoted QR
+    of a^T, where r is the rank of a with the reduction's cutoff."""
+    _, piv, r = _pivoted_qr(a.T)
+    return a[np.sort(piv[:r])]
 
 
 # A tableau entry below this fraction of its column's largest is not an
@@ -329,50 +334,35 @@ def _sweep(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     linearly independent, keeping ``a @ t``; returns the new weights,
     zero for retired terms.
 
-    One values-only SVD gives the rank of the columns, with the
-    reduction's cutoff.  Independent columns are returned as they are.
-    Rows of lower rank are first replaced by their row basis
-    (:func:`_row_basis`), which is of full row rank; one pass of the
-    tableau sweep (:func:`_tableau_sweep`) then leaves at most ``rank``
-    terms.  Singular vectors are computed only on those deficient rows.
+    One simplex-style pass over the columns.  A column-pivoted QR,
+    a P = Q [R11 R12; 0 R22], gives the rank of the columns from its R
+    diagonal, with the reduction's cutoff; independent columns are
+    returned as they are.  Otherwise the first ``rank`` pivots are the
+    basic columns, and X = R11^-1 R12, on the leading ``rank`` rows of R,
+    writes every other column in that basis (Golub & Van Loan, Matrix
+    Computations, 5.4).  The non-basic columns are then taken once each,
+    in index order.  Moving weight from non-basic column j onto the basis
+    along its tableau column x keeps ``a @ t``; the move stops when j
+    retires (its weight reaches zero) or when a basic weight reaches zero
+    first (the min-ratio test, ties to the earlier basis position), and
+    then j enters the basis in that basic's place and the tableau columns
+    still to come are pivoted.  A tableau entry below ``_PIVOT_TOL``
+    times its column's largest is not an eligible pivot.  Every non-basic
+    column is either retired or swapped for a retired basic, so the pass
+    leaves at most ``rank`` terms, and no direction is renormalized.
+    Weights are clipped at zero after each move, which drops the roundoff
+    below zero.
     """
     if t.size <= 1:
         return t.copy()
-    rank = _rank(_svd(a, compute_uv=False))
+    qr, piv, rank = _pivoted_qr(a)
     if rank >= t.size:
         return t.copy()
-    if rank < a.shape[0]:
-        a = _row_basis(a)
-    return _tableau_sweep(a, t)
-
-
-def _tableau_sweep(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """One simplex-style pass over the columns of a full-row-rank ``a``.
-
-    A column-pivoted QR, a P = Q [R11 R12], picks ``rank`` basic columns,
-    and X = R11^-1 R12 writes every other column in that basis
-    (Golub & Van Loan, Matrix Computations, 5.4).  The non-basic columns
-    are then taken once each, in index order.  Moving weight from
-    non-basic column j onto the basis along its tableau column x keeps
-    ``a @ t``; the move stops when j retires (its weight reaches zero) or
-    when a basic weight reaches zero first (the min-ratio test, ties to
-    the earlier basis position), and then j enters the basis in that
-    basic's place and the tableau columns still to come are pivoted.  A
-    tableau entry below ``_PIVOT_TOL`` times its column's largest is not
-    an eligible pivot.  Every non-basic column is either retired or
-    swapped for a retired basic, so the pass leaves at most ``rank``
-    terms, and no direction is renormalized.  Weights are clipped at
-    zero after each move, which drops the roundoff below zero.
-    """
-    rank = a.shape[0]
-    # LAPACK's column-pivoted QR; numpy has none
-    qr, jpvt = scipy.linalg.lapack.dgeqp3(a)[:2]
-    piv = jpvt - 1
     basic = piv[:rank].copy()
     order = np.argsort(piv[rank:], kind="stable")
     nonbasic = piv[rank:][order]
     # row m of xt is the tableau column of nonbasic[m]: a_j = a_basic @ xt[m]
-    xt = np.linalg.solve(np.triu(qr[:, :rank]), qr[:, rank:][:, order]).T.copy()
+    xt = np.linalg.solve(np.triu(qr[:rank, :rank]), qr[:rank, rank:][:, order]).T.copy()
     tb = t[basic].copy()
     ratios = np.empty(rank)
     for m, j in enumerate(nonbasic.tolist()):
@@ -412,13 +402,13 @@ def caratheodory_reduce(c: MatrixConvexCombination, tol: Tolerances = DEFAULT_TO
     coefficients are rescaled.  The output length is at most
     n^2 (2d + 1), or n^2 (d + 1) when every point is selfadjoint.
 
-    Rank and rows.  The row basis of the lifted matrix
-    (:func:`_row_basis`) gives its rank r, with the sweep's cutoff, and r
-    rows U_r^T a from the SVD of the small square factor of a QR of a^T;
-    the elimination then works on those r rows, so no SVD ever runs on
-    all lifted columns.  A tree level whose group means have lower rank
-    takes the row basis of those means in turn, so every level is
-    reduced by the one tableau pass.
+    Rank and rows.  One factorization decides every rank: a
+    column-pivoted QR, read through :func:`_rank` on its R diagonal; no
+    SVD decides a rank.  The pivoted QR of a^T gives the rank r of the lifted
+    matrix a and its r pivot rows (:func:`_row_basis`), and the
+    elimination works on those r rows of a.  Each tree level reads its
+    own rank from the pivoted QR of its group means, which its tableau
+    pass (:func:`_sweep`) then runs on.
 
     The elimination runs on a merge tree (recombination, Litterer & Lyons
     2012).  While more than 2r terms are alive, they are split in index

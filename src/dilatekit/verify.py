@@ -197,14 +197,16 @@ class DimensionReport:
 
 def dimension_report(dil: Dilation, dim_h: int, dim_s: int,
                      sub_rank: int = 1) -> DimensionReport:
-    """Compare the dilation space against the subhomogeneity bound.
+    """Compare the dilation space against the reduction's own bound.
 
     For moment data on a dim_s-dimensional operator system, compressed to
-    C^{dim_h}, with representations of subhomogeneity rank ``sub_rank``,
-    the constructed space never needs more than
+    C^{dim_h}, the Caratheodory reduction leaves at most dim_h^2 * dim_s
+    terms (n^2 (2 c + 1) for c canonical indices), and each term is an
+    atom of at most ``sub_rank`` dimensions, so the constructed space
+    never needs more than
 
-        sub_rank^2 * dim_h^3 * (dim_s + 1)
+        sub_rank * dim_h^2 * dim_s
 
     dimensions.  Slack is bound minus the actual space dimension.
     """
-    return DimensionReport.against(dil, int(sub_rank ** 2 * dim_h ** 3 * (dim_s + 1)))
+    return DimensionReport.against(dil, int(sub_rank * dim_h ** 2 * dim_s))

@@ -1,11 +1,19 @@
 """Shared generators for the test suite.
 
 Everything is seeded by the caller; no test relies on global RNG state.
+BLAS runs on one thread, pinned here before numpy is first imported, as
+``bench/run.py`` and ``tools/k_table.py`` pin it: ranks follow roundoff,
+and the thread count changes the roundoff of a blocked product.
 """
 
-import numpy as np
+import os
 
-import dilatekit as dk
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+import dilatekit as dk  # noqa: E402
 
 
 def complex_gaussian(rng, shape):

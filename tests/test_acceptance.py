@@ -13,6 +13,7 @@ import pytest
 
 import dilatekit as dk
 from dilatekit import convex
+from dilatekit.measures import _canonical_indices
 from conftest import (
     algebra_dimension,
     complex_gaussian,
@@ -277,7 +278,8 @@ def test_criterion_07_atomic_naimark(bank, capsys):
         mu = dk.AtomicMeasure(dim=d, atoms=atoms)
         indices = [(k,) for k in range(-2, 3)]
         dil = dk.assemble_atomic_dilation(mu, indices=indices)
-        dils.append((dil, d, len(indices)))
+        dils.append((mu, dk.MomentTable(dim=d, nu=1, symmetric=on_circle, values={
+            idx: mu.moment(idx) for idx in indices if any(idx)})))
         eye = np.eye(d)
         iso = float(np.linalg.norm(dil.v.conj().T @ dil.v - eye))
         if iso > 1e-12:
@@ -384,8 +386,15 @@ def test_criterion_10_dimension_slack(bank, capsys):
     for num in sorted(bank):
         for entry in bank[num]:
             if isinstance(entry, tuple):
-                dil, d, dim_s = entry
-                report = dk.dimension_report(dil, d, dim_s)
+                # a measure's own dilation has as many dimensions as its
+                # atoms' ranks add up to; the bound is the reduction's, so
+                # the measure is reduced first, as the measure routes do
+                mu, table = entry
+                reduced = dk.caratheodory_reduce(dk.measure_to_combination(mu, table))
+                dil = dk.assemble_atomic_dilation(dk.combination_to_measure(reduced, mu),
+                                                  indices=table.indices())
+                report = dk.dimension_report(
+                    dil, mu.dim, 2 * len(_canonical_indices(table)) + 1)
             else:
                 report = entry.dimensions
             checked += 1

@@ -164,10 +164,13 @@ def test_caratheodory_large_run_sweep():
     assert red.defect() <= 1e-10
 
 
-def boundary_combination(nodes):
-    """The boundary pipeline's combination: 3 rank-one terms per node."""
+def boundary_combination(nodes, sampled=False):
+    """The boundary pipeline's combination: 3 rank-one terms per node, on
+    the closed-form ellipse or on the same ellipse given by its samples."""
     rng = np.random.default_rng(53)
     curve = dk.BoundaryCurve.ellipse(1.0, 0.6)
+    if sampled:
+        curve = dk.BoundaryCurve.sampled(*curve.sample(nodes), convex=True)
     t = complex_gaussian(rng, (3, 3))
     t *= 0.5 / np.linalg.norm(t, 2)
     mu = dk.quadrature_measure(t, curve, nodes)
@@ -178,34 +181,27 @@ def boundary_combination(nodes):
     return c
 
 
-def reduce_counting_svds(c, monkeypatch):
-    svd, calls = convex._svd, []
-
-    def counting_svd(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(convex, "_svd", counting_svd)
+def reduce_counting_qrs(c, monkeypatch):
+    calls = counting(monkeypatch, "_pivoted_qr")
     red = dk.caratheodory_reduce(c)
     monkeypatch.undo()
     return red, len(calls)
 
 
-def tree_svd_bound(c):
-    # one SVD for the rank, then each tree level halves the alive terms
-    # with one sweep over 2 rank group means, which costs one values-only
-    # SVD, and one final sweep.  The slack allows for a level whose means
-    # have lower rank and take the row basis's SVD too.  The blocked sweep
-    # the tree replaced made one SVD per 32 terms: 13 for 384 terms, 97
-    # for 3072.
+def tree_qr_bound(c):
+    # one pivoted QR for the row basis, then each tree level halves the
+    # alive terms with one sweep over 2 rank group means, which costs one
+    # QR, and one final sweep.  The slack allows for a last level that
+    # does not halve.  The blocked sweep the tree replaced made one
+    # factorization per 32 terms: 13 for 384 terms, 97 for 3072.
     return math.ceil(math.log2(len(c.terms) / lifted_rank(c))) + 3
 
 
 @pytest.mark.parametrize("nodes", [128, 256, 512])
 def test_caratheodory_boundary_measure_terms(nodes, monkeypatch):
     c = boundary_combination(nodes)
-    red, svds = reduce_counting_svds(c, monkeypatch)
-    assert svds <= tree_svd_bound(c)
+    red, qrs = reduce_counting_qrs(c, monkeypatch)
+    assert qrs <= tree_qr_bound(c)
     assert barycenter_gap(red, c) <= 1e-13
     assert red.defect() <= 1e-12
     assert len(red.terms) <= lifted_rank(c)
@@ -216,11 +212,11 @@ def test_caratheodory_boundary_measure_terms(nodes, monkeypatch):
 def test_caratheodory_tree_scaling(monkeypatch):
     # 3072 terms: six tree levels down to 2 rank terms
     c = boundary_combination(1024)
-    red, svds = reduce_counting_svds(c, monkeypatch)
+    red, qrs = reduce_counting_qrs(c, monkeypatch)
     assert len(red.terms) <= lifted_rank(c)
     assert barycenter_gap(red, c) <= 1e-13
     assert red.defect() <= 1e-12
-    assert svds <= tree_svd_bound(c)
+    assert qrs <= tree_qr_bound(c)
     # the partition follows index order, so the output repeats bit for bit
     again = dk.caratheodory_reduce(c)
     assert len(again.terms) == len(red.terms)
@@ -229,30 +225,37 @@ def test_caratheodory_tree_scaling(monkeypatch):
         assert np.array_equal(b1, b2)
 
 
-@pytest.mark.parametrize("source", ["random", "boundary"])
-def test_caratheodory_svd_fallback(source, monkeypatch):
-    # numpy's divide-and-conquer SVD can fail to converge; the reduction then
-    # retries with LAPACK gesvd and the result is an equally valid reduction.
-    # Both inputs have more than twice the lifted rank in terms, so the rank
-    # SVD and at least one tree level take the fallback too; at 192 nodes a
-    # level of lower rank takes its row basis on the fallback as well.
+@pytest.mark.parametrize("source", ["random", "boundary", "sampled"])
+def test_caratheodory_reduce_takes_no_svd(source, monkeypatch):
+    """The reduction decides its ranks by pivoted QR alone: with numpy's
+    and scipy's SVD raising, it returns the same bits.  Each input has more than twice
+    the lifted rank in terms, so the row basis and at least one tree level
+    run.  The sampled ellipse is the trapezoid measure that dilate_boundary
+    reduces on a sampled curve (on the closed-form ellipse the Szego route
+    leaves 15 terms): 576 terms of lifted rank 45."""
     if source == "random":
         c = random_combination(np.random.default_rng(59), 2, 2, 80, True)
     else:
-        c = boundary_combination(192)
-    assert len(c.terms) > 2 * lifted_rank(c)
-    expected = len(dk.caratheodory_reduce(c).terms)
+        c = boundary_combination(192, sampled=source == "sampled")
+    rank = lifted_rank(c)
+    assert len(c.terms) > 2 * rank
+    if source == "sampled":
+        assert rank == 45
+    expected = dk.caratheodory_reduce(c)
 
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the reduction took an SVD")
 
-    row_bases = counting(monkeypatch, "_row_basis")
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(convex.scipy.linalg, "svd", no_svd)
     red = dk.caratheodory_reduce(c)
-    assert len(red.terms) == expected
+    monkeypatch.undo()
+    assert len(red.terms) == len(expected.terms) <= rank
+    for (b1, p1), (b2, p2) in zip(red.terms, expected.terms):
+        assert p1 is p2
+        assert np.array_equal(b1, b2)
     assert barycenter_gap(red, c) <= 1e-12
     assert red.defect() <= 1e-10
-    assert len(row_bases) >= (2 if source == "boundary" else 1)
 
 
 def _reference_sweep(a, t):
@@ -333,13 +336,10 @@ def counting(monkeypatch, name):
 @pytest.mark.parametrize("rows, rank, width", [
     (6, 6, 13), (12, 12, 24), (24, 24, 48), (45, 45, 90), (45, 45, 63),
     (9, 5, 20), (30, 21, 60)])
-def test_sweep_keeps_rank_terms_and_barycenter(rows, rank, width, monkeypatch):
-    """Every sweep runs the one-pass tableau, on rank-deficient rows after
-    their row basis, and only there; at most rank nonnegative terms stay,
-    a @ t holds to 1e-12, and no more terms stay than with the reference
-    sweep."""
-    tableau = counting(monkeypatch, "_tableau_sweep")
-    row_basis = counting(monkeypatch, "_row_basis")
+def test_sweep_keeps_rank_terms_and_barycenter(rows, rank, width):
+    """At most rank nonnegative terms stay, a @ t holds to 1e-12, and no
+    more terms stay than with the reference sweep, on full-rank rows and
+    on rank-deficient ones alike."""
     rng = np.random.default_rng(rows * 1000 + width)
     for trial in range(12):
         a = lifted_like(rng, rows, rank, width, duplicates=trial % 3, zeros=trial % 2)
@@ -351,8 +351,45 @@ def test_sweep_keeps_rank_terms_and_barycenter(rows, rank, width, monkeypatch):
         assert kept <= rank
         assert kept <= np.count_nonzero(want)
         assert np.linalg.norm(a @ got - a @ t) <= 1e-12 * np.linalg.norm(a @ t)
-    assert len(tableau) == 12
-    assert len(row_basis) == (0 if rows == rank else 12)
+
+
+def test_sweep_property_on_lifted_like_columns():
+    """On lifted-like columns of random rank deficiency, with repeated and
+    zero columns and column scales from 1e-6 to 1e6, the sweep leaves at
+    most rank nonnegative terms.  a @ t moves by at most the rank cutoff,
+    1e-11 of the largest column, times the total weight: a column below
+    the cutoff counts as dependent even when it is not.  While the scales
+    span at most 1e-4 to 1e4, no column comes near the cutoff, and a @ t
+    holds to 1e-12 relative."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def cases(draw):
+        rows = draw(st.integers(2, 24))
+        rank = draw(st.integers(1, rows))
+        width = draw(st.integers(rank + 1, 3 * rows))
+        duplicates = draw(st.integers(0, width // 4))
+        zeros = draw(st.integers(0, (width - 2 * duplicates) // 4))
+        decades = draw(st.integers(0, 6))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        a = lifted_like(rng, rows, rank, width, duplicates, zeros)
+        a *= 10.0 ** rng.uniform(-decades, decades, size=width)
+        return a, rng.uniform(0.1, 1.0, size=width), rank, decades
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+    @hyp.given(cases())
+    def check(case):
+        a, t, rank, decades = case
+        got = convex._sweep(a, t)
+        assert np.all(got >= 0.0)
+        assert np.count_nonzero(got) <= rank
+        moved = np.linalg.norm(a @ got - a @ t)
+        assert moved <= 1e-11 * np.linalg.norm(a, axis=0).max() * t.sum()
+        if decades <= 4:
+            assert moved <= 1e-12 * np.linalg.norm(a @ t)
+
+    check()
 
 
 def test_tableau_ineligible_pivot_retires_the_column(monkeypatch):
@@ -361,9 +398,7 @@ def test_tableau_ineligible_pivot_retires_the_column(monkeypatch):
     non-basic column retires instead, and the basic's weight is clipped."""
     a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1e-10]])
     t = np.array([1.0, 1e-12, 1.0])
-    tableau = counting(monkeypatch, "_tableau_sweep")
     assert np.array_equal(convex._sweep(a, t), [2.0, 0.0, 0.0])
-    assert len(tableau) == 1
     # with every negative entry eligible, column 2 enters in place of column 1
     monkeypatch.setattr(convex, "_PIVOT_TOL", 0.0)
     got = convex._sweep(a, t)
@@ -373,48 +408,25 @@ def test_tableau_ineligible_pivot_retires_the_column(monkeypatch):
 
 def test_rank_deficient_level_takes_the_row_basis(monkeypatch):
     """At 192 nodes the first tree level's group means hold whole nodes and
-    have rank below the compressed rows: after the row basis of all 576
-    lifted columns, that 45 x 90 level takes a row basis of its own before
-    its tableau pass."""
+    have rank below the row basis of all 576 lifted columns: that 45 x 90
+    level reads its lower rank from its own pivoted QR and runs its
+    tableau on the leading rows of that QR's R, the level's own row
+    basis."""
     c = boundary_combination(192)
-    row_bases = counting(monkeypatch, "_row_basis")
+    ranks = []
+    real = convex._pivoted_qr
+
+    def recording(a):
+        out = real(a)
+        ranks.append((a.shape, out[2]))
+        return out
+
+    monkeypatch.setattr(convex, "_pivoted_qr", recording)
     red = dk.caratheodory_reduce(c)
-    assert row_bases[0] == (82, 576)
-    assert (45, 90) in row_bases[1:]
+    assert ranks[0] == ((576, 82), 45)
+    assert ((45, 90), 43) in ranks[1:]
     assert barycenter_gap(red, c) <= 1e-13
     assert len(red.terms) <= lifted_rank(c)
-
-
-def test_boundary_reduction_takes_no_wide_svd(monkeypatch):
-    """A d=3 dilate_boundary on a sampled curve reduces on rank-compressed
-    rows: no SVD in the reduction, with or without singular vectors, runs
-    on an array wider than 2r columns, where r is the lifted rank (a rank
-    SVD of all 3 * nodes lifted columns would be).  The ellipse is given
-    by its samples, which keeps the trapezoid measure's 576 terms (on the
-    closed-form ellipse the Szego route leaves 15)."""
-    from dilatekit import pipelines
-    shapes, ranks = [], []
-    real_svd, real_reduce = convex._svd, pipelines.caratheodory_reduce
-
-    def recording_svd(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return real_svd(a, *args, **kwargs)
-
-    def reduce(comb, tol):
-        ranks.append(lifted_rank(comb))
-        return real_reduce(comb, tol)
-
-    monkeypatch.setattr(convex, "_svd", recording_svd)
-    monkeypatch.setattr(pipelines, "caratheodory_reduce", reduce)
-    rng = np.random.default_rng(61)
-    t = complex_gaussian(rng, (3, 3))
-    t *= 0.5 / np.linalg.norm(t, 2)
-    curve = dk.BoundaryCurve.sampled(*dk.BoundaryCurve.ellipse(1.0, 0.6).sample(192),
-                                     convex=True)
-    result = dk.dilate_boundary(t, curve, order=4, nodes=192)
-    assert result.passed
-    assert ranks == [45] and shapes
-    assert max(width for _, width in shapes) <= 2 * ranks[0]
 
 
 def test_compress_to_surjective():

@@ -161,3 +161,21 @@ def test_norm_keeps_finite_bits_and_scales_overflow():
     assert _norm(np.array([1e200, -1e200])) == pytest.approx(np.sqrt(2.0) * 1e200)
     assert np.isnan(_norm(np.array([np.nan, 1e200])))
     assert _norm(np.array([np.inf, 1.0])) == np.inf
+
+
+@pytest.mark.parametrize("package, query", [
+    ("numpy", "scipy_openblas_get_num_threads64_"),
+    ("scipy", "scipy_openblas_get_num_threads")])
+def test_suite_runs_on_one_blas_thread(package, query):
+    """conftest pins the OpenBLAS that numpy and scipy each bundle to one
+    thread before either loads it."""
+    import ctypes
+    import glob
+    import importlib
+    import os
+
+    root = os.path.dirname(importlib.import_module(package).__file__)
+    libs = glob.glob(os.path.join(root, os.pardir, f"{package}.libs", "libscipy_openblas*"))
+    if not libs:
+        pytest.skip(f"{package} does not bundle scipy-openblas here")
+    assert getattr(ctypes.CDLL(libs[0]), query)() == 1

@@ -66,7 +66,7 @@ def test_regular_pipeline_contract():
     result = dk.dilate_regular(ts, order=order, nodes=nodes)
     assert result.passed
     dim_s = (2 * order + 1) ** 2
-    assert result.reduced_terms <= d * d * (dim_s + 1)
+    assert result.reduced_terms <= d * d * dim_s
     assert result.dimensions.slack >= 0
     final_tracks_fit(result)
     u1, u2 = result.dilation.generators
@@ -83,7 +83,7 @@ def test_boundary_pipeline_contract():
     assert result.passed
     assert result.verification.max_moment_residual <= 1e-5
     dim_s = 2 * 3 + 1
-    assert result.reduced_terms <= 9 * (dim_s + 1)
+    assert result.reduced_terms <= 9 * dim_s
     assert result.dimensions.slack >= 0
     # the dilation is normal with spectrum on the sampled curve
     n = result.dilation.generators[0]
@@ -323,7 +323,7 @@ def test_regular_interior_d3_torus_24():
     ts = interior_torus_data(np.random.default_rng(24), 3)
     result = dk.dilate_regular(ts, order=1, nodes=24)
     assert result.passed
-    assert result.reduced_terms <= 9 * (3 ** 2 + 1)
+    assert result.reduced_terms <= 9 * 3 ** 2
     final_tracks_fit(result)
 
 
@@ -369,7 +369,7 @@ def test_annulus_pipeline_contract():
     assert result.passed
     assert result.verification.max_moment_residual <= 1e-6
     dim_s = 4 * order + 1
-    assert result.reduced_terms <= 9 * (dim_s + 1)
+    assert result.reduced_terms <= 9 * dim_s
     final_tracks_fit(result)
     # inverse powers are matched honestly, not as adjoints
     n = result.dilation.generators[0]
@@ -395,8 +395,8 @@ def test_qcommute_pipeline_contract():
     u1, u2 = result.dilation.generators
     assert np.linalg.norm(u2 @ u1 - q * (u1 @ u2)) <= 1e-12
     dim_s = 2 * (1 + 1) ** 2 - 1
-    assert result.reduced_terms <= b * b * 4 * (dim_s + 1)
-    assert result.dimensions.bound == b * b * 2 ** 3 * (dim_s + 1)
+    assert result.reduced_terms <= 4 * dim_s
+    assert result.dimensions.bound == b * 4 * dim_s
     final_tracks_fit(result)
 
 
@@ -442,9 +442,10 @@ def test_passed_is_conjunction():
 
 def test_dimension_bound_takes_the_operator_system_from_the_table():
     """The operator system each measure pipeline hands the dimension
-    bound is 2 c + 1 for the table's c canonical indices.  That is the
-    size each pipeline used to write out by hand, so the bound is
-    unchanged.  The GNS routes are held to (order + 1) d instead."""
+    bound is 2 c + 1 for the table's c canonical indices, the size each
+    pipeline used to write out by hand, and the bound is the reduction's
+    d^2 (2 c + 1) terms times the atoms' size.  The GNS routes are held
+    to (order + 1) d instead."""
     from dilatekit.measures import _canonical_indices
 
     def size(table):
@@ -475,14 +476,14 @@ def test_dimension_bound_takes_the_operator_system_from_the_table():
     ]
     for result, dim_s, sub_rank in runs:
         assert result.passed
-        assert result.dimensions.bound == sub_rank ** 2 * d ** 3 * (dim_s + 1)
+        assert result.dimensions.bound == sub_rank * d ** 2 * dim_s
 
 
 @pytest.mark.parametrize("d,order,rho", [(1, 1, 1.0), (2, 4, 2.0), (3, 5, 1.0), (8, 16, 1.0)])
 def test_gns_dimension_bound_is_the_recursion_bound(d, order, rho):
     """dilate_circle and one-variable dilate_regular report K against
     (order + 1) d, the bound of the Szego recursion (K = d + sum r_m),
-    and not against the subhomogeneity bound d^3 (2 c + 2)."""
+    and not against the measure routes' bound d^2 (2 c + 1)."""
     rng = np.random.default_rng([31, d, order])
     t = random_contraction(rng, d, norm=0.9)
     for result in (dk.dilate_circle(t, order, rho=rho), dk.dilate_regular([t], order)):

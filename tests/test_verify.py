@@ -110,10 +110,10 @@ def test_dimension_report_arithmetic():
                       generators=[np.eye(2, dtype=complex)],
                       space_dim=10, provenance="test")
     rep = dk.dimension_report(dil, dim_h=2, dim_s=7, sub_rank=2)
-    assert rep.bound == 4 * 8 * 8 == 256
-    assert rep.slack == 246 and rep.ok
+    assert rep.bound == 2 * 4 * 7 == 56
+    assert rep.slack == 46 and rep.ok
     tight = dk.dimension_report(dil, dim_h=1, dim_s=3)
-    assert tight.bound == 4 and tight.slack == -6 and not tight.ok
+    assert tight.bound == 3 and tight.slack == -7 and not tight.ok
 
 
 def test_report_dict_shapes():
@@ -327,8 +327,8 @@ def test_csr_verify_catches_a_broken_unitary(monkeypatch):
 def test_inverse_negatives_above_the_cutoff(monkeypatch, tmp_path, capsys):
     """Normal d = 8 annulus data, drawn as the benchmark's interior
     annulus case draws them (default_rng([7, 8]), r = 0.5, order 2, 32
-    nodes), give a diagonal generator of K = 73 under one BLAS thread
-    (74 under two: the reduction's rank follows roundoff).  With the
+    nodes), give a diagonal generator of K = 73, on the one BLAS thread
+    that conftest pins (the reduction's rank follows roundoff).  With the
     cutoff lowered to 64, so that the generator takes the CSR path,
     verify reads the inverse negatives from the dense matrix: the case
     passes, its residuals are the dense path's to 1e-14, and the CLI

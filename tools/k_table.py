@@ -8,14 +8,15 @@
 The first form runs every case of ``bench/workloads.make_cases`` once per
 workload, seed and draw, with one BLAS thread as the benchmark uses, and
 writes one record per call: its label, K (the dilation's space
-dimension), whether it passed verification, the verification's
+dimension), the dimension bound K is held to, whether it passed
+verification, the verification's
 ``max_moment_residual``, the number of reduced terms, and the sha256
 and the length of its ``dump_json(encode_dilation(...))`` bytes; for a
 call that runs the fit, also the iteration of its last ADMM residual
 check and the number of face polishes it attempted (both None when the
 call does not fit; they are read by wrapping ``measures._admm`` and
 ``measures._polish``).  A refused call records the error's class in
-place of K, the digest and the length.
+place of K, the bound, the digest and the length.
 ``--label`` runs only the cases whose label contains SUBSTR (``--label
 qcommute``, say), keeping their case numbers.  ``--sampled`` gives each
 ``boundary`` case its curve as ``BoundaryCurve.sampled`` at the case's
@@ -26,7 +27,9 @@ route, should show every call byte-identical.  Run it on two checkouts
 to compare them; the tool only reads ``bench/``.
 
 The second form prints, for each workload, the sum of K and the passed
-count on either side, every call whose K or verdict moved, every call
+count on either side, the smallest slack (bound minus K) on either side
+(None for a table written before the bound was recorded), every call
+whose K or verdict moved, every call
 whose residual moved by more than 1e-12, the largest residual move over
 the calls with a residual on both sides, the count of calls whose
 dilation bytes differ and the sum of dilation bytes on either side,
@@ -96,11 +99,13 @@ def run(workloads, seeds, draws, label="", sampled=False) -> list:
                     try:
                         result = case.call()
                     except dk.DilatekitError as exc:
-                        rec.update(K=None, passed=False, residual=None, terms=None,
-                                   sha256=None, bytes=None, error=type(exc).__name__)
+                        rec.update(K=None, bound=None, passed=False, residual=None,
+                                   terms=None, sha256=None, bytes=None,
+                                   error=type(exc).__name__)
                     else:
                         text = dump_json(encode_dilation(result.dilation)).encode()
-                        rec.update(K=result.dilation.space_dim, passed=result.passed,
+                        rec.update(K=result.dilation.space_dim,
+                                   bound=result.dimensions.bound, passed=result.passed,
                                    residual=result.verification.max_moment_residual,
                                    terms=result.reduced_terms,
                                    sha256=hashlib.sha256(text).hexdigest(),
@@ -126,6 +131,9 @@ def diff(old: list, new: list) -> str:
         passed = [sum(rec["passed"] for rec in side) for side in sides]
         lines.append(f"{workload}: sum K {sums[0]} -> {sums[1]}, passed "
                      f"{passed[0]}/{len(sides[0])} -> {passed[1]}/{len(sides[1])}")
+        slacks = [min((rec["bound"] - rec["K"] for rec in side
+                       if rec.get("bound") is not None), default=None) for side in sides]
+        lines.append(f"  smallest slack {slacks[0]} -> {slacks[1]}")
         bytes_differ, largest_move = 0, 0.0
         for k in keys:
             a, b = before.get(k), after.get(k)
