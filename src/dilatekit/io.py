@@ -14,7 +14,8 @@ Wire formats:
     measure   {"dim", "kind", "index_rule", "defect", "fit_residual",
                "atoms": [...]}
     dilation  {"v": CMatrix, "generators": [CMatrix...], "space_dim",
-               "provenance", "residuals"}
+               "provenance"}; a "residuals" key, which files written by
+               earlier versions carry, is ignored on decoding
     curve     {"kind", "params"} or {"kind": "sampled", "params",
                "samples": [[theta, [re, im], [re, im]], ...]}
     combination
@@ -334,7 +335,6 @@ def encode_dilation(dil: Dilation) -> dict:
         "generators": [encode_matrix(g) for g in dil.generators],
         "space_dim": dil.space_dim,
         "provenance": dil.provenance,
-        "residuals": {k: float(v) for k, v in sorted(dil.residuals.items())},
     }
 
 
@@ -347,18 +347,8 @@ def decode_dilation(obj) -> Dilation:
         raise MalformedInputError("dilation generators must be space_dim square")
     if v.shape[0] != space:
         raise MalformedInputError("dilation embedding height must equal space_dim")
-    residuals = obj.get("residuals", {})
-    if not isinstance(residuals, dict) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool)
-            for x in residuals.values()):
-        raise MalformedInputError("dilation residuals must map names to numbers")
-    try:
-        residuals = {str(k): float(x) for k, x in residuals.items()}
-    except OverflowError as exc:  # an integer beyond the double range
-        raise MalformedInputError(f"dilation residuals: {exc}") from exc
     return Dilation(v=v, generators=gens, space_dim=space,
-                    provenance=str(obj.get("provenance", "unknown")),
-                    residuals=residuals)
+                    provenance=str(obj.get("provenance", "unknown")))
 
 
 def encode_curve(curve: BoundaryCurve) -> dict:

@@ -201,15 +201,20 @@ class AtomicMeasure:
         return np.cumsum(terms, axis=0)[-1]
 
     def validate(self, tol: Tolerances = DEFAULT_TOL):
-        """Every weight PSD by the one rule; a stack that declares exchange
-        relations must have unitary images that satisfy them (a point of
-        the annulus or a curve is not unitary and declares none)."""
+        """Every weight PSD by the one rule, and the declared exchange
+        relations hold (see _check_relations)."""
         lam = np.linalg.eigvalsh(herm_part(self._weights()))
         bad = lam[:, 0] < _psd_floor(lam, tol)
         if bad.any():
             raise NonPSDWeightError(f"atom {np.argmax(bad)} weight has "
                                     f"eigenvalue {lam[bad][0, 0]:.3e} below "
                                     f"-psd_tol * max|eigenvalue|")
+        self._check_relations()
+
+    def _check_relations(self):
+        """A stack that declares exchange relations must have unitary images
+        that satisfy them (a point of the annulus or a curve is not unitary
+        and declares none)."""
         if not self.atoms.scale_pairs:
             return
         # gens[a, i]: image i of atom a
@@ -309,9 +314,7 @@ def _clock_shift(a: int, b: int):
     _require_rational(a, b)
     q = np.exp(2j * np.pi * a / b)
     clock = np.diag(q ** np.arange(b)).astype(np.complex128)
-    shift = np.zeros((b, b), dtype=np.complex128)
-    for j in range(b):
-        shift[(j - 1) % b, j] = 1.0
+    shift = np.roll(np.eye(b, dtype=np.complex128), -1, axis=0)
     return q, clock, shift
 
 
@@ -412,7 +415,7 @@ def _pieces(weights: np.ndarray, d: int, tol: Tolerances):
     count per atom: the rows r of G = sum r* r, each reshaped (b, d)."""
     lam, q = np.linalg.eigh(herm_part(weights))
     flat, counts = _rank_one_split(lam, q, tol)
-    return flat.reshape(len(flat), -1, d), counts
+    return flat.reshape(len(flat), weights.shape[-1] // d, d), counts
 
 
 def _fit_system(targets: MomentTable, grid: Atoms):
@@ -688,7 +691,7 @@ def fit_matrix_measure(targets: MomentTable, grid: Atoms,
     return mu.pruned(_PRUNE_TOL)
 
 
-def assemble_atomic_dilation(mu: AtomicMeasure, indices=None,
+def assemble_atomic_dilation(mu: AtomicMeasure,
                              tol: Tolerances = DEFAULT_TOL) -> Dilation:
     """Build the explicit dilation carried by an atomic measure.
 
@@ -697,17 +700,22 @@ def assemble_atomic_dilation(mu: AtomicMeasure, indices=None,
     atom's b x b image on the piece's diagonal block, so a point atom
     contributes rank(G) dimensions with z on the diagonal.  Compressions
     V* w V = sum gamma* w gamma then equal the measure's moments exactly
-    (up to factorization roundoff).
+    (up to factorization roundoff); verify_dilation checks them.
+
+    The declared exchange relations are checked first.  The one batched
+    eigh that splits the weights into pieces also gives the PSD verdict
+    (a weight below the rule of linalg._psd_floor raises NotPSD), and a
+    unit defect above 1e-8 max(1, d) raises NotNormalized.
     """
-    mu.validate(tol)
-    unit_defect = float(np.linalg.norm(mu.unit_matrix() - np.eye(mu.dim)))
-    if unit_defect > 1e-8 * max(1.0, mu.dim):
+    mu._check_relations()
+    d = mu.dim
+    pieces, counts = _pieces(mu._weights(), d, tol)
+    unit_defect = float(np.linalg.norm(mu.unit_matrix() - np.eye(d)))
+    if unit_defect > 1e-8 * max(1.0, d):
         raise NotNormalizedError(
             f"measure is not normalized (defect {unit_defect:.3e}); "
             "call .normalized() first"
         )
-    d = mu.dim
-    pieces, counts = _pieces(mu._weights(), d, tol)
     if not len(pieces):
         raise GridEmptyError("measure has no mass to assemble")
     v = pieces.reshape(-1, d)
@@ -716,19 +724,8 @@ def assemble_atomic_dilation(mu: AtomicMeasure, indices=None,
     gens = np.zeros((nu, n * b, n * b), dtype=np.complex128)
     idx = np.arange(n * b).reshape(n, b)
     gens[:, idx[:, :, None], idx[:, None, :]] = np.swapaxes(images, 0, 1)
-    gens = list(gens)
-    residuals = {"unit_defect": unit_defect}
-    if indices is not None:
-        # the measure's own moments use honest Laurent powers, so
-        # negative indices must be inverse powers here as well
-        indices = list(indices)
-        words = _word_walk(indices, gens, mu.index_rule, "inverse", v=v)
-        residuals["moment_vs_measure"] = max(
-            (float(np.linalg.norm(v.conj().T @ w - m))
-             for w, m in zip(words, mu._moments(indices))), default=0.0)
-    return Dilation(v=v, generators=gens, space_dim=v.shape[0],
-                    provenance="naimark" if b == 1 else "naimark-irrep",
-                    residuals=residuals)
+    return Dilation(v=v, generators=list(gens), space_dim=v.shape[0],
+                    provenance="naimark" if b == 1 else "naimark-irrep")
 
 
 def _canonical_indices(table: MomentTable):

@@ -104,7 +104,7 @@ def _measure_result(mu: AtomicMeasure, table: MomentTable,
     comb = measure_to_combination(mu, table, tol)
     reduced = caratheodory_reduce(comb, tol)
     slim = combination_to_measure(reduced, mu)
-    dil = assemble_atomic_dilation(slim, indices=table.indices(), tol=tol)
+    dil = assemble_atomic_dilation(slim, tol=tol)
     report = verify_dilation(dil, table, relations, tol,
                              moment_tol=max(tol.residual_tol, moment_tol))
     dims = dimension_report(dil, table.dim, 2 * len(_canonical_indices(table)) + 1,

@@ -277,7 +277,7 @@ def test_criterion_07_atomic_naimark(bank, capsys):
         atoms = dk.Atoms.from_points(zs, [corr @ w @ corr for w in weights])
         mu = dk.AtomicMeasure(dim=d, atoms=atoms)
         indices = [(k,) for k in range(-2, 3)]
-        dil = dk.assemble_atomic_dilation(mu, indices=indices)
+        dil = dk.assemble_atomic_dilation(mu)
         dils.append((mu, dk.MomentTable(dim=d, nu=1, symmetric=on_circle, values={
             idx: mu.moment(idx) for idx in indices if any(idx)})))
         eye = np.eye(d)
@@ -391,8 +391,7 @@ def test_criterion_10_dimension_slack(bank, capsys):
                 # the measure is reduced first, as the measure routes do
                 mu, table = entry
                 reduced = dk.caratheodory_reduce(dk.measure_to_combination(mu, table))
-                dil = dk.assemble_atomic_dilation(dk.combination_to_measure(reduced, mu),
-                                                  indices=table.indices())
+                dil = dk.assemble_atomic_dilation(dk.combination_to_measure(reduced, mu))
                 report = dk.dimension_report(
                     dil, mu.dim, 2 * len(_canonical_indices(table)) + 1)
             else:

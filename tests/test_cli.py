@@ -18,6 +18,7 @@ from dilatekit.io import (
     encode_dilation,
     encode_matrix,
     encode_table,
+    read_json,
 )
 
 
@@ -340,15 +341,6 @@ def _break_v_width(bundle):
     bundle["targets"] = encode_table(dk.circle_moments(0.5 * np.eye(3), 1.0, 2))
 
 
-def _break_residual(bundle):
-    bundle["dilation"]["residuals"] = {"unit_defect": "small"}
-
-
-def _break_residual_overflow(bundle):
-    # an integer beyond the double range, as JSON allows
-    bundle["dilation"]["residuals"] = {"unit_defect": 10**400}
-
-
 def _break_index_rule(bundle):
     bundle["targets"]["index_rule"] = "sideways"
 
@@ -392,9 +384,7 @@ def _break_singular_generator(bundle):
 
 
 @pytest.mark.parametrize("breaks", [_break_pair_index, _break_pair_range,
-                                    _break_v_width, _break_residual,
-                                    _break_residual_overflow,
-                                    _break_index_rule, _break_generator_count,
+                                    _break_v_width, _break_index_rule, _break_generator_count,
                                     _break_ordered_mixed_sign, _break_rule_mismatch,
                                     _break_singular_generator])
 def test_malformed_verify_bundle_exit_3(tmp_path, capsys, breaks):
@@ -409,6 +399,40 @@ def test_malformed_verify_bundle_exit_3(tmp_path, capsys, breaks):
     inp.write_text(dump_json(bundle), encoding="utf-8")
     assert main(["verify", "--input", str(inp)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+# the dilation.json of dilate_circle([[0, 0.5], [0, 0]], order=1) as it was
+# written while a dilation still carried residuals, with a hand-edited
+# non-number entry and an integer beyond the double range among them
+LEGACY_DILATION = (
+    '{"v": {"rows": 4, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [1, 0], [0, 0], '
+    '[0, 0], [0, 0], [0, 0]]}, "generators": [{"rows": 4, "cols": 4, "data": [[0, 0], '
+    '[0.5, 0], [0.8660254037844386, 0], [0, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 0], '
+    '[0.8660254037844386, 0], [-0.5, 0], [0, 0], [-1, 0], [0, 0], [0, 0], [0, 0]]}], '
+    '"space_dim": 4, "provenance": "gns", "residuals": {"moment_max": 0, '
+    '"shift_isometry": 1.5700924586837752e-16, "unit_defect": "small", '
+    '"overflow": 1' + "0" * 400 + '}}\n')
+
+
+def test_legacy_dilation_with_residuals_still_verifies(tmp_path, capsys):
+    """A dilation.json that still holds a residuals object decodes, its
+    residuals ignored, to today's dilation of the same data bit for bit,
+    and dilatekit verify passes it (exit 0)."""
+    t = np.array([[0.0, 0.5], [0.0, 0.0]])
+    (tmp_path / "dilation.json").write_text(LEGACY_DILATION, encoding="utf-8")
+    legacy = decode_dilation(read_json(tmp_path / "dilation.json"))
+    assert not hasattr(legacy, "residuals")
+    today = dk.dilate_circle(t, order=1).dilation
+    assert legacy.v.tobytes() == today.v.tobytes()
+    assert legacy.generators[0].tobytes() == today.generators[0].tobytes()
+    assert "residuals" not in encode_dilation(today)
+    bundle = {"dilation": json.loads(LEGACY_DILATION),
+              "targets": encode_table(dk.circle_moments(t, 1.0, 1)),
+              "relations": {"rule": "laurent", "unitary": True, "negatives": "adjoint"}}
+    inp = tmp_path / "bundle.json"
+    inp.write_text(dump_json(bundle), encoding="utf-8")
+    assert main(["verify", "--input", str(inp)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_curve_specs(tmp_path):

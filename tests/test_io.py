@@ -595,13 +595,12 @@ def _ref_encode_dilation(dil):
         "generators": [_ref_encode_matrix(g) for g in dil.generators],
         "space_dim": dil.space_dim,
         "provenance": dil.provenance,
-        "residuals": {k: float(v) for k, v in sorted(dil.residuals.items())},
     }
 
 
 def test_dilation_json_formats_matrices_in_one_call(monkeypatch):
     """A K=264 GNS dilation (d=8, order 32) is written without one _fmt call
-    per number: only its residual scalars go through it."""
+    per number: it has no float scalar, and its matrices go through none."""
     from dilatekit import io
 
     rng = np.random.default_rng(151)
@@ -611,7 +610,7 @@ def test_dilation_json_formats_matrices_in_one_call(monkeypatch):
     fmt = io._fmt
     monkeypatch.setattr(io, "_fmt", lambda x: calls.append(x) or fmt(x))
     text = dump_json(encode_dilation(dil))
-    assert len(calls) == len(dil.residuals)
+    assert calls == []
     assert text == _ref_dump(_ref_encode_dilation(dil)) + "\n"
 
 
@@ -685,10 +684,6 @@ def test_decode_matrix_matches_per_entry_reference():
 def test_decode_matrix_huge_integer_is_malformed():
     with pytest.raises(MalformedInputError, match=r"^m: non-finite complex entry$"):
         decode_matrix({"rows": 1, "cols": 1, "data": [[10**400, 0]]}, "m")
-    with pytest.raises(MalformedInputError, match="^dilation residuals: int too large"):
-        decode_dilation(dict(encode_dilation(dk.Dilation(
-            v=np.eye(1), generators=[np.eye(1)], space_dim=1, provenance="test")),
-            residuals={"unit_defect": 10**400}))
 
 
 def test_decode_matrix_property_only_malformed_errors():

@@ -464,27 +464,33 @@ def test_fit_refuses_bad_class_size(size):
         dk.fit_matrix_measure(table, dk.circle_grid(4), class_size=size)
 
 
+def _assembly_gap(dil, mu, indices) -> float:
+    """The largest ||V* w(generators) V - the measure's moment|| over the
+    indices, negative powers read as inverses like the measure's own."""
+    return max(float(np.linalg.norm(dil.compress(dk.word_image(
+        idx, dil.generators, rule=mu.index_rule, negatives="inverse")) - mu.moment(idx)))
+        for idx in indices)
+
+
 def test_assemble_point_dilation_exact():
     rng = np.random.default_rng(79)
     d = 3
     points = [[np.exp(2j * np.pi * j / 7)] for j in range(5)]
     ranks = [3, 1, 2, 3, 1]
     mu = normalized_point_measure(rng, d, points, ranks)
-    dil = dk.assemble_atomic_dilation(mu, indices=[(k,) for k in range(-2, 3)])
+    dil = dk.assemble_atomic_dilation(mu)
     assert np.linalg.norm(dil.v.conj().T @ dil.v - np.eye(d)) <= 1e-12
     # space splits into one block of size rank(P_j) per atom
     expected = sum(np.linalg.matrix_rank(w, tol=1e-10)
                    for w in mu.atoms.weights)
     assert dil.space_dim == expected
-    assert dil.residuals["moment_vs_measure"] <= 1e-12
-    # indices may come as any iterable, read once
-    again = dk.assemble_atomic_dilation(mu, indices=((k,) for k in range(-2, 3)))
-    assert again.residuals == dil.residuals
-    assert dil.residuals["moment_vs_measure"] > 0.0
+    # a dilation is its matrices, and assembly repeats them bit for bit
+    again = dk.assemble_atomic_dilation(mu)
+    assert again.v.tobytes() == dil.v.tobytes()
+    assert again.generators[0].tobytes() == dil.generators[0].tobytes()
+    gap = _assembly_gap(dil, mu, [(k,) for k in range(-2, 3)])
+    assert 0.0 < gap <= 1e-12
     u = dil.generators[0]
-    for k in range(-2, 3):
-        w = dk.word_image((k,), [u], negatives="inverse")
-        assert np.linalg.norm(dil.compress(w) - mu.moment((k,))) <= 1e-12
     # spectrum sits exactly on the atom points
     eigs = {round(np.angle(z), 9) for z in np.linalg.eigvals(u)}
     atom_angles = {round(np.angle(z), 9) for z in mu.atoms.images[:, 0, 0, 0]}
@@ -513,19 +519,25 @@ def test_assemble_irrep_dilation():
     atoms = atoms.with_weights([np.outer(r.conj(), r) for r in rows])
     mu = dk.AtomicMeasure(dim=d, atoms=atoms, index_rule="ordered")
     assert np.linalg.norm(mu.unit_matrix() - np.eye(d)) <= 1e-12
-    dil = dk.assemble_atomic_dilation(mu, indices=[(1, 0), (0, 1), (1, 1)])
+    dil = dk.assemble_atomic_dilation(mu)
     assert dil.provenance == "naimark-irrep"
     u1, u2 = dil.generators
     q = np.exp(2j * np.pi / 2)
     assert np.linalg.norm(u2 @ u1 - q * u1 @ u2) <= 1e-12
     assert np.linalg.norm(u1.conj().T @ u1 - np.eye(dil.space_dim)) <= 1e-12
-    assert dil.residuals["moment_vs_measure"] <= 1e-12
+    assert _assembly_gap(dil, mu, [(1, 0), (0, 1), (1, 1)]) <= 1e-12
 
 
 def test_assemble_requires_normalization():
+    """A short mass is NotNormalized, and so is no atom at all: the weights
+    are split before the mass is checked, and an empty stack splits into
+    no pieces."""
     mu = dk.AtomicMeasure(dim=1, atoms=dk.Atoms.from_points([1.0], [[[0.9]]]))
     with pytest.raises(NotNormalizedError):
         dk.assemble_atomic_dilation(mu)
+    empty = dk.AtomicMeasure(dim=2, atoms=dk.Atoms.from_points(np.zeros(0), np.zeros((0, 2, 2))))
+    with pytest.raises(NotNormalizedError):
+        dk.assemble_atomic_dilation(empty)
 
 
 def test_measure_combination_roundtrip():
@@ -731,7 +743,7 @@ def test_one_weight_convention():
     atoms = dk.clock_shift_irrep(1, 2, (0.3, 1.1)).with_weights([np.outer(r.conj(), r)])
     mu = dk.AtomicMeasure(dim=d, atoms=atoms, index_rule="ordered")
     indices = [(1, 0), (0, 1), (1, 1), (2, 1), (-1, 0), (-1, -1)]
-    dil = dk.assemble_atomic_dilation(mu, indices=indices)
+    dil = dk.assemble_atomic_dilation(mu)
     assert dil.space_dim == 2
     for idx in indices:
         w = dk.word_image(idx, list(atoms.images[0]), rule="ordered")
@@ -1262,13 +1274,13 @@ def test_back_half_matches_per_atom_loops(name):
     slim = dk.combination_to_measure(reduced, mu)
     for got, w in zip(slim.atoms.weights, _ref_combination_weights(reduced, mu)):
         _assert_bits(got, w)
-    dil = dk.assemble_atomic_dilation(mu, indices=indices)
+    dil = dk.assemble_atomic_dilation(mu)
     v, gens = _ref_assembly(mu)
     _assert_bits(dil.v, v)
     assert len(dil.generators) == len(gens)
     for g, ref in zip(dil.generators, gens):
         _assert_bits(g, ref)
-    assert dil.residuals["moment_vs_measure"] <= 1e-12
+    assert _assembly_gap(dil, mu, indices) <= 1e-12
 
 
 def test_psd_project_stacks_match_single_and_fit_kernels():
@@ -1333,7 +1345,8 @@ def test_screened_projection_matches_psd_project():
 
 def test_back_half_takes_one_eigh_per_call(monkeypatch):
     """measure_to_combination and assemble_atomic_dilation split weights
-    with one batched eigh each, not one per atom."""
+    with one batched eigh each, not one per atom, and assembly takes its
+    PSD verdict from that eigh: no eigvalsh runs beside it."""
     rng = np.random.default_rng(137)
     t = random_contraction(rng, 3, norm=0.4)
     mu = dk.quadrature_measure(t, dk.BoundaryCurve.ellipse(1.0, 0.6), 192)
@@ -1347,8 +1360,9 @@ def test_back_half_takes_one_eigh_per_call(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kwargs: pytest.fail("eigvalsh"))
     dk.measure_to_combination(mu, table)
-    dk.assemble_atomic_dilation(mu, indices=table.indices())
+    dk.assemble_atomic_dilation(mu)
     assert len(mu.atoms) == 192
     assert len(shapes) == 2
     assert all(s == (192, 3, 3) for s in shapes)

@@ -239,13 +239,14 @@ def test_gns_property_suite():
         dil = dk.toeplitz_gns_unitary(table)
         u = dil.generators[0]
         assert dil.space_dim <= (n + 1) * d
+        # U = L M, two block-diagonal factors of Julia blocks that are each
+        # unitary to roundoff, so U is as well
         assert np.linalg.norm(u.conj().T @ u
-                              - np.eye(dil.space_dim)) <= 1e-10
+                              - np.eye(dil.space_dim)) <= 1e-13 * dil.space_dim
         assert np.linalg.norm(dil.v.conj().T @ dil.v - np.eye(d)) <= 1e-10
         res = compression_residual(dil, table, table.indices())
         assert res <= 1e-8
         assert dil.provenance == "gns"
-        assert "shift_isometry" in dil.residuals
 
 
 def test_gns_psd_gate():
@@ -329,14 +330,16 @@ def test_contraction_dilation_is_egervary_shift(d, order):
 def test_gns_self_check_on_the_nonzeros(monkeypatch, order, rho):
     """At K >= 128 the rho = 1 unitary is walked through CSR in the self
     check, and the rho = 2 one stays dense.  U and V keep their bits and
-    the residuals are the dense walk's to 1e-14."""
+    the self-check's residuals, read from its walk, are the dense walk's
+    to 1e-14."""
     t = random_contraction(np.random.default_rng([233, order]), 8, norm=0.9)
     table = dk.circle_moments(t, rho, order)
-    walked = []
+    walked, walks = [], []
 
     def spy(indices, generators, *args, **kwargs):
         walked.append(isinstance(generators[0], np.ndarray))
-        return _word_walk(indices, generators, *args, **kwargs)
+        walks.append(_word_walk(indices, generators, *args, **kwargs))
+        return walks[-1]
 
     monkeypatch.setattr(dk.moments, "_word_walk", spy)
     ruled = dk.toeplitz_gns_unitary(table)
@@ -346,9 +349,12 @@ def test_gns_self_check_on_the_nonzeros(monkeypatch, order, rho):
     assert ruled.space_dim == (order + 1) * 8
     assert ruled.v.tobytes() == dense.v.tobytes()
     assert ruled.generators[0].tobytes() == dense.generators[0].tobytes()
-    assert ruled.residuals.keys() == dense.residuals.keys()
-    for key, value in ruled.residuals.items():
-        assert abs(value - dense.residuals[key]) <= 1e-14
+    values = np.stack([table.value((k,)) for k in range(1, order + 1)])
+    ruled_resid, dense_resid = (
+        np.linalg.norm(np.stack([w[:8] for w in walk]) - values, axis=(1, 2))
+        for walk in walks)
+    assert len(ruled_resid) == order
+    assert np.abs(ruled_resid - dense_resid).max() <= 1e-14
 
 
 def test_small_calls_never_import_scipy_sparse():

@@ -9,14 +9,16 @@ The first form runs every case of ``bench/workloads.make_cases`` once per
 workload, seed and draw, with one BLAS thread as the benchmark uses, and
 writes one record per call: its label, K (the dilation's space
 dimension), the dimension bound K is held to, whether it passed
-verification, the verification's
-``max_moment_residual``, the number of reduced terms, and the sha256
-and the length of its ``dump_json(encode_dilation(...))`` bytes; for a
-call that runs the fit, also the iteration of its last ADMM residual
-check and the number of face polishes it attempted (both None when the
-call does not fit; they are read by wrapping ``measures._admm`` and
-``measures._polish``).  A refused call records the error's class in
-place of K, the bound, the digest and the length.
+verification, the verification's ``max_moment_residual``, the number of
+reduced terms, the sha256 and the length of its dilation.json bytes and
+the sha256 of its report.json bytes, both as the CLI writes them
+(``cli._emit_dilation``, into a temporary directory), and the sha256 of
+the raw bits of ``v`` and of each generator; for a call that runs the
+fit, also the iteration of its last ADMM residual check and the number
+of face polishes it attempted (both None when the call does not fit;
+they are read by wrapping ``measures._admm`` and ``measures._polish``).
+A refused call records the error's class in
+place of K, the bound, the digests and the length.
 ``--label`` runs only the cases whose label contains SUBSTR (``--label
 qcommute``, say), keeping their case numbers.  ``--sampled`` gives each
 ``boundary`` case its curve as ``BoundaryCurve.sampled`` at the case's
@@ -32,20 +34,27 @@ count on either side, the smallest slack (bound minus K) on either side
 whose K or verdict moved, every call
 whose residual moved by more than 1e-12, the largest residual move over
 the calls with a residual on both sides, the count of calls whose
-dilation bytes differ and the sum of dilation bytes on either side,
-the sum of fit iterations per case label on either side, and every call
-whose iteration or polish count moved; with
+dilation matrices differ in any bit (None when a table was written
+before the matrix digests were recorded), the count of calls whose
+report bytes differ (None likewise), the count of calls whose dilation
+bytes differ and the sum of dilation bytes on either side, the sum of
+fit iterations per case label on either side, and every call whose
+iteration or polish count moved; with
 ``--label`` it compares only the calls whose label contains SUBSTR.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -61,11 +70,24 @@ def _span(text: str) -> range:
     return range(int(lo), int(hi or lo) + 1)
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _emitted(emit, result) -> tuple:
+    """The dilation.json and report.json bytes the CLI writes for a result."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        prefix = Path(tmp) / "call"
+        emit(SimpleNamespace(output=str(prefix)), result)
+        return (Path(f"{prefix}.dilation.json").read_bytes(),
+                Path(f"{prefix}.report.json").read_bytes())
+
+
 def run(workloads, seeds, draws, label="", sampled=False) -> list:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import dilatekit as dk
     from dilatekit import measures
-    from dilatekit.io import dump_json, encode_dilation
+    from dilatekit.cli import _emit_dilation
     from workloads import make_cases
 
     fit = {}
@@ -101,18 +123,31 @@ def run(workloads, seeds, draws, label="", sampled=False) -> list:
                     except dk.DilatekitError as exc:
                         rec.update(K=None, bound=None, passed=False, residual=None,
                                    terms=None, sha256=None, bytes=None,
-                                   error=type(exc).__name__)
+                                   report_sha256=None, v_sha256=None,
+                                   generators_sha256=None, error=type(exc).__name__)
                     else:
-                        text = dump_json(encode_dilation(result.dilation)).encode()
-                        rec.update(K=result.dilation.space_dim,
+                        dil = result.dilation
+                        text, report = _emitted(_emit_dilation, result)
+                        rec.update(K=dil.space_dim,
                                    bound=result.dimensions.bound, passed=result.passed,
                                    residual=result.verification.max_moment_residual,
                                    terms=result.reduced_terms,
-                                   sha256=hashlib.sha256(text).hexdigest(),
-                                   bytes=len(text))
+                                   sha256=_sha256(text), bytes=len(text),
+                                   report_sha256=_sha256(report),
+                                   v_sha256=_sha256(dil.v.tobytes()),
+                                   generators_sha256=[_sha256(g.tobytes())
+                                                      for g in dil.generators])
                     rec.update(fit)
                     records.append(rec)
     return records
+
+
+def _differ(pairs, *fields):
+    """How many (a, b) record pairs differ in any of the fields, or None
+    when a record was written before the fields were recorded."""
+    if any(field not in rec for pair in pairs for rec in pair for field in fields):
+        return None
+    return sum(any(a[f] != b[f] for f in fields) for a, b in pairs)
 
 
 def diff(old: list, new: list) -> str:
@@ -134,15 +169,14 @@ def diff(old: list, new: list) -> str:
         slacks = [min((rec["bound"] - rec["K"] for rec in side
                        if rec.get("bound") is not None), default=None) for side in sides]
         lines.append(f"  smallest slack {slacks[0]} -> {slacks[1]}")
-        bytes_differ, largest_move = 0, 0.0
+        largest_move, pairs = 0.0, []
         for k in keys:
             a, b = before.get(k), after.get(k)
             if a is None or b is None:
                 lines.append(f"  seed {k[1]} draw {k[2]} case {k[3]}: only in "
                              f"{'the second' if a is None else 'the first'} table")
                 continue
-            if a["sha256"] != b["sha256"]:
-                bytes_differ += 1
+            pairs.append((a, b))
             if (a["K"], a["passed"]) != (b["K"], b["passed"]):
                 lines.append(f"  seed {k[1]} draw {k[2]} {a['label']}: "
                              f"K {a['K'] or a.get('error')} -> {b['K'] or b.get('error')}, "
@@ -155,7 +189,11 @@ def diff(old: list, new: list) -> str:
                 lines.append(f"  seed {k[1]} draw {k[2]} {a['label']}: "
                              f"residual {ra} -> {rb}")
         lines.append(f"  largest residual move {largest_move:.3e}")
-        lines.append(f"  dilation bytes differ on {bytes_differ} of {len(keys)} calls, "
+        lines.append(f"  dilation matrices differ on "
+                     f"{_differ(pairs, 'v_sha256', 'generators_sha256')} of {len(keys)} calls")
+        lines.append(f"  report bytes differ on {_differ(pairs, 'report_sha256')} "
+                     f"of {len(keys)} calls")
+        lines.append(f"  dilation bytes differ on {_differ(pairs, 'sha256')} of {len(keys)} calls, "
                      f"sum {sizes[0]} -> {sizes[1]} B")
         lines.extend(_iteration_lines(keys, before, after))
     return "\n".join(lines)
